@@ -39,24 +39,6 @@ PI_SQUARED_LOW = Fraction(98696, 10000)
 PI_SQUARED_HIGH = Fraction(98697, 10000)
 
 
-class TruncationSpec:
-    """A finite window {1..N}^3 onto a lattice construction."""
-
-    __slots__ = ("N", "renormalize")
-
-    def __init__(self, N: int, renormalize: bool = True):
-        if N < 4:
-            raise DomainError("window must cover at least {1..4}")
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "renormalize", bool(renormalize))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationSpec is immutable")
-
-    def __repr__(self):
-        return f"TruncationSpec(N={self.N}, renormalize={self.renormalize})"
-
-
 def _pairs32():
     return all_index_sets(3, 2)
 
@@ -146,15 +128,11 @@ def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
         columns = list(range(grid.ncells))
     elif target not in columns:
         return Fraction(0)
-    col_of = {j: t for t, j in enumerate(columns)}
-    rows, rhs, _ = marginal_constraint_rows(fam)
-    reduced = [
-        {col_of[j]: v for j, v in row.items() if j in col_of} for row in rows
-    ]
+    rows, rhs, _ = marginal_constraint_rows(fam, columns)
     objective = [Fraction(0)] * len(columns)
-    objective[col_of[target]] = Fraction(1)
+    objective[columns.index(target)] = Fraction(1)
     sol = lp_core.solve(
-        lp_core.LPProblem(objective, reduced, rhs, sense=sense),
+        lp_core.LPProblem(objective, rows, rhs, sense=sense),
         arithmetic=arithmetic,
     )
     if sol.status != "optimal":

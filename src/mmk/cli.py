@@ -2,8 +2,9 @@
 
 Subcommands: check, solve, dual, signed, bounded-dual, xor, case,
 figure.  Problem files are JSON; rationals serialize as "p/q" strings.
-Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input or
-unknown name.  MMK_ARITHMETIC=exact|float overrides the arithmetic
+Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input,
+unknown name or an LP the solver refuses (exact-mode size cap) or
+cannot certify.  MMK_ARITHMETIC=exact|float overrides the arithmetic
 mode; --jobs fans independent case computations across worker threads.
 """
 
@@ -16,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from . import case_studies, feasibility, transport, xor_model
+from . import case_studies, feasibility, lp_core, transport, xor_model
 from .measures import (
     DiscreteMeasure,
     DomainError,
@@ -24,6 +25,7 @@ from .measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    cell_sums,
     is_consistent,
     measure_from_json,
     measure_to_json,
@@ -262,10 +264,8 @@ def _case_nonstrong(args, arithmetic):
     fam, cost = case_studies.build_nonstrong(N)
     potentials, value = transport.solve_dual(fam, cost, arithmetic=arithmetic)
     grid = fam.full_grid()
-    diag = [
-        _rat(potentials.total_at(grid, (n - 1, n - 1, n - 1)))
-        for n in range(1, N + 1)
-    ]
+    totals = cell_sums(grid, potentials.potentials)
+    diag = [_rat(totals[grid.ravel((n - 1, n - 1, n - 1))]) for n in range(1, N + 1)]
     return {
         "case": "nonstrong",
         "N": N,
@@ -441,6 +441,9 @@ def main(argv=None) -> int:
         return 1
     except DomainError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except lp_core.LPError as exc:
+        print(f"cannot solve: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,6 +23,7 @@ from .measures import (
     ProductGrid,
     SignedDiscreteMeasure,
     all_index_sets,
+    cell_sums,
     is_consistent,
     lower_marginal,
     product,
@@ -317,29 +318,33 @@ def signed_uniting(
     return total
 
 
-def marginal_constraint_rows(fam: MarginalFamily):
+def _projection_rows(grid: ProductGrid, alpha: IndexSet, columns) -> list[dict]:
+    """One row {column number: 1} per cell of grid_alpha: the columns it collects."""
+    index = grid.projection_index(alpha)
+    rows = [{} for _ in range(grid.subgrid(alpha).ncells)]
+    one = Fraction(1)
+    for t, j in enumerate(columns):
+        rows[index[j]][t] = one
+    return rows
+
+
+def marginal_constraint_rows(fam: MarginalFamily, columns=None):
     """The equality system prj_alpha(pi) = mu_alpha as LP rows.
 
     Returns (rows, rhs, row_index) where row_index lists (alpha, cell)
-    in row order and columns are full-grid raveled cells.
+    in row order.  Column t is full-grid raveled cell columns[t]; all
+    cells when `columns` is None.
     """
     grid = fam.full_grid()
+    if columns is None:
+        columns = range(grid.ncells)
     rows = []
     rhs = []
     row_index = []
     for alpha in fam.index_sets():
-        sub = grid.subgrid(alpha)
-        positions = [grid.axes.index(a) for a in alpha]
-        base = len(rows)
-        for _ in range(sub.ncells):
-            rows.append({})
-        for j in range(grid.ncells):
-            cell = grid.unravel(j)
-            sub_idx = sub.ravel([cell[p] for p in positions])
-            rows[base + sub_idx][j] = Fraction(1)
-        for idx in range(sub.ncells):
-            rhs.append(fam[alpha].weights[idx])
-            row_index.append((alpha, sub.unravel(idx)))
+        rows.extend(_projection_rows(grid, alpha, columns))
+        rhs.extend(fam[alpha].weights)
+        row_index.extend((alpha, cell) for cell in grid.subgrid(alpha).cells())
     return rows, rhs, row_index
 
 
@@ -348,7 +353,8 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
 
     Feasible: a uniting measure found by the LP phase 1.  Infeasible:
     potentials f_alpha = -y_alpha from the Farkas certificate, verified
-    to satisfy sum f_alpha >= 0 cellwise and sum int f_alpha d mu < 0.
+    to satisfy sum f_alpha >= 0 cellwise and sum int f_alpha d mu < 0;
+    lp_core.CertificationError if they do not.
     """
     rows, rhs, row_index = marginal_constraint_rows(fam)
     grid = fam.full_grid()
@@ -367,20 +373,19 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
         potentials[alpha] = tuple(block)
         offset += sub.ncells
     if arithmetic == "exact":
-        for j in range(grid.ncells):
-            cell = grid.unravel(j)
-            s = Fraction(0)
-            for alpha in fam.index_sets():
-                sub = grid.subgrid(alpha)
-                positions = [grid.axes.index(a) for a in alpha]
-                s += potentials[alpha][sub.ravel([cell[p] for p in positions])]
-            assert s >= 0, "certificate potentials must be nonnegative cellwise"
+        if any(s < 0 for s in cell_sums(grid, potentials)):
+            raise lp_core.CertificationError(
+                "certificate potentials must be nonnegative cellwise"
+            )
         total = Fraction(0)
         for alpha in fam.index_sets():
             total += sum(
                 f * w for f, w in zip(potentials[alpha], fam[alpha].weights)
             )
-        assert total < 0, "certificate potentials must have negative total integral"
+        if total >= 0:
+            raise lp_core.CertificationError(
+                "certificate potentials must have negative total integral"
+            )
     return FeasibilityVerdict(
         False, potentials=potentials, lp_certificate=sol.certificate
     )
@@ -542,20 +547,14 @@ def uniting_by_density_2(
     rhs = []
     slack_col = ncells
     for alpha in pairs:
-        sub = grid.subgrid(alpha)
-        positions = [grid.axes.index(a) for a in alpha]
-        base = len(rows)
-        for _ in range(sub.ncells):
-            rows.append({})
-        for j in range(ncells):
-            cell = grid.unravel(j)
-            rows[base + sub.ravel([cell[p] for p in positions])][j] = Fraction(1)
-        for idx in range(sub.ncells):
-            rows[base + idx][slack_col] = Fraction(1)
+        block = _projection_rows(grid, alpha, range(ncells))
+        for idx, row in enumerate(block):
+            row[slack_col] = Fraction(1)
             slack_col += 1
             rhs.append(
                 fam[alpha].weights[idx] - m * nu_pair[tuple(alpha)].weights[idx]
             )
+        rows.extend(block)
     nvars = slack_col
     objective = [Fraction(1)] * ncells + [Fraction(0)] * (nvars - ncells)
     sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs, sense="max"))

@@ -341,14 +341,6 @@ class _ExactTableau:
                 d[j] = Fraction(-self.rows[i][enter])
         return d
 
-    def dump(self) -> str:
-        lines = ["basis: " + " ".join(str(b) for b in self.basis)]
-        for i in self.live:
-            lines.append(" ".join(str(v) for v in self.rows[i]))
-        if self.r is not None:
-            lines.append("r: " + " ".join(str(v) for v in self.r))
-        return "\n".join(lines)
-
 
 def _highs(problem: LPProblem, objective: Sequence):
     """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}."""

@@ -168,6 +168,26 @@ class ProductGrid:
         positions = [self.axes.index(a) for a in alpha]
         return ProductGrid([self.sizes[p] for p in positions], axes=tuple(alpha))
 
+    def projection_index(self, alpha: IndexSet) -> tuple[int, ...]:
+        """The raveled sub-cell on subgrid(alpha) of every cell, in ravel order.
+
+        Entry j is subgrid(alpha).ravel of the alpha coordinates of
+        unravel(j): prj_alpha sends cell j to sub-cell index[j].
+        """
+        if not alpha <= self.index_set():
+            raise DomainError(f"{alpha} is not a subset of grid axes {self.axes}")
+        strides = {}
+        stride = 1
+        for a, s in zip(reversed(self.axes), reversed(self.sizes)):
+            if a in alpha:
+                strides[a] = stride
+                stride *= s
+        index = [0]
+        for a, s in zip(self.axes, self.sizes):
+            steps = [c * strides.get(a, 0) for c in range(s)]
+            index = [i + d for i in index for d in steps]
+        return tuple(index)
+
 
 class SignedDiscreteMeasure:
     """A measure with one (possibly negative) weight per grid cell.
@@ -272,16 +292,12 @@ def project(mu: SignedDiscreteMeasure, alpha: IndexSet) -> SignedDiscreteMeasure
     Mass is preserved; signed measures stay signed.
     """
     grid = mu.grid
-    if not alpha <= grid.index_set():
-        raise DomainError(f"{alpha} is not a subset of measure axes {grid.axes}")
+    index = grid.projection_index(alpha)
     sub = grid.subgrid(alpha)
-    positions = [grid.axes.index(a) for a in alpha]
     out = [Fraction(0)] * sub.ncells
-    for idx, w in enumerate(mu.weights):
-        if w == 0:
-            continue
-        cell = grid.unravel(idx)
-        out[sub.ravel([cell[p] for p in positions])] += w
+    for i, w in zip(index, mu.weights):
+        if w != 0:
+            out[i] += w
     cls = DiscreteMeasure if isinstance(mu, DiscreteMeasure) else SignedDiscreteMeasure
     return cls(sub, out)
 
@@ -302,18 +318,23 @@ def product(factors: Sequence[SignedDiscreteMeasure]) -> SignedDiscreteMeasure:
             size_of[a] = s
     axes = tuple(sorted(size_of))
     grid = ProductGrid([size_of[a] for a in axes], axes=axes)
-    positions = [
-        [axes.index(a) for a in f.grid.axes] for f in factors
-    ]
-    weights = []
-    for cell in grid.cells():
-        w = factors[0].weights[factors[0].grid.ravel([cell[p] for p in positions[0]])]
-        for f, pos in zip(factors[1:], positions[1:]):
-            w = w * f.weights[f.grid.ravel([cell[p] for p in pos])]
-        weights.append(w)
+    first = factors[0].weights
+    weights = [first[i] for i in grid.projection_index(factors[0].grid.index_set())]
+    for f in factors[1:]:
+        index = grid.projection_index(f.grid.index_set())
+        weights = [w * f.weights[i] for w, i in zip(weights, index)]
     signed = any(not isinstance(f, DiscreteMeasure) for f in factors)
     cls = SignedDiscreteMeasure if signed else DiscreteMeasure
     return cls(grid, weights)
+
+
+def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list:
+    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order."""
+    totals = [Fraction(0)] * grid.ncells
+    for alpha, values in functions.items():
+        index = grid.projection_index(alpha)
+        totals = [s + values[i] for s, i in zip(totals, index)]
+    return totals
 
 
 class MarginalFamily:

@@ -29,6 +29,7 @@ from .measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    cell_sums,
     product,
     project,
 )
@@ -111,13 +112,11 @@ class DualPotentials:
         return sorted(self.potentials, key=lambda a: a.members)
 
     def total_at(self, grid: ProductGrid, cell: Sequence[int]):
-        """sum_alpha f_alpha(x_alpha) at a full-grid cell."""
-        s = Fraction(0)
-        for alpha, values in self.potentials.items():
-            sub = grid.subgrid(alpha)
-            positions = [grid.axes.index(a) for a in alpha]
-            s += values[sub.ravel([cell[p] for p in positions])]
-        return s
+        """sum_alpha f_alpha(x_alpha) at one full-grid cell.
+
+        Sums every cell first; for many cells call measures.cell_sums once.
+        """
+        return cell_sums(grid, self.potentials)[grid.ravel(cell)]
 
     def value_against(self, fam: MarginalFamily):
         """sum_alpha int f_alpha d mu_alpha."""
@@ -182,19 +181,13 @@ def _supported_columns(fam: MarginalFamily) -> list[int] | None:
     Returns None when no column can be dropped.
     """
     grid = fam.full_grid()
-    keep = []
-    for j in range(grid.ncells):
-        cell = grid.unravel(j)
-        ok = True
-        for alpha in fam.index_sets():
-            sub = grid.subgrid(alpha)
-            positions = [grid.axes.index(a) for a in alpha]
-            if fam[alpha].weights[sub.ravel([cell[p] for p in positions])] == 0:
-                ok = False
-                break
-        if ok:
-            keep.append(j)
-    return None if len(keep) == grid.ncells else keep
+    keep = [True] * grid.ncells
+    for alpha in fam.index_sets():
+        charged = [w != 0 for w in fam[alpha].weights]
+        index = grid.projection_index(alpha)
+        keep = [k and charged[i] for k, i in zip(keep, index)]
+    columns = [j for j, k in enumerate(keep) if k]
+    return None if len(columns) == grid.ncells else columns
 
 
 def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
@@ -211,20 +204,11 @@ def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
 
 
 def _solve_lp(fam: MarginalFamily, cost: CostGrid, arithmetic: str, columns):
-    rows, rhs, _ = marginal_constraint_rows(fam)
-    grid = fam.full_grid()
+    rows, rhs, _ = marginal_constraint_rows(fam, columns)
     if columns is None:
-        objective = list(cost.values)
-        problem = lp_core.LPProblem(objective, rows, rhs)
-        sol = lp_core.solve(problem, arithmetic=arithmetic)
-        return sol, list(range(grid.ncells))
-    col_of = {j: t for t, j in enumerate(columns)}
+        columns = range(fam.full_grid().ncells)
     objective = [cost.values[j] for j in columns]
-    reduced_rows = [
-        {col_of[j]: v for j, v in row.items() if j in col_of} for row in rows
-    ]
-    problem = lp_core.LPProblem(objective, reduced_rows, rhs)
-    sol = lp_core.solve(problem, arithmetic=arithmetic)
+    sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs), arithmetic=arithmetic)
     return sol, columns
 
 
@@ -271,11 +255,8 @@ def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
             # section, and potentials there carry no dual value, so
             # sinking them restores feasibility without losing optimality.
             dropped = set(range(grid.ncells)) - set(cols)
-            bad = any(
-                potentials.total_at(grid, grid.unravel(j)) > cost.values[j]
-                for j in dropped
-            )
-            if bad:
+            totals = cell_sums(grid, potentials.potentials)
+            if any(totals[j] > cost.values[j] for j in dropped):
                 sink = (
                     sum(max(abs(v) for v in potentials[a]) for a in fam.index_sets())
                     + max(abs(v) for v in cost.values)
@@ -288,11 +269,8 @@ def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
                         for v, w in zip(potentials[alpha], fam[alpha].weights)
                     ]
                 potentials = DualPotentials(repaired)
-                still_bad = any(
-                    potentials.total_at(grid, grid.unravel(j)) > cost.values[j]
-                    for j in dropped
-                )
-                if still_bad:
+                totals = cell_sums(grid, potentials.potentials)
+                if any(totals[j] > cost.values[j] for j in dropped):
                     continue
         value = sol.value
         dual_value = potentials.value_against(fam)
@@ -317,13 +295,18 @@ def solve_dual(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):
 
 
 def verify_gap(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact") -> SolveReport:
-    """Solve both problems and assert a zero (exact) or tiny (float) gap."""
+    """Solve both problems and require a zero (exact) or tiny (float) gap.
+
+    Raises lp_core.CertificationError when the gap is not closed.
+    """
     pi, value, potentials, dual_value = _solve_both(fam, cost, arithmetic)
     gap = value - dual_value
     if arithmetic == "exact":
-        assert gap == 0, f"exact duality gap {gap} != 0"
+        closed = gap == 0
     else:
-        assert abs(gap) <= 1e-7 * (1 + abs(float(value))), f"float gap {gap}"
+        closed = abs(gap) <= 1e-7 * (1 + abs(float(value)))
+    if not closed:
+        raise lp_core.CertificationError(f"{arithmetic} duality gap {gap} is not closed")
     return SolveReport(pi, value, potentials, dual_value, gap)
 
 
@@ -439,12 +422,7 @@ def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, .
 
 def check_dual_feasible(d: DualPotentials, c: CostGrid):
     """Max over cells of sum_alpha f_alpha - c; <= 0 means feasible."""
-    grid = c.grid
-    worst = None
-    for j in range(grid.ncells):
-        v = d.total_at(grid, grid.unravel(j)) - c.values[j]
-        worst = v if worst is None or v > worst else worst
-    return worst
+    return max(s - v for s, v in zip(cell_sums(c.grid, d.potentials), c.values))
 
 
 def complementary_slackness(
@@ -455,14 +433,14 @@ def complementary_slackness(
     Empty iff (pi, d) is a jointly optimal feasible pair.
     """
     grid = c.grid
+    totals = cell_sums(grid, d.potentials)
     out = []
     for j, w in enumerate(pi.weights):
         if w <= 0:
             continue
-        cell = grid.unravel(j)
-        slack = c.values[j] - d.total_at(grid, cell)
+        slack = c.values[j] - totals[j]
         if slack != 0:
-            out.append((cell, slack))
+            out.append((grid.unravel(j), slack))
     return out
 
 
@@ -509,7 +487,7 @@ def extract_bounded_dual(
     norm = c.linf()
     floor_F = -12 * norm
     nu = product(mu_i)
-    F_values = [d.total_at(grid, grid.unravel(t)) for t in range(grid.ncells)]
+    F_values = cell_sums(grid, d.potentials)
     bad = set()
     for t, v in enumerate(F_values):
         if v < floor_F:

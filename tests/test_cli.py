@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, JSON output, and image emission."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mmk
 from mmk import cli
 from mmk import feasibility as fb
+from mmk import lp_core
 from mmk.measures import (
     DiscreteMeasure,
     ProductGrid,
@@ -119,6 +124,31 @@ class TestSolveAndDual:
         assert cli.main(["--arithmetic", "float", "solve", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(float(Fraction(out["gap"]))) < 1e-7
+
+
+    def test_size_cap_exit_one_with_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp_core, "EXACT_NONZERO_CAP", 10)
+        fam = projected_family(5)
+        path = write_problem(tmp_path / "p.json", fam, cost_values=[1] * 8)
+        assert cli.main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "exact-mode cap" in captured.err
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    """One-shot runs on small LPs must not pay for numpy or scipy imports."""
+    src = os.path.dirname(os.path.dirname(mmk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, mmk.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSignedAndBounded:

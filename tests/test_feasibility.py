@@ -37,6 +37,29 @@ def random_family(rng, n, k, sizes):
     return MarginalFamily(n, k, sizes, marginals)
 
 
+def sparse_family(rng, n, k, sizes):
+    """Projections of a random measure that vanishes on about 30% of cells."""
+    grid = ProductGrid(sizes)
+    raw = [
+        Fraction(0 if rng.random() < 0.3 else rng.randint(1, 9))
+        for _ in range(grid.ncells)
+    ]
+    raw[rng.randrange(grid.ncells)] = Fraction(1)
+    total = sum(raw)
+    mu = DiscreteMeasure(grid, [w / total for w in raw])
+    marginals = {alpha: project(mu, alpha) for alpha in all_index_sets(n, k)}
+    return MarginalFamily(n, k, sizes, marginals)
+
+
+FAMILY_SHAPES = [
+    (3, 1, [3, 2, 2]),
+    (3, 2, [2, 3, 2]),
+    (3, 2, [4, 1, 3]),
+    (4, 2, [2, 2, 3, 2]),
+    (4, 3, [2, 1, 3, 2]),
+]
+
+
 def uniform_refs(fam):
     return [uniform([s], axes=[i + 1]) for i, s in enumerate(fam.sizes)]
 
@@ -205,6 +228,43 @@ class TestKellererCheck:
         assert verdict.witness.weight((0, 0, 0)) == 0
         assert verdict.witness.weight((1, 1, 1)) == 0
         assert verdict.witness.weight((0, 1, 1)) == Fraction(1, 6)
+
+
+class TestProjectionRows:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FAMILY_SHAPES), st.integers(0, 10**6), st.data())
+    def test_rows_over_columns_are_filtered_and_renumbered(self, shape, seed, data):
+        n, k, sizes = shape
+        fam = sparse_family(random.Random(seed), n, k, sizes)
+        ncells = fam.full_grid().ncells
+        columns = sorted(data.draw(st.sets(st.integers(0, ncells - 1))))
+        full_rows, full_rhs, full_index = fb.marginal_constraint_rows(fam)
+        rows, rhs, row_index = fb.marginal_constraint_rows(fam, columns)
+        col_of = {j: t for t, j in enumerate(columns)}
+        assert rows == [
+            {col_of[j]: v for j, v in row.items() if j in col_of} for row in full_rows
+        ]
+        assert rhs == full_rhs
+        assert row_index == full_index
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FAMILY_SHAPES), st.integers(0, 10**6))
+    def test_supported_columns_match_reference_loop(self, shape, seed):
+        from mmk.transport import _supported_columns
+
+        n, k, sizes = shape
+        fam = sparse_family(random.Random(seed), n, k, sizes)
+        grid = fam.full_grid()
+        keep = [
+            j
+            for j, cell in enumerate(grid.cells())
+            if all(
+                fam[alpha].weight([cell[a - 1] for a in alpha]) != 0
+                for alpha in fam.index_sets()
+            )
+        ]
+        expected = None if len(keep) == grid.ncells else keep
+        assert _supported_columns(fam) == expected
 
 
 class TestDensityBounds:

@@ -1,5 +1,6 @@
 """Grids, measures, projections, products, families, JSON round-trips."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,30 @@ class TestProductGrid:
             ProductGrid([0])
         with pytest.raises(DomainError):
             ProductGrid([2, 2], axes=[2, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_projection_index_matches_ravel_of_projected_cell(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        axes = sorted(
+            data.draw(
+                st.sets(st.integers(1, 6), min_size=len(sizes), max_size=len(sizes))
+            )
+        )
+        grid = ProductGrid(sizes, axes=axes)
+        for size in range(len(axes) + 1):
+            for members in itertools.combinations(axes, size):
+                alpha = IndexSet(members)
+                sub = grid.subgrid(alpha)
+                positions = [grid.axes.index(a) for a in alpha]
+                expected = tuple(
+                    sub.ravel([cell[p] for p in positions]) for cell in grid.cells()
+                )
+                assert grid.projection_index(alpha) == expected
+
+    def test_projection_index_rejects_foreign_axes(self):
+        with pytest.raises(DomainError):
+            ProductGrid([2, 3]).projection_index(IndexSet([1, 3]))
 
 
 class TestMeasures:

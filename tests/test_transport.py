@@ -1,7 +1,10 @@
 """Primal/dual transport solving, zero-gap verification, base-point
 decomposition, and bounded-dual extraction."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -218,6 +221,77 @@ class TestSolve:
         cost = random_cost(rng, fam.full_grid())
         report = verify_gap(fam, cost)
         assert report.gap == 0
+
+
+TAMPERED_SOLVES = """
+from fractions import Fraction
+
+from mmk import feasibility, lp_core, transport
+from mmk.measures import (
+    DiscreteMeasure,
+    MarginalFamily,
+    ProductGrid,
+    all_index_sets,
+    project,
+)
+
+if __debug__:
+    raise SystemExit("expected python -O")
+
+
+def farkas(y_entry):
+    def solve(problem, arithmetic="exact", tol=1e-9):
+        y = [Fraction(y_entry)] * problem.nrows
+        return lp_core.LPSolution("infeasible", certificate=lp_core.Certificate(y))
+
+    return solve
+
+
+def wrong_optimum(problem, arithmetic="exact", tol=1e-9):
+    zero = Fraction(0) if arithmetic == "exact" else 0.0
+    return lp_core.LPSolution(
+        "optimal",
+        x=[zero] * problem.ncols,
+        y=[zero] * problem.nrows,
+        value=zero + 1,
+    )
+
+
+grid = ProductGrid([2, 2, 2])
+mu = DiscreteMeasure(grid, [Fraction(1, 8)] * 8)
+fam = MarginalFamily(
+    3, 2, [2, 2, 2], {a: project(mu, a) for a in all_index_sets(3, 2)}
+)
+cost = transport.CostGrid(grid, [1] * 8)
+cases = [
+    (farkas(1), lambda: feasibility.kellerer_check(fam)),  # negative cell sums
+    (farkas(0), lambda: feasibility.kellerer_check(fam)),  # zero total
+    (wrong_optimum, lambda: transport.verify_gap(fam, cost)),
+    (wrong_optimum, lambda: transport.verify_gap(fam, cost, arithmetic="float")),
+]
+for fake, run in cases:
+    lp_core.solve = fake
+    try:
+        run()
+    except lp_core.CertificationError:
+        continue
+    raise SystemExit("a tampered solve was accepted")
+print("rejected", len(cases))
+"""
+
+
+def test_tampered_certificates_rejected_under_python_O():
+    import mmk
+
+    src = os.path.dirname(os.path.dirname(mmk.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_SOLVES],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "rejected 4"
 
 
 class TestDecomposition:
