@@ -39,10 +39,6 @@ PI_SQUARED_LOW = Fraction(98696, 10000)
 PI_SQUARED_HIGH = Fraction(98697, 10000)
 
 
-def _pairs32():
-    return all_index_sets(3, 2)
-
-
 def _family_from_full_measure(mu: DiscreteMeasure) -> MarginalFamily:
     n = len(mu.grid.axes)
     marginals = {alpha: project(mu, alpha) for alpha in all_index_sets(n, 2)}
@@ -166,7 +162,7 @@ def diagnose_dual_growth(N: int, arithmetic: str = "float"):
     for n in range(1, N + 1):
         idx = grid.subgrid(IndexSet([1, 2])).ravel((n - 1, n - 1))
         s = sum(
-            abs(potentials[alpha][idx]) for alpha in _pairs32()
+            abs(potentials[alpha][idx]) for alpha in all_index_sets(3, 2)
         )
         sums.append(s)
     return sums
@@ -248,7 +244,7 @@ class PiecewiseDual32:
             return Fraction(2 * i + 1, 2 * N)
 
         out = {}
-        for alpha in _pairs32():
+        for alpha in all_index_sets(3, 2):
             if alpha == IndexSet([1, 2]):
                 out[alpha] = [Fraction(0)] * sub.ncells
             else:
@@ -265,7 +261,7 @@ def build_discontinuous(N: int):
     if N % 6:
         raise DomainError("N must be divisible by 6")
     marginals = {
-        alpha: uniform([N, N], axes=tuple(alpha)) for alpha in _pairs32()
+        alpha: uniform([N, N], axes=tuple(alpha)) for alpha in all_index_sets(3, 2)
     }
     fam = MarginalFamily(3, 2, [N, N, N], marginals)
     grid = fam.full_grid()
@@ -295,7 +291,7 @@ def cyclic_coupling(N: int) -> DiscreteMeasure:
             weights[grid.ravel((i, j, (-i - j) % N))] = w
     mu = DiscreteMeasure(grid, weights)
     flat = uniform([N, N])
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
     return mu
 
@@ -329,7 +325,7 @@ def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
                 weights[grid.ravel(cell)] += w
     mu = DiscreteMeasure(grid, weights)
     flat = uniform([N, N])
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
     return mu
 
@@ -361,7 +357,7 @@ def composite_pi(N: int) -> DiscreteMeasure:
         weights[grid.ravel(cell)] += scale * w
     mu = DiscreteMeasure(grid, weights)
     flat = uniform([N, N])
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
     return mu
 
@@ -415,7 +411,7 @@ def build_nonuniform_2x2x2() -> MarginalFamily:
     (0,0,0) and (1,1,1) and equal to 1/6 elsewhere.
     """
     marginals = {}
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         sub = ProductGrid([2, 2], axes=tuple(alpha))
         w = [
             Fraction(1, 6) if c[0] == c[1] else Fraction(1, 3)

@@ -5,7 +5,7 @@ figure.  Problem files are JSON; rationals serialize as "p/q" strings.
 Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input,
 unknown name or an LP the solver refuses (exact-mode size cap) or
 cannot certify.  MMK_ARITHMETIC=exact|float overrides the arithmetic
-mode; --jobs fans independent case computations across worker threads.
+mode.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import case_studies, feasibility, lp_core, transport, xor_model
@@ -229,7 +228,7 @@ def _case_unreachable(args, arithmetic):
     cells = []
     m_max = min(4, N - 2)
 
-    def one(m):
+    for m in range(1, m_max + 1):
         bound = case_studies.unreachable_gamma_bound(m, alpha0)
         vals = [
             case_studies.min_mass_at_cell(
@@ -237,17 +236,13 @@ def _case_unreachable(args, arithmetic):
             )
             for pt in case_studies._a_points(m)
         ]
-        return m, bound, vals
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for m, bound, vals in pool.map(one, range(1, m_max + 1)):
-            cells.append(
-                {
-                    "m": m,
-                    "lower_bound": float(bound),
-                    "lp_min": [float(v) for v in vals],
-                }
-            )
+        cells.append(
+            {
+                "m": m,
+                "lower_bound": float(bound),
+                "lp_min": [float(v) for v in vals],
+            }
+        )
     sums = case_studies.diagnose_dual_growth(N)
     return {
         "case": "unreachable",
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("MMK_ARITHMETIC", "exact"),
         help="LP arithmetic mode (env MMK_ARITHMETIC overrides the default)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for case runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn in [

@@ -429,10 +429,6 @@ def _assert_uniting(mu, fam: MarginalFamily, label: str) -> DiscreteMeasure:
     return DiscreteMeasure(mu.grid, mu.weights)
 
 
-def _pairs32():
-    return [IndexSet([1, 2]), IndexSet([1, 3]), IndexSet([2, 3])]
-
-
 def _require_32(fam: MarginalFamily):
     if (fam.n, fam.k) != (3, 2):
         raise PreconditionError(f"(3,2) family required, got ({fam.n},{fam.k})")
@@ -453,7 +449,7 @@ def uniting_by_density_32(
         raise PreconditionError(f"M/m = {bounds.ratio} exceeds 3/2")
     mu = {a: lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)}
     nu = {a: refs[a - 1] for a in (1, 2, 3)}
-    pair = {tuple(a): fam[a] for a in _pairs32()}
+    pair = {tuple(a): fam[a] for a in all_index_sets(3, 2)}
     grid = fam.full_grid()
 
     def t(*factors):
@@ -481,7 +477,7 @@ def uniting_by_twothirds(fam: MarginalFamily) -> DiscreteMeasure:
     mu = {a: lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)}
     grid = fam.full_grid()
     total = SignedDiscreteMeasure(grid, [Fraction(0)] * grid.ncells)
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         i, j = alpha.members
         (k,) = [a for a in (1, 2, 3) if a not in alpha]
         prod_ij = product([mu[i], mu[j]])
@@ -536,7 +532,7 @@ def uniting_by_density_2(
         raise PreconditionError(f"M/m = {bounds.ratio} exceeds 2")
     m = bounds.m
     grid = fam.full_grid()
-    pairs = _pairs32()
+    pairs = all_index_sets(3, 2)
     nu_pair = {
         tuple(alpha): product(_ref_product(refs, list(alpha))) for alpha in pairs
     }
@@ -681,7 +677,7 @@ def make_two_point_counterexample(ratio) -> MarginalFamily:
     m = Fraction(1, 2) / (1 + r)
     M = r * m
     marginals = {}
-    for alpha in _pairs32():
+    for alpha in all_index_sets(3, 2):
         sub = ProductGrid([2, 2], axes=tuple(alpha))
         ws = []
         for cell in sub.cells():

@@ -8,18 +8,20 @@ optimal vertex, x is rebuilt exactly on its support and the
 dual prices y exactly from the columns whose reduced cost is zero, both
 by sparse rational elimination.  The pair is accepted only if A x = b,
 x >= 0, y.A_j <= c_j for every column and c.x == b.y all hold in exact
-rationals; float tolerances only choose the candidate sets.  Otherwise
-(HiGHS reports infeasible, unbounded or a failure, or a check fails) a
-dense two-phase primal simplex over exact rationals decides.  Its
-pricing is Dantzig by default and falls back to Bland's rule after a
-streak of degenerate pivots, which guarantees termination on the
-degenerate transport polytopes this package produces.  The tableau keeps
-every entry rational (gmpy2.mpq when available, fractions.Fraction
-otherwise) and is the source of Farkas certificates: infeasible problems
-ship a y with y.A <= 0 and y.b > 0.
+rationals; float tolerances only choose the candidate sets.  When HiGHS
+reports the LP infeasible, the duals of a HiGHS phase-1 solve, rounded
+to rationals, are the Farkas certificate (y.A <= 0, y.b > 0) if
+check_certificate accepts them.  Otherwise (unbounded, a HiGHS failure,
+a failed check) a dense two-phase primal simplex over exact rationals
+decides.  Its pricing is Dantzig by default and falls back to Bland's
+rule after a streak of degenerate pivots, which guarantees termination
+on the degenerate transport polytopes this package produces.  The
+tableau keeps every entry rational (gmpy2.mpq when available,
+fractions.Fraction otherwise) and yields Farkas certificates and
+unbounded rays of its own.
 
-Float mode returns the HiGHS answer; for infeasible problems a float
-tableau supplies the Farkas certificate.
+Float mode returns the HiGHS answer, and for infeasible problems the
+phase-1 duals as they are.
 """
 
 from __future__ import annotations
@@ -342,32 +344,68 @@ class _ExactTableau:
         return d
 
 
-def _highs(problem: LPProblem, objective: Sequence):
-    """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}."""
+def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence):
+    """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
+
+    A is given by its sparse rows; it has one column per objective entry.
+    """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
     data, ri, ci = [], [], []
-    for i, row in enumerate(problem.rows):
+    for i, row in enumerate(rows):
         for j, v in row.items():
             ri.append(i)
             ci.append(j)
             data.append(float(v))
-    A = csr_matrix((data, (ri, ci)), shape=(problem.nrows, problem.ncols))
+    A = csr_matrix((data, (ri, ci)), shape=(len(rows), len(objective)))
     c = [float(v) for v in objective]
-    b = [float(v) for v in problem.rhs]
+    b = [float(v) for v in rhs]
     return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
 
 
 def _highs_vertex(problem: LPProblem, objective: Sequence):
-    """HiGHS's optimal vertex of min objective.x as float (x, y), or None."""
+    """HiGHS's optimal vertex of min objective.x as float (x, y).
+
+    "infeasible" if HiGHS finds no feasible point, None on any other
+    outcome.
+    """
     try:
-        res = _highs(problem, objective)
+        res = _highs(problem.rows, problem.rhs, objective)
     except OverflowError:  # an entry too large for a float
         return None
+    if res.status == 2:
+        return "infeasible"
     if res.status != 0:
         return None
     return res.x, res.eqlin.marginals
+
+
+def _farkas(problem: LPProblem, exact: bool):
+    """A Farkas certificate for an empty {x >= 0, A x = b}, from HiGHS.
+
+    Solves the phase-1 LP min 1.s over {A x + D s = b, x, s >= 0} with
+    D = diag(sign b), which is always feasible and bounded.  Its optimal
+    duals y satisfy y.A <= 0, and y.b is its optimum, positive exactly
+    when the system is empty.  Float mode returns y as it is.  Exact mode
+    rounds each entry to a nearby rational and returns the certificate
+    only if check_certificate accepts it; otherwise, and whenever HiGHS
+    fails in exact mode, None.
+    """
+    n = problem.ncols
+    rows = [
+        {**row, n + i: -1 if b < 0 else 1}
+        for i, (row, b) in enumerate(zip(problem.rows, problem.rhs))
+    ]
+    res = _highs(rows, problem.rhs, [0] * n + [1] * problem.nrows)
+    if res.status != 0:
+        if exact:
+            return None
+        raise LPError(f"HiGHS failed on the phase-1 LP: {res.message}")
+    if not exact:
+        return Certificate(res.eqlin.marginals)
+    cert = Certificate([Fraction(v).limit_denominator() for v in res.eqlin.marginals])
+    return cert if check_certificate(problem, cert) else None
 
 
 def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
@@ -475,7 +513,11 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
     pair = None
     if problem.nonzeros() > TABLEAU_ONLY_NONZEROS:
         candidate = _highs_vertex(problem, internal_obj)
-        if candidate is not None:
+        if candidate == "infeasible":
+            cert = _farkas(problem, exact=True)
+            if cert is not None:
+                return LPSolution("infeasible", certificate=cert)
+        elif candidate is not None:
             pair = _certify(problem, internal_obj, *candidate)
     if pair is None:
         tab = _ExactTableau(problem, internal_obj)
@@ -498,133 +540,28 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", x=x, y=y, value=value)
 
 
-def _solve_float(problem: LPProblem, tol: float) -> LPSolution:
-    """Float mode: HiGHS via scipy when available, else the tableau.
-
-    HiGHS does not expose Farkas rays through scipy, so infeasible
-    problems are re-run through the tableau to produce a certificate.
-    """
+def _solve_float(problem: LPProblem) -> LPSolution:
+    """Float mode: HiGHS's answer, with a Farkas certificate from _farkas."""
     flip = -1.0 if problem.sense == "max" else 1.0
-    try:
-        res = _highs(problem, [flip * float(v) for v in problem.objective])
-    except ImportError:  # pragma: no cover - scipy is normally present
-        return _solve_float_tableau(problem, tol)
+    objective = [flip * float(v) for v in problem.objective]
+    res = _highs(problem.rows, problem.rhs, objective)
     if res.status == 2:
-        return _solve_float_tableau(problem, tol)
+        return LPSolution("infeasible", certificate=_farkas(problem, exact=False))
     if res.status == 3:
         return LPSolution("unbounded")
-    if res.status != 0:  # pragma: no cover - numerical trouble
-        return _solve_float_tableau(problem, tol)
+    if res.status != 0:
+        raise LPError(f"HiGHS failed: {res.message}")
     x = [float(v) for v in res.x]
     y = [flip * float(v) for v in res.eqlin.marginals]
     value = flip * float(res.fun)
     return LPSolution("optimal", x=x, y=y, value=value)
 
 
-def _solve_float_tableau(problem: LPProblem, tol: float) -> LPSolution:
-    import numpy as np
-
-    n, m = problem.ncols, problem.nrows
-    T = np.zeros((m, n + m + 1))
-    sign = np.ones(m)
-    for i in range(m):
-        b = float(problem.rhs[i])
-        s = -1.0 if b < 0 else 1.0
-        sign[i] = s
-        for j, v in problem.rows[i].items():
-            T[i, j] = s * float(v)
-        T[i, n + i] = 1.0
-        T[i, -1] = s * b
-    flip = -1.0 if problem.sense == "max" else 1.0
-    obj = np.array([flip * float(v) for v in problem.objective])
-    basis = list(range(n, n + m))
-    live = np.ones(m, dtype=bool)
-
-    def set_costs(costs):
-        r = np.concatenate([costs, np.zeros(n + m + 1 - len(costs))])
-        for i in range(m):
-            if live[i]:
-                cb = costs[basis[i]] if basis[i] < len(costs) else 0.0
-                if cb:
-                    r -= cb * T[i]
-        return r
-
-    def pivot(r, i, j):
-        T[i] /= T[i, j]
-        col = T[:, j].copy()
-        col[i] = 0.0
-        col[~live] = 0.0
-        T[:, :] -= np.outer(col, T[i])
-        if r[j]:
-            r -= r[j] * T[i]
-        basis[i] = j
-        return r
-
-    def run(r, allowed, bland_only=False):
-        degen = 0
-        bland = bland_only
-        last = r[-1]
-        while True:
-            rr = r[:allowed]
-            if bland:
-                cand = np.nonzero(rr < -tol)[0]
-                enter = int(cand[0]) if cand.size else -1
-            else:
-                enter = int(np.argmin(rr))
-                if rr[enter] >= -tol:
-                    enter = -1
-            if enter < 0:
-                return r, "optimal"
-            coef = T[:, enter]
-            ok = live & (coef > tol)
-            if not ok.any():
-                return r, "unbounded"
-            ratios = np.where(ok, T[:, -1] / np.where(ok, coef, 1.0), np.inf)
-            leave = int(np.argmin(ratios))
-            r = pivot(r, leave, enter)
-            if abs(r[-1] - last) <= tol * (1 + abs(last)):
-                degen += 1
-                if degen > DEGENERATE_STREAK_LIMIT:
-                    bland = True
-            else:
-                degen = 0
-                bland = bland_only
-                last = r[-1]
-
-    r = set_costs(np.concatenate([np.zeros(n), np.ones(m)]))
-    r, status = run(r, allowed=n)
-    if -r[-1] > tol * (1 + abs(float(sum(problem.rhs)))):
-        y = [Fraction((sign[i] * (1.0 - r[n + i])).item()) for i in range(m)]
-        cert = Certificate(y)
-        return LPSolution("infeasible", certificate=cert)
-    for i in range(m):
-        if basis[i] >= n and live[i]:
-            nz = np.nonzero(np.abs(T[i, :n]) > tol)[0]
-            if nz.size:
-                r = pivot(r, i, int(nz[0]))
-            else:
-                live[i] = False
-    r = set_costs(np.concatenate([obj, np.zeros(m)]))
-    r, status = run(r, allowed=n)
-    if status == "unbounded":
-        return LPSolution("unbounded")
-    xs = [0.0] * n
-    for i in range(m):
-        if live[i] and basis[i] < n:
-            xs[basis[i]] = float(T[i, -1])
-    y = [
-        float(flip * sign[i] * -r[n + i]) if live[i] else 0.0 for i in range(m)
-    ]
-    value = sum(float(c) * v for c, v in zip(problem.objective, xs))
-    return LPSolution("optimal", x=xs, y=y, value=value)
-
-
-def solve(problem: LPProblem, arithmetic: str = "exact", tol: float = 1e-9) -> LPSolution:
+def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     """Solve the LP; exact rational mode unless arithmetic='float'.
 
     Exact mode enforces the nonzero cap (coefficient growth makes huge
-    exact pivots impractical); float mode applies `tol` to reduced costs
-    and ratio tests.
+    exact pivots impractical).
     """
     if arithmetic == "exact":
         if problem.nonzeros() > EXACT_NONZERO_CAP:
@@ -634,5 +571,5 @@ def solve(problem: LPProblem, arithmetic: str = "exact", tol: float = 1e-9) -> L
             )
         return _solve_exact(problem)
     if arithmetic == "float":
-        return _solve_float(problem, tol)
+        return _solve_float(problem)
     raise DomainError(f"unknown arithmetic mode {arithmetic!r}")

@@ -455,7 +455,8 @@ def extract_bounded_dual(
     decomposed through a good base point with decomp_lambda(3,2), and
     the result is floor-clamped at -80/3 ||c||_inf on null cells.  The
     output keeps the dual value exactly and stays feasible, with every
-    value in [-80/3 ||c||_inf, 40/3 ||c||_inf].
+    value in [-80/3 ||c||_inf, 40/3 ||c||_inf]; lp_core.CertificationError
+    if any of these checks fails.
     """
     if (fam.n, fam.k) != (3, 2):
         raise PreconditionError("extract_bounded_dual handles (3,2) only")
@@ -493,9 +494,10 @@ def extract_bounded_dual(
         if v < floor_F:
             # Bounded below everywhere the product measure charges; only
             # null cells may fall under the floor.
-            assert nu.weights[t] == 0, (
-                f"F = {v} < -12||c|| on a cell of positive product mass"
-            )
+            if nu.weights[t] != 0:
+                raise lp_core.CertificationError(
+                    f"F = {v} < -12||c|| on a cell of positive product mass"
+                )
             bad.add(t)
     F = CostGrid(grid, F_values)
 
@@ -523,7 +525,10 @@ def extract_bounded_dual(
         y = next(
             (tuple(cell) for cell in grid.cells() if sections_clear(cell)), None
         )
-    assert y is not None, "no base cell with sections avoiding the bad set"
+    if y is None:
+        raise lp_core.CertificationError(
+            "no base cell with sections avoiding the bad set"
+        )
     lam = decomp_lambda(3, 2)
     out = nk_decompose(F, y, lam)
 
@@ -534,14 +539,20 @@ def extract_bounded_dual(
         values = []
         for t, v in enumerate(out[alpha]):
             if v < floor_g:
-                assert fam[alpha].weights[t] == 0, (
-                    f"potential below the clamp floor on a charged cell of {alpha}"
-                )
+                if fam[alpha].weights[t] != 0:
+                    raise lp_core.CertificationError(
+                        f"potential below the clamp floor on a charged cell of {alpha}"
+                    )
                 v = floor_g
-            assert v <= ceil_g, f"potential {v} above 40/3 ||c||_inf"
+            if v > ceil_g:
+                raise lp_core.CertificationError(
+                    f"potential {v} above 40/3 ||c||_inf"
+                )
             values.append(v)
         clamped[alpha] = values
     result = DualPotentials(clamped)
-    assert result.value_against(fam) == opt_value, "extraction changed the value"
-    assert check_dual_feasible(result, c) <= 0, "extraction broke feasibility"
+    if result.value_against(fam) != opt_value:
+        raise lp_core.CertificationError("extraction changed the value")
+    if check_dual_feasible(result, c) > 0:
+        raise lp_core.CertificationError("extraction broke feasibility")
     return result

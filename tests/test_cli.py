@@ -16,6 +16,7 @@ from mmk.measures import (
     DiscreteMeasure,
     ProductGrid,
     all_index_sets,
+    cell_sums,
     measure_to_json,
     project,
 )
@@ -73,6 +74,25 @@ class TestCheck:
         assert out["consistent"] is True
         assert out["feasible"] is False
         assert set(out["certificate"]) == {"1,2", "1,3", "2,3"}
+
+    def test_float_infeasible_exit_two_with_certificate(self, tmp_path, capsys):
+        fam = fb.make_modk_counterexample(4, 2)
+        path = write_problem(tmp_path / "p.json", fam)
+        assert cli.main(["--arithmetic", "float", "check", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["feasible"] is False
+        potentials = {
+            alpha: [float(Fraction(v)) for v in out["certificate"][alpha.key()]]
+            for alpha in fam.index_sets()
+        }
+        scale = max(abs(v) for values in potentials.values() for v in values)
+        assert min(cell_sums(fam.full_grid(), potentials)) >= -1e-9 * scale
+        total = sum(
+            f * float(w)
+            for alpha in fam.index_sets()
+            for f, w in zip(potentials[alpha], fam[alpha].weights)
+        )
+        assert total < -1e-9 * scale
 
     def test_malformed_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -270,8 +290,8 @@ class TestCases:
             with open(path) as fh:
                 assert fh.read(2) == "P2"
 
-    def test_unreachable_small_with_jobs(self, capsys):
-        assert cli.main(["--jobs", "3", "case", "unreachable", "--N", "6"]) == 0
+    def test_unreachable_small(self, capsys):
+        assert cli.main(["case", "unreachable", "--N", "6"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["weighted_growth"] > 0
         for entry in out["gamma_bounds"]:

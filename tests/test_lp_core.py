@@ -1,6 +1,7 @@
 """Exact and float LP solving: optima, duals, certificates, caps."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -8,6 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmk import lp_core
+from mmk.feasibility import (
+    kellerer_check,
+    make_modk_counterexample,
+    marginal_constraint_rows,
+)
 from mmk.lp_core import LPProblem, SizeCapError, check_certificate, solve
 
 
@@ -128,6 +134,7 @@ class TestCertifier:
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
+        monkeypatch.setattr(lp_core, "_farkas", lambda problem, exact: None)
         monkeypatch.setattr(lp_core._ExactTableau, "farkas", lambda self: [1, 1])
         with pytest.raises(lp_core.CertificationError):
             solve(problem)
@@ -141,6 +148,49 @@ class TestCertifier:
         assert sol.status == "infeasible"
         assert check_certificate(LPProblem([], [{}], [1]), sol.certificate)
         assert solve(LPProblem([1, 0], [], [])).value == 0
+
+
+class TestFarkas:
+    MODK = [(4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (7, 2)]
+
+    @staticmethod
+    def modk_problem(n, k):
+        fam = make_modk_counterexample(n, k)
+        rows, rhs, _ = marginal_constraint_rows(fam)
+        return fam, LPProblem([0] * fam.full_grid().ncells, rows, rhs)
+
+    @pytest.mark.parametrize("n,k", MODK)
+    def test_modk_certified_without_tableau(self, monkeypatch, n, k):
+        def no_tableau(self, *args):
+            raise AssertionError("the exact tableau was built")
+
+        monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
+        fam, problem = self.modk_problem(n, k)
+        verdict = kellerer_check(fam)
+        assert not verdict.feasible
+        assert check_certificate(problem, verdict.lp_certificate)
+
+    def test_tableau_when_rounding_fails(self, monkeypatch):
+        tried = []  # append returns None: no certificate from HiGHS
+        monkeypatch.setattr(lp_core, "_farkas", lambda p, exact: tried.append(exact))
+        built = []
+        init = lp_core._ExactTableau.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(lp_core._ExactTableau, "__init__", counting)
+        _, problem = self.modk_problem(4, 3)
+        sol = solve(problem)
+        assert sol.status == "infeasible" and tried == [True] and built
+        assert check_certificate(problem, sol.certificate)
+
+    def test_float_highs_failure_raises(self, monkeypatch):
+        failed = SimpleNamespace(status=4, message="numerical difficulties")
+        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective: failed)
+        with pytest.raises(lp_core.LPError):
+            solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
 
 
 class TestFloat:

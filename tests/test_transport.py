@@ -240,14 +240,14 @@ if __debug__:
 
 
 def farkas(y_entry):
-    def solve(problem, arithmetic="exact", tol=1e-9):
+    def solve(problem, arithmetic="exact"):
         y = [Fraction(y_entry)] * problem.nrows
         return lp_core.LPSolution("infeasible", certificate=lp_core.Certificate(y))
 
     return solve
 
 
-def wrong_optimum(problem, arithmetic="exact", tol=1e-9):
+def wrong_optimum(problem, arithmetic="exact"):
     zero = Fraction(0) if arithmetic == "exact" else 0.0
     return lp_core.LPSolution(
         "optimal",
@@ -257,24 +257,43 @@ def wrong_optimum(problem, arithmetic="exact", tol=1e-9):
     )
 
 
+real_decompose = transport.nk_decompose
+
+
+def shifted_decompose(F, y, lam):
+    out = real_decompose(F, y, lam)
+    alpha = out.index_sets()[0]
+    return transport.DualPotentials(
+        {**out.potentials, alpha: (out[alpha][0] + 1,) + out[alpha][1:]}
+    )
+
+
 grid = ProductGrid([2, 2, 2])
 mu = DiscreteMeasure(grid, [Fraction(1, 8)] * 8)
 fam = MarginalFamily(
     3, 2, [2, 2, 2], {a: project(mu, a) for a in all_index_sets(3, 2)}
 )
 cost = transport.CostGrid(grid, [1] * 8)
+dual, _ = transport.solve_dual(fam, cost)
+check = lambda: feasibility.kellerer_check(fam)
 cases = [
-    (farkas(1), lambda: feasibility.kellerer_check(fam)),  # negative cell sums
-    (farkas(0), lambda: feasibility.kellerer_check(fam)),  # zero total
-    (wrong_optimum, lambda: transport.verify_gap(fam, cost)),
-    (wrong_optimum, lambda: transport.verify_gap(fam, cost, arithmetic="float")),
+    (lp_core, "solve", farkas(1), check),  # negative cell sums
+    (lp_core, "solve", farkas(0), check),  # zero total
+    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost)),
+    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost, "float")),
+    # the extracted dual's value differs from the optimum
+    (transport, "nk_decompose", shifted_decompose,
+     lambda: transport.extract_bounded_dual(fam, cost, dual)),
 ]
-for fake, run in cases:
-    lp_core.solve = fake
+for module, name, fake, run in cases:
+    real = getattr(module, name)
+    setattr(module, name, fake)
     try:
         run()
     except lp_core.CertificationError:
         continue
+    finally:
+        setattr(module, name, real)
     raise SystemExit("a tampered solve was accepted")
 print("rejected", len(cases))
 """
@@ -291,7 +310,7 @@ def test_tampered_certificates_rejected_under_python_O():
         text=True,
     )
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.strip() == "rejected 4"
+    assert out.stdout.strip() == "rejected 5"
 
 
 class TestDecomposition:
