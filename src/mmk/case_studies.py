@@ -275,11 +275,20 @@ def build_discontinuous(N: int):
     return fam, CostGrid.from_function(grid, cost_fn), PiecewiseDual32()
 
 
+def _uniform_pairs(mu: DiscreteMeasure, N: int) -> DiscreteMeasure:
+    """mu, once each pairwise projection is checked to be uniform on N x N."""
+    flat = uniform([N, N]).weights
+    for alpha in all_index_sets(3, 2):
+        if project(mu, alpha).weights != flat:
+            raise lp_core.CertificationError(f"projection {alpha} is not uniform")
+    return mu
+
+
 def cyclic_coupling(N: int) -> DiscreteMeasure:
     """Weight 1/N^2 on every cell with i + j + k = 0 (mod N).
 
     Each pair of coordinates determines the third, so all three
-    pairwise projections are exactly uniform (asserted).
+    pairwise projections are exactly uniform (checked).
     """
     if N < 1:
         raise DomainError("need N >= 1")
@@ -289,11 +298,7 @@ def cyclic_coupling(N: int) -> DiscreteMeasure:
     for i in range(N):
         for j in range(N):
             weights[grid.ravel((i, j, (-i - j) % N))] = w
-    mu = DiscreteMeasure(grid, weights)
-    flat = uniform([N, N])
-    for alpha in all_index_sets(3, 2):
-        assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
-    return mu
+    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
 
 
 def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
@@ -301,7 +306,7 @@ def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
 
     Mixture over shift triples t_i in {0..a_i-1} of the cyclic coupling
     squeezed into the box of side 1/a_i at offset t_i/a_i; pairwise
-    projections stay exactly uniform (asserted).
+    projections stay exactly uniform (checked).
     """
     a = (int(a1), int(a2), int(a3))
     if any(v < 1 for v in a):
@@ -323,11 +328,7 @@ def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
                     base[2] + v3 // a[2],
                 )
                 weights[grid.ravel(cell)] += w
-    mu = DiscreteMeasure(grid, weights)
-    flat = uniform([N, N])
-    for alpha in all_index_sets(3, 2):
-        assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
-    return mu
+    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
 
 
 def composite_pi(N: int) -> DiscreteMeasure:
@@ -335,7 +336,7 @@ def composite_pi(N: int) -> DiscreteMeasure:
 
     Lebesgue mass 1/3 below x3 = 1/3, plus 2/3 of the (1,1,2) fractional
     coupling pushed through z -> (2z + 1)/3 into the band x3 >= 1/3.
-    All pairwise projections are exactly uniform (asserted).
+    All pairwise projections are exactly uniform (checked).
     """
     if N % 6:
         raise DomainError("N must be divisible by 6")
@@ -355,11 +356,7 @@ def composite_pi(N: int) -> DiscreteMeasure:
         w1, w2, w3 = fine.grid.unravel(idx)
         cell = (w1 // 2, w2 // 2, (w3 + N) // 3)
         weights[grid.ravel(cell)] += scale * w
-    mu = DiscreteMeasure(grid, weights)
-    flat = uniform([N, N])
-    for alpha in all_index_sets(3, 2):
-        assert tuple(project(mu, alpha).weights) == tuple(flat.weights)
-    return mu
+    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
 
 
 def build_uniformband(N: int):

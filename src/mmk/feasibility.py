@@ -364,7 +364,8 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
         weights = sol.x
         witness = DiscreteMeasure(grid, weights)
         return FeasibilityVerdict(True, witness=witness)
-    assert sol.status == "infeasible"
+    if sol.status != "infeasible":
+        raise lp_core.LPError(f"the feasibility LP is {sol.status}")
     potentials = {}
     offset = 0
     for alpha in fam.index_sets():
@@ -554,7 +555,8 @@ def uniting_by_density_2(
     nvars = slack_col
     objective = [Fraction(1)] * ncells + [Fraction(0)] * (nvars - ncells)
     sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs, sense="max"))
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise lp_core.LPError(f"the extraction LP is {sol.status}")
     xi = DiscreteMeasure(grid, sol.x[:ncells])
     extracted = xi.mass
     if extracted == 1:

@@ -4,29 +4,35 @@ Solves min/max c.x subject to A x = b, x >= 0.
 
 Exact mode first certifies a floating-point answer, except on LPs small
 enough for the tableau below to be faster: HiGHS (via scipy) returns an
-optimal vertex, x is rebuilt exactly on its support and the
-dual prices y exactly from the columns whose reduced cost is zero, both
-by sparse rational elimination.  The pair is accepted only if A x = b,
-x >= 0, y.A_j <= c_j for every column and c.x == b.y all hold in exact
-rationals; float tolerances only choose the candidate sets.  When HiGHS
-reports the LP infeasible, the duals of a HiGHS phase-1 solve, rounded
-to rationals, are the Farkas certificate (y.A <= 0, y.b > 0) if
-check_certificate accepts them.  Otherwise (unbounded, a HiGHS failure,
-a failed check) a dense two-phase primal simplex over exact rationals
-decides.  Its pricing is Dantzig by default and falls back to Bland's
-rule after a streak of degenerate pivots, which guarantees termination
-on the degenerate transport polytopes this package produces.  The
-tableau keeps every entry rational (gmpy2.mpq when available,
+optimal vertex, and x and the dual prices y are its values rounded to
+nearby rationals (Fraction.limit_denominator).  A part that fails its
+check is rebuilt by sparse rational elimination: x on its support, y
+from the columns whose reduced cost is zero.  The pair is accepted only
+if A x = b, x >= 0, y.A_j <= c_j for every column and c.x == b.y all
+hold exactly; the checks run in Python integers over common
+denominators, and float tolerances only choose the candidates.  A
+rejected vertex gets one HiGHS retry with feasibility tolerances
+TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the duals of a
+HiGHS phase-1 solve, rounded to rationals, are the Farkas certificate
+(y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
+(unbounded, a HiGHS failure, a vertex that fails after the retry) a
+dense two-phase primal simplex over exact rationals decides.  Its
+pricing is Dantzig by default and falls back to Bland's rule after a
+streak of degenerate pivots, which guarantees termination on the
+degenerate transport polytopes this package produces.  The tableau
+keeps every entry rational (gmpy2.mpq when available,
 fractions.Fraction otherwise) and yields Farkas certificates and
 unbounded rays of its own.
 
-Float mode returns the HiGHS answer, and for infeasible problems the
+Float mode returns the answer of a HiGHS solve with the tight
+tolerances, whose x must be >= 0, and for infeasible problems the
 phase-1 duals as they are.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -34,7 +40,7 @@ from .measures import DomainError
 
 try:
     from gmpy2 import mpq as _RAT
-except ImportError:  # gmpy2 is optional: it only speeds up the tableau fallback
+except ImportError:  # gmpy2 is optional: it only speeds up the tableau
     _RAT = Fraction
 
 # Exact pivoting cost grows with coefficient size; beyond this many
@@ -51,6 +57,17 @@ DEGENERATE_STREAK_LIMIT = 40
 # LPs with 65-128 nonzeros and every larger one.  Empty models, which
 # HiGHS rejects, are among the small ones.
 TABLEAU_ONLY_NONZEROS = 64
+
+# Primal and dual feasibility tolerance of a tight HiGHS solve (HiGHS's
+# default is 1e-7).  Under the default a basic variable may sit slightly
+# below 0 or a degenerate vertex may come out on an inconsistent support.
+# Exact mode retries a rejected vertex with it: the retry returns a clean
+# vertex in a few ms where the tableau takes seconds to minutes, but it
+# costs 5-8% more HiGHS time per call and no random family needed it.
+# Float mode, whose x must be >= 0 as returned, solves tight from the
+# start: 27 of the 33 min-mass LPs of build_unreachable(12) have an entry
+# near -9e-8 under the default, and the tight solve of those is no slower.
+TIGHT_TOLERANCE = 1e-10
 
 
 class LPError(Exception):
@@ -155,21 +172,60 @@ class LPSolution:
         return f"LPSolution(status={self.status!r}, value={self.value})"
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers z and the least common denominator d, values[i] == z[i] / d."""
+    d = 1
+    for v in values:
+        q = v.denominator
+        if d % q:
+            d = d // math.gcd(d, q) * q
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _dot(u, v) -> Fraction:
+    """The exact inner product of two rational vectors, summed in integers."""
+    (a, da), (b, db) = _scaled(u), _scaled(v)
+    return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
+
+
+def _integer_rows(problem: LPProblem) -> tuple[list[dict], int]:
+    """A as rows {column: integer} and d, each entry being integer / d.
+
+    A is 0/1 in every LP this package builds, so d is 1 there.
+    """
+    entries, d = _scaled([v for row in problem.rows for v in row.values()])
+    it = iter(entries)
+    return [{j: next(it) for j in row} for row in problem.rows], d
+
+
+def _columns_within(rows, d_rows: int, y, bound) -> bool:
+    """True iff y.A_j <= bound[j] for every column j, decided in integers.
+
+    `rows` and `d_rows` are A as _integer_rows gives it.  With y = Y / dy
+    and bound = C / dc, the test is s_j * dc <= C_j * d_rows * dy, where
+    s_j = sum_i Y_i * rows[i][j].
+    """
+    Y, dy = _scaled(y)
+    C, dc = _scaled(bound)
+    sums = [0] * len(C)
+    for yi, row in zip(Y, rows):
+        if yi:
+            for j, a in row.items():
+                sums[j] += yi * a
+    scale = d_rows * dy
+    return all(s * dc <= c * scale for s, c in zip(sums, C))
+
+
 def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     """True iff y.A <= 0 on every column and y.b > 0 (up to tol)."""
     y = cert.y
     if len(y) != problem.nrows:
         return False
-    col_sums = [Fraction(0)] * problem.ncols
-    for yi, row in zip(y, problem.rows):
-        if yi == 0:
-            continue
-        for j, v in row.items():
-            col_sums[j] += yi * v
-    if any(s > tol for s in col_sums):
+    tol = Fraction(tol)
+    rows, d_rows = _integer_rows(problem)
+    if not _columns_within(rows, d_rows, y, [tol] * problem.ncols):
         return False
-    yb = sum(yi * bi for yi, bi in zip(y, problem.rhs))
-    return yb > tol
+    return _dot(y, problem.rhs) > tol
 
 
 class _ExactTableau:
@@ -344,10 +400,11 @@ class _ExactTableau:
         return d
 
 
-def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence):
+def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=False):
     """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
 
     A is given by its sparse rows; it has one column per objective entry.
+    A tight solve sets the feasibility tolerances to TIGHT_TOLERANCE.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -361,17 +418,23 @@ def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence):
     A = csr_matrix((data, (ri, ci)), shape=(len(rows), len(objective)))
     c = [float(v) for v in objective]
     b = [float(v) for v in rhs]
-    return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    options = {}
+    if tight:
+        options = {
+            "primal_feasibility_tolerance": TIGHT_TOLERANCE,
+            "dual_feasibility_tolerance": TIGHT_TOLERANCE,
+        }
+    return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options)
 
 
-def _highs_vertex(problem: LPProblem, objective: Sequence):
+def _highs_vertex(problem: LPProblem, objective: Sequence, tight=False):
     """HiGHS's optimal vertex of min objective.x as float (x, y).
 
     "infeasible" if HiGHS finds no feasible point, None on any other
     outcome.
     """
     try:
-        res = _highs(problem.rows, problem.rhs, objective)
+        res = _highs(problem.rows, problem.rhs, objective, tight)
     except OverflowError:  # an entry too large for a float
         return None
     if res.status == 2:
@@ -457,52 +520,80 @@ def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
     return z
 
 
+def _rounded(v) -> Fraction:
+    """The rational limit_denominator() finds nearest v.
+
+    Every other fraction with denominator at most 10^6 lies at least 10^-6
+    from an integer, so an integer within 4e-7 of v is that rational; this
+    shortcut skips the continued fraction for most duals.
+    """
+    v = float(v)
+    r = round(v)
+    if abs(v - r) < 4e-7:
+        return Fraction(r)
+    return Fraction(v).limit_denominator()
+
+
 def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
     """Exact optimal (x, y) of min objective.x near a float vertex, or None.
 
-    x is rebuilt on the support of x_float, y from the columns where
-    y_float prices the reduced cost at zero.  The float tolerances only
-    choose those sets: the pair is returned only after A x = b, x >= 0,
-    y.A_j <= objective_j for every column j and objective.x == b.y have
-    been checked in exact rationals.
+    x is HiGHS's vertex rounded to nearby rationals, with the entries at
+    most x_tol set to 0; if A x = b or x >= 0 fails, x is rebuilt exactly
+    on that support instead.  y is HiGHS's duals rounded the same way; if
+    y.A_j <= objective_j fails for some column, y is rebuilt from the
+    columns where y_float prices the reduced cost at zero.  The float
+    tolerances only choose the candidates: the pair is returned only after
+    both checks and objective.x == b.y have held exactly, in integers over
+    common denominators.
     """
-    n, m = problem.ncols, problem.nrows
-    columns = [{} for _ in range(n)]
-    for i, row in enumerate(problem.rows):
-        for j, v in row.items():
-            columns[j][i] = v
+    n = problem.ncols
+    rows, d_rows = _integer_rows(problem)
+    rhs, d_rhs = _scaled(problem.rhs)
+
+    def primal_feasible(x):
+        X, dx = _scaled(x)
+        scale = d_rows * dx
+        return min(X, default=0) >= 0 and all(
+            sum(a * X[j] for j, a in row.items()) * d_rhs == bi * scale
+            for row, bi in zip(rows, rhs)
+        )
+
     x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
     support = {j for j in range(n) if float(x_float[j]) > x_tol}
-    x_sparse = _solve_rational(
-        [{j: v for j, v in row.items() if j in support} for row in problem.rows],
-        problem.rhs,
-    )
-    if x_sparse is None:
-        return None
-    y_f = [float(v) for v in y_float]
-    reduced = [
-        float(c) - sum(y_f[i] * float(v) for i, v in col.items())
-        for c, col in zip(objective, columns)
-    ]
-    c_tol = 1e-9 * (max((abs(float(v)) for v in objective), default=0.0) or 1.0)
-    tight = [j for j, d in enumerate(reduced) if abs(d) <= c_tol]
-    y_sparse = _solve_rational(
-        [columns[j] for j in tight], [objective[j] for j in tight]
-    )
-    if y_sparse is None:
-        return None
-    x = [x_sparse.get(j, Fraction(0)) for j in range(n)]
-    y = [y_sparse.get(i, Fraction(0)) for i in range(m)]
-    if any(v < 0 for v in x):
-        return None
-    for row, b in zip(problem.rows, problem.rhs):
-        if sum(v * x[j] for j, v in row.items()) != b:
+    zero = Fraction(0)
+    x = [_rounded(x_float[j]) if j in support else zero for j in range(n)]
+    if not primal_feasible(x):
+        x_sparse = _solve_rational(
+            [{j: v for j, v in row.items() if j in support} for row in problem.rows],
+            problem.rhs,
+        )
+        if x_sparse is None:
             return None
-    for j in range(n):
-        if sum(y[i] * v for i, v in columns[j].items()) > objective[j]:
+        x = [x_sparse.get(j, zero) for j in range(n)]
+        if not primal_feasible(x):
             return None
-    value = sum(c * v for c, v in zip(objective, x))
-    if value != sum(yi * bi for yi, bi in zip(y, problem.rhs)):
+    y = [_rounded(v) for v in y_float]
+    if not _columns_within(rows, d_rows, y, objective):
+        columns = [{} for _ in range(n)]
+        for i, row in enumerate(problem.rows):
+            for j, v in row.items():
+                columns[j][i] = v
+        y_f = [float(v) for v in y_float]
+        reduced = [
+            float(c) - sum(y_f[i] * float(v) for i, v in col.items())
+            for c, col in zip(objective, columns)
+        ]
+        c_tol = 1e-9 * (max((abs(float(v)) for v in objective), default=0.0) or 1.0)
+        tight = [j for j, d in enumerate(reduced) if abs(d) <= c_tol]
+        y_sparse = _solve_rational(
+            [columns[j] for j in tight], [objective[j] for j in tight]
+        )
+        if y_sparse is None:
+            return None
+        y = [y_sparse.get(i, zero) for i in range(problem.nrows)]
+        if not _columns_within(rows, d_rows, y, objective):
+            return None
+    if _dot(objective, x) != _dot(problem.rhs, y):
         return None
     return x, y
 
@@ -519,6 +610,10 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
                 return LPSolution("infeasible", certificate=cert)
         elif candidate is not None:
             pair = _certify(problem, internal_obj, *candidate)
+            if pair is None:
+                candidate = _highs_vertex(problem, internal_obj, tight=True)
+                if isinstance(candidate, tuple):
+                    pair = _certify(problem, internal_obj, *candidate)
     if pair is None:
         tab = _ExactTableau(problem, internal_obj)
         if not tab.phase1():
@@ -532,25 +627,31 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
             return LPSolution("unbounded", x=tab.primal(), ray=tab.ray(enter))
         pair = tab.primal(), tab.duals()
     x, y = pair
-    y = [flip * v for v in y]
-    value = sum(c * v for c, v in zip(problem.objective, x))
-    dual_value = sum(yi * bi for yi, bi in zip(y, problem.rhs))
+    if flip < 0:
+        y = [-v for v in y]
+    value = _dot(problem.objective, x)
+    dual_value = _dot(y, problem.rhs)
     if value != dual_value:
         raise CertificationError(f"exact duality gap {value - dual_value} != 0")
     return LPSolution("optimal", x=x, y=y, value=value)
 
 
 def _solve_float(problem: LPProblem) -> LPSolution:
-    """Float mode: HiGHS's answer, with a Farkas certificate from _farkas."""
+    """Float mode: HiGHS's tight answer, with a Farkas certificate from _farkas.
+
+    LPError if HiGHS fails or its optimal x has an entry below 0.
+    """
     flip = -1.0 if problem.sense == "max" else 1.0
     objective = [flip * float(v) for v in problem.objective]
-    res = _highs(problem.rows, problem.rhs, objective)
+    res = _highs(problem.rows, problem.rhs, objective, tight=True)
     if res.status == 2:
         return LPSolution("infeasible", certificate=_farkas(problem, exact=False))
     if res.status == 3:
         return LPSolution("unbounded")
     if res.status != 0:
         raise LPError(f"HiGHS failed: {res.message}")
+    if min(res.x, default=0.0) < 0:
+        raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < 0")
     x = [float(v) for v in res.x]
     y = [flip * float(v) for v in res.eqlin.marginals]
     value = flip * float(res.fun)

@@ -250,10 +250,6 @@ class SignedDiscreteMeasure:
     def scaled(self, factor) -> "SignedDiscreteMeasure":
         return SignedDiscreteMeasure(self.grid, [factor * w for w in self.weights])
 
-    def as_measure(self) -> "DiscreteMeasure":
-        """Reinterpret as a nonnegative measure; fails if any weight < 0."""
-        return DiscreteMeasure(self.grid, self.weights)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(grid={self.grid}, mass={self.mass})"
 

@@ -237,16 +237,12 @@ def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
         if sol.status == "infeasible":
             verdict = kellerer_check(fam, arithmetic=arithmetic)
             raise InfeasibleFamilyError(verdict)
-        assert sol.status == "optimal", sol.status
+        if sol.status != "optimal":
+            raise lp_core.LPError(f"the transport LP is {sol.status}")
         weights = [Fraction(0)] * grid.ncells
         for t, j in enumerate(cols):
-            weights[j] = Fraction(sol.x[t]) if arithmetic == "exact" else sol.x[t]
-        if arithmetic == "exact":
-            pi = DiscreteMeasure(grid, weights)
-        else:
-            pi = DiscreteMeasure(
-                grid, [Fraction(w) if w > 0 else Fraction(0) for w in weights]
-            )
+            weights[j] = Fraction(sol.x[t])  # float mode's x is >= 0 too
+        pi = DiscreteMeasure(grid, weights)
         raw = _dual_from_prices(fam, sol.y)
         potentials = _normalize(raw, fam)
         if columns is not None and arithmetic == "exact":
@@ -365,10 +361,6 @@ def nk_decompose(
             values.append(total)
         potentials[alpha] = values
     return DualPotentials(potentials)
-
-
-def _weighted_l1(values, weight_of) -> Fraction:
-    return sum(abs(v) * w for v, w in zip(values, weight_of))
 
 
 def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .lp_core import CertificationError
 from .measures import DiscreteMeasure, DomainError, ProductGrid, project, uniform
 from .measures import IndexSet, MarginalFamily, all_index_sets
 
@@ -166,7 +167,7 @@ def sierpinski_member(x: Dyadic, y: Dyadic, z: Dyadic, depth: int) -> bool:
 def xor_coupling(n: int) -> DiscreteMeasure:
     """Weight 4^-n on every cell (i, j, i xor j) of the (2^n)^3 grid.
 
-    All three pairwise projections are uniform (asserted): each pair of
+    All three pairwise projections are uniform (checked): each pair of
     coordinates determines the third bijectively.
     """
     if n < 0:
@@ -181,8 +182,8 @@ def xor_coupling(n: int) -> DiscreteMeasure:
     mu = DiscreteMeasure(grid, weights)
     flat = uniform([size, size])
     for alpha in all_index_sets(3, 2):
-        got = project(mu, alpha)
-        assert tuple(got.weights) == tuple(flat.weights), f"projection {alpha}"
+        if project(mu, alpha).weights != flat.weights:
+            raise CertificationError(f"projection {alpha} is not uniform")
     return mu
 
 

@@ -220,6 +220,42 @@ class TestKellererCheck:
         )
         assert total < 0
 
+    # A feasible (5,3) family on 3^5: the projections of the measure with
+    # weight d/830 on the cells in ravel order, d the digits below.  Under
+    # HiGHS's default tolerances its vertex has a weight of -2.4e-8 and an
+    # inconsistent 130-column support.
+    NEGATIVE_VERTEX = (
+        "903107712010008080770207063407507107637020403952281800586167"
+        "359570139026002000070440055040092050080136643710082347012801"
+        "701103970081650081278782403610175970959089089011229309249203"
+        "704950801205669145219241009157181488100034001800188026304238"
+        "714"
+    )
+
+    def test_slightly_negative_highs_vertex(self, monkeypatch):
+        grid = ProductGrid([3] * 5)
+        mu = DiscreteMeasure(
+            grid, [Fraction(int(d), 830) for d in self.NEGATIVE_VERTEX]
+        )
+        fam = MarginalFamily(
+            5, 3, [3] * 5, {a: project(mu, a) for a in all_index_sets(5, 3)}
+        )
+        verdict = fb.kellerer_check(fam, arithmetic="float")
+        assert verdict.feasible
+        assert min(verdict.witness.weights) >= 0
+        for alpha in fam.index_sets():
+            got = project(verdict.witness, alpha).weights
+            assert max(abs(g - w) for g, w in zip(got, fam[alpha].weights)) < 1e-9
+
+        def no_tableau(self, *args):
+            raise AssertionError("the exact tableau was built")
+
+        monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
+        verdict = fb.kellerer_check(fam)
+        assert verdict.feasible
+        for alpha in fam.index_sets():
+            assert project(verdict.witness, alpha) == fam[alpha]
+
     def test_nonuniform_witness(self):
         from mmk.case_studies import build_nonuniform_2x2x2
 

@@ -9,12 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmk import lp_core
+from mmk.case_studies import build_nonstrong, min_mass_at_cell
 from mmk.feasibility import (
     kellerer_check,
     make_modk_counterexample,
     marginal_constraint_rows,
 )
 from mmk.lp_core import LPProblem, SizeCapError, check_certificate, solve
+from mmk.measures import (
+    DiscreteMeasure,
+    MarginalFamily,
+    ProductGrid,
+    all_index_sets,
+    project,
+)
+from mmk.transport import CostGrid, verify_gap
+
+
+def refuse_tableau(monkeypatch):
+    def no_tableau(self, *args):
+        raise AssertionError("the exact tableau was built")
+
+    monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
 
 
 class TestExact:
@@ -123,7 +139,9 @@ class TestCertifier:
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
         assert lp_core._certify(p, p.objective, *self.WRONG) is None
-        monkeypatch.setattr(lp_core, "_highs_vertex", lambda problem, obj: self.WRONG)
+        monkeypatch.setattr(
+            lp_core, "_highs_vertex", lambda problem, obj, tight=False: self.WRONG
+        )
         sol = solve(p)
         assert sol.status == "optimal" and sol.value == 0
         assert sol.x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
@@ -131,6 +149,61 @@ class TestCertifier:
     def test_rejects_infeasible_support(self):
         p = self.PROBLEM
         assert lp_core._certify(p, p.objective, [1.0, 0.0, 0.0, 0.0], [0.0] * 4) is None
+
+    # A (4,3) family on 3^4, the projections of weight d / sum(d) on the
+    # cells in ravel order (d the digits), with the integer costs below.
+    # A rebuild of y with its free unknowns at 0 rejects its HiGHS vertex.
+    DEGENERATE_43 = (
+        "07900380170760005090065106033203728833820"
+        "1004640564417382004682723119879901900071",
+        "8 7 2 1 2 9 11 19 19 17 6 15 16 2 3 7 10 17 13 12 0 12 12 5 20 16 6 19 10 12 "
+        "10 3 17 11 7 3 6 9 9 8 19 2 5 2 20 13 5 7 20 2 18 18 20 20 17 13 13 7 13 15 "
+        "16 19 7 9 13 8 2 19 10 5 13 0 4 3 9 18 17 19 18 5 13",
+    )
+
+    def test_degenerate_vertex_certified_by_rounding(self, monkeypatch):
+        digits, costs = self.DEGENERATE_43
+        grid = ProductGrid([3] * 4)
+        total = sum(int(d) for d in digits)
+        mu = DiscreteMeasure(grid, [Fraction(int(d), total) for d in digits])
+        fam = MarginalFamily(
+            4, 3, [3] * 4, {a: project(mu, a) for a in all_index_sets(4, 3)}
+        )
+        cost = CostGrid(grid, [Fraction(int(c)) for c in costs.split()])
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 10**9)
+        oracle = verify_gap(fam, cost).value
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        refuse_tableau(monkeypatch)
+        report = verify_gap(fam, cost)
+        assert report.gap == 0 and report.value == oracle
+
+    def test_x_rebuilt_while_y_stays_rounded(self, monkeypatch):
+        fam, _ = build_nonstrong(10)
+        problems, rebuilt = [], []
+        certify, rebuild = lp_core._certify, lp_core._solve_rational
+        monkeypatch.setattr(
+            lp_core, "_certify", lambda p, *args: problems.append(p) or certify(p, *args)
+        )
+        monkeypatch.setattr(
+            lp_core,
+            "_solve_rational",
+            lambda eqs, rhs: rebuilt.append(rhs) or rebuild(eqs, rhs),
+        )
+        refuse_tableau(monkeypatch)
+        # The denominator is above limit_denominator's 10^6, so the rounded
+        # x fails A x = b and x is rebuilt on its support; y is not.
+        assert min_mass_at_cell(fam, (0, 0, 1)) == Fraction(1058400, 9778141)
+        assert len(problems) == 1 and len(rebuilt) == 1
+        assert rebuilt[0] is problems[0].rhs
+
+    def test_dual_check_is_exact(self):
+        p = self.PROBLEM
+        rows, d = lp_core._integer_rows(p)
+        tiny = Fraction(1, 10**12)
+        # Column 1 lies in rows 0 and 3 and costs 3; the other columns hold
+        # in both cases.
+        assert lp_core._columns_within(rows, d, [3 - tiny, -tiny, -3, tiny], p.objective)
+        assert not lp_core._columns_within(rows, d, [3, -tiny, -3, tiny], p.objective)
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
@@ -188,7 +261,7 @@ class TestFarkas:
 
     def test_float_highs_failure_raises(self, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
-        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective: failed)
+        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective, tight: failed)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
 
@@ -215,6 +288,14 @@ class TestFloat:
         dual = sum(y * float(b) for y, b in zip(sol.y, problem.rhs))
         assert abs(sol.value - dual) < 1e-9
 
+    def test_negative_x_raises(self, monkeypatch):
+        res = SimpleNamespace(
+            status=0, x=[-1e-8, 1.0], fun=1.0, eqlin=SimpleNamespace(marginals=[1.0])
+        )
+        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective, tight: res)
+        with pytest.raises(lp_core.LPError):
+            solve(LPProblem([0, 1], [{0: 1, 1: 1}], [1]), arithmetic="float")
+
     def test_unknown_mode(self):
         with pytest.raises(Exception):
             solve(LPProblem([1], [{0: 1}], [1]), arithmetic="interval")
@@ -224,6 +305,12 @@ class TestCertificateChecker:
     def test_rejects_wrong_length(self):
         problem = LPProblem([1], [{0: 1}], [1])
         assert not check_certificate(problem, lp_core.Certificate([1, 1]))
+
+    def test_rejects_column_above_zero_by_tiny_amount(self):
+        problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
+        assert check_certificate(problem, lp_core.Certificate([-1, 1]))
+        tiny = Fraction(1, 10**12)
+        assert not check_certificate(problem, lp_core.Certificate([-1 + tiny, 1]))
 
     def test_rejects_non_negative_yb(self):
         problem = LPProblem([1], [{0: -1}], [1])

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmk import feasibility as fb
 from mmk import transport as tp
@@ -18,6 +20,7 @@ from mmk.measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    cell_sums,
     product,
     project,
     uniform,
@@ -223,6 +226,59 @@ class TestSolve:
         assert report.gap == 0
 
 
+class TestDualityIdentities:
+    """Identities of the duality for random families, with zero weights."""
+
+    SHAPES = [(3, 2, (3, 2, 3)), (4, 2, (2, 3, 2, 2)), (4, 3, (2, 3, 2, 3))]
+
+    @classmethod
+    def draw(cls, data):
+        n, k, sizes = data.draw(st.sampled_from(cls.SHAPES))
+        grid = ProductGrid(sizes)
+        cells = grid.ncells
+        raw = data.draw(st.lists(st.integers(0, 9), min_size=cells, max_size=cells))
+        raw[0] += 1
+        mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+        fam = MarginalFamily(
+            n, k, sizes, {a: project(mu, a) for a in all_index_sets(n, k)}
+        )
+        costs = data.draw(st.lists(st.integers(0, 20), min_size=cells, max_size=cells))
+        return fam, CostGrid(grid, [Fraction(c) for c in costs])
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_adding_an_nk_function_shifts_the_optimum(self, data):
+        fam, cost = self.draw(data)
+        grid = fam.full_grid()
+        g = {
+            alpha: [
+                Fraction(data.draw(st.integers(-5, 5)))
+                for _ in range(grid.subgrid(alpha).ncells)
+            ]
+            for alpha in fam.index_sets()
+        }
+        shift = sum(
+            f * w
+            for alpha in fam.index_sets()
+            for f, w in zip(g[alpha], fam[alpha].weights)
+        )
+        moved = CostGrid(
+            grid, [c + s for c, s in zip(cost.values, cell_sums(grid, g))]
+        )
+        pi, value = solve_primal(fam, cost)
+        _, moved_value = solve_primal(fam, moved)
+        assert moved_value == value + shift
+        # the old optimal plan stays optimal
+        assert sum(c * w for c, w in zip(moved.values, pi.weights)) == moved_value
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data(), st.integers(2, 7))
+    def test_scaling_the_cost_scales_the_optimum(self, data, factor):
+        fam, cost = self.draw(data)
+        scaled = CostGrid(cost.grid, [factor * c for c in cost.values])
+        assert solve_primal(fam, scaled)[1] == factor * solve_primal(fam, cost)[1]
+
+
 TAMPERED_SOLVES = """
 from fractions import Fraction
 
@@ -245,6 +301,10 @@ def farkas(y_entry):
         return lp_core.LPSolution("infeasible", certificate=lp_core.Certificate(y))
 
     return solve
+
+
+def unbounded(problem, arithmetic="exact"):
+    return lp_core.LPSolution("unbounded")
 
 
 def wrong_optimum(problem, arithmetic="exact"):
@@ -276,21 +336,25 @@ fam = MarginalFamily(
 cost = transport.CostGrid(grid, [1] * 8)
 dual, _ = transport.solve_dual(fam, cost)
 check = lambda: feasibility.kellerer_check(fam)
+rejected = lp_core.CertificationError
 cases = [
-    (lp_core, "solve", farkas(1), check),  # negative cell sums
-    (lp_core, "solve", farkas(0), check),  # zero total
-    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost)),
-    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost, "float")),
+    (lp_core, "solve", farkas(1), check, rejected),  # negative cell sums
+    (lp_core, "solve", farkas(0), check, rejected),  # zero total
+    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost), rejected),
+    (lp_core, "solve", wrong_optimum,
+     lambda: transport.verify_gap(fam, cost, "float"), rejected),
     # the extracted dual's value differs from the optimum
     (transport, "nk_decompose", shifted_decompose,
-     lambda: transport.extract_bounded_dual(fam, cost, dual)),
+     lambda: transport.extract_bounded_dual(fam, cost, dual), rejected),
+    # _solve_both gets a status it cannot use
+    (lp_core, "solve", unbounded, lambda: transport.verify_gap(fam, cost), lp_core.LPError),
 ]
-for module, name, fake, run in cases:
+for module, name, fake, run, error in cases:
     real = getattr(module, name)
     setattr(module, name, fake)
     try:
         run()
-    except lp_core.CertificationError:
+    except error:
         continue
     finally:
         setattr(module, name, real)
@@ -310,7 +374,7 @@ def test_tampered_certificates_rejected_under_python_O():
         text=True,
     )
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.strip() == "rejected 5"
+    assert out.stdout.strip() == "rejected 6"
 
 
 class TestDecomposition:
