@@ -17,6 +17,7 @@ from fractions import Fraction
 from .measures import (
     DiscreteMeasure,
     DomainError,
+    Frozen,
     IndexSet,
     MarginalFamily,
     ProductGrid,
@@ -124,7 +125,7 @@ def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
         columns = list(range(grid.ncells))
     elif target not in columns:
         return Fraction(0)
-    rows, rhs, _ = marginal_constraint_rows(fam, columns)
+    rows, rhs = marginal_constraint_rows(fam, columns)
     objective = [Fraction(0)] * len(columns)
     objective[columns.index(target)] = Fraction(1)
     sol = lp_core.solve(
@@ -208,20 +209,16 @@ def verify_unique_uniting(fam: MarginalFamily, cells, arithmetic: str = "exact")
     return out
 
 
-class PiecewiseDual32:
+class PiecewiseDual32(Frozen):
     """The closed-form dual of the discontinuous example.
 
     f12 = 0; f13(x1,x3) and f23(x2,x3) vanish for x3 < 2/3 and equal
     x_i + (3/2)x3 - 3/2 beyond.  The sum F jumps across x3 = 2/3.
     """
 
-    __slots__ = ("threshold",)
+    __slots__ = ()
 
-    def __init__(self):
-        object.__setattr__(self, "threshold", Fraction(2, 3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiecewiseDual32 is immutable")
+    threshold = Fraction(2, 3)
 
     def f12(self, x1, x2) -> Fraction:
         return Fraction(0)

@@ -18,6 +18,7 @@ from . import lp_core
 from .measures import (
     DiscreteMeasure,
     DomainError,
+    Frozen,
     IndexSet,
     MarginalFamily,
     ProductGrid,
@@ -169,16 +170,13 @@ class QuadExt:
         return f"QuadExt({self.a} + {self.b}*sqrt({self.root}))"
 
 
-class CoefficientVector:
+class CoefficientVector(Frozen):
     """Lambda coefficients (lambda_0, ..., lambda_k) of a linear combination."""
 
     __slots__ = ("lambdas",)
 
     def __init__(self, lambdas: Sequence[Fraction]):
-        object.__setattr__(self, "lambdas", tuple(Fraction(v) for v in lambdas))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientVector is immutable")
+        self._freeze(lambdas=tuple(Fraction(v) for v in lambdas))
 
     def __iter__(self):
         return iter(self.lambdas)
@@ -197,17 +195,13 @@ class CoefficientVector:
         return f"CoefficientVector({[str(v) for v in self.lambdas]})"
 
 
-class DensityBounds:
+class DensityBounds(Frozen):
     """Cellwise bounds m <= mu_alpha / nu_alpha <= M for a checked family."""
 
     __slots__ = ("m", "M")
 
     def __init__(self, m, M):
-        object.__setattr__(self, "m", Fraction(m))
-        object.__setattr__(self, "M", Fraction(M))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityBounds is immutable")
+        self._freeze(m=Fraction(m), M=Fraction(M))
 
     @property
     def ratio(self) -> Fraction:
@@ -217,7 +211,7 @@ class DensityBounds:
         return f"DensityBounds(m={self.m}, M={self.M})"
 
 
-class FeasibilityVerdict:
+class FeasibilityVerdict(Frozen):
     """Feasible with a uniting witness, or infeasible with {f_alpha}.
 
     For the infeasible branch `potentials` maps alpha -> tuple of values
@@ -228,13 +222,12 @@ class FeasibilityVerdict:
     __slots__ = ("feasible", "witness", "potentials", "lp_certificate")
 
     def __init__(self, feasible, witness=None, potentials=None, lp_certificate=None):
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "potentials", potentials)
-        object.__setattr__(self, "lp_certificate", lp_certificate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FeasibilityVerdict is immutable")
+        self._freeze(
+            feasible=feasible,
+            witness=witness,
+            potentials=potentials,
+            lp_certificate=lp_certificate,
+        )
 
     def __bool__(self):
         return self.feasible
@@ -329,10 +322,11 @@ def _projection_rows(grid: ProductGrid, alpha: IndexSet, columns) -> list[dict]:
 
 
 def marginal_constraint_rows(fam: MarginalFamily, columns=None):
-    """The equality system prj_alpha(pi) = mu_alpha as LP rows.
+    """The equality system prj_alpha(pi) = mu_alpha as LP rows (rows, rhs).
 
-    Returns (rows, rhs, row_index) where row_index lists (alpha, cell)
-    in row order.  Column t is full-grid raveled cell columns[t]; all
+    The rows come in blocks, one per alpha in fam.index_sets() order, each
+    one row per cell of grid_alpha in ravel order; row_blocks splits a
+    vector over them.  Column t is full-grid raveled cell columns[t]; all
     cells when `columns` is None.
     """
     grid = fam.full_grid()
@@ -340,12 +334,21 @@ def marginal_constraint_rows(fam: MarginalFamily, columns=None):
         columns = range(grid.ncells)
     rows = []
     rhs = []
-    row_index = []
     for alpha in fam.index_sets():
         rows.extend(_projection_rows(grid, alpha, columns))
         rhs.extend(fam[alpha].weights)
-        row_index.extend((alpha, cell) for cell in grid.subgrid(alpha).cells())
-    return rows, rhs, row_index
+    return rows, rhs
+
+
+def row_blocks(fam: MarginalFamily, values: Sequence) -> dict:
+    """{alpha: tuple} of a vector over marginal_constraint_rows' rows."""
+    blocks = {}
+    offset = 0
+    for alpha in fam.index_sets():
+        size = len(fam[alpha].weights)
+        blocks[alpha] = tuple(values[offset : offset + size])
+        offset += size
+    return blocks
 
 
 def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> FeasibilityVerdict:
@@ -356,7 +359,7 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
     to satisfy sum f_alpha >= 0 cellwise and sum int f_alpha d mu < 0;
     lp_core.CertificationError if they do not.
     """
-    rows, rhs, row_index = marginal_constraint_rows(fam)
+    rows, rhs = marginal_constraint_rows(fam)
     grid = fam.full_grid()
     problem = lp_core.LPProblem([Fraction(0)] * grid.ncells, rows, rhs)
     sol = lp_core.solve(problem, arithmetic=arithmetic)
@@ -366,13 +369,10 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
         return FeasibilityVerdict(True, witness=witness)
     if sol.status != "infeasible":
         raise lp_core.LPError(f"the feasibility LP is {sol.status}")
-    potentials = {}
-    offset = 0
-    for alpha in fam.index_sets():
-        sub = grid.subgrid(alpha)
-        block = [-sol.certificate.y[offset + idx] for idx in range(sub.ncells)]
-        potentials[alpha] = tuple(block)
-        offset += sub.ncells
+    potentials = {
+        alpha: tuple(-v for v in block)
+        for alpha, block in row_blocks(fam, sol.certificate.y).items()
+    }
     if arithmetic == "exact":
         if any(s < 0 for s in cell_sums(grid, potentials)):
             raise lp_core.CertificationError(

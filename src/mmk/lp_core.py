@@ -16,17 +16,19 @@ TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the duals of a
 HiGHS phase-1 solve, rounded to rationals, are the Farkas certificate
 (y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
 (unbounded, a HiGHS failure, a vertex that fails after the retry) a
-dense two-phase primal simplex over exact rationals decides.  Its
-pricing is Dantzig by default and falls back to Bland's rule after a
-streak of degenerate pivots, which guarantees termination on the
-degenerate transport polytopes this package produces.  The tableau
-keeps every entry rational (gmpy2.mpq when available,
-fractions.Fraction otherwise) and yields Farkas certificates and
-unbounded rays of its own.
+dense two-phase primal simplex over exact rationals decides.  It
+pivots by Bland's rule (the first column with negative reduced cost,
+the lowest basic index among tied ratios), which never cycles, so it
+terminates on the degenerate transport polytopes this package
+produces.  The tableau keeps every entry rational (gmpy2.mpq when
+available, fractions.Fraction otherwise) and yields Farkas
+certificates of its own.
 
 Float mode returns the answer of a HiGHS solve with the tight
 tolerances, whose x must be >= 0, and for infeasible problems the
-phase-1 duals as they are.
+phase-1 duals as they are.  In both modes an unbounded LP comes back
+as the bare status, with no ray: the LPs this package builds bound x
+by its marginal rows and x >= 0, so none is unbounded.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .measures import DomainError
+from .measures import DomainError, Frozen, as_fraction
 
 try:
     from gmpy2 import mpq as _RAT
@@ -46,9 +48,6 @@ except ImportError:  # gmpy2 is optional: it only speeds up the tableau
 # Exact pivoting cost grows with coefficient size; beyond this many
 # nonzeros the caller must opt into float mode explicitly.
 EXACT_NONZERO_CAP = 50_000
-
-# Degenerate pivots tolerated before switching pricing to Bland's rule.
-DEGENERATE_STREAK_LIMIT = 40
 
 # Exact LPs with at most this many nonzeros skip HiGHS: on the test
 # suite's LPs the tableau solves them in 0.1-4 ms, a HiGHS call plus
@@ -82,7 +81,7 @@ class CertificationError(LPError):
     """An exact answer failed its own certificate check."""
 
 
-class LPProblem:
+class LPProblem(Frozen):
     """min or max objective.x over {x >= 0, A x = b}.
 
     `rows` may be dense sequences or {column: value} mappings; they are
@@ -94,31 +93,25 @@ class LPProblem:
     def __init__(self, objective: Sequence, rows: Sequence, rhs: Sequence, sense: str = "min"):
         if sense not in ("min", "max"):
             raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
-        obj = tuple(Fraction(v) for v in objective)
+        obj = tuple(as_fraction(v) for v in objective)
         ncols = len(obj)
         sparse_rows = []
         for row in rows:
             if isinstance(row, Mapping):
-                entries = {int(j): Fraction(v) for j, v in row.items() if v != 0}
+                entries = {int(j): as_fraction(v) for j, v in row.items() if v != 0}
             else:
                 if len(row) != ncols:
                     raise DomainError(
                         f"row has {len(row)} entries, objective has {ncols}"
                     )
-                entries = {j: Fraction(v) for j, v in enumerate(row) if v != 0}
+                entries = {j: as_fraction(v) for j, v in enumerate(row) if v != 0}
             if entries and (min(entries) < 0 or max(entries) >= ncols):
                 raise DomainError("row refers to a column outside the objective")
             sparse_rows.append(entries)
-        b = tuple(Fraction(v) for v in rhs)
+        b = tuple(as_fraction(v) for v in rhs)
         if len(b) != len(sparse_rows):
             raise DomainError(f"{len(sparse_rows)} rows but {len(b)} rhs entries")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", tuple(sparse_rows))
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "sense", sense)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LPProblem is immutable")
+        self._freeze(objective=obj, rows=tuple(sparse_rows), rhs=b, sense=sense)
 
     @property
     def ncols(self) -> int:
@@ -132,41 +125,30 @@ class LPProblem:
         return sum(len(r) for r in self.rows)
 
 
-class Certificate:
+class Certificate(Frozen):
     """A Farkas witness of infeasibility: y.A <= 0 componentwise, y.b > 0."""
 
     __slots__ = ("y",)
 
     def __init__(self, y: Sequence):
-        object.__setattr__(self, "y", tuple(Fraction(v) for v in y))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Certificate is immutable")
+        self._freeze(y=tuple(Fraction(v) for v in y))
 
     def __repr__(self) -> str:
         return f"Certificate(y={[str(v) for v in self.y]})"
 
 
-class LPSolution:
+class LPSolution(Frozen):
     """Solver outcome: status plus the relevant witness objects.
 
     status 'optimal':    x, y (dual prices), value
     status 'infeasible': certificate
-    status 'unbounded':  ray (an improving direction), x (feasible point)
+    status 'unbounded':  nothing more
     """
 
-    __slots__ = ("status", "x", "y", "value", "certificate", "ray")
+    __slots__ = ("status", "x", "y", "value", "certificate")
 
-    def __init__(self, status, x=None, y=None, value=None, certificate=None, ray=None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "ray", ray)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LPSolution is immutable")
+    def __init__(self, status, x=None, y=None, value=None, certificate=None):
+        self._freeze(status=status, x=x, y=y, value=value, certificate=certificate)
 
     def __repr__(self) -> str:
         return f"LPSolution(status={self.status!r}, value={self.value})"
@@ -297,25 +279,10 @@ class _ExactTableau:
         self.basis[i] = j
 
     def _run(self, allowed_cols: int) -> str:
-        """Pivot to optimality; returns 'optimal' or 'unbounded'."""
-        bland = False
-        degenerate_streak = 0
-        last_obj = self.r[-1]
+        """Pivot to optimality by Bland's rule; 'optimal' or 'unbounded'."""
         while True:
             r = self.r
-            enter = -1
-            if bland:
-                for j in range(allowed_cols):
-                    if r[j] < 0:
-                        enter = j
-                        break
-            else:
-                best = 0
-                for j in range(allowed_cols):
-                    v = r[j]
-                    if v < best:
-                        best = v
-                        enter = j
+            enter = next((j for j in range(allowed_cols) if r[j] < 0), -1)
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -334,14 +301,6 @@ class _ExactTableau:
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
-            if self.r[-1] == last_obj:
-                degenerate_streak += 1
-                if degenerate_streak > DEGENERATE_STREAK_LIMIT:
-                    bland = True
-            else:
-                degenerate_streak = 0
-                bland = False
-                last_obj = self.r[-1]
 
     def phase1(self) -> bool:
         """Drive artificials out; False means infeasible."""
@@ -389,15 +348,6 @@ class _ExactTableau:
         for i in self.live:
             y[i] = self.row_sign[i] * Fraction(-self.r[self.n + i])
         return y
-
-    def ray(self, enter: int) -> list:
-        d = [Fraction(0)] * self.n
-        d[enter] = Fraction(1)
-        for i in self.live:
-            j = self.basis[i]
-            if j < self.n:
-                d[j] = Fraction(-self.rows[i][enter])
-        return d
 
 
 def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=False):
@@ -622,9 +572,7 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
                 raise CertificationError("phase 1 produced a bad Farkas certificate")
             return LPSolution("infeasible", certificate=cert)
         if tab.phase2() == "unbounded":
-            # Re-find the entering column that proved unboundedness.
-            enter = next(j for j in range(tab.n) if tab.r[j] < 0)
-            return LPSolution("unbounded", x=tab.primal(), ray=tab.ray(enter))
+            return LPSolution("unbounded")
         pair = tab.primal(), tab.duals()
     x, y = pair
     if flip < 0:

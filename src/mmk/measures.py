@@ -5,7 +5,8 @@ a measure is a dense weight array over the grid cells.  Geometry (cell
 centers, dyadic coordinates) belongs to the modules that need it.
 
 All objects are immutable after construction and safe to share between
-threads.
+threads: every value type of the package derives from Frozen, which sets
+the fields once in the constructor and refuses any later assignment.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 class DomainError(ValueError):
     """An operation was called with arguments outside its domain."""
+
+
+class Frozen:
+    """Base of the immutable value types: _freeze sets the fields once."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def as_fraction(value) -> Fraction:
@@ -32,7 +46,7 @@ def as_fraction(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
-class IndexSet:
+class IndexSet(Frozen):
     """A duplicate-free, sorted set of axis indices in {1..n}."""
 
     __slots__ = ("members",)
@@ -43,10 +57,7 @@ class IndexSet:
             raise DomainError(f"duplicate axis in index set {ms}")
         if any((not isinstance(m, int)) or m < 1 for m in ms):
             raise DomainError(f"axis indices must be integers >= 1, got {ms}")
-        object.__setattr__(self, "members", ms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexSet is immutable")
+        self._freeze(members=ms)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -91,7 +102,7 @@ def all_index_sets(n: int, k: int) -> list[IndexSet]:
     return [IndexSet(c) for c in itertools.combinations(range(1, n + 1), k)]
 
 
-class ProductGrid:
+class ProductGrid(Frozen):
     """A labelled product grid: axis `axes[t]` has `sizes[t]` cells.
 
     A full grid over n axes has axes (1, ..., n); sub-grids keep the
@@ -112,11 +123,7 @@ class ProductGrid:
             raise DomainError("axes and sizes length mismatch")
         if tuple(sorted(set(axes))) != axes:
             raise DomainError(f"axes must be strictly increasing, got {axes}")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "sizes", sizes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductGrid is immutable")
+        self._freeze(axes=axes, sizes=sizes)
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,7 +196,7 @@ class ProductGrid:
         return tuple(index)
 
 
-class SignedDiscreteMeasure:
+class SignedDiscreteMeasure(Frozen):
     """A measure with one (possibly negative) weight per grid cell.
 
     Weights are exact rationals by default; any field elements supporting
@@ -207,11 +214,7 @@ class SignedDiscreteMeasure:
         ws = tuple(
             Fraction(w) if isinstance(w, int) else w for w in weights
         )
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "weights", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("measures are immutable")
+        self._freeze(grid=grid, weights=ws)
 
     @property
     def mass(self):
@@ -333,7 +336,7 @@ def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list
     return totals
 
 
-class MarginalFamily:
+class MarginalFamily(Frozen):
     """The constraint data of an (n,k)-problem: one measure per alpha in I_nk."""
 
     __slots__ = ("n", "k", "sizes", "marginals")
@@ -359,13 +362,7 @@ class MarginalFamily:
                 raise DomainError(f"marginal for {alpha} lives on the wrong grid")
             if mu.mass != 1:
                 raise DomainError(f"marginal for {alpha} has mass {mu.mass}, not 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "marginals", dict(marginals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarginalFamily is immutable")
+        self._freeze(n=n, k=k, sizes=sizes, marginals=dict(marginals))
 
     def full_grid(self) -> ProductGrid:
         return ProductGrid(self.sizes)
@@ -380,17 +377,13 @@ class MarginalFamily:
         return f"MarginalFamily(n={self.n}, k={self.k}, sizes={list(self.sizes)})"
 
 
-class ConsistencyReport:
+class ConsistencyReport(Frozen):
     """Outcome of the pairwise overlap check on a marginal family."""
 
     __slots__ = ("consistent", "failures")
 
     def __init__(self, consistent: bool, failures: list):
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "failures", tuple(failures))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConsistencyReport is immutable")
+        self._freeze(consistent=consistent, failures=tuple(failures))
 
     def __bool__(self) -> bool:
         return self.consistent

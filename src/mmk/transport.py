@@ -21,10 +21,12 @@ from .feasibility import (
     PreconditionError,
     kellerer_check,
     marginal_constraint_rows,
+    row_blocks,
 )
 from .measures import (
     DiscreteMeasure,
     DomainError,
+    Frozen,
     IndexSet,
     MarginalFamily,
     ProductGrid,
@@ -46,7 +48,7 @@ class InfeasibleFamilyError(Exception):
         self.verdict = verdict
 
 
-class CostGrid:
+class CostGrid(Frozen):
     """A cost function given by one rational value per full-grid cell."""
 
     __slots__ = ("grid", "values")
@@ -54,19 +56,10 @@ class CostGrid:
     def __init__(self, grid: ProductGrid, values: Sequence):
         if len(values) != grid.ncells:
             raise DomainError(f"expected {grid.ncells} values, got {len(values)}")
-        object.__setattr__(
-            self,
-            "grid",
-            grid,
+        self._freeze(
+            grid=grid,
+            values=tuple(Fraction(v) if isinstance(v, int) else v for v in values),
         )
-        object.__setattr__(
-            self,
-            "values",
-            tuple(Fraction(v) if isinstance(v, int) else v for v in values),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CostGrid is immutable")
 
     def at(self, cell: Sequence[int]):
         return self.values[self.grid.ravel(cell)]
@@ -82,7 +75,7 @@ class CostGrid:
         return f"CostGrid(grid={self.grid})"
 
 
-class DualPotentials:
+class DualPotentials(Frozen):
     """A map alpha -> grid function f_alpha on grid_alpha.
 
     Feasible for cost c iff sum_alpha f_alpha(x_alpha) <= c(x) cellwise.
@@ -91,19 +84,14 @@ class DualPotentials:
     __slots__ = ("potentials",)
 
     def __init__(self, potentials: Mapping[IndexSet, Sequence]):
-        object.__setattr__(
-            self,
-            "potentials",
-            {
+        self._freeze(
+            potentials={
                 alpha: tuple(
                     Fraction(v) if isinstance(v, int) else v for v in values
                 )
                 for alpha, values in potentials.items()
-            },
+            }
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualPotentials is immutable")
 
     def __getitem__(self, alpha: IndexSet):
         return self.potentials[alpha]
@@ -138,20 +126,15 @@ class DualPotentials:
         return f"DualPotentials(alphas=[{keys}])"
 
 
-class SolveReport:
+class SolveReport(Frozen):
     """Joint outcome of one primal/dual solve with its duality gap."""
 
     __slots__ = ("pi", "value", "potentials", "dual_value", "gap")
 
     def __init__(self, pi, value, potentials, dual_value, gap):
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "potentials", potentials)
-        object.__setattr__(self, "dual_value", dual_value)
-        object.__setattr__(self, "gap", gap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SolveReport is immutable")
+        self._freeze(
+            pi=pi, value=value, potentials=potentials, dual_value=dual_value, gap=gap
+        )
 
     def to_json(self) -> dict:
         from .measures import measure_to_json
@@ -204,7 +187,7 @@ def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
 
 
 def _solve_lp(fam: MarginalFamily, cost: CostGrid, arithmetic: str, columns):
-    rows, rhs, _ = marginal_constraint_rows(fam, columns)
+    rows, rhs = marginal_constraint_rows(fam, columns)
     if columns is None:
         columns = range(fam.full_grid().ncells)
     objective = [cost.values[j] for j in columns]
@@ -212,66 +195,56 @@ def _solve_lp(fam: MarginalFamily, cost: CostGrid, arithmetic: str, columns):
     return sol, columns
 
 
-def _dual_from_prices(fam: MarginalFamily, y: Sequence) -> dict:
-    potentials = {}
-    offset = 0
-    grid = fam.full_grid()
-    for alpha in fam.index_sets():
-        sub = grid.subgrid(alpha)
-        potentials[alpha] = [y[offset + t] for t in range(sub.ncells)]
-        offset += sub.ncells
-    return potentials
-
-
 def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
     """One simplex run giving (pi, value, normalized potentials, dual value).
 
-    Cells where some marginal vanishes are dropped first (they can carry
-    no mass); if the resulting dual prices violate feasibility on a
-    dropped cell, the full LP is re-solved.
+    Cells where some marginal vanishes are dropped first: they can carry
+    no mass.  The dual prices of the reduced LP say nothing about those
+    cells, so if they exceed the cost on one, every potential on a
+    zero-weight marginal cell is lowered to at most -s, where s is the
+    sum over alpha of max|f_alpha| plus max|c| + 1.  Such potentials
+    carry no dual value, so optimality stays; every dropped cell has one,
+    so its sum falls to at most -max|c| - 1.  lp_core.CertificationError
+    if a dropped cell is still above its cost.
     """
     _check_cost(fam, cost)
     grid = fam.full_grid()
-    for columns in (_supported_columns(fam), None):
-        sol, cols = _solve_lp(fam, cost, arithmetic, columns)
-        if sol.status == "infeasible":
-            verdict = kellerer_check(fam, arithmetic=arithmetic)
-            raise InfeasibleFamilyError(verdict)
-        if sol.status != "optimal":
-            raise lp_core.LPError(f"the transport LP is {sol.status}")
-        weights = [Fraction(0)] * grid.ncells
-        for t, j in enumerate(cols):
-            weights[j] = Fraction(sol.x[t])  # float mode's x is >= 0 too
-        pi = DiscreteMeasure(grid, weights)
-        raw = _dual_from_prices(fam, sol.y)
-        potentials = _normalize(raw, fam)
-        if columns is not None and arithmetic == "exact":
-            # Dual prices from the reduced LP may overshoot on dropped
-            # cells.  Every dropped cell has a zero-weight marginal
-            # section, and potentials there carry no dual value, so
-            # sinking them restores feasibility without losing optimality.
-            dropped = set(range(grid.ncells)) - set(cols)
-            totals = cell_sums(grid, potentials.potentials)
-            if any(totals[j] > cost.values[j] for j in dropped):
-                sink = (
-                    sum(max(abs(v) for v in potentials[a]) for a in fam.index_sets())
-                    + max(abs(v) for v in cost.values)
-                    + 1
-                )
-                repaired = {}
-                for alpha in fam.index_sets():
-                    repaired[alpha] = [
+    columns = _supported_columns(fam)
+    sol, cols = _solve_lp(fam, cost, arithmetic, columns)
+    if sol.status == "infeasible":
+        verdict = kellerer_check(fam, arithmetic=arithmetic)
+        raise InfeasibleFamilyError(verdict)
+    if sol.status != "optimal":
+        raise lp_core.LPError(f"the transport LP is {sol.status}")
+    weights = [Fraction(0)] * grid.ncells
+    for t, j in enumerate(cols):
+        weights[j] = Fraction(sol.x[t])  # float mode's x is >= 0 too
+    pi = DiscreteMeasure(grid, weights)
+    potentials = _normalize(row_blocks(fam, sol.y), fam)
+    if columns is not None:
+        dropped = set(range(grid.ncells)) - set(cols)
+        totals = cell_sums(grid, potentials.potentials)
+        if any(totals[j] > cost.values[j] for j in dropped):
+            sink = (
+                sum(max(abs(v) for v in potentials[a]) for a in fam.index_sets())
+                + max(abs(v) for v in cost.values)
+                + 1
+            )
+            potentials = DualPotentials(
+                {
+                    alpha: [
                         v if w != 0 else min(v, -sink)
                         for v, w in zip(potentials[alpha], fam[alpha].weights)
                     ]
-                potentials = DualPotentials(repaired)
-                totals = cell_sums(grid, potentials.potentials)
-                if any(totals[j] > cost.values[j] for j in dropped):
-                    continue
-        value = sol.value
-        dual_value = potentials.value_against(fam)
-        return pi, value, potentials, dual_value
-    raise AssertionError("unreachable: full LP produced no usable duals")
+                    for alpha in fam.index_sets()
+                }
+            )
+            totals = cell_sums(grid, potentials.potentials)
+            if any(totals[j] > cost.values[j] for j in dropped):
+                raise lp_core.CertificationError(
+                    "sunk potentials still exceed the cost on a dropped cell"
+                )
+    return pi, sol.value, potentials, potentials.value_against(fam)
 
 
 def solve_primal(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):

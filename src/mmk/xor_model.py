@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .lp_core import CertificationError
 from .measures import DiscreteMeasure, DomainError, ProductGrid, project, uniform
-from .measures import IndexSet, MarginalFamily, all_index_sets
+from .measures import Frozen, IndexSet, MarginalFamily, all_index_sets
 
 
-class Dyadic:
+class Dyadic(Frozen):
     """The number a / 2^p with 0 <= a <= 2^p; digit strings stay explicit.
 
     No gcd reduction: precision is part of the identity of the digit
@@ -30,11 +30,7 @@ class Dyadic:
         a, p = int(a), int(p)
         if p < 0 or a < 0 or a > (1 << p):
             raise DomainError(f"need 0 <= a <= 2^p, got a={a}, p={p}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
+        self._freeze(a=a, p=p)
 
     @property
     def value(self) -> Fraction:
@@ -187,20 +183,20 @@ def xor_coupling(n: int) -> DiscreteMeasure:
     return mu
 
 
-class XorInstance:
+class XorInstance(Frozen):
     """The discrete benchmark: (2^n)^3 grid, uniform pairwise marginals,
     cost c(i,j,k) = i*j*k on integer indices."""
 
-    __slots__ = ("n", "size")
+    __slots__ = ("n",)
 
     def __init__(self, n: int):
         if n < 0:
             raise DomainError("n must be >= 0")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "size", 1 << int(n))
+        self._freeze(n=int(n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XorInstance is immutable")
+    @property
+    def size(self) -> int:
+        return 1 << self.n
 
     def grid(self) -> ProductGrid:
         return ProductGrid([self.size] * 3)

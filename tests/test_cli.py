@@ -158,12 +158,13 @@ class TestSolveAndDual:
 
 
 def test_import_loads_neither_numpy_nor_scipy():
-    """One-shot runs on small LPs must not pay for numpy or scipy imports."""
+    """One-shot runs on small LPs must not pay for numpy, scipy or dataclasses."""
     src = os.path.dirname(os.path.dirname(mmk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, mmk.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'scipy', 'dataclasses') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

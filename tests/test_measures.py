@@ -238,3 +238,40 @@ class TestJson:
         assert as_fraction(2) == 2
         with pytest.raises(DomainError):
             as_fraction(object())
+
+
+def test_value_types_refuse_assignment():
+    """Every value type of the package refuses to set a field after __init__."""
+    from mmk.case_studies import PiecewiseDual32
+    from mmk.feasibility import CoefficientVector, DensityBounds, FeasibilityVerdict
+    from mmk.lp_core import Certificate, LPProblem, LPSolution
+    from mmk.measures import ConsistencyReport
+    from mmk.transport import CostGrid, DualPotentials, SolveReport
+    from mmk.xor_model import Dyadic, XorInstance
+
+    grid = ProductGrid([2])
+    mu = uniform([2])
+    fields = [
+        (IndexSet([1]), "members"),
+        (grid, "sizes"),
+        (SignedDiscreteMeasure(grid, [1, -1]), "weights"),
+        (mu, "weights"),
+        (XorInstance(1).family(), "marginals"),
+        (ConsistencyReport(True, []), "consistent"),
+        (LPProblem([1], [{0: 1}], [1]), "rows"),
+        (Certificate([1]), "y"),
+        (LPSolution("optimal", x=[1], y=[1], value=1), "value"),
+        (CoefficientVector([1]), "lambdas"),
+        (DensityBounds(1, 2), "M"),
+        (FeasibilityVerdict(True, witness=mu), "witness"),
+        (CostGrid(grid, [1, 2]), "values"),
+        (DualPotentials({IndexSet([1]): [0, 0]}), "potentials"),
+        (SolveReport(mu, 0, None, 0, 0), "gap"),
+        (Dyadic(1, 1), "a"),
+        (XorInstance(1), "n"),
+        (PiecewiseDual32(), "threshold"),
+    ]
+    for value, field in fields:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, None)

@@ -218,6 +218,24 @@ class TestSolve:
         _, exact_value = solve_primal(fam, cost)
         assert abs(report.value - float(exact_value)) < 1e-7
 
+    def test_float_duals_feasible_with_zero_weight_cells(self):
+        # Cells under a zero marginal weight are dropped from the LP, so its
+        # prices say nothing there; the float potentials must still be
+        # feasible on them, with the exact optimum as their value.
+        rng = random.Random(5)
+        grid = ProductGrid([4, 4, 4])
+        for _ in range(10):
+            raw = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(64)]
+            total = sum(raw)
+            mu = DiscreteMeasure(grid, [Fraction(w, total) for w in raw])
+            fam = MarginalFamily(
+                3, 2, [4, 4, 4], {a: project(mu, a) for a in all_index_sets(3, 2)}
+            )
+            cost = random_cost(rng, grid)
+            potentials, value = solve_dual(fam, cost, arithmetic="float")
+            assert check_dual_feasible(potentials, cost) <= 1e-9
+            assert value == pytest.approx(float(solve_dual(fam, cost)[1]), abs=1e-9)
+
     def test_higher_order_instance(self):
         rng = random.Random(13)
         fam = projected_family(rng, 4, 3, [2, 2, 2, 2])
