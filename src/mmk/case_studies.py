@@ -125,6 +125,7 @@ def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
         columns = list(range(grid.ncells))
     elif target not in columns:
         return Fraction(0)
+    lp_core.check_size(len(columns) * len(fam.index_sets()), arithmetic)
     rows, rhs = marginal_constraint_rows(fam, columns)
     objective = [Fraction(0)] * len(columns)
     objective[columns.index(target)] = Fraction(1)

@@ -24,6 +24,7 @@ from .measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    as_fraction,
     cell_sums,
     is_consistent,
     measure_from_json,
@@ -51,6 +52,8 @@ def load_problem(path: str):
         n = int(data["n"])
         k = int(data["k"])
         axes = [int(v) for v in data["axes"]]
+        if not isinstance(data["marginals"], dict):
+            raise DomainError("marginals must be an object keyed by index set")
         marginals = {}
         for key, obj in data["marginals"].items():
             alpha = IndexSet.from_key(key)
@@ -58,8 +61,10 @@ def load_problem(path: str):
         fam = MarginalFamily(n, k, axes, marginals)
         cost = None
         if "cost" in data:
+            if not isinstance(data["cost"], dict):
+                raise DomainError("cost must be an object with weights")
             grid = fam.full_grid()
-            values = [Fraction(str(v)) for v in data["cost"]["weights"]]
+            values = [as_fraction(str(v)) for v in data["cost"]["weights"]]
             if list(data["cost"].get("axes", axes)) != list(axes):
                 raise DomainError("cost axes do not match problem axes")
             cost = transport.CostGrid(grid, values)

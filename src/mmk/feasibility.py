@@ -324,6 +324,9 @@ def _projection_rows(grid: ProductGrid, alpha: IndexSet, columns) -> list[dict]:
 def marginal_constraint_rows(fam: MarginalFamily, columns=None):
     """The equality system prj_alpha(pi) = mu_alpha as LP rows (rows, rhs).
 
+    Every column has one entry per alpha, so the rows hold
+    len(columns) * C(n, k) nonzeros.
+
     The rows come in blocks, one per alpha in fam.index_sets() order, each
     one row per cell of grid_alpha in ravel order; row_blocks splits a
     vector over them.  Column t is full-grid raveled cell columns[t]; all
@@ -359,8 +362,9 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
     to satisfy sum f_alpha >= 0 cellwise and sum int f_alpha d mu < 0;
     lp_core.CertificationError if they do not.
     """
-    rows, rhs = marginal_constraint_rows(fam)
     grid = fam.full_grid()
+    lp_core.check_size(grid.ncells * len(fam.index_sets()), arithmetic)
+    rows, rhs = marginal_constraint_rows(fam)
     problem = lp_core.LPProblem([Fraction(0)] * grid.ncells, rows, rhs)
     sol = lp_core.solve(problem, arithmetic=arithmetic)
     if sol.status == "optimal":

@@ -5,14 +5,19 @@ Solves min/max c.x subject to A x = b, x >= 0.
 Exact mode first certifies a floating-point answer, except on LPs small
 enough for the tableau below to be faster: HiGHS (via scipy) returns an
 optimal vertex, and x and the dual prices y are its values rounded to
-nearby rationals (Fraction.limit_denominator).  A part that fails its
-check is rebuilt by sparse rational elimination: x on its support, y
-from the columns whose reduced cost is zero.  The pair is accepted only
-if A x = b, x >= 0, y.A_j <= c_j for every column and c.x == b.y all
-hold exactly; the checks run in Python integers over common
-denominators, and float tolerances only choose the candidates.  A
-rejected vertex gets one HiGHS retry with feasibility tolerances
-TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the duals of a
+nearby rationals (Fraction.limit_denominator).  An x that fails its
+check is rounded again, to the nearest multiples of 1/D, D the common
+denominator of b: a vertex denominator often divides D but exceeds
+limit_denominator's 10^6.  A part that still fails is rebuilt, x on its
+support and y from the columns whose reduced cost is zero, by sparse
+elimination modulo the prime _PRIME = 2^127 - 1; each value is then
+recovered by rational reconstruction, and one whose numerator or
+denominator would exceed sqrt(_PRIME / 2) fails the rebuild.  The pair
+is accepted only if A x = b, x >= 0, y.A_j <= c_j for every column and
+c.x == b.y all hold exactly; the checks run in Python integers over
+common denominators, and float tolerances and residues only choose the
+candidates.  A rejected vertex gets one HiGHS retry with feasibility
+tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the duals of a
 HiGHS phase-1 solve, rounded to rationals, are the Farkas certificate
 (y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
 (unbounded, a HiGHS failure, a vertex that fails after the retry) a
@@ -67,6 +72,9 @@ TABLEAU_ONLY_NONZEROS = 64
 # start: 27 of the 33 min-mass LPs of build_unreachable(12) have an entry
 # near -9e-8 under the default, and the tight solve of those is no slower.
 TIGHT_TOLERANCE = 1e-10
+
+# The Mersenne prime 2^127 - 1, modulo which _solve_rational eliminates.
+_PRIME = 2**127 - 1
 
 
 class LPError(Exception):
@@ -421,22 +429,65 @@ def _farkas(problem: LPProblem, exact: bool):
     return cert if check_certificate(problem, cert) else None
 
 
-def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
-    """One exact solution of sum_v eq[v] * z[v] == rhs, or None if inconsistent.
+def _rational(r: int, d: int, bound: int):
+    """The rational num/den == r modulo _PRIME with |num|, den <= bound, or None.
 
-    Sparse Gaussian elimination over nonzero Fraction coefficients; free
-    unknowns are set to 0 and left out of the returned {unknown: value}
-    dict.  Each pivot is the unknown that occurs in the fewest equations,
-    which keeps fill-in low on the 0/1 marginal rows.
+    num/d is tried first (d <= bound is the common denominator of the
+    values found so far); otherwise the half-extended Euclidean algorithm
+    on (_PRIME, r) stops at the first remainder within the bound.  Two such
+    rationals would differ by a multiple of _PRIME over at most
+    bound^2 < _PRIME / 2, so the one found is the only one.
     """
+    P = _PRIME
+    num = r * d % P
+    if num > P // 2:
+        num -= P
+    if -bound <= num <= bound:
+        return Fraction(num, d)
+    r0, r1, t0, t1 = P, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
+    """One exact solution of sum_v eq[v] * z[v] == rhs, or None.
+
+    Sparse Gaussian elimination on the residues modulo _PRIME of the
+    coefficients and rhs (num * den^-1): each pivot is the unknown that
+    occurs in the fewest equations, which keeps fill-in low on the 0/1
+    marginal rows.  Free unknowns are set to 0 and left out of the returned
+    {unknown: Fraction} dict.  Each value is recovered from its residue by
+    rational reconstruction.  None if the system is inconsistent modulo
+    _PRIME or a value has no reconstruction: its numerator or denominator
+    would exceed sqrt(_PRIME / 2), about 9.2e18.  The residues part from
+    the rationals only where _PRIME divides a number of the elimination,
+    and a value beyond the bound may reconstruct to a wrong small one, so
+    the caller checks whatever comes back exactly.
+    """
+    P = _PRIME
+
+    def residue(q):
+        return q.numerator * pow(q.denominator, -1, P) % P
+
+    try:
+        system = [
+            ({v: r for v, a in eq.items() if (r := residue(a))}, residue(b))
+            for eq, b in zip(equations, rhs)
+        ]
+    except ValueError:  # a denominator divisible by _PRIME
+        return None
     occurs = {}
     for eq in equations:
         for v in eq:
             occurs[v] = occurs.get(v, 0) + 1
     order = {}  # pivot unknown -> index into pivots
     pivots = []  # (unknown, equation scaled to coefficient 1 there, rhs)
-    for eq, b in zip(equations, rhs):
-        row = dict(eq)
+    for row, b in system:
         # Pivot rows are applied in the order they were made: row k holds
         # no unknown pivoted before k, so no earlier pivot comes back.
         heap = [order[v] for v in row if v in order]
@@ -448,25 +499,35 @@ def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
                 continue
             for v, a in prow.items():
                 old = row.get(v)
-                new = -f * a if old is None else old - f * a
+                new = (-f * a if old is None else old - f * a) % P
                 if new:
                     row[v] = new
                     if old is None and v in order:
                         heapq.heappush(heap, order[v])
                 else:
                     del row[v]
-            b -= f * pb
+            b = (b - f * pb) % P
         if not row:
             if b:
                 return None
             continue
-        p = min(row, key=lambda v: occurs[v])
-        inv = 1 / row[p]
+        p = min(row, key=occurs.__getitem__)
+        inv = pow(row[p], -1, P)
         order[p] = len(pivots)
-        pivots.append((p, {v: a * inv for v, a in row.items()}, b * inv))
+        pivots.append((p, {v: a * inv % P for v, a in row.items()}, b * inv % P))
     z = {}
     for p, prow, b in reversed(pivots):
-        z[p] = b - sum(a * z[v] for v, a in prow.items() if v != p and v in z)
+        z[p] = (b - sum(a * z[v] for v, a in prow.items() if v != p and v in z)) % P
+    bound = math.isqrt(P // 2)
+    d = 1  # the common denominator of the values so far, kept <= bound
+    for p, r in z.items():
+        value = _rational(r, d, bound)
+        if value is None:
+            return None
+        z[p] = value
+        d = math.lcm(d, value.denominator)
+        if d > bound:
+            d = value.denominator
     return z
 
 
@@ -488,13 +549,15 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
     """Exact optimal (x, y) of min objective.x near a float vertex, or None.
 
     x is HiGHS's vertex rounded to nearby rationals, with the entries at
-    most x_tol set to 0; if A x = b or x >= 0 fails, x is rebuilt exactly
-    on that support instead.  y is HiGHS's duals rounded the same way; if
-    y.A_j <= objective_j fails for some column, y is rebuilt from the
-    columns where y_float prices the reduced cost at zero.  The float
-    tolerances only choose the candidates: the pair is returned only after
-    both checks and objective.x == b.y have held exactly, in integers over
-    common denominators.
+    most x_tol set to 0; if A x = b or x >= 0 fails, x is rounded to the
+    nearest multiples of 1/D, D the common denominator of b, and if that
+    fails too, x is rebuilt on that support by _solve_rational.  y is
+    HiGHS's duals rounded the same way; if y.A_j <= objective_j fails for
+    some column, y is rebuilt from the columns where y_float prices the
+    reduced cost at zero.  The float tolerances only choose the
+    candidates: the pair is returned only after both checks and
+    objective.x == b.y have held exactly, in integers over common
+    denominators.
     """
     n = problem.ncols
     rows, d_rows = _integer_rows(problem)
@@ -512,6 +575,13 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
     support = {j for j in range(n) if float(x_float[j]) > x_tol}
     zero = Fraction(0)
     x = [_rounded(x_float[j]) if j in support else zero for j in range(n)]
+    if not primal_feasible(x) and d_rhs <= 2**53:
+        # A float resolves no grid finer than 2^-53, so a larger d_rhs is
+        # not tried.
+        x = [
+            Fraction(round(float(x_float[j]) * d_rhs), d_rhs) if j in support else zero
+            for j in range(n)
+        ]
     if not primal_feasible(x):
         x_sparse = _solve_rational(
             [{j: v for j, v in row.items() if j in support} for row in problem.rows],
@@ -606,6 +676,19 @@ def _solve_float(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", x=x, y=y, value=value)
 
 
+def check_size(nonzeros: int, arithmetic: str) -> None:
+    """SizeCapError if an exact LP of this many nonzeros is over the cap.
+
+    Callers that know the count before they build the rows check first,
+    so a refused LP allocates nothing.
+    """
+    if arithmetic == "exact" and nonzeros > EXACT_NONZERO_CAP:
+        raise SizeCapError(
+            f"{nonzeros} nonzeros exceeds the exact-mode cap "
+            f"{EXACT_NONZERO_CAP}; pass arithmetic='float'"
+        )
+
+
 def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     """Solve the LP; exact rational mode unless arithmetic='float'.
 
@@ -613,11 +696,7 @@ def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     exact pivots impractical).
     """
     if arithmetic == "exact":
-        if problem.nonzeros() > EXACT_NONZERO_CAP:
-            raise SizeCapError(
-                f"{problem.nonzeros()} nonzeros exceeds the exact-mode cap "
-                f"{EXACT_NONZERO_CAP}; pass arithmetic='float'"
-            )
+        check_size(problem.nonzeros(), arithmetic)
         return _solve_exact(problem)
     if arithmetic == "float":
         return _solve_float(problem)

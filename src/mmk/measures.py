@@ -12,6 +12,7 @@ the fields once in the constructor and refuses any later assignment.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,17 +34,33 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# Fraction("1e999999999") builds 10**999999999 before anything can look
+# at it, so as_fraction refuses a decimal exponent above this first; it
+# is Python's default limit on the digits of an int string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, 'p/q' strings, floats and Fractions to Fraction."""
+    """Coerce ints, 'p/q' or decimal strings, floats and Fractions to Fraction.
+
+    DomainError for anything else, for infinite or NaN floats and for a
+    decimal exponent beyond _MAX_EXPONENT.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value.replace("_", ""))
+        if exponent and (len(exponent[1]) > 4 or int(exponent[1]) > _MAX_EXPONENT):
+            raise DomainError(f"decimal exponent above {_MAX_EXPONENT} in {value[:40]!r}")
+    elif not isinstance(value, float):
+        raise DomainError(f"cannot interpret {value!r} as a rational")
+    try:
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise DomainError(f"cannot interpret {value!r} as a rational")
+    except (ValueError, OverflowError) as exc:  # NaN, infinity, no number
+        raise DomainError(f"cannot interpret {str(value)[:40]!r} as a rational") from exc
 
 
 class IndexSet(Frozen):

@@ -187,9 +187,10 @@ def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
 
 
 def _solve_lp(fam: MarginalFamily, cost: CostGrid, arithmetic: str, columns):
-    rows, rhs = marginal_constraint_rows(fam, columns)
     if columns is None:
         columns = range(fam.full_grid().ncells)
+    lp_core.check_size(len(columns) * len(fam.index_sets()), arithmetic)
+    rows, rhs = marginal_constraint_rows(fam, columns)
     objective = [cost.values[j] for j in columns]
     sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs), arithmetic=arithmetic)
     return sol, columns

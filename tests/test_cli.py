@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,55 @@ class TestSolveAndDual:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "exact-mode cap" in captured.err
+
+
+def run_mmk(*argv):
+    """A fresh `python -m mmk.cli` process, given 20 s to finish."""
+    src = os.path.dirname(os.path.dirname(mmk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MMK_ARITHMETIC", None)
+    return subprocess.run(
+        [sys.executable, "-m", "mmk.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+
+
+class TestHostileInput:
+    """Problem files that must fail fast: exit 1 and one line of mmk's own."""
+
+    @staticmethod
+    def edited_problem(tmp_path, edit):
+        path = write_problem(tmp_path / "p.json", projected_family(), cost_values=[1] * 8)
+        with open(path) as fh:
+            data = json.load(fh)
+        edit(data)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        return path
+
+    @staticmethod
+    def refused(proc, words):
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert words in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_marginals_as_a_list(self, tmp_path):
+        path = self.edited_problem(tmp_path, lambda d: d.update(marginals=[1, 2]))
+        self.refused(run_mmk("check", path), "marginals must be an object")
+
+    @pytest.mark.parametrize("where", ["weight", "cost"])
+    def test_huge_decimal_exponent(self, tmp_path, where):
+        def edit(data):
+            if where == "weight":
+                data["marginals"]["1,2"]["weights"][0] = "1e999999999"
+            else:
+                data["cost"]["weights"][0] = "1e999999999"
+
+        path = self.edited_problem(tmp_path, edit)
+        start = time.monotonic()
+        proc = run_mmk("solve", path)
+        assert time.monotonic() - start < 10
+        self.refused(proc, "decimal exponent above 4300")
 
 
 def test_import_loads_neither_numpy_nor_scipy():

@@ -1,5 +1,6 @@
 """Exact and float LP solving: optima, duals, certificates, caps."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -176,7 +177,7 @@ class TestCertifier:
         report = verify_gap(fam, cost)
         assert report.gap == 0 and report.value == oracle
 
-    def test_x_rebuilt_while_y_stays_rounded(self, monkeypatch):
+    def test_x_rounded_at_b_denominator_while_y_stays_rounded(self, monkeypatch):
         fam, _ = build_nonstrong(10)
         problems, rebuilt = [], []
         certify, rebuild = lp_core._certify, lp_core._solve_rational
@@ -190,10 +191,10 @@ class TestCertifier:
         )
         refuse_tableau(monkeypatch)
         # The denominator is above limit_denominator's 10^6, so the rounded
-        # x fails A x = b and x is rebuilt on its support; y is not.
+        # x fails A x = b; it divides b's common denominator 58668846, and
+        # x rounded at that denominator passes, so nothing is rebuilt.
         assert min_mass_at_cell(fam, (0, 0, 1)) == Fraction(1058400, 9778141)
-        assert len(problems) == 1 and len(rebuilt) == 1
-        assert rebuilt[0] is problems[0].rhs
+        assert len(problems) == 1 and len(rebuilt) == 0
 
     def test_dual_check_is_exact(self):
         p = self.PROBLEM
@@ -220,6 +221,115 @@ class TestCertifier:
         assert sol.status == "infeasible"
         assert check_certificate(LPProblem([], [{}], [1]), sol.certificate)
         assert solve(LPProblem([1, 0], [], [])).value == 0
+
+
+def fraction_reference(equations, rhs):
+    """(consistent, the solution if unique) by dense Gauss-Jordan in Fractions."""
+    unknowns = sorted({v for eq in equations for v in eq})
+    table = [[Fraction(eq.get(v, 0)) for v in unknowns] + [Fraction(b)]
+             for eq, b in zip(equations, rhs)]
+    pivots = []  # (row, unknown index)
+    for c in range(len(unknowns)):
+        r = next((i for i in range(len(pivots), len(table)) if table[i][c]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        table[top], table[r] = table[r], table[top]
+        table[top] = [v / table[top][c] for v in table[top]]
+        for i, row in enumerate(table):
+            if i != top and row[c]:
+                table[i] = [a - row[c] * p for a, p in zip(row, table[top])]
+        pivots.append((top, c))
+    if any(row[-1] for row in table[len(pivots):]):
+        return False, None
+    if len(pivots) < len(unknowns):
+        return True, None
+    return True, {unknowns[c]: table[r][-1] for r, c in pivots}
+
+
+def random_feasible_53(seed):
+    """Projections of a random measure on 3^5 (weight 0 w.p. 0.3, else 1-9)."""
+    rng = random.Random(seed)
+    grid = ProductGrid([3] * 5)
+    raw = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(grid.ncells)]
+    mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+    return MarginalFamily(5, 3, [3] * 5, {a: project(mu, a) for a in all_index_sets(5, 3)})
+
+
+class TestRebuild:
+    """_solve_rational: elimination modulo _PRIME and rational reconstruction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_elimination(self, data):
+        nvars = data.draw(st.integers(1, 7))
+        neqs = data.draw(st.integers(1, 7))
+        value = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+        z = [data.draw(value) for _ in range(nvars)]
+        equations = [
+            {v: Fraction(1) for v in range(nvars) if data.draw(st.booleans())}
+            for _ in range(neqs)
+        ]
+        rhs = [sum(z[v] for v in eq) for eq in equations]
+        if data.draw(st.booleans()):  # maybe inconsistent now
+            rhs[data.draw(st.integers(0, neqs - 1))] += data.draw(value)
+        consistent, unique = fraction_reference(equations, rhs)
+        got = lp_core._solve_rational(equations, rhs)
+        if not consistent:
+            assert got is None
+            return
+        assert got is not None
+        assert all(isinstance(v, Fraction) for v in got.values())
+        for eq, b in zip(equations, rhs):
+            assert sum(got.get(v, 0) for v in eq) == b
+        if unique is not None:
+            assert {v: got.get(v, 0) for v in unique} == unique
+
+    def test_feasible_53_certified_by_the_rebuild(self, monkeypatch):
+        fam = random_feasible_53(3)
+        rebuilt = []
+        rebuild = lp_core._solve_rational
+        monkeypatch.setattr(
+            lp_core,
+            "_solve_rational",
+            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
+        )
+        refuse_tableau(monkeypatch)
+        verdict = kellerer_check(fam)
+        # The vertex denominators exceed limit_denominator's 10^6 and do not
+        # divide b's common denominator, so x comes from the rebuild.
+        assert verdict.feasible and rebuilt and rebuilt[-1] is not None
+        for alpha in fam.index_sets():
+            assert project(verdict.witness, alpha) == fam[alpha]
+
+    def test_failed_reconstruction_falls_back_to_tableau(self, monkeypatch):
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        # x = (1/1000003, 0): the denominator is above limit_denominator's
+        # 10^6 and b's is 1, so only the rebuild recovers x.
+        problem = LPProblem([0, 1], [{0: 1000003, 1: 1}], [1])
+        rebuilt, built = [], []
+        rebuild = lp_core._solve_rational
+        monkeypatch.setattr(
+            lp_core,
+            "_solve_rational",
+            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
+        )
+        init = lp_core._ExactTableau.__init__
+        monkeypatch.setattr(
+            lp_core._ExactTableau,
+            "__init__",
+            lambda self, *args: built.append(1) or init(self, *args),
+        )
+        sol = solve(problem)
+        assert sol.x == [Fraction(1, 1000003), 0] and sol.value == 0
+        assert rebuilt == [{0: Fraction(1, 1000003)}] and not built
+        # Modulo 2^31 - 1 numerators and denominators stop at 32768.
+        monkeypatch.setattr(lp_core, "_PRIME", 2**31 - 1)
+        rebuilt.clear()
+        sol = solve(problem)
+        assert sol.status == "optimal" and sol.value == 0
+        assert sol.x == [Fraction(1, 1000003), 0] and sol.y == [0]
+        assert rebuilt == [None, None] and built == [1]
 
 
 class TestFarkas:

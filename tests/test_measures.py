@@ -239,6 +239,18 @@ class TestJson:
         with pytest.raises(DomainError):
             as_fraction(object())
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1e999999999", "1E-4301", "2.5e+1_0000", "abc", float("nan"), float("inf")],
+    )
+    def test_as_fraction_refuses_huge_exponents_and_non_numbers(self, value):
+        with pytest.raises(DomainError):
+            as_fraction(value)
+
+    def test_as_fraction_keeps_exponents_up_to_the_bound(self):
+        assert as_fraction("1.5e3") == 1500
+        assert as_fraction("1e-4300") == Fraction(1, 10**4300)
+
 
 def test_value_types_refuse_assignment():
     """Every value type of the package refuses to set a field after __init__."""

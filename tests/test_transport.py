@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmk import case_studies as cs
 from mmk import feasibility as fb
+from mmk import lp_core
 from mmk import transport as tp
 from mmk.measures import (
     DiscreteMeasure,
@@ -296,6 +298,32 @@ class TestDualityIdentities:
         scaled = CostGrid(cost.grid, [factor * c for c in cost.values])
         assert solve_primal(fam, scaled)[1] == factor * solve_primal(fam, cost)[1]
 
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_permuting_the_axes_keeps_the_optimum(self, data):
+        fam, cost = self.draw(data)
+        grid = fam.full_grid()
+        perm = data.draw(st.permutations(range(fam.n)))
+        # Axis t of the new grid is axis perm[t] of the old one.
+        moved_grid = ProductGrid([grid.sizes[p] for p in perm])
+
+        def moved(values):
+            out = [None] * grid.ncells
+            for cell in grid.cells():
+                out[moved_grid.ravel([cell[p] for p in perm])] = values[grid.ravel(cell)]
+            return out
+
+        # The family is the set of projections of any of its uniting
+        # measures, so the moved family is that of the moved optimal plan.
+        pi, value = solve_primal(fam, cost)
+        moved_pi = DiscreteMeasure(moved_grid, moved(pi.weights))
+        moved_fam = MarginalFamily(
+            fam.n, fam.k, moved_grid.sizes,
+            {a: project(moved_pi, a) for a in all_index_sets(fam.n, fam.k)},
+        )
+        moved_cost = CostGrid(moved_grid, moved(cost.values))
+        assert solve_primal(moved_fam, moved_cost)[1] == value
+
 
 TAMPERED_SOLVES = """
 from fractions import Fraction
@@ -393,6 +421,31 @@ def test_tampered_certificates_rejected_under_python_O():
     )
     assert out.returncode == 0, out.stderr + out.stdout
     assert out.stdout.strip() == "rejected 6"
+
+
+def test_size_cap_checked_before_the_rows_exist(monkeypatch):
+    # 27,000 cells and C(3, 2) = 3 index sets: 81,000 nonzeros.
+    fam = MarginalFamily(
+        3,
+        2,
+        [30] * 3,
+        {a: uniform([30, 30], axes=a.members) for a in all_index_sets(3, 2)},
+    )
+    cost = CostGrid(fam.full_grid(), [Fraction(1)] * 30**3)
+
+    def no_rows(*args):
+        raise AssertionError("the constraint rows were built")
+
+    monkeypatch.setattr(tp, "marginal_constraint_rows", no_rows)
+    monkeypatch.setattr(fb, "marginal_constraint_rows", no_rows)
+    monkeypatch.setattr(cs, "marginal_constraint_rows", no_rows)
+    for run in (
+        lambda: verify_gap(fam, cost),
+        lambda: fb.kellerer_check(fam),
+        lambda: cs.min_mass_at_cell(fam, (0, 0, 0)),
+    ):
+        with pytest.raises(lp_core.SizeCapError, match="81000 nonzeros exceeds"):
+            run()
 
 
 class TestDecomposition:
