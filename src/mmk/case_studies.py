@@ -32,7 +32,7 @@ from .transport import (
     solve_primal,
 )
 from . import lp_core
-from .feasibility import marginal_constraint_rows
+from .feasibility import marginal_lp
 
 # Certified rational bracket for pi^2; the upper bound is used wherever
 # a larger "pi^2" makes the derived inequalities conservative.
@@ -112,27 +112,17 @@ def unreachable_gamma_bound(m: int, alpha0: Fraction) -> Fraction:
 def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
     """LP extreme of pi(cell) over the uniting polytope.
 
-    Cells where some marginal vanishes carry no mass in any uniting
-    measure, so they are dropped up front; a dropped query cell has
-    min = max = 0 immediately.
+    A cell where some marginal vanishes carries no mass in any uniting
+    measure, so its min and max are 0 at once; otherwise one
+    feasibility.marginal_lp with the indicator of the cell as objective.
     """
-    from .transport import _supported_columns
-
     grid = fam.full_grid()
     target = grid.ravel(cell)
-    columns = _supported_columns(fam)
-    if columns is None:
-        columns = list(range(grid.ncells))
-    elif target not in columns:
+    if any(fam[a].weight([cell[i - 1] for i in a]) == 0 for a in fam.index_sets()):
         return Fraction(0)
-    lp_core.check_size(len(columns) * len(fam.index_sets()), arithmetic)
-    rows, rhs = marginal_constraint_rows(fam, columns)
-    objective = [Fraction(0)] * len(columns)
-    objective[columns.index(target)] = Fraction(1)
-    sol = lp_core.solve(
-        lp_core.LPProblem(objective, rows, rhs, sense=sense),
-        arithmetic=arithmetic,
-    )
+    objective = [Fraction(0)] * grid.ncells
+    objective[target] = Fraction(1)
+    sol, _ = marginal_lp(fam, objective, arithmetic, sense)
     if sol.status != "optimal":
         raise DomainError(f"family is {sol.status}")
     return sol.value

@@ -3,8 +3,8 @@
 Subcommands: check, solve, dual, signed, bounded-dual, xor, case,
 figure.  Problem files are JSON; rationals serialize as "p/q" strings.
 Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input,
-unknown name or an LP the solver refuses (exact-mode size cap) or
-cannot certify.  MMK_ARITHMETIC=exact|float overrides the arithmetic
+unknown name or an LP the solver refuses (a size cap) or cannot
+certify.  MMK_ARITHMETIC=exact|float overrides the arithmetic
 mode.
 """
 

@@ -237,12 +237,6 @@ class FeasibilityVerdict(Frozen):
         return f"FeasibilityVerdict({kind})"
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def signed_lambda(n: int, k: int) -> CoefficientVector:
     """Coefficients making sum_t lambda_t mu~_t project to every mu_alpha.
 
@@ -254,7 +248,7 @@ def signed_lambda(n: int, k: int) -> CoefficientVector:
     lambdas = [Fraction(0)] * (k + 1)
     lambdas[k] = Fraction(1)
     for i in range(k - 1, -1, -1):
-        acc = sum(lambdas[t] * _binom(n - k, t - i) for t in range(i + 1, k + 1))
+        acc = sum(lambdas[t] * math.comb(n - k, t - i) for t in range(i + 1, k + 1))
         lambdas[i] = -acc  # diagonal coefficient C(n-k, 0) = 1
     return CoefficientVector(lambdas)
 
@@ -354,46 +348,113 @@ def row_blocks(fam: MarginalFamily, values: Sequence) -> dict:
     return blocks
 
 
-def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> FeasibilityVerdict:
-    """Decide Pi(mu_alpha) != {} exactly, with a checkable witness either way.
+def supported_columns(fam: MarginalFamily) -> list[int]:
+    """The full-grid cells where every marginal weight is positive: the
+    only cells a uniting measure can charge."""
+    grid = fam.full_grid()
+    keep = [True] * grid.ncells
+    for alpha in fam.index_sets():
+        charged = [w != 0 for w in fam[alpha].weights]
+        index = grid.projection_index(alpha)
+        keep = [k and charged[i] for k, i in zip(keep, index)]
+    return [j for j, k in enumerate(keep) if k]
 
-    Feasible: a uniting measure found by the LP phase 1.  Infeasible:
-    potentials f_alpha = -y_alpha from the Farkas certificate, verified
-    to satisfy sum f_alpha >= 0 cellwise and sum int f_alpha d mu < 0;
-    lp_core.CertificationError if they do not.
+
+def marginal_lp(fam: MarginalFamily, objective, arithmetic: str, sense: str = "min"):
+    """Min or max objective.pi over the uniting measures, as (solution, columns).
+
+    `objective` has one entry per full-grid cell (None: the zero
+    objective).  The LP is posed on columns = supported_columns(fam),
+    column t being cell columns[t]; with none left it is infeasible at
+    once, with y = 1 on every row as its Farkas ray.  The cap of both
+    modes is checked on all cells before anything grid-sized exists, the
+    mode's own cap on the support before the rows do.
+    """
+    nalpha = len(fam.index_sets())
+    lp_core.check_size(fam.full_grid().ncells * nalpha, "float")
+    columns = supported_columns(fam)
+    lp_core.check_size(len(columns) * nalpha, arithmetic)
+    rows, rhs = marginal_constraint_rows(fam, columns)
+    if not columns:
+        cert = lp_core.Certificate([1] * len(rows))
+        return lp_core.LPSolution("infeasible", certificate=cert), columns
+    if objective is None:
+        costs = [Fraction(0)] * len(columns)
+    else:
+        costs = [objective[j] for j in columns]
+    problem = lp_core.LPProblem(costs, rows, rhs, sense=sense)
+    return lp_core.solve(problem, arithmetic=arithmetic), columns
+
+
+def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
+    """Prices {alpha: values} of a marginal_lp, made to sum to at most
+    bound[j] on every cell j outside `columns` (the cost for transport
+    duals, 0 for a Farkas ray).
+
+    If some dropped cell is above its bound, every price on a zero-weight
+    marginal cell is lowered to at most -s, s = sum over alpha of
+    max|price_alpha| + max|bound| + 1.  Those prices meet zero weights, so
+    b.y stays; every dropped cell has one, so its sum falls to at most
+    -max|bound| - 1.  lp_core.CertificationError if one is still above.
     """
     grid = fam.full_grid()
-    lp_core.check_size(grid.ncells * len(fam.index_sets()), arithmetic)
-    rows, rhs = marginal_constraint_rows(fam)
-    problem = lp_core.LPProblem([Fraction(0)] * grid.ncells, rows, rhs)
-    sol = lp_core.solve(problem, arithmetic=arithmetic)
-    if sol.status == "optimal":
-        weights = sol.x
-        witness = DiscreteMeasure(grid, weights)
-        return FeasibilityVerdict(True, witness=witness)
-    if sol.status != "infeasible":
-        raise lp_core.LPError(f"the feasibility LP is {sol.status}")
-    potentials = {
-        alpha: tuple(-v for v in block)
-        for alpha, block in row_blocks(fam, sol.certificate.y).items()
+    kept = set(columns)
+    dropped = [j for j in range(grid.ncells) if j not in kept]
+
+    def above(p):
+        totals = cell_sums(grid, p)
+        return any(totals[j] > bound[j] for j in dropped)
+
+    if not dropped or not above(prices):
+        return prices
+    alphas = fam.index_sets()
+    s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
+    prices = {
+        a: [v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights)]
+        for a in alphas
     }
+    if above(prices):
+        raise lp_core.CertificationError("sunk prices still exceed the bound on a dropped cell")
+    return prices
+
+
+def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVerdict:
+    """The FeasibilityVerdict of a marginal_lp solution.
+
+    Optimal: the witness is x on the full grid.  Infeasible: the Farkas
+    ray y, sunk on the dropped cells, certifies the full LP, and the
+    potentials are f_alpha = -y_alpha; exact mode raises
+    lp_core.CertificationError unless sum f_alpha >= 0 on every cell and
+    sum int f_alpha d mu < 0.
+    """
+    grid = fam.full_grid()
+    if sol.status == "optimal":
+        weights = [0] * grid.ncells
+        for t, j in enumerate(columns):
+            weights[j] = sol.x[t]
+        return FeasibilityVerdict(True, witness=DiscreteMeasure(grid, weights))
+    if sol.status != "infeasible":
+        raise lp_core.LPError(f"the marginal LP is {sol.status}")
+    y = sink(fam, row_blocks(fam, sol.certificate.y), [0] * grid.ncells, columns)
+    potentials = {alpha: tuple(-v for v in block) for alpha, block in y.items()}
     if arithmetic == "exact":
-        if any(s < 0 for s in cell_sums(grid, potentials)):
+        if min(cell_sums(grid, potentials)) < 0:
             raise lp_core.CertificationError(
                 "certificate potentials must be nonnegative cellwise"
             )
-        total = Fraction(0)
-        for alpha in fam.index_sets():
-            total += sum(
-                f * w for f, w in zip(potentials[alpha], fam[alpha].weights)
-            )
-        if total >= 0:
+        if sum(v * w for a in y for v, w in zip(y[a], fam[a].weights)) <= 0:
             raise lp_core.CertificationError(
                 "certificate potentials must have negative total integral"
             )
-    return FeasibilityVerdict(
-        False, potentials=potentials, lp_certificate=sol.certificate
-    )
+    cert = lp_core.Certificate([v for alpha in fam.index_sets() for v in y[alpha]])
+    return FeasibilityVerdict(False, potentials=potentials, lp_certificate=cert)
+
+
+def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> FeasibilityVerdict:
+    """Decide Pi(mu_alpha) != {} exactly, with a checkable witness either way:
+    the verdict of one zero-objective marginal_lp on the supported cells."""
+    sol, columns = marginal_lp(fam, None, arithmetic)
+    return verdict(fam, sol, columns, arithmetic)
 
 
 def density_bounds(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]) -> DensityBounds:

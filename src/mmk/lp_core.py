@@ -25,8 +25,7 @@ dense two-phase primal simplex over exact rationals decides.  It
 pivots by Bland's rule (the first column with negative reduced cost,
 the lowest basic index among tied ratios), which never cycles, so it
 terminates on the degenerate transport polytopes this package
-produces.  The tableau keeps every entry rational (gmpy2.mpq when
-available, fractions.Fraction otherwise) and yields Farkas
+produces.  The tableau keeps every entry a Fraction and yields Farkas
 certificates of its own.
 
 Float mode returns the answer of a HiGHS solve with the tight
@@ -45,14 +44,14 @@ from typing import Mapping, Sequence
 
 from .measures import DomainError, Frozen, as_fraction
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # gmpy2 is optional: it only speeds up the tableau
-    _RAT = Fraction
-
 # Exact pivoting cost grows with coefficient size; beyond this many
 # nonzeros the caller must opt into float mode explicitly.
 EXACT_NONZERO_CAP = 50_000
+
+# No LP in either mode may have more nonzeros than this.  The (3,2)
+# family on 72^3 has 1,119,744: its support, rows and LPProblem took
+# 1.4 s and grew the process from 16 to 139 MB.
+FLOAT_NONZERO_CAP = 2_000_000
 
 # Exact LPs with at most this many nonzeros skip HiGHS: on the test
 # suite's LPs the tableau solves them in 0.1-4 ms, a HiGHS call plus
@@ -82,7 +81,7 @@ class LPError(Exception):
 
 
 class SizeCapError(LPError):
-    """Exact mode refused: problem too large, pass arithmetic='float'."""
+    """The LP has more nonzeros than check_size allows its mode."""
 
 
 class CertificationError(LPError):
@@ -230,20 +229,18 @@ class _ExactTableau:
     def __init__(self, problem: LPProblem, minimize_obj: Sequence):
         self.n = problem.ncols
         self.m = problem.nrows
-        self.obj = [_RAT(v.numerator, v.denominator) for v in minimize_obj]
-        zero = _RAT(0)
-        one = _RAT(1)
+        self.obj = list(minimize_obj)
         self.row_sign = []
         self.rows = []
         for i in range(self.m):
             b = problem.rhs[i]
             sign = -1 if b < 0 else 1
             self.row_sign.append(sign)
-            row = [zero] * (self.n + self.m + 1)
+            row = [Fraction(0)] * (self.n + self.m + 1)
             for j, v in problem.rows[i].items():
-                row[j] = _RAT(sign * v.numerator, v.denominator)
-            row[self.n + i] = one
-            row[-1] = _RAT(sign * b.numerator, b.denominator)
+                row[j] = sign * v
+            row[self.n + i] = Fraction(1)
+            row[-1] = sign * b
             self.rows.append(row)
         self.basis = [self.n + i for i in range(self.m)]
         self.live = list(range(self.m))  # rows not dropped as dependent
@@ -251,9 +248,9 @@ class _ExactTableau:
 
     def _set_costs(self, costs):
         width = self.n + self.m + 1
-        r = list(costs) + [_RAT(0)] * (width - len(costs))
+        r = list(costs) + [Fraction(0)] * (width - len(costs))
         for i in self.live:
-            cb = costs[self.basis[i]] if self.basis[i] < len(costs) else _RAT(0)
+            cb = costs[self.basis[i]] if self.basis[i] < len(costs) else 0
             if cb == 0:
                 continue
             row = self.rows[i]
@@ -312,7 +309,7 @@ class _ExactTableau:
 
     def phase1(self) -> bool:
         """Drive artificials out; False means infeasible."""
-        costs = [_RAT(0)] * self.n + [_RAT(1)] * self.m
+        costs = [Fraction(0)] * self.n + [Fraction(1)] * self.m
         self._set_costs(costs)
         status = self._run(allowed_cols=self.n)
         assert status == "optimal"  # phase-1 objective is bounded below by 0
@@ -331,14 +328,14 @@ class _ExactTableau:
         return True
 
     def phase2(self) -> str:
-        self._set_costs(self.obj + [_RAT(0)] * self.m)
+        self._set_costs(self.obj + [Fraction(0)] * self.m)
         return self._run(allowed_cols=self.n)
 
     def farkas(self) -> list:
         # At phase-1 optimality r[n+i] = 1 - y_i, so y = 1 - r over the
         # artificial block; undo the row sign flips for the original system.
         return [
-            self.row_sign[i] * Fraction(1 - self.r[self.n + i]) for i in range(self.m)
+            self.row_sign[i] * (1 - self.r[self.n + i]) for i in range(self.m)
         ]
 
     def primal(self) -> list:
@@ -346,7 +343,7 @@ class _ExactTableau:
         for i in self.live:
             j = self.basis[i]
             if j < self.n:
-                x[j] = Fraction(self.rows[i][-1])
+                x[j] = self.rows[i][-1]
         return x
 
     def duals(self) -> list:
@@ -354,7 +351,7 @@ class _ExactTableau:
         # contribute price 0.
         y = [Fraction(0)] * self.m
         for i in self.live:
-            y[i] = self.row_sign[i] * Fraction(-self.r[self.n + i])
+            y[i] = -self.row_sign[i] * self.r[self.n + i]
         return y
 
 
@@ -677,11 +674,19 @@ def _solve_float(problem: LPProblem) -> LPSolution:
 
 
 def check_size(nonzeros: int, arithmetic: str) -> None:
-    """SizeCapError if an exact LP of this many nonzeros is over the cap.
+    """SizeCapError if an LP of this many nonzeros is over a cap.
 
-    Callers that know the count before they build the rows check first,
-    so a refused LP allocates nothing.
+    FLOAT_NONZERO_CAP binds both modes, EXACT_NONZERO_CAP exact mode
+    too; DomainError for any other mode.  Callers that know the count
+    before they build the rows check first, so a refused LP allocates
+    nothing.
     """
+    if arithmetic not in ("exact", "float"):
+        raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
+    if nonzeros > FLOAT_NONZERO_CAP:
+        raise SizeCapError(
+            f"{nonzeros} nonzeros exceeds the cap {FLOAT_NONZERO_CAP} of both modes"
+        )
     if arithmetic == "exact" and nonzeros > EXACT_NONZERO_CAP:
         raise SizeCapError(
             f"{nonzeros} nonzeros exceeds the exact-mode cap "
@@ -692,12 +697,10 @@ def check_size(nonzeros: int, arithmetic: str) -> None:
 def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     """Solve the LP; exact rational mode unless arithmetic='float'.
 
-    Exact mode enforces the nonzero cap (coefficient growth makes huge
-    exact pivots impractical).
+    Both modes enforce check_size's caps: coefficient growth makes huge
+    exact pivots impractical, and a huge float LP would use up memory.
     """
+    check_size(problem.nonzeros(), arithmetic)
     if arithmetic == "exact":
-        check_size(problem.nonzeros(), arithmetic)
         return _solve_exact(problem)
-    if arithmetic == "float":
-        return _solve_float(problem)
-    raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
+    return _solve_float(problem)

@@ -19,9 +19,10 @@ from .feasibility import (
     CoefficientVector,
     FeasibilityVerdict,
     PreconditionError,
-    kellerer_check,
-    marginal_constraint_rows,
+    marginal_lp,
     row_blocks,
+    sink,
+    verdict,
 )
 from .measures import (
     DiscreteMeasure,
@@ -158,21 +159,6 @@ def _check_cost(fam: MarginalFamily, cost: CostGrid):
         raise DomainError("cost grid does not match the family's full grid")
 
 
-def _supported_columns(fam: MarginalFamily) -> list[int] | None:
-    """Columns that can carry mass: every marginal weight positive.
-
-    Returns None when no column can be dropped.
-    """
-    grid = fam.full_grid()
-    keep = [True] * grid.ncells
-    for alpha in fam.index_sets():
-        charged = [w != 0 for w in fam[alpha].weights]
-        index = grid.projection_index(alpha)
-        keep = [k and charged[i] for k, i in zip(keep, index)]
-    columns = [j for j, k in enumerate(keep) if k]
-    return None if len(columns) == grid.ncells else columns
-
-
 def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
     """Force f_alpha(first cell) = 0 for all but the first alpha."""
     alphas = fam.index_sets()
@@ -186,66 +172,24 @@ def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
     return DualPotentials(potentials).shifted(offsets)
 
 
-def _solve_lp(fam: MarginalFamily, cost: CostGrid, arithmetic: str, columns):
-    if columns is None:
-        columns = range(fam.full_grid().ncells)
-    lp_core.check_size(len(columns) * len(fam.index_sets()), arithmetic)
-    rows, rhs = marginal_constraint_rows(fam, columns)
-    objective = [cost.values[j] for j in columns]
-    sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs), arithmetic=arithmetic)
-    return sol, columns
-
-
 def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
-    """One simplex run giving (pi, value, normalized potentials, dual value).
+    """One feasibility.marginal_lp run giving (pi, value, normalized
+    potentials, dual value).
 
-    Cells where some marginal vanishes are dropped first: they can carry
-    no mass.  The dual prices of the reduced LP say nothing about those
-    cells, so if they exceed the cost on one, every potential on a
-    zero-weight marginal cell is lowered to at most -s, where s is the
-    sum over alpha of max|f_alpha| plus max|c| + 1.  Such potentials
-    carry no dual value, so optimality stays; every dropped cell has one,
-    so its sum falls to at most -max|c| - 1.  lp_core.CertificationError
-    if a dropped cell is still above its cost.
+    pi comes from feasibility.verdict, which also turns an infeasible LP's
+    own Farkas ray into the InfeasibleFamilyError's certificate.  The LP is
+    posed on the cells every marginal charges, so feasibility.sink lowers
+    the potentials of zero-weight marginal cells if they exceed the cost
+    on a dropped cell.
     """
     _check_cost(fam, cost)
-    grid = fam.full_grid()
-    columns = _supported_columns(fam)
-    sol, cols = _solve_lp(fam, cost, arithmetic, columns)
-    if sol.status == "infeasible":
-        verdict = kellerer_check(fam, arithmetic=arithmetic)
-        raise InfeasibleFamilyError(verdict)
-    if sol.status != "optimal":
-        raise lp_core.LPError(f"the transport LP is {sol.status}")
-    weights = [Fraction(0)] * grid.ncells
-    for t, j in enumerate(cols):
-        weights[j] = Fraction(sol.x[t])  # float mode's x is >= 0 too
-    pi = DiscreteMeasure(grid, weights)
-    potentials = _normalize(row_blocks(fam, sol.y), fam)
-    if columns is not None:
-        dropped = set(range(grid.ncells)) - set(cols)
-        totals = cell_sums(grid, potentials.potentials)
-        if any(totals[j] > cost.values[j] for j in dropped):
-            sink = (
-                sum(max(abs(v) for v in potentials[a]) for a in fam.index_sets())
-                + max(abs(v) for v in cost.values)
-                + 1
-            )
-            potentials = DualPotentials(
-                {
-                    alpha: [
-                        v if w != 0 else min(v, -sink)
-                        for v, w in zip(potentials[alpha], fam[alpha].weights)
-                    ]
-                    for alpha in fam.index_sets()
-                }
-            )
-            totals = cell_sums(grid, potentials.potentials)
-            if any(totals[j] > cost.values[j] for j in dropped):
-                raise lp_core.CertificationError(
-                    "sunk potentials still exceed the cost on a dropped cell"
-                )
-    return pi, sol.value, potentials, potentials.value_against(fam)
+    sol, columns = marginal_lp(fam, cost.values, arithmetic)
+    found = verdict(fam, sol, columns, arithmetic)
+    if not found.feasible:
+        raise InfeasibleFamilyError(found)
+    normalized = _normalize(row_blocks(fam, sol.y), fam).potentials
+    potentials = DualPotentials(sink(fam, normalized, cost.values, columns))
+    return found.witness, sol.value, potentials, potentials.value_against(fam)
 
 
 def solve_primal(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mmk import case_studies as cs
+from mmk import lp_core
 from mmk.measures import (
     DiscreteMeasure,
     DomainError,
@@ -78,6 +79,20 @@ class TestUnreachable:
 
 
 class TestNonstrong:
+    def test_uncharged_cell_decided_without_a_solve(self, monkeypatch):
+        # The coordinates of an A_n or B_n point differ by at most 1, so
+        # the 1-2 marginal vanishes at (5, 0): no uniting measure charges
+        # cell (5, 0, 0).
+        fam, _ = cs.build_nonstrong(6)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("lp_core.solve was called")
+
+        monkeypatch.setattr(lp_core, "solve", no_solve)
+        for mode in ("exact", "float"):
+            assert cs.min_mass_at_cell(fam, (5, 0, 0), mode) == 0
+            assert cs.max_mass_at_cell(fam, (5, 0, 0), mode) == 0
+
     def test_unique_uniting_on_support(self):
         fam, cost = cs.build_nonstrong(6)
         grid = fam.full_grid()

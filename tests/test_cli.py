@@ -15,11 +15,13 @@ from mmk import feasibility as fb
 from mmk import lp_core
 from mmk.measures import (
     DiscreteMeasure,
+    MarginalFamily,
     ProductGrid,
     all_index_sets,
     cell_sums,
     measure_to_json,
     project,
+    uniform,
 )
 
 
@@ -156,6 +158,25 @@ class TestSolveAndDual:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "exact-mode cap" in captured.err
+
+    def test_float_size_cap_before_the_support(self, tmp_path, capsys, monkeypatch):
+        # A (3,1) family on 300^3 has 81,000,000 nonzeros; nothing of that
+        # size may be built before float mode refuses it.
+        sizes = [300] * 3
+        fam = MarginalFamily(
+            3, 1, sizes, {a: uniform([300], axes=a.members) for a in all_index_sets(3, 1)}
+        )
+        path = write_problem(tmp_path / "p.json", fam)
+
+        def refuse(*args):
+            raise AssertionError("grid-sized work before the cap")
+
+        monkeypatch.setattr(fb, "supported_columns", refuse)
+        monkeypatch.setattr(fb, "marginal_constraint_rows", refuse)
+        assert cli.main(["--arithmetic", "float", "check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "81000000 nonzeros exceeds the cap 2000000" in captured.err
 
 
 def run_mmk(*argv):

@@ -19,6 +19,7 @@ from mmk.measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    cell_sums,
     is_consistent,
     lower_marginal,
     product,
@@ -256,6 +257,43 @@ class TestKellererCheck:
         for alpha in fam.index_sets():
             assert project(verdict.witness, alpha) == fam[alpha]
 
+    def test_unknown_arithmetic_refused_without_a_solve(self):
+        with pytest.raises(DomainError, match="unknown arithmetic mode"):
+            fb.kellerer_check(fb.make_modk_counterexample(3, 2), arithmetic="rational")
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_padded_two_point_certificate_sunk_for_the_full_lp(self, monkeypatch, mode):
+        # The ratio-5/2 two-point family padded to 3x3x3 by a third level
+        # of zero weight: the LP is posed on the 8 charged cells, and its
+        # Farkas ray must be sunk to hold on the 19 dropped ones too.
+        two = fb.make_two_point_counterexample(Fraction(5, 2))
+        marginals = {}
+        for alpha in two.index_sets():
+            sub = ProductGrid([3, 3], axes=alpha.members)
+            weights = [Fraction(0)] * 9
+            for cell in two[alpha].grid.cells():
+                weights[sub.ravel(cell)] = two[alpha].weight(cell)
+            marginals[alpha] = DiscreteMeasure(sub, weights)
+        fam = MarginalFamily(3, 2, [3, 3, 3], marginals)
+        solved, sunk = [], []
+        real_solve, real_sink = lp_core.solve, fb.sink
+        monkeypatch.setattr(
+            lp_core, "solve", lambda p, **kw: solved.append(p.ncols) or real_solve(p, **kw)
+        )
+
+        def spy(fam, prices, bound, columns):
+            out = real_sink(fam, prices, bound, columns)
+            sunk.append(out is not prices)
+            return out
+
+        monkeypatch.setattr(fb, "sink", spy)
+        verdict = fb.kellerer_check(fam, arithmetic=mode)
+        assert not verdict.feasible and solved == [8] and sunk == [True]
+        rows, rhs = fb.marginal_constraint_rows(fam)
+        problem = lp_core.LPProblem([0] * 27, rows, rhs)
+        assert lp_core.check_certificate(problem, verdict.lp_certificate)
+        assert min(cell_sums(fam.full_grid(), verdict.potentials)) >= 0
+
     def test_nonuniform_witness(self):
         from mmk.case_studies import build_nonuniform_2x2x2
 
@@ -285,8 +323,6 @@ class TestProjectionRows:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(FAMILY_SHAPES), st.integers(0, 10**6))
     def test_supported_columns_match_reference_loop(self, shape, seed):
-        from mmk.transport import _supported_columns
-
         n, k, sizes = shape
         fam = sparse_family(random.Random(seed), n, k, sizes)
         grid = fam.full_grid()
@@ -298,8 +334,7 @@ class TestProjectionRows:
                 for alpha in fam.index_sets()
             )
         ]
-        expected = None if len(keep) == grid.ncells else keep
-        assert _supported_columns(fam) == expected
+        assert fb.supported_columns(fam) == keep
 
 
 class TestDensityBounds:

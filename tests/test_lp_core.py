@@ -80,6 +80,15 @@ class TestExact:
         with pytest.raises(SizeCapError):
             solve(problem)
 
+    def test_float_size_cap(self, monkeypatch):
+        lp_core.check_size(lp_core.FLOAT_NONZERO_CAP, "float")
+        with pytest.raises(SizeCapError, match="of both modes"):
+            lp_core.check_size(lp_core.FLOAT_NONZERO_CAP + 1, "float")
+        monkeypatch.setattr(lp_core, "FLOAT_NONZERO_CAP", 3)
+        problem = LPProblem([1] * 4, [{j: 1 for j in range(4)}], [1])
+        with pytest.raises(SizeCapError, match="4 nonzeros exceeds the cap 3"):
+            solve(problem, arithmetic="float")
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_duality_gap_zero(self, data):
@@ -349,6 +358,20 @@ class TestFarkas:
         monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
         fam, problem = self.modk_problem(n, k)
         verdict = kellerer_check(fam)
+        assert not verdict.feasible
+        assert check_certificate(problem, verdict.lp_certificate)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("n,k", MODK)
+    def test_modk_decided_without_a_solve(self, monkeypatch, n, k, mode):
+        # No cell of a mod-k family is charged by every marginal, so the
+        # LP on the support has no column and y = 1 is its certificate.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("lp_core.solve was called")
+
+        monkeypatch.setattr(lp_core, "solve", no_solve)
+        fam, problem = self.modk_problem(n, k)
+        verdict = kellerer_check(fam, arithmetic=mode)
         assert not verdict.feasible
         assert check_certificate(problem, verdict.lp_certificate)
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mmk import case_studies as cs
 from mmk import feasibility as fb
 from mmk import lp_core
-from mmk import transport as tp
 from mmk.measures import (
     DiscreteMeasure,
     DomainError,
@@ -211,6 +210,31 @@ class TestSolve:
             solve_primal(fam, cost)
         assert not err.value.verdict.feasible
         assert err.value.verdict.potentials
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("which", ["modk", "two-point"])
+    def test_infeasible_family_decided_by_its_own_lp(self, monkeypatch, mode, which):
+        # The transport LP's own Farkas ray is the certificate: no second
+        # LP.  The mod-k family charges no cell, so it needs no solve.
+        if which == "modk":
+            fam, solves = fb.make_modk_counterexample(4, 2), 0
+        else:
+            fam, solves = fb.make_two_point_counterexample(Fraction(5, 2)), 1
+        grid = fam.full_grid()
+        calls = []
+        real = lp_core.solve
+        monkeypatch.setattr(
+            lp_core, "solve", lambda p, **kw: calls.append(1) or real(p, **kw)
+        )
+        cost = CostGrid(grid, list(range(grid.ncells)))
+        with pytest.raises(InfeasibleFamilyError) as err:
+            verify_gap(fam, cost, arithmetic=mode)
+        assert len(calls) == solves
+        verdict = err.value.verdict
+        rows, rhs = fb.marginal_constraint_rows(fam)
+        problem = lp_core.LPProblem([0] * grid.ncells, rows, rhs)
+        assert not verdict.feasible
+        assert lp_core.check_certificate(problem, verdict.lp_certificate)
 
     def test_float_mode(self):
         rng = random.Random(12)
@@ -436,9 +460,7 @@ def test_size_cap_checked_before_the_rows_exist(monkeypatch):
     def no_rows(*args):
         raise AssertionError("the constraint rows were built")
 
-    monkeypatch.setattr(tp, "marginal_constraint_rows", no_rows)
     monkeypatch.setattr(fb, "marginal_constraint_rows", no_rows)
-    monkeypatch.setattr(cs, "marginal_constraint_rows", no_rows)
     for run in (
         lambda: verify_gap(fam, cost),
         lambda: fb.kellerer_check(fam),
