@@ -25,6 +25,7 @@ from .measures import (
     ProductGrid,
     all_index_sets,
     as_fraction,
+    as_int,
     cell_sums,
     is_consistent,
     measure_from_json,
@@ -49,9 +50,9 @@ def load_problem(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read problem file: {exc}") from exc
     try:
-        n = int(data["n"])
-        k = int(data["k"])
-        axes = [int(v) for v in data["axes"]]
+        n = as_int(data["n"])
+        k = as_int(data["k"])
+        axes = [as_int(v) for v in data["axes"]]
         if not isinstance(data["marginals"], dict):
             raise DomainError("marginals must be an object keyed by index set")
         marginals = {}
@@ -65,7 +66,7 @@ def load_problem(path: str):
                 raise DomainError("cost must be an object with weights")
             grid = fam.full_grid()
             values = [as_fraction(str(v)) for v in data["cost"]["weights"]]
-            if list(data["cost"].get("axes", axes)) != list(axes):
+            if [as_int(v) for v in data["cost"].get("axes", axes)] != axes:
                 raise DomainError("cost axes do not match problem axes")
             cost = transport.CostGrid(grid, values)
         refs = None

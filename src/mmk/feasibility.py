@@ -433,8 +433,6 @@ def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVe
         for t, j in enumerate(columns):
             weights[j] = sol.x[t]
         return FeasibilityVerdict(True, witness=DiscreteMeasure(grid, weights))
-    if sol.status != "infeasible":
-        raise lp_core.LPError(f"the marginal LP is {sol.status}")
     y = sink(fam, row_blocks(fam, sol.certificate.y), [0] * grid.ncells, columns)
     potentials = {alpha: tuple(-v for v in block) for alpha, block in y.items()}
     if arithmetic == "exact":

@@ -2,37 +2,38 @@
 
 Solves min/max c.x subject to A x = b, x >= 0.
 
-Exact mode first certifies a floating-point answer, except on LPs small
-enough for the tableau below to be faster: HiGHS (via scipy) returns an
-optimal vertex, and x and the dual prices y are its values rounded to
-nearby rationals (Fraction.limit_denominator).  An x that fails its
-check is rounded again, to the nearest multiples of 1/D, D the common
-denominator of b: a vertex denominator often divides D but exceeds
-limit_denominator's 10^6.  A part that still fails is rebuilt, x on its
-support and y from the columns whose reduced cost is zero, by sparse
-elimination modulo the prime _PRIME = 2^127 - 1; each value is then
-recovered by rational reconstruction, and one whose numerator or
+Exact mode takes one route per LP, by size.  An LP of at most
+TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
+over exact rationals, also the test oracle: it pivots by Bland's rule
+(the first column with negative reduced cost, the lowest basic index
+among tied ratios), which never cycles, and yields Farkas certificates.
+
+Every larger LP is certified from floating point.  HiGHS (via scipy)
+returns an optimal vertex, and x and the dual prices y are its values
+rounded to nearby rationals (Fraction.limit_denominator).  An x that
+fails its check is rounded again, to the nearest multiples of 1/D, D the
+common denominator of b: a vertex denominator often divides D but
+exceeds limit_denominator's 10^6.  A part that still fails is rebuilt, x
+on its support and y from the columns whose reduced cost is zero, by
+sparse elimination modulo the prime _PRIME = 2^127 - 1; each value is
+then recovered by rational reconstruction, and one whose numerator or
 denominator would exceed sqrt(_PRIME / 2) fails the rebuild.  The pair
 is accepted only if A x = b, x >= 0, y.A_j <= c_j for every column and
 c.x == b.y all hold exactly; the checks run in Python integers over
 common denominators, and float tolerances and residues only choose the
 candidates.  A rejected vertex gets one HiGHS retry with feasibility
-tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the duals of a
-HiGHS phase-1 solve, rounded to rationals, are the Farkas certificate
-(y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
-(unbounded, a HiGHS failure, a vertex that fails after the retry) a
-dense two-phase primal simplex over exact rationals decides.  It
-pivots by Bland's rule (the first column with negative reduced cost,
-the lowest basic index among tied ratios), which never cycles, so it
-terminates on the degenerate transport polytopes this package
-produces.  The tableau keeps every entry a Fraction and yields Farkas
-certificates of its own.
+tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the
+duals of a HiGHS phase-1 solve, rounded to rationals, are the Farkas
+certificate (y.A <= 0, y.b > 0) if check_certificate accepts them.  A
+vertex that fails after the retry, or a ray that fails its check, raises
+CertificationError: the tableau's time has no bound on a large LP.
 
 Float mode returns the answer of a HiGHS solve with the tight
 tolerances, whose x must be >= 0, and for infeasible problems the
-phase-1 duals as they are.  In both modes an unbounded LP comes back
-as the bare status, with no ray: the LPs this package builds bound x
-by its marginal rows and x >= 0, so none is unbounded.
+phase-1 duals as they are.  A model without columns, which HiGHS
+rejects, goes to the tableau in both modes.  No LP this package builds
+is unbounded (its marginal rows and x >= 0 bound x), so an unbounded LP
+raises LPError, as does any other HiGHS failure.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ EXACT_NONZERO_CAP = 50_000
 # 1.4 s and grew the process from 16 to 139 MB.
 FLOAT_NONZERO_CAP = 2_000_000
 
-# Exact LPs with at most this many nonzeros skip HiGHS: on the test
-# suite's LPs the tableau solves them in 0.1-4 ms, a HiGHS call plus
-# certification takes 2-8 ms, and a process that never calls HiGHS never
-# pays the ~0.8 s import of scipy.optimize.  Above it HiGHS won 76 of 78
-# LPs with 65-128 nonzeros and every larger one.  Empty models, which
-# HiGHS rejects, are among the small ones.
+# Exact LPs with at most this many nonzeros go to the tableau, and no
+# other exact LP does: on the test suite's LPs the tableau solves them in
+# 0.1-4 ms, a HiGHS call plus certification takes 2-8 ms, and a process
+# that never calls HiGHS never pays the ~0.8 s import of scipy.optimize.
+# Above it HiGHS won 76 of 78 LPs with 65-128 nonzeros and every larger
+# one, and the tableau's time grows without bound (over 600 s at 17,496).
 TABLEAU_ONLY_NONZEROS = 64
 
 # Primal and dual feasibility tolerance of a tight HiGHS solve (HiGHS's
@@ -91,8 +92,7 @@ class CertificationError(LPError):
 class LPProblem(Frozen):
     """min or max objective.x over {x >= 0, A x = b}.
 
-    `rows` may be dense sequences or {column: value} mappings; they are
-    stored row-sparse.
+    Each row of A is a {column: value} mapping; zero entries are dropped.
     """
 
     __slots__ = ("objective", "rows", "rhs", "sense")
@@ -104,14 +104,7 @@ class LPProblem(Frozen):
         ncols = len(obj)
         sparse_rows = []
         for row in rows:
-            if isinstance(row, Mapping):
-                entries = {int(j): as_fraction(v) for j, v in row.items() if v != 0}
-            else:
-                if len(row) != ncols:
-                    raise DomainError(
-                        f"row has {len(row)} entries, objective has {ncols}"
-                    )
-                entries = {j: as_fraction(v) for j, v in enumerate(row) if v != 0}
+            entries = {int(j): as_fraction(v) for j, v in row.items() if v != 0}
             if entries and (min(entries) < 0 or max(entries) >= ncols):
                 raise DomainError("row refers to a column outside the objective")
             sparse_rows.append(entries)
@@ -149,7 +142,8 @@ class LPSolution(Frozen):
 
     status 'optimal':    x, y (dual prices), value
     status 'infeasible': certificate
-    status 'unbounded':  nothing more
+
+    No other status exists: solve raises LPError on an unbounded LP.
     """
 
     __slots__ = ("status", "x", "y", "value", "certificate")
@@ -283,13 +277,13 @@ class _ExactTableau:
                 r[s] -= f * row[s]
         self.basis[i] = j
 
-    def _run(self, allowed_cols: int) -> str:
-        """Pivot to optimality by Bland's rule; 'optimal' or 'unbounded'."""
+    def _run(self, allowed_cols: int) -> None:
+        """Pivot to optimality by Bland's rule; LPError if unbounded."""
         while True:
             r = self.r
             enter = next((j for j in range(allowed_cols) if r[j] < 0), -1)
             if enter < 0:
-                return "optimal"
+                return
             leave = -1
             best_ratio = None
             for i in self.live:
@@ -304,15 +298,14 @@ class _ExactTableau:
                         best_ratio = ratio
                         leave = i
             if leave < 0:
-                return "unbounded"
+                raise LPError("the LP is unbounded")
             self._pivot(leave, enter)
 
     def phase1(self) -> bool:
         """Drive artificials out; False means infeasible."""
         costs = [Fraction(0)] * self.n + [Fraction(1)] * self.m
         self._set_costs(costs)
-        status = self._run(allowed_cols=self.n)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        self._run(allowed_cols=self.n)
         if -self.r[-1] > 0:
             return False
         # Pivot out (or drop) artificials still basic at level zero.
@@ -327,9 +320,9 @@ class _ExactTableau:
                 self.live.remove(i)  # dependent constraint row
         return True
 
-    def phase2(self) -> str:
+    def phase2(self) -> None:
         self._set_costs(self.obj + [Fraction(0)] * self.m)
-        return self._run(allowed_cols=self.n)
+        self._run(allowed_cols=self.n)
 
     def farkas(self) -> list:
         # At phase-1 optimality r[n+i] = 1 - y_i, so y = 1 - r over the
@@ -382,48 +375,45 @@ def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=Fa
     return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options)
 
 
-def _highs_vertex(problem: LPProblem, objective: Sequence, tight=False):
-    """HiGHS's optimal vertex of min objective.x as float (x, y).
+def _highs_answer(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=False):
+    """_highs's result, of status 0 (optimal) or 2 (infeasible).
 
-    "infeasible" if HiGHS finds no feasible point, None on any other
-    outcome.
+    LPError on any other status, such as an unbounded LP, and on an entry
+    too large for a float.
     """
     try:
-        res = _highs(problem.rows, problem.rhs, objective, tight)
-    except OverflowError:  # an entry too large for a float
-        return None
-    if res.status == 2:
-        return "infeasible"
-    if res.status != 0:
-        return None
-    return res.x, res.eqlin.marginals
+        res = _highs(rows, rhs, objective, tight)
+    except OverflowError as exc:
+        raise LPError(f"an LP entry is too large for a float: {exc}") from exc
+    if res.status not in (0, 2):
+        raise LPError(f"HiGHS failed: {res.message}")
+    return res
 
 
-def _farkas(problem: LPProblem, exact: bool):
+def _farkas(problem: LPProblem, exact: bool) -> Certificate:
     """A Farkas certificate for an empty {x >= 0, A x = b}, from HiGHS.
 
     Solves the phase-1 LP min 1.s over {A x + D s = b, x, s >= 0} with
     D = diag(sign b), which is always feasible and bounded.  Its optimal
     duals y satisfy y.A <= 0, and y.b is its optimum, positive exactly
     when the system is empty.  Float mode returns y as it is.  Exact mode
-    rounds each entry to a nearby rational and returns the certificate
-    only if check_certificate accepts it; otherwise, and whenever HiGHS
-    fails in exact mode, None.
+    rounds each entry to a nearby rational and raises CertificationError
+    unless check_certificate accepts the result.
     """
     n = problem.ncols
     rows = [
         {**row, n + i: -1 if b < 0 else 1}
         for i, (row, b) in enumerate(zip(problem.rows, problem.rhs))
     ]
-    res = _highs(rows, problem.rhs, [0] * n + [1] * problem.nrows)
+    res = _highs_answer(rows, problem.rhs, [0] * n + [1] * problem.nrows)
     if res.status != 0:
-        if exact:
-            return None
-        raise LPError(f"HiGHS failed on the phase-1 LP: {res.message}")
+        raise LPError("HiGHS calls the phase-1 LP infeasible")
     if not exact:
         return Certificate(res.eqlin.marginals)
     cert = Certificate([Fraction(v).limit_denominator() for v in res.eqlin.marginals])
-    return cert if check_certificate(problem, cert) else None
+    if not check_certificate(problem, cert):
+        raise CertificationError("the rounded phase-1 duals are not a Farkas certificate")
+    return cert
 
 
 def _rational(r: int, d: int, bound: int):
@@ -616,31 +606,35 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
 
 
 def _solve_exact(problem: LPProblem) -> LPSolution:
+    """The tableau's answer up to TABLEAU_ONLY_NONZEROS, else HiGHS's, certified.
+
+    CertificationError if neither the first HiGHS vertex nor the tight
+    retry's certifies; _farkas raises it for a ray that fails its check.
+    """
     flip = -1 if problem.sense == "max" else 1
     internal_obj = [flip * v for v in problem.objective]
-    pair = None
-    if problem.nonzeros() > TABLEAU_ONLY_NONZEROS:
-        candidate = _highs_vertex(problem, internal_obj)
-        if candidate == "infeasible":
-            cert = _farkas(problem, exact=True)
-            if cert is not None:
-                return LPSolution("infeasible", certificate=cert)
-        elif candidate is not None:
-            pair = _certify(problem, internal_obj, *candidate)
-            if pair is None:
-                candidate = _highs_vertex(problem, internal_obj, tight=True)
-                if isinstance(candidate, tuple):
-                    pair = _certify(problem, internal_obj, *candidate)
-    if pair is None:
+    if problem.nonzeros() <= TABLEAU_ONLY_NONZEROS:
         tab = _ExactTableau(problem, internal_obj)
         if not tab.phase1():
             cert = Certificate(tab.farkas())
             if not check_certificate(problem, cert):
                 raise CertificationError("phase 1 produced a bad Farkas certificate")
             return LPSolution("infeasible", certificate=cert)
-        if tab.phase2() == "unbounded":
-            return LPSolution("unbounded")
+        tab.phase2()
         pair = tab.primal(), tab.duals()
+    else:
+        for tight in (False, True):
+            res = _highs_answer(problem.rows, problem.rhs, internal_obj, tight)
+            if res.status == 2:
+                return LPSolution("infeasible", certificate=_farkas(problem, exact=True))
+            pair = _certify(problem, internal_obj, res.x, res.eqlin.marginals)
+            if pair is not None:
+                break
+        else:
+            raise CertificationError(
+                "neither HiGHS's vertex nor the tight retry's passed the exact checks, "
+                f"and {problem.nonzeros()} nonzeros are too many for the tableau"
+            )
     x, y = pair
     if flip < 0:
         y = [-v for v in y]
@@ -658,13 +652,9 @@ def _solve_float(problem: LPProblem) -> LPSolution:
     """
     flip = -1.0 if problem.sense == "max" else 1.0
     objective = [flip * float(v) for v in problem.objective]
-    res = _highs(problem.rows, problem.rhs, objective, tight=True)
+    res = _highs_answer(problem.rows, problem.rhs, objective, tight=True)
     if res.status == 2:
         return LPSolution("infeasible", certificate=_farkas(problem, exact=False))
-    if res.status == 3:
-        return LPSolution("unbounded")
-    if res.status != 0:
-        raise LPError(f"HiGHS failed: {res.message}")
     if min(res.x, default=0.0) < 0:
         raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < 0")
     x = [float(v) for v in res.x]
@@ -701,6 +691,6 @@ def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     exact pivots impractical, and a huge float LP would use up memory.
     """
     check_size(problem.nonzeros(), arithmetic)
-    if arithmetic == "exact":
+    if arithmetic == "exact" or not problem.ncols:  # HiGHS rejects a model without columns
         return _solve_exact(problem)
     return _solve_float(problem)

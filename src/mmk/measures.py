@@ -12,6 +12,7 @@ the fields once in the constructor and refuses any later assignment.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,6 +62,13 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, OverflowError) as exc:  # NaN, infinity, no number
         raise DomainError(f"cannot interpret {str(value)[:40]!r} as a rational") from exc
+
+
+def as_int(value) -> int:
+    """`value` if it is an int; DomainError for all else, bools and 2.0 too."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"expected an integer, got {str(value)[:40]!r}")
 
 
 class IndexSet(Frozen):
@@ -211,6 +219,19 @@ class ProductGrid(Frozen):
             steps = [c * strides.get(a, 0) for c in range(s)]
             index = [i + d for i in index for d in steps]
         return tuple(index)
+
+    def section(self, alpha: IndexSet, base: Sequence[int]) -> list[int]:
+        """The section through `base` along alpha, in subgrid(alpha) ravel order:
+        entry t is `base` with its alpha coordinates set to subgrid(alpha).unravel(t)."""
+        if not alpha <= self.index_set():
+            raise DomainError(f"{alpha} is not a subset of grid axes {self.axes}")
+        index = [self.ravel(base)]
+        stride = self.ncells
+        for a, s, b in zip(self.axes, self.sizes, base):
+            stride //= s
+            if a in alpha:
+                index = [i + (c - b) * stride for i in index for c in range(s)]
+        return index
 
 
 class SignedDiscreteMeasure(Frozen):
@@ -370,8 +391,10 @@ class MarginalFamily(Frozen):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) != n:
             raise DomainError(f"expected {n} axis sizes, got {len(sizes)}")
-        expected = all_index_sets(n, k)
-        if sorted(marginals.keys(), key=lambda a: a.members) != expected:
+        # C(n, k) index sets may be too many to list, so count them first.
+        if len(marginals) != math.comb(n, k) or sorted(
+            marginals.keys(), key=lambda a: a.members
+        ) != all_index_sets(n, k):
             raise DomainError("marginal keys must enumerate I_nk exactly")
         full = ProductGrid(sizes)
         for alpha, mu in marginals.items():
@@ -455,7 +478,7 @@ def measure_to_json(mu: SignedDiscreteMeasure) -> dict:
 def measure_from_json(data: Mapping, axes: Sequence[int] | None = None) -> DiscreteMeasure:
     """Decode a measure; weights may be 'p/q' strings or JSON numbers."""
     try:
-        sizes = data["axes"]
+        sizes = [as_int(s) for s in data["axes"]]
         weights = [as_fraction(w) for w in data["weights"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed measure object: {exc}") from exc

@@ -10,6 +10,7 @@ extraction for (3,2) instances with product marginals.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -33,6 +34,7 @@ from .measures import (
     ProductGrid,
     all_index_sets,
     cell_sums,
+    lower_marginal,
     product,
     project,
 )
@@ -230,8 +232,6 @@ def decomp_lambda(n: int, k: int) -> CoefficientVector:
     Unique solution with lambda_k = 1 of
         sum_{t=a}^{k} lambda_t C(n-t, k-t) C(n-k, t-a) = 0,  a = 0..k-1.
     """
-    import math
-
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got n={n}, k={k}")
     lam = [Fraction(0)] * (k + 1)
@@ -264,19 +264,15 @@ def nk_decompose(
     potentials = {}
     for alpha in all_index_sets(n, k):
         sub = grid.subgrid(alpha)
-        positions = [grid.axes.index(a) for a in alpha]
-        values = []
-        for cell_alpha in sub.cells():
-            total = Fraction(0)
-            for size in range(k + 1):
-                if lam[size] == 0:
-                    continue
-                for beta in itertools.combinations(range(len(positions)), size):
-                    full = list(y)
-                    for t in beta:
-                        full[positions[t]] = cell_alpha[t]
-                    total += lam[size] * F.values[grid.ravel(full)]
-            values.append(total)
+        values = [Fraction(0)] * sub.ncells
+        for size in range(k + 1):
+            if lam[size] == 0:
+                continue
+            for beta in itertools.combinations(alpha, size):
+                beta = IndexSet(beta)
+                section = [lam[size] * F.values[j] for j in grid.section(beta, y)]
+                index = sub.projection_index(beta)
+                values = [v + section[i] for v, i in zip(values, index)]
         potentials[alpha] = values
     return DualPotentials(potentials)
 
@@ -303,16 +299,10 @@ def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, .
 
     def qualifies(cell) -> bool:
         for alpha in subsets:
-            sub = grid.subgrid(alpha)
-            positions = [grid.axes.index(a) for a in alpha]
-            nu_alpha = product([refs[p] for p in positions])
-            section = Fraction(0)
-            for t, sub_cell in enumerate(sub.cells()):
-                full = list(cell)
-                for p, v in zip(positions, sub_cell):
-                    full[p] = v
-                section += abs(c.values[grid.ravel(full)]) * nu_alpha.weights[t]
-            if section > bound:
+            nu_alpha = product([refs[grid.axes.index(a)] for a in alpha])
+            section = grid.section(alpha, cell)
+            norm = sum(abs(c.values[j]) * w for j, w in zip(section, nu_alpha.weights))
+            if norm > bound:
                 return False
         return True
 
@@ -374,11 +364,7 @@ def extract_bounded_dual(
     if any(v < 0 for v in c.values):
         raise PreconditionError("cost must be nonnegative")
     grid = fam.full_grid()
-    mu_i = []
-    for a in (1, 2, 3):
-        from .measures import lower_marginal
-
-        mu_i.append(lower_marginal(fam, IndexSet([a])))
+    mu_i = [lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)]
     for alpha in fam.index_sets():
         i, j = alpha.members
         if fam[alpha] != project(product([mu_i[i - 1], mu_i[j - 1]]), alpha):
@@ -414,21 +400,14 @@ def extract_bounded_dual(
     # The base point must (a) keep section L1 norms of F controlled and
     # (b) have every section through it avoid the bad set, so the
     # decomposition only reads F values >= -12||c||_inf and the
-    # reconstruction identity survives untouched.
+    # reconstruction identity survives untouched.  Every section holds
+    # the base cell itself, so it is checked too.
     def sections_clear(cell) -> bool:
-        if grid.ravel(cell) in bad:
-            return False
-        if not bad:
-            return True
-        for alpha in itertools.chain(all_index_sets(3, 1), all_index_sets(3, 2)):
-            positions = [grid.axes.index(a) for a in alpha]
-            for sub_cell in grid.subgrid(alpha).cells():
-                full = list(cell)
-                for p, v in zip(positions, sub_cell):
-                    full[p] = v
-                if grid.ravel(full) in bad:
-                    return False
-        return True
+        return not bad or not any(
+            j in bad
+            for alpha in itertools.chain(all_index_sets(3, 1), all_index_sets(3, 2))
+            for j in grid.section(alpha, cell)
+        )
 
     y = good_basepoint(F, mu_i)
     if not sections_clear(y):

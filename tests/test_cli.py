@@ -227,6 +227,31 @@ class TestHostileInput:
         assert time.monotonic() - start < 10
         self.refused(proc, "decimal exponent above 4300")
 
+    def test_index_sets_too_many_to_list(self, tmp_path):
+        # I_nk has C(40, 20), about 1.4e11, members: three marginals are
+        # refused by their count before any index set is listed.
+        path = self.edited_problem(tmp_path, lambda d: d.update(n=40, k=20, axes=[2] * 40))
+        start = time.monotonic()
+        proc = run_mmk("check", path)
+        assert time.monotonic() - start < 10
+        self.refused(proc, "must enumerate I_nk")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(n=3.5),
+            lambda d: d.update(k=2.0),
+            lambda d: d.update(axes=[2.7, 2, 2]),
+            lambda d: d.update(axes=[2, True, 2]),
+            lambda d: d["marginals"]["1,2"].update(axes="22"),
+            lambda d: d["cost"].update(axes=[2.0, 2, 2]),
+        ],
+        ids=["n", "k", "axes", "bool-axis", "marginal-axes-string", "cost-axes"],
+    )
+    def test_non_integer_size(self, tmp_path, edit):
+        path = self.edited_problem(tmp_path, edit)
+        self.refused(run_mmk("check", path), "expected an integer")
+
 
 def test_import_loads_neither_numpy_nor_scipy():
     """One-shot runs on small LPs must not pay for numpy, scipy or dataclasses."""

@@ -24,7 +24,11 @@ from mmk.measures import (
     all_index_sets,
     project,
 )
-from mmk.transport import CostGrid, verify_gap
+from mmk.transport import CostGrid, InfeasibleFamilyError, verify_gap
+
+
+# The threshold as shipped; TestCertifier's fixture lowers it to 0.
+DEFAULT_THRESHOLD = lp_core.TABLEAU_ONLY_NONZEROS
 
 
 def refuse_tableau(monkeypatch):
@@ -40,7 +44,7 @@ class TestExact:
         assert sol.status == "optimal" and sol.value == 2
 
     def test_max_sense(self):
-        sol = solve(LPProblem([1, 2], [[1, 1]], [3], sense="max"))
+        sol = solve(LPProblem([1, 2], [{0: 1, 1: 1}], [3], sense="max"))
         assert sol.value == 6
         assert sol.y[0] == 2  # marginal value of the resource
 
@@ -50,12 +54,19 @@ class TestExact:
         assert sol.status == "infeasible"
         assert check_certificate(problem, sol.certificate)
 
-    def test_unbounded(self):
-        sol = solve(LPProblem([-1, 0], [[1, -1]], [0]))
-        assert sol.status == "unbounded"
+    def test_unbounded(self, monkeypatch):
+        # No LP of mmk is unbounded, so no status stands for it: the
+        # tableau, HiGHS in exact mode and float mode all raise.
+        problem = LPProblem([-1, 0], [{0: 1, 1: -1}], [0])
+        with pytest.raises(lp_core.LPError, match="unbounded"):
+            solve(problem)
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        for arithmetic in ("exact", "float"):
+            with pytest.raises(lp_core.LPError):
+                solve(problem, arithmetic)
 
     def test_negative_rhs_handled(self):
-        sol = solve(LPProblem([1, 1], [[-1, 0]], [-2]))
+        sol = solve(LPProblem([1, 1], [{0: -1}], [-2]))
         assert sol.status == "optimal" and sol.value == 2
 
     def test_redundant_rows_dropped(self):
@@ -107,21 +118,30 @@ class TestExact:
             sum(row.get(j, 0) * x_feas[j] for j in range(n)) for row in rows
         ]
         problem = LPProblem(obj, rows, rhs)
-        sol = solve(problem)
         # These LPs are small enough to go straight to the tableau; solve
-        # again with HiGHS and the certifier, which must agree.
-        with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", 0):
-            certified = solve(problem)
-        assert (certified.status, certified.value) == (sol.status, sol.value)
+        # again with HiGHS and the certifier, which must agree.  The problem
+        # is feasible by construction: if it is unbounded both routes raise
+        # LPError, else both are optimal with a zero gap.
+        results = []
+        for threshold in (lp_core.TABLEAU_ONLY_NONZEROS, 0):
+            with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", threshold):
+                try:
+                    results.append(solve(problem))
+                except lp_core.CertificationError:
+                    raise
+                except lp_core.LPError:
+                    results.append(None)
+        sol, certified = results
+        if sol is None:
+            assert certified is None
+            return
+        assert (certified.status, certified.value) == ("optimal", sol.value)
         for result in (sol, certified):
-            # The problem is feasible by construction; if bounded, the gap is 0.
-            assert result.status in ("optimal", "unbounded")
-            if result.status == "optimal":
-                dual = sum(y * b for y, b in zip(result.y, rhs))
-                assert result.value == dual
-                assert all(v >= 0 for v in result.x)
-                for row, b in zip(rows, rhs):
-                    assert sum(row[j] * result.x[j] for j in row) == b
+            dual = sum(y * b for y, b in zip(result.y, rhs))
+            assert result.value == dual
+            assert all(v >= 0 for v in result.x)
+            for row, b in zip(rows, rhs):
+                assert sum(row[j] * result.x[j] for j in row) == b
 
 
 class TestCertifier:
@@ -148,12 +168,15 @@ class TestCertifier:
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
         assert lp_core._certify(p, p.objective, *self.WRONG) is None
+        x, y = self.WRONG
+        wrong = SimpleNamespace(status=0, x=x, eqlin=SimpleNamespace(marginals=y))
+        calls = []
         monkeypatch.setattr(
-            lp_core, "_highs_vertex", lambda problem, obj, tight=False: self.WRONG
+            lp_core, "_highs", lambda rows, rhs, obj, tight: calls.append(tight) or wrong
         )
-        sol = solve(p)
-        assert sol.status == "optimal" and sol.value == 0
-        assert sol.x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
+        with pytest.raises(lp_core.CertificationError, match="tight retry"):
+            solve(p)
+        assert calls == [False, True]
 
     def test_rejects_infeasible_support(self):
         p = self.PROBLEM
@@ -216,13 +239,26 @@ class TestCertifier:
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
-        monkeypatch.setattr(lp_core, "_farkas", lambda problem, exact: None)
+        # HiGHS's route: the phase-1 duals y = (1, 1) have y.A_0 = 2 > 0.
+        phase1 = SimpleNamespace(status=0, eqlin=SimpleNamespace(marginals=[1.0, 1.0]))
+        infeasible = SimpleNamespace(status=2)
+        monkeypatch.setattr(  # the phase-1 LP has 2 + 2 columns
+            lp_core, "_highs", lambda rows, rhs, obj, tight: phase1 if len(obj) == 4 else infeasible
+        )
+        with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
+            solve(problem)
+        # The tableau's route, at the default threshold.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", DEFAULT_THRESHOLD)
         monkeypatch.setattr(lp_core._ExactTableau, "farkas", lambda self: [1, 1])
-        with pytest.raises(lp_core.CertificationError):
+        with pytest.raises(lp_core.CertificationError, match="phase 1"):
             solve(problem)
 
-    def test_entry_too_large_for_float_goes_to_tableau(self):
-        sol = solve(LPProblem([10**400, 0], [{0: 1, 1: 1}], [1]))
+    def test_entry_too_large_for_float_goes_to_tableau(self, monkeypatch):
+        problem = LPProblem([10**400, 0], [{0: 1, 1: 1}], [1])
+        with pytest.raises(lp_core.LPError, match="too large for a float"):
+            solve(problem)
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", DEFAULT_THRESHOLD)
+        sol = solve(problem)
         assert sol.status == "optimal" and sol.value == 0
 
     def test_empty_model_goes_to_tableau(self):
@@ -311,7 +347,7 @@ class TestRebuild:
         for alpha in fam.index_sets():
             assert project(verdict.witness, alpha) == fam[alpha]
 
-    def test_failed_reconstruction_falls_back_to_tableau(self, monkeypatch):
+    def test_failed_reconstruction_raises(self, monkeypatch):
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         # x = (1/1000003, 0): the denominator is above limit_denominator's
         # 10^6 and b's is 1, so only the rebuild recovers x.
@@ -332,13 +368,64 @@ class TestRebuild:
         sol = solve(problem)
         assert sol.x == [Fraction(1, 1000003), 0] and sol.value == 0
         assert rebuilt == [{0: Fraction(1, 1000003)}] and not built
-        # Modulo 2^31 - 1 numerators and denominators stop at 32768.
+        # Modulo 2^31 - 1 numerators and denominators stop at 32768: both
+        # vertices fail, and the LP is too large for the tableau.
         monkeypatch.setattr(lp_core, "_PRIME", 2**31 - 1)
         rebuilt.clear()
-        sol = solve(problem)
-        assert sol.status == "optimal" and sol.value == 0
-        assert sol.x == [Fraction(1, 1000003), 0] and sol.y == [0]
-        assert rebuilt == [None, None] and built == [1]
+        with pytest.raises(lp_core.CertificationError, match="tight retry"):
+            solve(problem)
+        assert rebuilt == [None, None] and not built
+
+
+def mixed_family(n, k, sizes, raw, s):
+    """(1 - s) times the projections of the measure `raw` plus s times the
+    mod-k family placed on the cells with every coordinate below k.
+
+    Every such family is consistent; the mod-k part makes it infeasible
+    from some s on, and zero weights in `raw` make its LPs degenerate.
+    """
+    grid = ProductGrid(sizes)
+    mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+    modk = make_modk_counterexample(n, k)
+    marginals = {}
+    for alpha in all_index_sets(n, k):
+        sub = grid.subgrid(alpha)
+        bad = [modk[alpha].weight(c) if max(c) < k else 0 for c in sub.cells()]
+        marginals[alpha] = DiscreteMeasure(
+            sub, [(1 - s) * p + s * b for p, b in zip(project(mu, alpha).weights, bad)]
+        )
+    return MarginalFamily(n, k, sizes, marginals)
+
+
+class TestOneRoute:
+    """Exact LPs above TABLEAU_ONLY_NONZEROS never reach the tableau, so
+    HiGHS plus certification must decide every random family."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exact_and_float_agree(self, data):
+        n, k = data.draw(st.sampled_from([(3, 2), (4, 2), (4, 3)]))
+        sizes = [data.draw(st.integers(k, k + 1) if n == 4 else st.integers(2, 4))
+                 for _ in range(n)]
+        grid = ProductGrid(sizes)
+        weight = st.one_of(st.just(0), st.integers(1, 9))
+        raw = data.draw(st.lists(weight, min_size=grid.ncells, max_size=grid.ncells)
+                        .filter(any))
+        s = Fraction(data.draw(st.integers(0, 8)), 8)
+        fam = mixed_family(n, k, sizes, raw, s)
+        cost = CostGrid(grid, data.draw(
+            st.lists(st.integers(0, 9), min_size=grid.ncells, max_size=grid.ncells)))
+        exact = kellerer_check(fam)
+        assert kellerer_check(fam, arithmetic="float").feasible == exact.feasible
+        if not exact.feasible:
+            assert check_certificate(LPProblem(
+                [0] * grid.ncells, *marginal_constraint_rows(fam)), exact.lp_certificate)
+            for arithmetic in ("exact", "float"):
+                with pytest.raises(InfeasibleFamilyError):
+                    verify_gap(fam, cost, arithmetic)
+            return
+        value = verify_gap(fam, cost).value
+        assert abs(verify_gap(fam, cost, "float").value - float(value)) < 1e-6
 
 
 class TestFarkas:
@@ -375,21 +462,23 @@ class TestFarkas:
         assert not verdict.feasible
         assert check_certificate(problem, verdict.lp_certificate)
 
-    def test_tableau_when_rounding_fails(self, monkeypatch):
-        tried = []  # append returns None: no certificate from HiGHS
-        monkeypatch.setattr(lp_core, "_farkas", lambda p, exact: tried.append(exact))
-        built = []
-        init = lp_core._ExactTableau.__init__
-
-        def counting(self, *args):
-            built.append(1)
-            init(self, *args)
-
-        monkeypatch.setattr(lp_core._ExactTableau, "__init__", counting)
+    def test_farkas_rounding_failure_raises(self, monkeypatch):
+        refuse_tableau(monkeypatch)
         _, problem = self.modk_problem(4, 3)
-        sol = solve(problem)
-        assert sol.status == "infeasible" and tried == [True] and built
-        assert check_certificate(problem, sol.certificate)
+        highs = lp_core._highs
+
+        def negated_phase1(rows, rhs, obj, tight=False):
+            res = highs(rows, rhs, obj, tight)
+            if len(obj) == problem.ncols:
+                return res
+            return SimpleNamespace(
+                status=res.status,
+                eqlin=SimpleNamespace(marginals=[-v for v in res.eqlin.marginals]),
+            )
+
+        monkeypatch.setattr(lp_core, "_highs", negated_phase1)
+        with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
+            solve(problem)
 
     def test_float_highs_failure_raises(self, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
@@ -409,6 +498,14 @@ class TestFloat:
         sol = solve(problem, arithmetic="float")
         assert sol.status == "infeasible"
         assert check_certificate(problem, sol.certificate, tol=Fraction(1, 10**6))
+
+    def test_empty_model_answered_as_in_exact_mode(self):
+        # HiGHS rejects a model without columns; the tableau answers it.
+        problem = LPProblem([], [{}], [1])
+        sol = solve(problem, arithmetic="float")
+        assert sol.status == "infeasible"
+        assert check_certificate(problem, sol.certificate)
+        assert solve(LPProblem([], [{}], [0]), arithmetic="float").value == 0
 
     def test_dual_value_matches(self):
         problem = LPProblem(

@@ -102,6 +102,36 @@ class TestProductGrid:
                 )
                 assert grid.projection_index(alpha) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_section_matches_replaced_coordinates(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        axes = sorted(
+            data.draw(
+                st.sets(st.integers(1, 6), min_size=len(sizes), max_size=len(sizes))
+            )
+        )
+        grid = ProductGrid(sizes, axes=axes)
+        base = [data.draw(st.integers(0, s - 1)) for s in sizes]
+        for size in range(len(axes) + 1):
+            for members in itertools.combinations(axes, size):
+                alpha = IndexSet(members)
+                positions = [grid.axes.index(a) for a in alpha]
+                expected = []
+                for sub_cell in grid.subgrid(alpha).cells():
+                    cell = list(base)
+                    for p, v in zip(positions, sub_cell):
+                        cell[p] = v
+                    expected.append(grid.ravel(cell))
+                assert grid.section(alpha, base) == expected
+
+    def test_section_rejects_foreign_axes_and_cells(self):
+        grid = ProductGrid([2, 3])
+        with pytest.raises(DomainError):
+            grid.section(IndexSet([1, 3]), (0, 0))
+        with pytest.raises(DomainError):
+            grid.section(IndexSet([1]), (0, 3))
+
     def test_projection_index_rejects_foreign_axes(self):
         with pytest.raises(DomainError):
             ProductGrid([2, 3]).projection_index(IndexSet([1, 3]))

@@ -373,10 +373,6 @@ def farkas(y_entry):
     return solve
 
 
-def unbounded(problem, arithmetic="exact"):
-    return lp_core.LPSolution("unbounded")
-
-
 def wrong_optimum(problem, arithmetic="exact"):
     zero = Fraction(0) if arithmetic == "exact" else 0.0
     return lp_core.LPSolution(
@@ -406,25 +402,21 @@ fam = MarginalFamily(
 cost = transport.CostGrid(grid, [1] * 8)
 dual, _ = transport.solve_dual(fam, cost)
 check = lambda: feasibility.kellerer_check(fam)
-rejected = lp_core.CertificationError
 cases = [
-    (lp_core, "solve", farkas(1), check, rejected),  # negative cell sums
-    (lp_core, "solve", farkas(0), check, rejected),  # zero total
-    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost), rejected),
-    (lp_core, "solve", wrong_optimum,
-     lambda: transport.verify_gap(fam, cost, "float"), rejected),
+    (lp_core, "solve", farkas(1), check),  # negative cell sums
+    (lp_core, "solve", farkas(0), check),  # zero total
+    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost)),
+    (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost, "float")),
     # the extracted dual's value differs from the optimum
     (transport, "nk_decompose", shifted_decompose,
-     lambda: transport.extract_bounded_dual(fam, cost, dual), rejected),
-    # _solve_both gets a status it cannot use
-    (lp_core, "solve", unbounded, lambda: transport.verify_gap(fam, cost), lp_core.LPError),
+     lambda: transport.extract_bounded_dual(fam, cost, dual)),
 ]
-for module, name, fake, run, error in cases:
+for module, name, fake, run in cases:
     real = getattr(module, name)
     setattr(module, name, fake)
     try:
         run()
-    except error:
+    except lp_core.CertificationError:
         continue
     finally:
         setattr(module, name, real)
@@ -444,7 +436,7 @@ def test_tampered_certificates_rejected_under_python_O():
         text=True,
     )
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.strip() == "rejected 6"
+    assert out.stdout.strip() == "rejected 5"
 
 
 def test_size_cap_checked_before_the_rows_exist(monkeypatch):
