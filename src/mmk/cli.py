@@ -47,7 +47,7 @@ def load_problem(path: str):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, >4300 digits, too deep
         raise MalformedInput(f"cannot read problem file: {exc}") from exc
     try:
         n = as_int(data["n"])

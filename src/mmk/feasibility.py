@@ -309,9 +309,8 @@ def _projection_rows(grid: ProductGrid, alpha: IndexSet, columns) -> list[dict]:
     """One row {column number: 1} per cell of grid_alpha: the columns it collects."""
     index = grid.projection_index(alpha)
     rows = [{} for _ in range(grid.subgrid(alpha).ncells)]
-    one = Fraction(1)
     for t, j in enumerate(columns):
-        rows[index[j]][t] = one
+        rows[index[j]][t] = 1
     return rows
 
 
@@ -609,7 +608,7 @@ def uniting_by_density_2(
     for alpha in pairs:
         block = _projection_rows(grid, alpha, range(ncells))
         for idx, row in enumerate(block):
-            row[slack_col] = Fraction(1)
+            row[slack_col] = 1
             slack_col += 1
             rhs.append(
                 fam[alpha].weights[idx] - m * nu_pair[tuple(alpha)].weights[idx]

@@ -1,6 +1,7 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over integer constraint matrices.
 
-Solves min/max c.x subject to A x = b, x >= 0.
+Solves min/max c.x subject to A x = b, x >= 0, with A integer (every LP
+this package builds is 0/1) and c and b rational.
 
 Exact mode takes one route per LP, by size.  An LP of at most
 TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
@@ -17,16 +18,17 @@ exceeds limit_denominator's 10^6.  A part that still fails is rebuilt, x
 on its support and y from the columns whose reduced cost is zero, by
 sparse elimination modulo the prime _PRIME = 2^127 - 1; each value is
 then recovered by rational reconstruction, and one whose numerator or
-denominator would exceed sqrt(_PRIME / 2) fails the rebuild.  The pair
-is accepted only if A x = b, x >= 0, y.A_j <= c_j for every column and
-c.x == b.y all hold exactly; the checks run in Python integers over
-common denominators, and float tolerances and residues only choose the
-candidates.  A rejected vertex gets one HiGHS retry with feasibility
-tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP infeasible, the
-duals of a HiGHS phase-1 solve, rounded to rationals, are the Farkas
-certificate (y.A <= 0, y.b > 0) if check_certificate accepts them.  A
-vertex that fails after the retry, or a ray that fails its check, raises
-CertificationError: the tableau's time has no bound on a large LP.
+denominator would exceed sqrt(_PRIME / 2) fails the rebuild.
+
+An optimum from either route is returned only if A x = b, x >= 0,
+y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
+integers over common denominators; float tolerances and residues only
+choose the candidates.  A rejected HiGHS vertex gets one retry with
+feasibility tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP
+infeasible, the rounded duals of a HiGHS phase-1 solve are the Farkas
+ray (y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
+CertificationError names the failed check: x, y, the gap or the ray.
+The tableau's time has no bound on a large LP, so it is no fallback.
 
 Float mode returns the answer of a HiGHS solve with the tight
 tolerances, whose x must be >= 0, and for infeasible problems the
@@ -43,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .measures import DomainError, Frozen, as_fraction
+from .measures import DomainError, Frozen, as_fraction, as_int
 
 # Exact pivoting cost grows with coefficient size; beyond this many
 # nonzeros the caller must opt into float mode explicitly.
@@ -92,7 +94,8 @@ class CertificationError(LPError):
 class LPProblem(Frozen):
     """min or max objective.x over {x >= 0, A x = b}.
 
-    Each row of A is a {column: value} mapping; zero entries are dropped.
+    Each row of A is a {column: int} mapping; zero entries are dropped and
+    any other non-int (a Fraction, float or bool) is a DomainError.
     """
 
     __slots__ = ("objective", "rows", "rhs", "sense")
@@ -104,7 +107,7 @@ class LPProblem(Frozen):
         ncols = len(obj)
         sparse_rows = []
         for row in rows:
-            entries = {int(j): as_fraction(v) for j, v in row.items() if v != 0}
+            entries = {int(j): as_int(v) for j, v in row.items() if v != 0}
             if entries and (min(entries) < 0 or max(entries) >= ncols):
                 raise DomainError("row refers to a column outside the objective")
             sparse_rows.append(entries)
@@ -171,22 +174,11 @@ def _dot(u, v) -> Fraction:
     return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
 
 
-def _integer_rows(problem: LPProblem) -> tuple[list[dict], int]:
-    """A as rows {column: integer} and d, each entry being integer / d.
-
-    A is 0/1 in every LP this package builds, so d is 1 there.
-    """
-    entries, d = _scaled([v for row in problem.rows for v in row.values()])
-    it = iter(entries)
-    return [{j: next(it) for j in row} for row in problem.rows], d
-
-
-def _columns_within(rows, d_rows: int, y, bound) -> bool:
+def _columns_within(rows, y, bound) -> bool:
     """True iff y.A_j <= bound[j] for every column j, decided in integers.
 
-    `rows` and `d_rows` are A as _integer_rows gives it.  With y = Y / dy
-    and bound = C / dc, the test is s_j * dc <= C_j * d_rows * dy, where
-    s_j = sum_i Y_i * rows[i][j].
+    `rows` is A's integer rows.  With y = Y / dy and bound = C / dc, the
+    test is s_j * dc <= C_j * dy, where s_j = sum_i Y_i * rows[i][j].
     """
     Y, dy = _scaled(y)
     C, dc = _scaled(bound)
@@ -195,20 +187,27 @@ def _columns_within(rows, d_rows: int, y, bound) -> bool:
         if yi:
             for j, a in row.items():
                 sums[j] += yi * a
-    scale = d_rows * dy
-    return all(s * dc <= c * scale for s, c in zip(sums, C))
+    return all(s * dc <= c * dy for s, c in zip(sums, C))
+
+
+def _primal_feasible(problem: LPProblem, x) -> bool:
+    """True iff A x = b and x >= 0, decided in integers."""
+    X, dx = _scaled(x)
+    rhs, d_rhs = _scaled(problem.rhs)
+    return min(X, default=0) >= 0 and all(
+        sum(a * X[j] for j, a in row.items()) * d_rhs == bi * dx
+        for row, bi in zip(problem.rows, rhs)
+    )
 
 
 def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     """True iff y.A <= 0 on every column and y.b > 0 (up to tol)."""
-    y = cert.y
-    if len(y) != problem.nrows:
-        return False
-    tol = Fraction(tol)
-    rows, d_rows = _integer_rows(problem)
-    if not _columns_within(rows, d_rows, y, [tol] * problem.ncols):
-        return False
-    return _dot(y, problem.rhs) > tol
+    y, tol = cert.y, Fraction(tol)
+    return (
+        len(y) == problem.nrows
+        and _columns_within(problem.rows, y, [tol] * problem.ncols)
+        and _dot(y, problem.rhs) > tol
+    )
 
 
 class _ExactTableau:
@@ -232,7 +231,7 @@ class _ExactTableau:
             self.row_sign.append(sign)
             row = [Fraction(0)] * (self.n + self.m + 1)
             for j, v in problem.rows[i].items():
-                row[j] = sign * v
+                row[j] = Fraction(sign * v)
             row[self.n + i] = Fraction(1)
             row[-1] = sign * b
             self.rows.append(row)
@@ -390,15 +389,13 @@ def _highs_answer(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, t
     return res
 
 
-def _farkas(problem: LPProblem, exact: bool) -> Certificate:
-    """A Farkas certificate for an empty {x >= 0, A x = b}, from HiGHS.
+def _farkas(problem: LPProblem):
+    """The float Farkas ray y of an empty {x >= 0, A x = b}, from HiGHS.
 
     Solves the phase-1 LP min 1.s over {A x + D s = b, x, s >= 0} with
     D = diag(sign b), which is always feasible and bounded.  Its optimal
     duals y satisfy y.A <= 0, and y.b is its optimum, positive exactly
-    when the system is empty.  Float mode returns y as it is.  Exact mode
-    rounds each entry to a nearby rational and raises CertificationError
-    unless check_certificate accepts the result.
+    when the system is empty.
     """
     n = problem.ncols
     rows = [
@@ -408,12 +405,15 @@ def _farkas(problem: LPProblem, exact: bool) -> Certificate:
     res = _highs_answer(rows, problem.rhs, [0] * n + [1] * problem.nrows)
     if res.status != 0:
         raise LPError("HiGHS calls the phase-1 LP infeasible")
-    if not exact:
-        return Certificate(res.eqlin.marginals)
-    cert = Certificate([Fraction(v).limit_denominator() for v in res.eqlin.marginals])
+    return res.eqlin.marginals
+
+
+def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
+    """The infeasible answer with Farkas ray y, once check_certificate accepts it."""
+    cert = Certificate(y)
     if not check_certificate(problem, cert):
-        raise CertificationError("the rounded phase-1 duals are not a Farkas certificate")
-    return cert
+        raise CertificationError(f"the Farkas ray from {source} fails y.A <= 0, y.b > 0")
+    return LPSolution("infeasible", certificate=cert)
 
 
 def _rational(r: int, d: int, bound: int):
@@ -532,117 +532,114 @@ def _rounded(v) -> Fraction:
     return Fraction(v).limit_denominator()
 
 
-def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
-    """Exact optimal (x, y) of min objective.x near a float vertex, or None.
+def _accept(problem: LPProblem, objective: Sequence, xs, ys):
+    """(x, y, objective.x) of an exactly checked optimum of min objective.x.
 
-    x is HiGHS's vertex rounded to nearby rationals, with the entries at
-    most x_tol set to 0; if A x = b or x >= 0 fails, x is rounded to the
-    nearest multiples of 1/D, D the common denominator of b, and if that
-    fails too, x is rebuilt on that support by _solve_rational.  y is
-    HiGHS's duals rounded the same way; if y.A_j <= objective_j fails for
-    some column, y is rebuilt from the columns where y_float prices the
-    reduced cost at zero.  The float tolerances only choose the
-    candidates: the pair is returned only after both checks and
-    objective.x == b.y have held exactly, in integers over common
-    denominators.
+    x is the first candidate of xs with A x = b and x >= 0, y the first of
+    ys with y.A_j <= objective_j for every column j, and the pair must
+    close the gap, objective.x == b.y.  The checks run in integers over
+    common denominators, and a candidate is made only after the one before
+    it has failed.  CertificationError names the check that no candidate
+    passed: x, y or the gap.
+    """
+    x = next((c for c in xs if _primal_feasible(problem, c)), None)
+    if x is None:
+        raise CertificationError("x fails A x = b, x >= 0")
+    y = next((c for c in ys if _columns_within(problem.rows, c, objective)), None)
+    if y is None:
+        raise CertificationError("y fails y.A <= c")
+    value = _dot(objective, x)
+    gap = value - _dot(problem.rhs, y)
+    if gap:
+        raise CertificationError(f"gap c.x - b.y is {gap}, not 0")
+    return x, y, value
+
+
+def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
+    """_accept's (x, y, value) for min objective.x near a float vertex.
+
+    The x candidates are HiGHS's vertex rounded to nearby rationals, with
+    the entries at most x_tol set to 0; then rounded to the nearest
+    multiples of 1/D, D the common denominator of b, if D <= 2^53 (a float
+    resolves no finer grid); then rebuilt on that support by
+    _solve_rational.  The y candidates are HiGHS's duals rounded the same
+    way, then y rebuilt from the columns where y_float prices the reduced
+    cost at zero.  The float tolerances only choose the candidates.
     """
     n = problem.ncols
-    rows, d_rows = _integer_rows(problem)
-    rhs, d_rhs = _scaled(problem.rhs)
-
-    def primal_feasible(x):
-        X, dx = _scaled(x)
-        scale = d_rows * dx
-        return min(X, default=0) >= 0 and all(
-            sum(a * X[j] for j, a in row.items()) * d_rhs == bi * scale
-            for row, bi in zip(rows, rhs)
-        )
-
-    x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
-    support = {j for j in range(n) if float(x_float[j]) > x_tol}
     zero = Fraction(0)
-    x = [_rounded(x_float[j]) if j in support else zero for j in range(n)]
-    if not primal_feasible(x) and d_rhs <= 2**53:
-        # A float resolves no grid finer than 2^-53, so a larger d_rhs is
-        # not tried.
-        x = [
-            Fraction(round(float(x_float[j]) * d_rhs), d_rhs) if j in support else zero
-            for j in range(n)
-        ]
-    if not primal_feasible(x):
+
+    def xs():
+        x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
+        support = {j for j in range(n) if float(x_float[j]) > x_tol}
+        yield [_rounded(x_float[j]) if j in support else zero for j in range(n)]
+        d_rhs = math.lcm(*(b.denominator for b in problem.rhs))
+        if d_rhs <= 2**53:
+            yield [
+                Fraction(round(float(x_float[j]) * d_rhs), d_rhs) if j in support else zero
+                for j in range(n)
+            ]
         x_sparse = _solve_rational(
             [{j: v for j, v in row.items() if j in support} for row in problem.rows],
             problem.rhs,
         )
-        if x_sparse is None:
-            return None
-        x = [x_sparse.get(j, zero) for j in range(n)]
-        if not primal_feasible(x):
-            return None
-    y = [_rounded(v) for v in y_float]
-    if not _columns_within(rows, d_rows, y, objective):
+        if x_sparse is not None:
+            yield [x_sparse.get(j, zero) for j in range(n)]
+
+    def ys():
+        yield [_rounded(v) for v in y_float]
         columns = [{} for _ in range(n)]
         for i, row in enumerate(problem.rows):
             for j, v in row.items():
                 columns[j][i] = v
         y_f = [float(v) for v in y_float]
         reduced = [
-            float(c) - sum(y_f[i] * float(v) for i, v in col.items())
+            float(c) - sum(y_f[i] * v for i, v in col.items())
             for c, col in zip(objective, columns)
         ]
         c_tol = 1e-9 * (max((abs(float(v)) for v in objective), default=0.0) or 1.0)
         tight = [j for j, d in enumerate(reduced) if abs(d) <= c_tol]
-        y_sparse = _solve_rational(
-            [columns[j] for j in tight], [objective[j] for j in tight]
-        )
-        if y_sparse is None:
-            return None
-        y = [y_sparse.get(i, zero) for i in range(problem.nrows)]
-        if not _columns_within(rows, d_rows, y, objective):
-            return None
-    if _dot(objective, x) != _dot(problem.rhs, y):
-        return None
-    return x, y
+        y_sparse = _solve_rational([columns[j] for j in tight], [objective[j] for j in tight])
+        if y_sparse is not None:
+            yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
+
+    return _accept(problem, objective, xs(), ys())
 
 
 def _solve_exact(problem: LPProblem) -> LPSolution:
-    """The tableau's answer up to TABLEAU_ONLY_NONZEROS, else HiGHS's, certified.
+    """The tableau's answer up to TABLEAU_ONLY_NONZEROS, else HiGHS's.
 
-    CertificationError if neither the first HiGHS vertex nor the tight
-    retry's certifies; _farkas raises it for a ray that fails its check.
+    Every optimum passes _accept and every ray _infeasible.  HiGHS's
+    vertex gets one tight retry, and CertificationError names the check
+    that the retry's vertex failed.
     """
     flip = -1 if problem.sense == "max" else 1
     internal_obj = [flip * v for v in problem.objective]
     if problem.nonzeros() <= TABLEAU_ONLY_NONZEROS:
         tab = _ExactTableau(problem, internal_obj)
         if not tab.phase1():
-            cert = Certificate(tab.farkas())
-            if not check_certificate(problem, cert):
-                raise CertificationError("phase 1 produced a bad Farkas certificate")
-            return LPSolution("infeasible", certificate=cert)
+            return _infeasible(problem, tab.farkas(), "phase 1")
         tab.phase2()
-        pair = tab.primal(), tab.duals()
+        x, y, value = _accept(problem, internal_obj, [tab.primal()], [tab.duals()])
     else:
         for tight in (False, True):
             res = _highs_answer(problem.rows, problem.rhs, internal_obj, tight)
             if res.status == 2:
-                return LPSolution("infeasible", certificate=_farkas(problem, exact=True))
-            pair = _certify(problem, internal_obj, res.x, res.eqlin.marginals)
-            if pair is not None:
+                y = [Fraction(v).limit_denominator() for v in _farkas(problem)]
+                return _infeasible(problem, y, "the rounded phase-1 duals")
+            try:
+                x, y, value = _certify(problem, internal_obj, res.x, res.eqlin.marginals)
                 break
+            except CertificationError as exc:
+                failure = exc
         else:
             raise CertificationError(
-                "neither HiGHS's vertex nor the tight retry's passed the exact checks, "
-                f"and {problem.nonzeros()} nonzeros are too many for the tableau"
-            )
-    x, y = pair
+                f"neither HiGHS's vertex nor the tight retry's passed (the retry's {failure}),"
+                f" and {problem.nonzeros()} nonzeros are too many for the tableau"
+            ) from failure
     if flip < 0:
         y = [-v for v in y]
-    value = _dot(problem.objective, x)
-    dual_value = _dot(y, problem.rhs)
-    if value != dual_value:
-        raise CertificationError(f"exact duality gap {value - dual_value} != 0")
-    return LPSolution("optimal", x=x, y=y, value=value)
+    return LPSolution("optimal", x=x, y=y, value=flip * value)
 
 
 def _solve_float(problem: LPProblem) -> LPSolution:
@@ -654,7 +651,7 @@ def _solve_float(problem: LPProblem) -> LPSolution:
     objective = [flip * float(v) for v in problem.objective]
     res = _highs_answer(problem.rows, problem.rhs, objective, tight=True)
     if res.status == 2:
-        return LPSolution("infeasible", certificate=_farkas(problem, exact=False))
+        return LPSolution("infeasible", certificate=Certificate(_farkas(problem)))
     if min(res.x, default=0.0) < 0:
         raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < 0")
     x = [float(v) for v in res.x]

@@ -418,7 +418,7 @@ class MarginalFamily(Frozen):
 
 
 class ConsistencyReport(Frozen):
-    """Outcome of the pairwise overlap check on a marginal family."""
+    """Outcome of is_consistent: failures are (first host, other host) pairs."""
 
     __slots__ = ("consistent", "failures")
 
@@ -433,16 +433,18 @@ class ConsistencyReport(Frozen):
 
 
 def is_consistent(fam: MarginalFamily) -> ConsistencyReport:
-    """Check prj_{a&b}(mu_a) == prj_{a&b}(mu_b) exactly for every pair."""
+    """Check prj_{a&b}(mu_a) == prj_{a&b}(mu_b) exactly for every pair.
+
+    It suffices that the k-sets hosting each (k-1)-set beta project alike
+    onto it, k * C(n, k) projections instead of C(n, k)^2 / 2: two k-sets
+    sharing a nonempty gamma are joined by one-axis swaps that keep gamma,
+    each within a beta.  A failure is beta's first host and one unlike it.
+    """
     failures = []
-    index_sets = fam.index_sets()
-    for i, alpha in enumerate(index_sets):
-        for beta in index_sets[i + 1 :]:
-            overlap = alpha & beta
-            if len(overlap) == 0:
-                continue
-            if project(fam[alpha], overlap) != project(fam[beta], overlap):
-                failures.append((alpha, beta))
+    for beta in all_index_sets(fam.n, fam.k - 1):
+        hosts = [IndexSet(beta.members + (a,)) for a in range(1, fam.n + 1) if a not in beta]
+        first = project(fam[hosts[0]], beta)
+        failures += [(hosts[0], h) for h in hosts[1:] if project(fam[h], beta) != first]
     return ConsistencyReport(not failures, failures)
 
 

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmk
 from mmk import cli
@@ -208,6 +210,54 @@ class TestHostileInput:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1
         assert words in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [("[" * 100_000 + "]" * 100_000, "recursion"), ('{"n": ' + "7" * 5000 + "}", "digits")],
+        ids=["nested-brackets", "5000-digit-integer"],
+    )
+    def test_json_the_parser_refuses(self, tmp_path, text, words):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        self.refused(run_mmk("check", str(path)), words)
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_fields_exit_cleanly(self, tmp_path_factory, data):
+        # A valid problem on 2x2x2, then one or two fields dropped, replaced
+        # by a random JSON value or rebuilt from random parts.  Every
+        # integer drawn is at most 3, so no grid is large.
+        path = tmp_path_factory.mktemp("fuzz") / "p.json"
+        write_problem(path, projected_family(), cost_values=[1] * 8)
+        problem = json.loads(path.read_text())
+        parts = {
+            "n": st.integers(-1, 4),
+            "k": st.integers(-1, 4),
+            "axes": st.lists(st.integers(-1, 3), max_size=4),
+            "marginals": st.dictionaries(
+                st.sampled_from(sorted(problem["marginals"]) + ["1", "1,2,3", "x"]),
+                self.JSON_VALUES | st.fixed_dictionaries(
+                    {"axes": st.lists(st.integers(-1, 3), max_size=3),
+                     "weights": st.lists(self.JSON_VALUES, max_size=9)}),
+            ),
+            "cost": st.fixed_dictionaries(
+                {"axes": self.JSON_VALUES, "weights": st.lists(self.JSON_VALUES, max_size=9)}),
+        }
+        for field in data.draw(st.sets(st.sampled_from(sorted(parts)), min_size=1, max_size=2)):
+            how = data.draw(st.sampled_from(["drop", "random", "rebuilt"]))
+            if how == "drop":
+                del problem[field]
+            else:
+                problem[field] = data.draw(self.JSON_VALUES if how == "random" else parts[field])
+        path.write_text(json.dumps(problem))
+        assert cli.main(["check", str(path)]) in (0, 1, 2)
 
     def test_marginals_as_a_list(self, tmp_path):
         path = self.edited_problem(tmp_path, lambda d: d.update(marginals=[1, 2]))

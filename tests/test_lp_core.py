@@ -19,6 +19,7 @@ from mmk.feasibility import (
 from mmk.lp_core import LPProblem, SizeCapError, check_certificate, solve
 from mmk.measures import (
     DiscreteMeasure,
+    DomainError,
     MarginalFamily,
     ProductGrid,
     all_index_sets,
@@ -100,6 +101,33 @@ class TestExact:
         with pytest.raises(SizeCapError, match="4 nonzeros exceeds the cap 3"):
             solve(problem, arithmetic="float")
 
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, True])
+    def test_non_integer_coefficient_refused(self, value):
+        with pytest.raises(DomainError, match="expected an integer"):
+            LPProblem([1], [{0: value}], [1])
+
+    def test_tableau_pivots_on_an_integer_coefficient(self):
+        sol = solve(LPProblem([1], [{0: 2}], [2]))
+        assert sol.status == "optimal" and sol.x == [Fraction(1)] and sol.value == 1
+
+    # min x0 + x1 s.t. x0 = 1, x1 = 1: the optimum is x = y = (1, 1).  Each
+    # patch breaks one check of the tableau's answer; x = (2, 0) even keeps
+    # c.x == b.y.
+    @pytest.mark.parametrize(
+        "method, wrong, check",
+        [
+            ("primal", [Fraction(2), Fraction(0)], "x fails"),
+            ("duals", [Fraction(2), Fraction(2)], "y fails"),
+            ("duals", [Fraction(0), Fraction(0)], "gap c.x - b.y is 2"),
+        ],
+    )
+    def test_tableau_optimum_checked(self, monkeypatch, method, wrong, check):
+        problem = LPProblem([1, 1], [{0: 1}, {1: 1}], [1, 1])
+        assert solve(problem).x == [1, 1]
+        monkeypatch.setattr(lp_core._ExactTableau, method, lambda self: list(wrong))
+        with pytest.raises(lp_core.CertificationError, match=check):
+            solve(problem)
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_duality_gap_zero(self, data):
@@ -112,7 +140,7 @@ class TestExact:
             for _ in range(n)
         ]
         rows = [
-            {j: data.draw(frac) for j in range(n)} for _ in range(m)
+            {j: data.draw(st.integers(-6, 6)) for j in range(n)} for _ in range(m)
         ]
         rhs = [
             sum(row.get(j, 0) * x_feas[j] for j in range(n)) for row in rows
@@ -161,26 +189,29 @@ class TestCertifier:
 
     def test_accepts_optimal_vertex(self):
         p = self.PROBLEM
-        x, y = lp_core._certify(p, p.objective, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        x, y, value = lp_core._certify(p, p.objective, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
         assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
-        assert sum(yi * b for yi, b in zip(y, p.rhs)) == 0
+        assert value == sum(yi * b for yi, b in zip(y, p.rhs)) == 0
 
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
-        assert lp_core._certify(p, p.objective, *self.WRONG) is None
+        # No y from the columns x uses passes y.A <= c: x is not optimal.
+        with pytest.raises(lp_core.CertificationError, match="y fails"):
+            lp_core._certify(p, p.objective, *self.WRONG)
         x, y = self.WRONG
         wrong = SimpleNamespace(status=0, x=x, eqlin=SimpleNamespace(marginals=y))
         calls = []
         monkeypatch.setattr(
             lp_core, "_highs", lambda rows, rhs, obj, tight: calls.append(tight) or wrong
         )
-        with pytest.raises(lp_core.CertificationError, match="tight retry"):
+        with pytest.raises(lp_core.CertificationError, match="tight retry.*y fails"):
             solve(p)
         assert calls == [False, True]
 
     def test_rejects_infeasible_support(self):
         p = self.PROBLEM
-        assert lp_core._certify(p, p.objective, [1.0, 0.0, 0.0, 0.0], [0.0] * 4) is None
+        with pytest.raises(lp_core.CertificationError, match="x fails"):
+            lp_core._certify(p, p.objective, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
 
     # A (4,3) family on 3^4, the projections of weight d / sum(d) on the
     # cells in ravel order (d the digits), with the integer costs below.
@@ -230,12 +261,11 @@ class TestCertifier:
 
     def test_dual_check_is_exact(self):
         p = self.PROBLEM
-        rows, d = lp_core._integer_rows(p)
         tiny = Fraction(1, 10**12)
         # Column 1 lies in rows 0 and 3 and costs 3; the other columns hold
         # in both cases.
-        assert lp_core._columns_within(rows, d, [3 - tiny, -tiny, -3, tiny], p.objective)
-        assert not lp_core._columns_within(rows, d, [3, -tiny, -3, tiny], p.objective)
+        assert lp_core._columns_within(p.rows, [3 - tiny, -tiny, -3, tiny], p.objective)
+        assert not lp_core._columns_within(p.rows, [3, -tiny, -3, tiny], p.objective)
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])

@@ -244,6 +244,50 @@ class TestMarginalFamily:
         assert not report
         assert report.failures
 
+    @staticmethod
+    def pairwise_failures(fam):
+        """The reference check: every pair of marginals whose overlaps differ."""
+        sets = fam.index_sets()
+        return {
+            (a, b)
+            for i, a in enumerate(sets)
+            for b in sets[i + 1 :]
+            if len(a & b) and project(fam[a], a & b) != project(fam[b], a & b)
+        }
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_consistency_agrees_with_pairwise_reference(self, data):
+        n = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(1, n - 1))
+        grid = ProductGrid([data.draw(st.integers(2, 3)) for _ in range(n)])
+        raw = [data.draw(st.integers(1, 3)) for _ in range(grid.ncells)]
+        mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+        marginals = {alpha: project(mu, alpha) for alpha in all_index_sets(n, k)}
+        # Perturbed families: in up to two marginals, add +-delta on the
+        # corners of a box over one or two axes, with alternating signs.  A
+        # box over axes S changes the projections onto the sets that hold
+        # all of S and no other: a one-axis box shows only on some
+        # (k-1)-sets, and a two-axis box keeps a (k,2) family consistent.
+        for alpha in data.draw(st.sets(st.sampled_from(all_index_sets(n, k)), max_size=2)):
+            sub = marginals[alpha].grid
+            weights = list(marginals[alpha].weights)
+            low = [data.draw(st.integers(0, size - 2)) for size in sub.sizes]
+            box = data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=2))
+            corners = [
+                (sub.ravel(tuple(c + o for c, o in zip(low, offset))), (-1) ** sum(offset))
+                for offset in itertools.product(*[(0, 1) if t in box else (0,) for t in range(k)])
+            ]
+            delta = min(weights[i] for i, sign in corners if sign < 0) / 2
+            for i, sign in corners:
+                weights[i] += sign * delta
+            marginals[alpha] = DiscreteMeasure(sub, weights)
+        fam = MarginalFamily(n, k, grid.sizes, marginals)
+        reference = self.pairwise_failures(fam)
+        report = is_consistent(fam)
+        assert bool(report) == (not reference)
+        assert set(report.failures) <= reference
+
     def test_lower_marginal(self):
         fam = self.build()
         one = lower_marginal(fam, IndexSet([2]))
