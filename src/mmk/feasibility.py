@@ -367,21 +367,33 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str, sense: str = "m
     column t being cell columns[t]; with none left it is infeasible at
     once, with y = 1 on every row as its Farkas ray.  The cap of both
     modes is checked on all cells before anything grid-sized exists, the
-    mode's own cap on the support before the rows do.
+    mode's own cap on the support before the rows do; both run on every
+    call.
+
+    The first call that passes both caps poses the family's LP (support,
+    rows, a zero-objective LPProblem) and keeps it in the family's `_lp`
+    slot; a family is immutable, so it never goes stale.  Every later
+    call, whatever its objective, sense or arithmetic, builds only its
+    objective vector and poses it with LPProblem.with_objective.
     """
     nalpha = len(fam.index_sets())
     lp_core.check_size(fam.full_grid().ncells * nalpha, "float")
-    columns = supported_columns(fam)
+    posed = fam._lp
+    columns = tuple(supported_columns(fam)) if posed is None else posed[0]
     lp_core.check_size(len(columns) * nalpha, arithmetic)
-    rows, rhs = marginal_constraint_rows(fam, columns)
+    if posed is None:
+        rows, rhs = marginal_constraint_rows(fam, columns)
+        posed = columns, lp_core.LPProblem([0] * len(columns), rows, rhs)
+        fam._freeze(_lp=posed)
+    base = posed[1]
     if not columns:
-        cert = lp_core.Certificate([1] * len(rows))
+        cert = lp_core.Certificate([1] * base.nrows)
         return lp_core.LPSolution("infeasible", certificate=cert), columns
     if objective is None:
-        costs = [Fraction(0)] * len(columns)
+        costs = [0] * len(columns)
     else:
         costs = [objective[j] for j in columns]
-    problem = lp_core.LPProblem(costs, rows, rhs, sense=sense)
+    problem = base.with_objective(costs, sense)
     return lp_core.solve(problem, arithmetic=arithmetic), columns
 
 

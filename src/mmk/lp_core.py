@@ -10,15 +10,16 @@ over exact rationals, also the test oracle: it pivots by Bland's rule
 among tied ratios), which never cycles, and yields Farkas certificates.
 
 Every larger LP is certified from floating point.  HiGHS (via scipy)
-returns an optimal vertex, and x and the dual prices y are its values
-rounded to nearby rationals (Fraction.limit_denominator).  An x that
-fails its check is rounded again, to the nearest multiples of 1/D, D the
-common denominator of b: a vertex denominator often divides D but
-exceeds limit_denominator's 10^6.  A part that still fails is rebuilt, x
-on its support and y from the columns whose reduced cost is zero, by
-sparse elimination modulo the prime _PRIME = 2^127 - 1; each value is
-then recovered by rational reconstruction, and one whose numerator or
-denominator would exceed sqrt(_PRIME / 2) fails the rebuild.
+returns an optimal vertex.  x is first its values rounded to the nearest
+multiples of 1/D, D the common denominator of b: a vertex denominator
+often divides D but exceeds limit_denominator's 10^6.  An x that fails
+its check is rounded again, to nearby rationals
+(Fraction.limit_denominator), as the dual prices y are.  A part that
+still fails is rebuilt, x on its support and y from the columns whose
+reduced cost is zero, by sparse elimination modulo the prime
+_PRIME = 2^127 - 1; each value is then recovered by rational
+reconstruction, and one whose numerator or denominator would exceed
+sqrt(_PRIME / 2) fails the rebuild.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
@@ -31,11 +32,17 @@ CertificationError names the failed check: x, y, the gap or the ray.
 The tableau's time has no bound on a large LP, so it is no fallback.
 
 Float mode returns the answer of a HiGHS solve with the tight
-tolerances, whose x must be >= 0, and for infeasible problems the
-phase-1 duals as they are.  A model without columns, which HiGHS
+tolerances, with x's entries in [-TIGHT_TOLERANCE, 0) set to 0 and any
+lower one an LPError, and for infeasible problems the phase-1 duals as
+they are.  A model without columns, which HiGHS
 rejects, goes to the tableau in both modes.  No LP this package builds
 is unbounded (its marginal rows and x >= 0 bound x), so an unbounded LP
 raises LPError, as does any other HiGHS failure.
+
+LPProblem.with_objective poses a new objective on an LP's A x = b.  The
+problems so posed share one _Constraints, which makes what depends on A
+and b alone (the float matrix for HiGHS, b over its common denominator,
+A's columns) once, when first needed.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .measures import DomainError, Frozen, as_fraction, as_int
@@ -91,20 +99,53 @@ class CertificationError(LPError):
     """An exact answer failed its own certificate check."""
 
 
+class _Constraints:
+    """A x = b with its column count: the part of an LP shared by every
+    LPProblem posed on it.  What the solvers derive from A and b alone is
+    made once, when first asked for, and shared by all of them."""
+
+    def __init__(self, rows: tuple, rhs: tuple, ncols: int):
+        self.rows = rows
+        self.rhs = rhs
+        self.ncols = ncols
+        self.nonzeros = sum(len(r) for r in rows)
+
+    @cached_property
+    def scaled_rhs(self) -> tuple[list[int], int]:
+        """_scaled(rhs): b as integers over its common denominator D."""
+        return _scaled(self.rhs)
+
+    @cached_property
+    def columns(self) -> list[dict]:
+        """A's columns, each a {row: coefficient} mapping."""
+        columns = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                columns[j][i] = v
+        return columns
+
+    @cached_property
+    def highs_model(self):
+        """(A, b) as _highs takes them: a float CSR matrix and float b.
+
+        OverflowError if an entry of b is too large for a float.
+        """
+        return _csr(self.rows, self.ncols), [float(v) for v in self.rhs]
+
+
 class LPProblem(Frozen):
     """min or max objective.x over {x >= 0, A x = b}.
 
     Each row of A is a {column: int} mapping; zero entries are dropped and
     any other non-int (a Fraction, float or bool) is a DomainError.
+    with_objective poses another objective on the same A x = b.
     """
 
-    __slots__ = ("objective", "rows", "rhs", "sense")
+    __slots__ = ("objective", "rows", "rhs", "sense", "_constraints")
 
     def __init__(self, objective: Sequence, rows: Sequence, rhs: Sequence, sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
-        obj = tuple(as_fraction(v) for v in objective)
-        ncols = len(obj)
+        objective = tuple(objective)
+        ncols = len(objective)
         sparse_rows = []
         for row in rows:
             entries = {int(j): as_int(v) for j, v in row.items() if v != 0}
@@ -114,7 +155,28 @@ class LPProblem(Frozen):
         b = tuple(as_fraction(v) for v in rhs)
         if len(b) != len(sparse_rows):
             raise DomainError(f"{len(sparse_rows)} rows but {len(b)} rhs entries")
-        self._freeze(objective=obj, rows=tuple(sparse_rows), rhs=b, sense=sense)
+        self._pose(objective, sense, _Constraints(tuple(sparse_rows), b, ncols))
+
+    def _pose(self, objective: Sequence, sense: str, constraints: _Constraints) -> None:
+        if sense not in ("min", "max"):
+            raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
+        obj = tuple(as_fraction(v) for v in objective)
+        if len(obj) != constraints.ncols:
+            raise DomainError(f"{len(obj)} objective entries for {constraints.ncols} columns")
+        self._freeze(
+            objective=obj, rows=constraints.rows, rhs=constraints.rhs, sense=sense,
+            _constraints=constraints,
+        )
+
+    def with_objective(self, objective: Sequence, sense: str = "min") -> "LPProblem":
+        """The LP min or max objective.x on this LP's A x = b.
+
+        It shares the rows and all that solve derives from A and b, so
+        nothing of A is validated or converted again.
+        """
+        problem = type(self).__new__(type(self))
+        problem._pose(objective, sense, self._constraints)
+        return problem
 
     @property
     def ncols(self) -> int:
@@ -125,7 +187,7 @@ class LPProblem(Frozen):
         return len(self.rows)
 
     def nonzeros(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return self._constraints.nonzeros
 
 
 class Certificate(Frozen):
@@ -168,9 +230,10 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _dot(u, v) -> Fraction:
-    """The exact inner product of two rational vectors, summed in integers."""
-    (a, da), (b, db) = _scaled(u), _scaled(v)
+def _dot(scaled_u, v) -> Fraction:
+    """The exact inner product of u and v, summed in integers; u is given
+    as _scaled(u)."""
+    (a, da), (b, db) = scaled_u, _scaled(v)
     return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
 
 
@@ -193,7 +256,7 @@ def _columns_within(rows, y, bound) -> bool:
 def _primal_feasible(problem: LPProblem, x) -> bool:
     """True iff A x = b and x >= 0, decided in integers."""
     X, dx = _scaled(x)
-    rhs, d_rhs = _scaled(problem.rhs)
+    rhs, d_rhs = problem._constraints.scaled_rhs
     return min(X, default=0) >= 0 and all(
         sum(a * X[j] for j, a in row.items()) * d_rhs == bi * dx
         for row, bi in zip(problem.rows, rhs)
@@ -206,7 +269,7 @@ def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     return (
         len(y) == problem.nrows
         and _columns_within(problem.rows, y, [tol] * problem.ncols)
-        and _dot(y, problem.rhs) > tol
+        and _dot(problem._constraints.scaled_rhs, y) > tol
     )
 
 
@@ -347,13 +410,8 @@ class _ExactTableau:
         return y
 
 
-def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=False):
-    """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
-
-    A is given by its sparse rows; it has one column per objective entry.
-    A tight solve sets the feasibility tolerances to TIGHT_TOLERANCE.
-    """
-    from scipy.optimize import linprog
+def _csr(rows: Sequence[Mapping], ncols: int):
+    """The float CSR matrix of the sparse rows, with ncols columns."""
     from scipy.sparse import csr_matrix
 
     data, ri, ci = [], [], []
@@ -362,9 +420,18 @@ def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=Fa
             ri.append(i)
             ci.append(j)
             data.append(float(v))
-    A = csr_matrix((data, (ri, ci)), shape=(len(rows), len(objective)))
+    return csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
+
+
+def _highs(A, b, objective: Sequence, tight=False):
+    """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
+
+    A is a float CSR matrix with one column per objective entry, b a float
+    list.  A tight solve sets the feasibility tolerances to TIGHT_TOLERANCE.
+    """
+    from scipy.optimize import linprog
+
     c = [float(v) for v in objective]
-    b = [float(v) for v in rhs]
     options = {}
     if tight:
         options = {
@@ -374,14 +441,15 @@ def _highs(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=Fa
     return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options)
 
 
-def _highs_answer(rows: Sequence[Mapping], rhs: Sequence, objective: Sequence, tight=False):
-    """_highs's result, of status 0 (optimal) or 2 (infeasible).
+def _highs_answer(constraints: _Constraints, objective: Sequence, tight=False):
+    """_highs's result on these constraints, of status 0 (optimal) or 2
+    (infeasible).
 
     LPError on any other status, such as an unbounded LP, and on an entry
     too large for a float.
     """
     try:
-        res = _highs(rows, rhs, objective, tight)
+        res = _highs(*constraints.highs_model, objective, tight)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if res.status not in (0, 2):
@@ -397,12 +465,12 @@ def _farkas(problem: LPProblem):
     duals y satisfy y.A <= 0, and y.b is its optimum, positive exactly
     when the system is empty.
     """
-    n = problem.ncols
-    rows = [
+    n, m = problem.ncols, problem.nrows
+    rows = tuple(
         {**row, n + i: -1 if b < 0 else 1}
         for i, (row, b) in enumerate(zip(problem.rows, problem.rhs))
-    ]
-    res = _highs_answer(rows, problem.rhs, [0] * n + [1] * problem.nrows)
+    )
+    res = _highs_answer(_Constraints(rows, problem.rhs, n + m), [0] * n + [1] * m)
     if res.status != 0:
         raise LPError("HiGHS calls the phase-1 LP infeasible")
     return res.eqlin.marginals
@@ -548,8 +616,8 @@ def _accept(problem: LPProblem, objective: Sequence, xs, ys):
     y = next((c for c in ys if _columns_within(problem.rows, c, objective)), None)
     if y is None:
         raise CertificationError("y fails y.A <= c")
-    value = _dot(objective, x)
-    gap = value - _dot(problem.rhs, y)
+    value = _dot(_scaled(objective), x)
+    gap = value - _dot(problem._constraints.scaled_rhs, y)
     if gap:
         raise CertificationError(f"gap c.x - b.y is {gap}, not 0")
     return x, y, value
@@ -558,27 +626,34 @@ def _accept(problem: LPProblem, objective: Sequence, xs, ys):
 def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
     """_accept's (x, y, value) for min objective.x near a float vertex.
 
-    The x candidates are HiGHS's vertex rounded to nearby rationals, with
-    the entries at most x_tol set to 0; then rounded to the nearest
-    multiples of 1/D, D the common denominator of b, if D <= 2^53 (a float
-    resolves no finer grid); then rebuilt on that support by
-    _solve_rational.  The y candidates are HiGHS's duals rounded the same
-    way, then y rebuilt from the columns where y_float prices the reduced
-    cost at zero.  The float tolerances only choose the candidates.
+    The x candidates keep the support of HiGHS's vertex (its entries
+    above x_tol) and are 0 elsewhere.  In order: the vertex rounded to the
+    nearest multiples of 1/D, D the common denominator of b, if D <= 2^53
+    (a float resolves no finer grid); the vertex rounded to nearby
+    rationals (limit_denominator); x rebuilt on that support by
+    _solve_rational.  D goes first: a vertex denominator often divides D
+    but exceeds limit_denominator's 10^6 (as on 216 of 384 exact mass
+    extremes of build_nonstrong(8) and (10)), and limit_denominator
+    still passes where D does not (on some random transport LPs).  The y
+    candidates are HiGHS's duals rounded to nearby rationals, then y
+    rebuilt from the columns where y_float prices the reduced cost at
+    zero.  D and A's columns are the shared constraints'.  The float
+    tolerances only choose the candidates.
     """
+    constraints = problem._constraints
     n = problem.ncols
     zero = Fraction(0)
 
     def xs():
         x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
         support = {j for j in range(n) if float(x_float[j]) > x_tol}
-        yield [_rounded(x_float[j]) if j in support else zero for j in range(n)]
-        d_rhs = math.lcm(*(b.denominator for b in problem.rhs))
+        d_rhs = constraints.scaled_rhs[1]
         if d_rhs <= 2**53:
             yield [
                 Fraction(round(float(x_float[j]) * d_rhs), d_rhs) if j in support else zero
                 for j in range(n)
             ]
+        yield [_rounded(x_float[j]) if j in support else zero for j in range(n)]
         x_sparse = _solve_rational(
             [{j: v for j, v in row.items() if j in support} for row in problem.rows],
             problem.rhs,
@@ -588,10 +663,7 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
 
     def ys():
         yield [_rounded(v) for v in y_float]
-        columns = [{} for _ in range(n)]
-        for i, row in enumerate(problem.rows):
-            for j, v in row.items():
-                columns[j][i] = v
+        columns = constraints.columns
         y_f = [float(v) for v in y_float]
         reduced = [
             float(c) - sum(y_f[i] * v for i, v in col.items())
@@ -623,7 +695,7 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
         x, y, value = _accept(problem, internal_obj, [tab.primal()], [tab.duals()])
     else:
         for tight in (False, True):
-            res = _highs_answer(problem.rows, problem.rhs, internal_obj, tight)
+            res = _highs_answer(problem._constraints, internal_obj, tight)
             if res.status == 2:
                 y = [Fraction(v).limit_denominator() for v in _farkas(problem)]
                 return _infeasible(problem, y, "the rounded phase-1 duals")
@@ -645,16 +717,18 @@ def _solve_exact(problem: LPProblem) -> LPSolution:
 def _solve_float(problem: LPProblem) -> LPSolution:
     """Float mode: HiGHS's tight answer, with a Farkas certificate from _farkas.
 
-    LPError if HiGHS fails or its optimal x has an entry below 0.
+    An entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's own
+    feasibility tolerance, is returned as 0.0.  LPError if HiGHS fails or
+    its optimal x has an entry below -TIGHT_TOLERANCE.
     """
     flip = -1.0 if problem.sense == "max" else 1.0
     objective = [flip * float(v) for v in problem.objective]
-    res = _highs_answer(problem.rows, problem.rhs, objective, tight=True)
+    res = _highs_answer(problem._constraints, objective, tight=True)
     if res.status == 2:
         return LPSolution("infeasible", certificate=Certificate(_farkas(problem)))
-    if min(res.x, default=0.0) < 0:
-        raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < 0")
-    x = [float(v) for v in res.x]
+    if min(res.x, default=0.0) < -TIGHT_TOLERANCE:
+        raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < -{TIGHT_TOLERANCE}")
+    x = [max(float(v), 0.0) for v in res.x]
     y = [flip * float(v) for v in res.eqlin.marginals]
     value = flip * float(res.fun)
     return LPSolution("optimal", x=x, y=y, value=value)

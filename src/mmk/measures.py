@@ -7,6 +7,9 @@ centers, dyadic coordinates) belongs to the modules that need it.
 All objects are immutable after construction and safe to share between
 threads: every value type of the package derives from Frozen, which sets
 the fields once in the constructor and refuses any later assignment.
+The one field set later is MarginalFamily's private `_lp`, where
+feasibility.marginal_lp keeps the family's LP once posed; two threads
+that pose it at once pose the same LP.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -375,9 +379,13 @@ def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list
 
 
 class MarginalFamily(Frozen):
-    """The constraint data of an (n,k)-problem: one measure per alpha in I_nk."""
+    """The constraint data of an (n,k)-problem: one measure per alpha in I_nk.
 
-    __slots__ = ("n", "k", "sizes", "marginals")
+    `marginals` is a read-only mapping.  `_lp` is empty until
+    feasibility.marginal_lp first poses the family's LP and keeps it there.
+    """
+
+    __slots__ = ("n", "k", "sizes", "marginals", "_lp")
 
     def __init__(
         self,
@@ -402,7 +410,9 @@ class MarginalFamily(Frozen):
                 raise DomainError(f"marginal for {alpha} lives on the wrong grid")
             if mu.mass != 1:
                 raise DomainError(f"marginal for {alpha} has mass {mu.mass}, not 1")
-        self._freeze(n=n, k=k, sizes=sizes, marginals=dict(marginals))
+        self._freeze(
+            n=n, k=k, sizes=sizes, marginals=MappingProxyType(dict(marginals)), _lp=None
+        )
 
     def full_grid(self) -> ProductGrid:
         return ProductGrid(self.sizes)

@@ -58,6 +58,12 @@ class TestUnreachable:
             lo = cs.min_mass_at_cell(fam, cell, arithmetic="float")
             assert lo >= float(bound) - 1e-8
 
+    def test_float_x_within_highs_tolerance_is_zero(self):
+        # HiGHS's vertex of this min-mass LP has an entry of about -8.2e-11,
+        # inside its 1e-10 feasibility tolerance: it counts as 0.
+        fam, _, _ = cs.build_unreachable(16)
+        assert cs.min_mass_at_cell(fam, (1, 0, 0), "float") >= 0
+
     def test_min_le_max(self):
         fam, _, _ = cs.build_unreachable(6)
         cell = (0, 0, 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmk import case_studies as cs
 from mmk import feasibility as fb
 from mmk import lp_core
 from mmk.feasibility import QuadExt
@@ -335,6 +336,72 @@ class TestProjectionRows:
             )
         ]
         assert fb.supported_columns(fam) == keep
+
+
+class TestMarginalLPPosedOnce:
+    """marginal_lp poses a family's LP on its first call and re-solves that
+    LP for every later objective, sense and arithmetic."""
+
+    @staticmethod
+    def nonstrong_support(N):
+        return [
+            tuple(c - 1 for c in pt)
+            for n in range(1, N)
+            for pt in cs._a_points(n) + cs._b_points(n)
+        ]
+
+    def test_mass_extremes_match_a_fresh_family(self):
+        fam, _ = cs.build_nonstrong(8)
+        cells = self.nonstrong_support(8)
+        want = {}
+        for mode in ("exact", "float", "exact"):
+            for cell in cells:
+                for extreme in (cs.min_mass_at_cell, cs.max_mass_at_cell):
+                    key = mode, cell, extreme
+                    if key not in want:
+                        want[key] = extreme(cs.build_nonstrong(8)[0], cell, mode)
+                    assert extreme(fam, cell, mode) == want[key]
+
+    def test_kellerer_exact_then_float_match_a_fresh_family(self):
+        fam = random_family(random.Random(5), 4, 2, [3] * 4)
+        for mode in ("exact", "float"):
+            fresh = random_family(random.Random(5), 4, 2, [3] * 4)
+            verdict, want = fb.kellerer_check(fam, mode), fb.kellerer_check(fresh, mode)
+            assert verdict.feasible and want.feasible
+            assert verdict.witness.weights == want.witness.weights
+
+    def test_exact_cap_holds_after_a_float_solve(self, monkeypatch):
+        # 27 supported cells and 3 marginals: 81 nonzeros.
+        fam = random_family(random.Random(3), 3, 2, [3, 3, 3])
+        monkeypatch.setattr(lp_core, "EXACT_NONZERO_CAP", 80)
+        with pytest.raises(lp_core.SizeCapError):
+            fb.kellerer_check(fam)
+        assert fb.kellerer_check(fam, arithmetic="float").feasible
+        for check in (fb.kellerer_check, lambda f: cs.min_mass_at_cell(f, (0, 0, 0))):
+            with pytest.raises(lp_core.SizeCapError):
+                check(fam)
+
+    def test_posed_once_under_pass_through_wrappers(self, monkeypatch):
+        # The benchmark's tracer replaces these two with plain functions.
+        nonstrong, _ = cs.build_nonstrong(6)
+        random_fam = random_family(random.Random(9), 3, 2, [3, 3, 3])
+        cell = self.nonstrong_support(6)[0]
+        want_min = cs.min_mass_at_cell(cs.build_nonstrong(6)[0], cell)
+        want_witness = fb.kellerer_check(random_family(random.Random(9), 3, 2, [3, 3, 3])).witness
+        calls = []
+        rows, problem = fb.marginal_constraint_rows, lp_core.LPProblem
+        monkeypatch.setattr(
+            fb,
+            "marginal_constraint_rows",
+            lambda *args, **kw: calls.append("rows") or rows(*args, **kw),
+        )
+        monkeypatch.setattr(
+            lp_core, "LPProblem", lambda *args, **kw: calls.append("LP") or problem(*args, **kw)
+        )
+        for _ in range(2):
+            assert cs.min_mass_at_cell(nonstrong, cell) == want_min
+            assert fb.kellerer_check(random_fam).witness == want_witness
+        assert calls == ["rows", "LP", "rows", "LP"]
 
 
 class TestDensityBounds:

@@ -106,6 +106,16 @@ class TestExact:
         with pytest.raises(DomainError, match="expected an integer"):
             LPProblem([1], [{0: value}], [1])
 
+    def test_with_objective_shares_the_constraints(self):
+        problem = LPProblem([1, 2], [{0: 1, 1: 1}], [3])
+        other = problem.with_objective([2, 1], sense="max")
+        assert other.rows is problem.rows and other.rhs is problem.rhs
+        assert solve(other).value == 6 and solve(problem).value == 3
+        with pytest.raises(DomainError, match="1 objective entries for 2 columns"):
+            problem.with_objective([1])
+        with pytest.raises(DomainError, match="sense"):
+            problem.with_objective([1, 1], sense="sup")
+
     def test_tableau_pivots_on_an_integer_coefficient(self):
         sol = solve(LPProblem([1], [{0: 2}], [2]))
         assert sol.status == "optimal" and sol.x == [Fraction(1)] and sol.value == 1
@@ -193,6 +203,15 @@ class TestCertifier:
         assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
         assert value == sum(yi * b for yi, b in zip(y, p.rhs)) == 0
 
+    def test_x_rounded_at_b_denominator_first(self, monkeypatch):
+        # b's common denominator is 2, and x rounded at it passes: no entry
+        # of x goes through limit_denominator, only y's do.
+        rounded, real = [], lp_core._rounded
+        monkeypatch.setattr(lp_core, "_rounded", lambda v: rounded.append(v) or real(v))
+        p = self.PROBLEM
+        lp_core._certify(p, p.objective, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        assert len(rounded) == p.nrows
+
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
         # No y from the columns x uses passes y.A <= c: x is not optimal.
@@ -202,7 +221,7 @@ class TestCertifier:
         wrong = SimpleNamespace(status=0, x=x, eqlin=SimpleNamespace(marginals=y))
         calls = []
         monkeypatch.setattr(
-            lp_core, "_highs", lambda rows, rhs, obj, tight: calls.append(tight) or wrong
+            lp_core, "_highs", lambda A, b, obj, tight: calls.append(tight) or wrong
         )
         with pytest.raises(lp_core.CertificationError, match="tight retry.*y fails"):
             solve(p)
@@ -273,7 +292,7 @@ class TestCertifier:
         phase1 = SimpleNamespace(status=0, eqlin=SimpleNamespace(marginals=[1.0, 1.0]))
         infeasible = SimpleNamespace(status=2)
         monkeypatch.setattr(  # the phase-1 LP has 2 + 2 columns
-            lp_core, "_highs", lambda rows, rhs, obj, tight: phase1 if len(obj) == 4 else infeasible
+            lp_core, "_highs", lambda A, b, obj, tight: phase1 if len(obj) == 4 else infeasible
         )
         with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
             solve(problem)
@@ -497,8 +516,8 @@ class TestFarkas:
         _, problem = self.modk_problem(4, 3)
         highs = lp_core._highs
 
-        def negated_phase1(rows, rhs, obj, tight=False):
-            res = highs(rows, rhs, obj, tight)
+        def negated_phase1(A, b, obj, tight=False):
+            res = highs(A, b, obj, tight)
             if len(obj) == problem.ncols:
                 return res
             return SimpleNamespace(
@@ -512,7 +531,7 @@ class TestFarkas:
 
     def test_float_highs_failure_raises(self, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
-        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective, tight: failed)
+        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective, tight: failed)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
 
@@ -551,7 +570,7 @@ class TestFloat:
         res = SimpleNamespace(
             status=0, x=[-1e-8, 1.0], fun=1.0, eqlin=SimpleNamespace(marginals=[1.0])
         )
-        monkeypatch.setattr(lp_core, "_highs", lambda rows, rhs, objective, tight: res)
+        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective, tight: res)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([0, 1], [{0: 1, 1: 1}], [1]), arithmetic="float")
 

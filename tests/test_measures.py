@@ -225,6 +225,11 @@ class TestMarginalFamily:
         with pytest.raises(DomainError):
             MarginalFamily(3, 2, [2, 2, 2], marg)
 
+    def test_marginals_are_read_only(self):
+        fam = self.build()
+        with pytest.raises(TypeError):
+            fam.marginals[IndexSet([1, 2])] = uniform([2, 2], axes=(1, 2))
+
     def test_consistency_of_projected_family(self):
         fam = self.build()
         assert is_consistent(fam)
