@@ -40,6 +40,15 @@ PI_SQUARED_LOW = Fraction(98696, 10000)
 PI_SQUARED_HIGH = Fraction(98697, 10000)
 
 
+def _capped_grid(sizes) -> ProductGrid:
+    """The grid of a case's (3,2) family, or SizeCapError if the family's
+    LP is over check_size's float cap: each case gets its grid here before
+    it builds anything grid-sized."""
+    grid = ProductGrid(sizes)
+    lp_core.check_size(grid.ncells * 3, "float")
+    return grid
+
+
 def _family_from_full_measure(mu: DiscreteMeasure) -> MarginalFamily:
     n = len(mu.grid.axes)
     marginals = {alpha: project(mu, alpha) for alpha in all_index_sets(n, 2)}
@@ -77,8 +86,8 @@ def build_unreachable(N: int):
     """
     if N < 6:
         raise DomainError("need N >= 6")
+    grid = _capped_grid([N, N, N])
     alpha0 = unreachable_alpha0()
-    grid = ProductGrid([N, N, N])
     weights = [Fraction(0)] * grid.ncells
     for cell in grid.cells():
         n1, n2, n3 = (c + 1 for c in cell)
@@ -109,20 +118,20 @@ def unreachable_gamma_bound(m: int, alpha0: Fraction) -> Fraction:
     )
 
 
-def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
-    """LP extreme of pi(cell) over the uniting polytope.
+def _mass_extreme(fam: MarginalFamily, cell, sign: int, arithmetic: str):
+    """LP minimum of sign * pi(cell) over the uniting polytope.
 
     A cell where some marginal vanishes carries no mass in any uniting
-    measure, so its min and max are 0 at once; otherwise one
-    feasibility.marginal_lp with the indicator of the cell as objective.
+    measure, so its extremes are 0 at once; otherwise one
+    feasibility.marginal_lp with sign at the cell as objective.
     """
     grid = fam.full_grid()
     target = grid.ravel(cell)
     if any(fam[a].weight([cell[i - 1] for i in a]) == 0 for a in fam.index_sets()):
         return Fraction(0)
     objective = [Fraction(0)] * grid.ncells
-    objective[target] = Fraction(1)
-    sol, _ = marginal_lp(fam, objective, arithmetic, sense)
+    objective[target] = Fraction(sign)
+    sol, _ = marginal_lp(fam, objective, arithmetic)
     if sol.status != "optimal":
         raise DomainError(f"family is {sol.status}")
     return sol.value
@@ -130,12 +139,12 @@ def _mass_extreme(fam: MarginalFamily, cell, sense: str, arithmetic: str):
 
 def min_mass_at_cell(fam: MarginalFamily, cell, arithmetic: str = "exact"):
     """LP minimum of pi(cell) over all uniting measures of the family."""
-    return _mass_extreme(fam, cell, "min", arithmetic)
+    return _mass_extreme(fam, cell, 1, arithmetic)
 
 
 def max_mass_at_cell(fam: MarginalFamily, cell, arithmetic: str = "exact"):
     """LP maximum of pi(cell) over all uniting measures of the family."""
-    return _mass_extreme(fam, cell, "max", arithmetic)
+    return -_mass_extreme(fam, cell, -1, arithmetic)
 
 
 def diagnose_dual_growth(N: int, arithmetic: str = "float"):
@@ -170,7 +179,7 @@ def build_nonstrong(N: int):
     and the B_n indicator cost.  Returns (family, cost)."""
     if N < 6:
         raise DomainError("need N >= 6")
-    grid = ProductGrid([N, N, N])
+    grid = _capped_grid([N, N, N])
     weights = [Fraction(0)] * grid.ncells
     for n in range(1, N):
         w = Fraction(1) / (PI_SQUARED_HIGH * n * n)
@@ -248,11 +257,11 @@ def build_discontinuous(N: int):
     dual.  Returns (family, cost, PiecewiseDual32)."""
     if N % 6:
         raise DomainError("N must be divisible by 6")
+    grid = _capped_grid([N, N, N])
     marginals = {
         alpha: uniform([N, N], axes=tuple(alpha)) for alpha in all_index_sets(3, 2)
     }
     fam = MarginalFamily(3, 2, [N, N, N], marginals)
-    grid = fam.full_grid()
 
     def cost_fn(i, j, k):
         x = Fraction(2 * i + 1, 2 * N)
@@ -352,6 +361,7 @@ def build_uniformband(N: int):
     mu_23; cost x*y*z with x, y at cell centers and z in {0,1,2}."""
     if N < 3:
         raise DomainError("need N >= 3")
+    grid = _capped_grid([N, N, 3])
     marginals = {
         IndexSet([1, 2]): uniform([N, N], axes=(1, 2)),
         IndexSet([1, 3]): uniform([N, 3], axes=(1, 3)),
@@ -362,7 +372,7 @@ def build_uniformband(N: int):
     def cost_fn(i, j, k):
         return Fraction(2 * i + 1, 2 * N) * Fraction(2 * j + 1, 2 * N) * k
 
-    return fam, CostGrid.from_function(fam.full_grid(), cost_fn)
+    return fam, CostGrid.from_function(grid, cost_fn)
 
 
 def eval_fA(A, x, y) -> Fraction:

@@ -4,8 +4,7 @@ Subcommands: check, solve, dual, signed, bounded-dual, xor, case,
 figure.  Problem files are JSON; rationals serialize as "p/q" strings.
 Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input,
 unknown name or an LP the solver refuses (a size cap) or cannot
-certify.  MMK_ARITHMETIC=exact|float overrides the arithmetic
-mode.
+certify.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .measures import (
     is_consistent,
     measure_from_json,
     measure_to_json,
+    potentials_to_json,
     uniform,
 )
 
@@ -127,48 +127,30 @@ def cmd_check(args) -> int:
         {
             "consistent": True,
             "feasible": False,
-            "certificate": {
-                alpha.key(): [_rat(v) for v in values]
-                for alpha, values in verdict.potentials.items()
-            },
+            "certificate": potentials_to_json(verdict.potentials),
         }
     )
     return 2
 
 
-def cmd_solve(args) -> int:
+def _load_with_cost(args):
+    """(family, cost) of the problem file; MalformedInput if it has no cost."""
     fam, cost, _ = load_problem(args.file)
     if cost is None:
-        raise MalformedInput("solve requires a cost tensor in the problem file")
-    try:
-        report = transport.verify_gap(fam, cost, arithmetic=args.arithmetic)
-    except transport.InfeasibleFamilyError:
-        _emit({"feasible": False})
-        return 2
-    _emit(report.to_json())
+        raise MalformedInput(f"{args.command} requires a cost tensor in the problem file")
+    return fam, cost
+
+
+def cmd_solve(args) -> int:
+    fam, cost = _load_with_cost(args)
+    _emit(transport.verify_gap(fam, cost, arithmetic=args.arithmetic).to_json())
     return 0
 
 
 def cmd_dual(args) -> int:
-    fam, cost, _ = load_problem(args.file)
-    if cost is None:
-        raise MalformedInput("dual requires a cost tensor in the problem file")
-    try:
-        potentials, value = transport.solve_dual(
-            fam, cost, arithmetic=args.arithmetic
-        )
-    except transport.InfeasibleFamilyError:
-        _emit({"feasible": False})
-        return 2
-    _emit(
-        {
-            "value": _rat(value),
-            "potentials": {
-                alpha.key(): [_rat(v) for v in potentials[alpha]]
-                for alpha in potentials.index_sets()
-            },
-        }
-    )
+    fam, cost = _load_with_cost(args)
+    potentials, value = transport.solve_dual(fam, cost, arithmetic=args.arithmetic)
+    _emit({"value": _rat(value), "potentials": potentials_to_json(potentials.potentials)})
     return 0
 
 
@@ -182,24 +164,11 @@ def cmd_signed(args) -> int:
 
 
 def cmd_bounded_dual(args) -> int:
-    fam, cost, _ = load_problem(args.file)
-    if cost is None:
-        raise MalformedInput("bounded-dual requires a cost tensor")
-    try:
-        d, _ = transport.solve_dual(fam, cost)
-        out = transport.extract_bounded_dual(fam, cost, d)
-    except transport.InfeasibleFamilyError:
-        _emit({"feasible": False})
-        return 2
-    _emit(
-        {
-            "value": _rat(out.value_against(fam)),
-            "potentials": {
-                alpha.key(): [_rat(v) for v in out[alpha]]
-                for alpha in out.index_sets()
-            },
-        }
-    )
+    fam, cost = _load_with_cost(args)
+    d, _ = transport.solve_dual(fam, cost)
+    out = transport.extract_bounded_dual(fam, cost, d)
+    value = _rat(out.value_against(fam))
+    _emit({"value": value, "potentials": potentials_to_json(out.potentials)})
     return 0
 
 
@@ -207,24 +176,25 @@ def _parse_dyadic(text: str) -> xor_model.Dyadic:
     return xor_model.Dyadic.from_fraction(Fraction(text))
 
 
+def _write_slice(z: xor_model.Dyadic, depth: int, out: str) -> int:
+    """Write the Sierpinski slice at height z as a P2 image and print its path."""
+    write_pgm(out, xor_model.sierpinski_slice(z, depth), maxval=1)
+    print(out)
+    return 0
+
+
 def cmd_xor(args) -> int:
+    if args.op == "slice":
+        z = _parse_dyadic(args.z)
+        out = args.out or f"sierpinski_z{z.a}_{z.p}_d{args.depth}.pgm"
+        return _write_slice(z, args.depth, out)
+    x, y = _parse_dyadic(args.x), _parse_dyadic(args.y)
     if args.op == "xor":
-        x, y = _parse_dyadic(args.x), _parse_dyadic(args.y)
         print(_rat(xor_model.xor_dyadic(x, y).value))
     elif args.op == "integral":
-        x, y = _parse_dyadic(args.x), _parse_dyadic(args.y)
         print(_rat(xor_model.xor_integral(x, y)))
-    elif args.op == "f":
-        x, y = _parse_dyadic(args.x), _parse_dyadic(args.y)
+    else:  # argparse leaves only "f"
         print(_rat(xor_model.dual_f(x, y)))
-    elif args.op == "slice":
-        z = _parse_dyadic(args.z)
-        raster = xor_model.sierpinski_slice(z, args.depth)
-        out = args.out or f"sierpinski_z{z.a}_{z.p}_d{args.depth}.pgm"
-        write_pgm(out, raster, maxval=1)
-        print(out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MalformedInput(f"unknown xor operation {args.op!r}")
     return 0
 
 
@@ -366,13 +336,8 @@ def cmd_case(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.name == "sierpinski":
-        raster = xor_model.sierpinski_slice(
-            _parse_dyadic(args.z or "0"), args.depth or 5
-        )
         out = args.out or "sierpinski.pgm"
-        write_pgm(out, raster, maxval=1)
-        print(out)
-        return 0
+        return _write_slice(_parse_dyadic(args.z or "0"), args.depth or 5, out)
     if args.name == "uniformband":
         report = _case_uniformband(args, args.arithmetic)
         _emit(report)
@@ -389,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--arithmetic",
         choices=["exact", "float"],
-        default=os.environ.get("MMK_ARITHMETIC", "exact"),
-        help="LP arithmetic mode (env MMK_ARITHMETIC overrides the default)",
+        default="exact",
+        help="LP arithmetic mode",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,6 +401,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except transport.InfeasibleFamilyError:  # solve, dual, bounded-dual
+        _emit({"feasible": False})
+        return 2
     except MalformedInput as exc:
         print(str(exc), file=sys.stderr)
         return 1

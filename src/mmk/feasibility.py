@@ -276,8 +276,10 @@ def signed_uniting(
 
     Builds mu~_t = sum over t-subsets of (lower marginal x off-axis
     refs) and combines them with signed_lambda(n, k).  The result's
-    projections are asserted before returning.
+    projections are asserted before returning.  A grid over the float
+    cap of check_size (cells times marginals) is refused before it exists.
     """
+    lp_core.check_size(fam.full_grid().ncells * len(fam.index_sets()), "float")
     if not is_consistent(fam):
         raise PreconditionError("signed_uniting requires a consistent family")
     _check_refs(fam, refs)
@@ -359,8 +361,8 @@ def supported_columns(fam: MarginalFamily) -> list[int]:
     return [j for j, k in enumerate(keep) if k]
 
 
-def marginal_lp(fam: MarginalFamily, objective, arithmetic: str, sense: str = "min"):
-    """Min or max objective.pi over the uniting measures, as (solution, columns).
+def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
+    """Min objective.pi over the uniting measures, as (solution, columns).
 
     `objective` has one entry per full-grid cell (None: the zero
     objective).  The LP is posed on columns = supported_columns(fam),
@@ -373,7 +375,7 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str, sense: str = "m
     The first call that passes both caps poses the family's LP (support,
     rows, a zero-objective LPProblem) and keeps it in the family's `_lp`
     slot; a family is immutable, so it never goes stale.  Every later
-    call, whatever its objective, sense or arithmetic, builds only its
+    call, whatever its objective or arithmetic, builds only its
     objective vector and poses it with LPProblem.with_objective.
     """
     nalpha = len(fam.index_sets())
@@ -393,7 +395,7 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str, sense: str = "m
         costs = [0] * len(columns)
     else:
         costs = [objective[j] for j in columns]
-    problem = base.with_objective(costs, sense)
+    problem = base.with_objective(costs)
     return lp_core.solve(problem, arithmetic=arithmetic), columns
 
 
@@ -612,7 +614,7 @@ def uniting_by_density_2(
         tuple(alpha): product(_ref_product(refs, list(alpha))) for alpha in pairs
     }
 
-    # (i) maximize xi(X) subject to prj_ij(xi) <= mu_ij - m nu_ij.
+    # (i) maximize xi(X), as min -xi(X), subject to prj_ij(xi) <= mu_ij - m nu_ij.
     ncells = grid.ncells
     rows = []
     rhs = []
@@ -627,8 +629,8 @@ def uniting_by_density_2(
             )
         rows.extend(block)
     nvars = slack_col
-    objective = [Fraction(1)] * ncells + [Fraction(0)] * (nvars - ncells)
-    sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs, sense="max"))
+    objective = [Fraction(-1)] * ncells + [Fraction(0)] * (nvars - ncells)
+    sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs))
     if sol.status != "optimal":
         raise lp_core.LPError(f"the extraction LP is {sol.status}")
     xi = DiscreteMeasure(grid, sol.x[:ncells])

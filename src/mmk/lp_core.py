@@ -1,7 +1,8 @@
 """Exact linear programming over integer constraint matrices.
 
-Solves min/max c.x subject to A x = b, x >= 0, with A integer (every LP
-this package builds is 0/1) and c and b rational.
+Solves min c.x subject to A x = b, x >= 0, with A integer (every LP
+this package builds is 0/1) and c and b rational.  A maximum is the
+negated minimum of -c.x, which the callers pose.
 
 Exact mode takes one route per LP, by size.  An LP of at most
 TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
@@ -9,35 +10,35 @@ over exact rationals, also the test oracle: it pivots by Bland's rule
 (the first column with negative reduced cost, the lowest basic index
 among tied ratios), which never cycles, and yields Farkas certificates.
 
-Every larger LP is certified from floating point.  HiGHS (via scipy)
-returns an optimal vertex.  x is first its values rounded to the nearest
-multiples of 1/D, D the common denominator of b: a vertex denominator
-often divides D but exceeds limit_denominator's 10^6.  An x that fails
-its check is rounded again, to nearby rationals
-(Fraction.limit_denominator), as the dual prices y are.  A part that
-still fails is rebuilt, x on its support and y from the columns whose
-reduced cost is zero, by sparse elimination modulo the prime
-_PRIME = 2^127 - 1; each value is then recovered by rational
-reconstruction, and one whose numerator or denominator would exceed
-sqrt(_PRIME / 2) fails the rebuild.
+Every larger LP is certified from floating point.  One HiGHS (via scipy)
+solve, with feasibility tolerances TIGHT_TOLERANCE, returns an optimal
+vertex.  x is first its values rounded to the nearest multiples of 1/D,
+D the common denominator of b: a vertex denominator often divides D but
+exceeds limit_denominator's 10^6.  An x that fails its check is rounded
+again, to nearby rationals (Fraction.limit_denominator), as the dual
+prices y are.  A part that still fails is rebuilt, x on its support and
+y from the columns whose reduced cost is zero, by sparse elimination
+modulo the prime _PRIME = 2^127 - 1; each value is then recovered by
+rational reconstruction, and one whose numerator or denominator would
+exceed sqrt(_PRIME / 2) fails the rebuild.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
 integers over common denominators; float tolerances and residues only
-choose the candidates.  A rejected HiGHS vertex gets one retry with
-feasibility tolerances TIGHT_TOLERANCE.  When HiGHS reports the LP
-infeasible, the rounded duals of a HiGHS phase-1 solve are the Farkas
-ray (y.A <= 0, y.b > 0) if check_certificate accepts them.  Otherwise
-CertificationError names the failed check: x, y, the gap or the ray.
-The tableau's time has no bound on a large LP, so it is no fallback.
+choose the candidates.  A rejected HiGHS vertex is not solved again.
+When HiGHS reports the LP infeasible, the rounded duals of a HiGHS
+phase-1 solve are the Farkas ray (y.A <= 0, y.b > 0) if
+check_certificate accepts them.  Otherwise CertificationError names the
+failed check: x, y, the gap or the ray.  The tableau's time has no bound
+on a large LP, so it is no fallback.
 
-Float mode returns the answer of a HiGHS solve with the tight
-tolerances, with x's entries in [-TIGHT_TOLERANCE, 0) set to 0 and any
-lower one an LPError, and for infeasible problems the phase-1 duals as
-they are.  A model without columns, which HiGHS
-rejects, goes to the tableau in both modes.  No LP this package builds
-is unbounded (its marginal rows and x >= 0 bound x), so an unbounded LP
-raises LPError, as does any other HiGHS failure.
+Float mode makes the same HiGHS call and returns its answer, with x's
+entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
+and for infeasible problems the phase-1 duals as they are.  A model
+without columns, which HiGHS rejects, goes to the tableau in both modes.
+No LP this package builds is unbounded (its marginal rows and x >= 0
+bound x), so an unbounded LP raises LPError, as does any other HiGHS
+failure.
 
 LPProblem.with_objective poses a new objective on an LP's A x = b.  The
 problems so posed share one _Constraints, which makes what depends on A
@@ -72,15 +73,16 @@ FLOAT_NONZERO_CAP = 2_000_000
 # one, and the tableau's time grows without bound (over 600 s at 17,496).
 TABLEAU_ONLY_NONZEROS = 64
 
-# Primal and dual feasibility tolerance of a tight HiGHS solve (HiGHS's
+# Primal and dual feasibility tolerance of every HiGHS solve (HiGHS's
 # default is 1e-7).  Under the default a basic variable may sit slightly
-# below 0 or a degenerate vertex may come out on an inconsistent support.
-# Exact mode retries a rejected vertex with it: the retry returns a clean
-# vertex in a few ms where the tableau takes seconds to minutes, but it
-# costs 5-8% more HiGHS time per call and no random family needed it.
-# Float mode, whose x must be >= 0 as returned, solves tight from the
-# start: 27 of the 33 min-mass LPs of build_unreachable(12) have an entry
-# near -9e-8 under the default, and the tight solve of those is no slower.
+# below 0 or a degenerate vertex may come out on an inconsistent support:
+# 27 of the 33 min-mass LPs of build_unreachable(12) have an entry near
+# -9e-8, and a degenerate (5,3) family's vertex fails x's exact check.
+# No LP is solved twice.  It costs HiGHS no time, but scipy checks each
+# option passed on every call: on the mass-extreme LPs of
+# build_nonstrong(8) and (10) (2 cores, Python 3.11, scipy's linprog) a
+# call took 2.5-3.4 ms with the default and 0.2 ms more with either
+# these two options or the same two at the default 1e-7.
 TIGHT_TOLERANCE = 1e-10
 
 # The Mersenne prime 2^127 - 1, modulo which _solve_rational eliminates.
@@ -134,16 +136,16 @@ class _Constraints:
 
 
 class LPProblem(Frozen):
-    """min or max objective.x over {x >= 0, A x = b}.
+    """min objective.x over {x >= 0, A x = b}.
 
     Each row of A is a {column: int} mapping; zero entries are dropped and
     any other non-int (a Fraction, float or bool) is a DomainError.
     with_objective poses another objective on the same A x = b.
     """
 
-    __slots__ = ("objective", "rows", "rhs", "sense", "_constraints")
+    __slots__ = ("objective", "rows", "rhs", "_constraints")
 
-    def __init__(self, objective: Sequence, rows: Sequence, rhs: Sequence, sense: str = "min"):
+    def __init__(self, objective: Sequence, rows: Sequence, rhs: Sequence):
         objective = tuple(objective)
         ncols = len(objective)
         sparse_rows = []
@@ -155,27 +157,25 @@ class LPProblem(Frozen):
         b = tuple(as_fraction(v) for v in rhs)
         if len(b) != len(sparse_rows):
             raise DomainError(f"{len(sparse_rows)} rows but {len(b)} rhs entries")
-        self._pose(objective, sense, _Constraints(tuple(sparse_rows), b, ncols))
+        self._pose(objective, _Constraints(tuple(sparse_rows), b, ncols))
 
-    def _pose(self, objective: Sequence, sense: str, constraints: _Constraints) -> None:
-        if sense not in ("min", "max"):
-            raise DomainError(f"sense must be 'min' or 'max', got {sense!r}")
+    def _pose(self, objective: Sequence, constraints: _Constraints) -> None:
         obj = tuple(as_fraction(v) for v in objective)
         if len(obj) != constraints.ncols:
             raise DomainError(f"{len(obj)} objective entries for {constraints.ncols} columns")
         self._freeze(
-            objective=obj, rows=constraints.rows, rhs=constraints.rhs, sense=sense,
+            objective=obj, rows=constraints.rows, rhs=constraints.rhs,
             _constraints=constraints,
         )
 
-    def with_objective(self, objective: Sequence, sense: str = "min") -> "LPProblem":
-        """The LP min or max objective.x on this LP's A x = b.
+    def with_objective(self, objective: Sequence) -> "LPProblem":
+        """The LP min objective.x on this LP's A x = b.
 
         It shares the rows and all that solve derives from A and b, so
         nothing of A is validated or converted again.
         """
         problem = type(self).__new__(type(self))
-        problem._pose(objective, sense, self._constraints)
+        problem._pose(objective, self._constraints)
         return problem
 
     @property
@@ -237,14 +237,15 @@ def _dot(scaled_u, v) -> Fraction:
     return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
 
 
-def _columns_within(rows, y, bound) -> bool:
+def _columns_within(rows, y, scaled_bound) -> bool:
     """True iff y.A_j <= bound[j] for every column j, decided in integers.
 
-    `rows` is A's integer rows.  With y = Y / dy and bound = C / dc, the
-    test is s_j * dc <= C_j * dy, where s_j = sum_i Y_i * rows[i][j].
+    `rows` is A's integer rows and the bound is given as _scaled(bound).
+    With y = Y / dy and bound = C / dc, the test is s_j * dc <= C_j * dy,
+    where s_j = sum_i Y_i * rows[i][j].
     """
     Y, dy = _scaled(y)
-    C, dc = _scaled(bound)
+    C, dc = scaled_bound
     sums = [0] * len(C)
     for yi, row in zip(Y, rows):
         if yi:
@@ -268,7 +269,7 @@ def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     y, tol = cert.y, Fraction(tol)
     return (
         len(y) == problem.nrows
-        and _columns_within(problem.rows, y, [tol] * problem.ncols)
+        and _columns_within(problem.rows, y, _scaled([tol] * problem.ncols))
         and _dot(problem._constraints.scaled_rhs, y) > tol
     )
 
@@ -282,10 +283,10 @@ class _ExactTableau:
     the final reduced-cost row.
     """
 
-    def __init__(self, problem: LPProblem, minimize_obj: Sequence):
+    def __init__(self, problem: LPProblem):
         self.n = problem.ncols
         self.m = problem.nrows
-        self.obj = list(minimize_obj)
+        self.obj = list(problem.objective)
         self.row_sign = []
         self.rows = []
         for i in range(self.m):
@@ -423,25 +424,23 @@ def _csr(rows: Sequence[Mapping], ncols: int):
     return csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
 
 
-def _highs(A, b, objective: Sequence, tight=False):
+def _highs(A, b, objective: Sequence):
     """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
 
     A is a float CSR matrix with one column per objective entry, b a float
-    list.  A tight solve sets the feasibility tolerances to TIGHT_TOLERANCE.
+    list.  The feasibility tolerances are TIGHT_TOLERANCE.
     """
     from scipy.optimize import linprog
 
     c = [float(v) for v in objective]
-    options = {}
-    if tight:
-        options = {
-            "primal_feasibility_tolerance": TIGHT_TOLERANCE,
-            "dual_feasibility_tolerance": TIGHT_TOLERANCE,
-        }
+    options = {
+        "primal_feasibility_tolerance": TIGHT_TOLERANCE,
+        "dual_feasibility_tolerance": TIGHT_TOLERANCE,
+    }
     return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options)
 
 
-def _highs_answer(constraints: _Constraints, objective: Sequence, tight=False):
+def _highs_answer(constraints: _Constraints, objective: Sequence):
     """_highs's result on these constraints, of status 0 (optimal) or 2
     (infeasible).
 
@@ -449,7 +448,7 @@ def _highs_answer(constraints: _Constraints, objective: Sequence, tight=False):
     too large for a float.
     """
     try:
-        res = _highs(*constraints.highs_model, objective, tight)
+        res = _highs(*constraints.highs_model, objective)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if res.status not in (0, 2):
@@ -600,31 +599,32 @@ def _rounded(v) -> Fraction:
     return Fraction(v).limit_denominator()
 
 
-def _accept(problem: LPProblem, objective: Sequence, xs, ys):
-    """(x, y, objective.x) of an exactly checked optimum of min objective.x.
+def _accept(problem: LPProblem, xs, ys):
+    """(x, y, c.x) of an exactly checked optimum of the problem.
 
     x is the first candidate of xs with A x = b and x >= 0, y the first of
-    ys with y.A_j <= objective_j for every column j, and the pair must
-    close the gap, objective.x == b.y.  The checks run in integers over
-    common denominators, and a candidate is made only after the one before
-    it has failed.  CertificationError names the check that no candidate
-    passed: x, y or the gap.
+    ys with y.A_j <= c_j for every column j, and the pair must close the
+    gap, c.x == b.y.  The checks run in integers over common
+    denominators, c is scaled to them once, and a candidate is made only
+    after the one before it has failed.  CertificationError names the
+    check that no candidate passed: x, y or the gap.
     """
     x = next((c for c in xs if _primal_feasible(problem, c)), None)
     if x is None:
         raise CertificationError("x fails A x = b, x >= 0")
+    objective = _scaled(problem.objective)
     y = next((c for c in ys if _columns_within(problem.rows, c, objective)), None)
     if y is None:
         raise CertificationError("y fails y.A <= c")
-    value = _dot(_scaled(objective), x)
+    value = _dot(objective, x)
     gap = value - _dot(problem._constraints.scaled_rhs, y)
     if gap:
         raise CertificationError(f"gap c.x - b.y is {gap}, not 0")
     return x, y, value
 
 
-def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
-    """_accept's (x, y, value) for min objective.x near a float vertex.
+def _certify(problem: LPProblem, x_float, y_float):
+    """_accept's (x, y, value) near a float vertex of the problem.
 
     The x candidates keep the support of HiGHS's vertex (its entries
     above x_tol) and are 0 elsewhere.  In order: the vertex rounded to the
@@ -641,6 +641,7 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
     tolerances only choose the candidates.
     """
     constraints = problem._constraints
+    objective = problem.objective
     n = problem.ncols
     zero = Fraction(0)
 
@@ -675,63 +676,40 @@ def _certify(problem: LPProblem, objective: Sequence, x_float, y_float):
         if y_sparse is not None:
             yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
 
-    return _accept(problem, objective, xs(), ys())
+    return _accept(problem, xs(), ys())
 
 
-def _solve_exact(problem: LPProblem) -> LPSolution:
-    """The tableau's answer up to TABLEAU_ONLY_NONZEROS, else HiGHS's.
+def _solve_tableau(problem: LPProblem) -> LPSolution:
+    """The tableau's answer; its optimum passes _accept and its ray _infeasible."""
+    tab = _ExactTableau(problem)
+    if not tab.phase1():
+        return _infeasible(problem, tab.farkas(), "phase 1")
+    tab.phase2()
+    return LPSolution("optimal", *_accept(problem, [tab.primal()], [tab.duals()]))
 
-    Every optimum passes _accept and every ray _infeasible.  HiGHS's
-    vertex gets one tight retry, and CertificationError names the check
-    that the retry's vertex failed.
+
+def _solve_highs(problem: LPProblem, exact: bool) -> LPSolution:
+    """The answer of one HiGHS solve, certified in exact mode.
+
+    Exact mode returns _certify's optimum, or the rounded phase-1 duals
+    of _farkas once _infeasible accepts them.  Float mode returns HiGHS's
+    numbers, with an entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's
+    own feasibility tolerance, as 0.0; LPError if its optimal x has an
+    entry below -TIGHT_TOLERANCE.
     """
-    flip = -1 if problem.sense == "max" else 1
-    internal_obj = [flip * v for v in problem.objective]
-    if problem.nonzeros() <= TABLEAU_ONLY_NONZEROS:
-        tab = _ExactTableau(problem, internal_obj)
-        if not tab.phase1():
-            return _infeasible(problem, tab.farkas(), "phase 1")
-        tab.phase2()
-        x, y, value = _accept(problem, internal_obj, [tab.primal()], [tab.duals()])
-    else:
-        for tight in (False, True):
-            res = _highs_answer(problem._constraints, internal_obj, tight)
-            if res.status == 2:
-                y = [Fraction(v).limit_denominator() for v in _farkas(problem)]
-                return _infeasible(problem, y, "the rounded phase-1 duals")
-            try:
-                x, y, value = _certify(problem, internal_obj, res.x, res.eqlin.marginals)
-                break
-            except CertificationError as exc:
-                failure = exc
-        else:
-            raise CertificationError(
-                f"neither HiGHS's vertex nor the tight retry's passed (the retry's {failure}),"
-                f" and {problem.nonzeros()} nonzeros are too many for the tableau"
-            ) from failure
-    if flip < 0:
-        y = [-v for v in y]
-    return LPSolution("optimal", x=x, y=y, value=flip * value)
-
-
-def _solve_float(problem: LPProblem) -> LPSolution:
-    """Float mode: HiGHS's tight answer, with a Farkas certificate from _farkas.
-
-    An entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's own
-    feasibility tolerance, is returned as 0.0.  LPError if HiGHS fails or
-    its optimal x has an entry below -TIGHT_TOLERANCE.
-    """
-    flip = -1.0 if problem.sense == "max" else 1.0
-    objective = [flip * float(v) for v in problem.objective]
-    res = _highs_answer(problem._constraints, objective, tight=True)
+    res = _highs_answer(problem._constraints, problem.objective)
     if res.status == 2:
-        return LPSolution("infeasible", certificate=Certificate(_farkas(problem)))
+        y = _farkas(problem)
+        if not exact:
+            return LPSolution("infeasible", certificate=Certificate(y))
+        return _infeasible(problem, [_rounded(v) for v in y], "the rounded phase-1 duals")
+    if exact:
+        return LPSolution("optimal", *_certify(problem, res.x, res.eqlin.marginals))
     if min(res.x, default=0.0) < -TIGHT_TOLERANCE:
         raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < -{TIGHT_TOLERANCE}")
     x = [max(float(v), 0.0) for v in res.x]
-    y = [flip * float(v) for v in res.eqlin.marginals]
-    value = flip * float(res.fun)
-    return LPSolution("optimal", x=x, y=y, value=value)
+    y = [float(v) for v in res.eqlin.marginals]
+    return LPSolution("optimal", x=x, y=y, value=float(res.fun))
 
 
 def check_size(nonzeros: int, arithmetic: str) -> None:
@@ -758,10 +736,14 @@ def check_size(nonzeros: int, arithmetic: str) -> None:
 def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     """Solve the LP; exact rational mode unless arithmetic='float'.
 
-    Both modes enforce check_size's caps: coefficient growth makes huge
-    exact pivots impractical, and a huge float LP would use up memory.
+    The tableau takes an LP without columns, which HiGHS rejects, and an
+    exact one of at most TABLEAU_ONLY_NONZEROS nonzeros; one HiGHS solve
+    takes every other.  Both modes enforce check_size's caps: coefficient
+    growth makes huge exact pivots impractical, and a huge float LP would
+    use up memory.
     """
     check_size(problem.nonzeros(), arithmetic)
-    if arithmetic == "exact" or not problem.ncols:  # HiGHS rejects a model without columns
-        return _solve_exact(problem)
-    return _solve_float(problem)
+    exact = arithmetic == "exact"
+    if not problem.ncols or (exact and problem.nonzeros() <= TABLEAU_ONLY_NONZEROS):
+        return _solve_tableau(problem)
+    return _solve_highs(problem, exact)

@@ -487,6 +487,11 @@ def measure_to_json(mu: SignedDiscreteMeasure) -> dict:
     }
 
 
+def potentials_to_json(potentials: Mapping) -> dict:
+    """Encode {alpha: values} as {"i,j": ["p/q", ...]} in index-set order."""
+    return {a.key(): [str(Fraction(v)) for v in potentials[a]] for a in sorted(potentials)}
+
+
 def measure_from_json(data: Mapping, axes: Sequence[int] | None = None) -> DiscreteMeasure:
     """Decode a measure; weights may be 'p/q' strings or JSON numbers."""
     try:

@@ -35,6 +35,8 @@ from .measures import (
     all_index_sets,
     cell_sums,
     lower_marginal,
+    measure_to_json,
+    potentials_to_json,
     product,
     project,
 )
@@ -140,16 +142,11 @@ class SolveReport(Frozen):
         )
 
     def to_json(self) -> dict:
-        from .measures import measure_to_json
-
         return {
             "value": str(Fraction(self.value)),
             "gap": str(Fraction(self.gap)),
             "pi": measure_to_json(self.pi),
-            "potentials": {
-                alpha.key(): [str(Fraction(v)) for v in values]
-                for alpha, values in self.potentials.potentials.items()
-            },
+            "potentials": potentials_to_json(self.potentials.potentials),
         }
 
     def __repr__(self):

@@ -185,7 +185,6 @@ def run_mmk(*argv):
     """A fresh `python -m mmk.cli` process, given 20 s to finish."""
     src = os.path.dirname(os.path.dirname(mmk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("MMK_ARITHMETIC", None)
     return subprocess.run(
         [sys.executable, "-m", "mmk.cli", *argv],
         env=env, capture_output=True, text=True, timeout=20,
@@ -276,6 +275,31 @@ class TestHostileInput:
         proc = run_mmk("solve", path)
         assert time.monotonic() - start < 10
         self.refused(proc, "decimal exponent above 4300")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signed"],
+            ["case", "nonstrong", "--N", "300"],
+            ["case", "discontinuous", "--N", "300"],
+            ["case", "uniformband", "--N", "5000"],
+        ],
+        ids=["signed-200-cubed", "nonstrong", "discontinuous", "uniformband"],
+    )
+    def test_grid_over_the_float_cap(self, tmp_path, argv):
+        # Each grid's cells times marginals exceed the float cap, and the
+        # command refuses it before it builds anything grid-sized.
+        if argv == ["signed"]:
+            uniform_200 = {"axes": [200], "weights": ["1/200"] * 200}
+            marginals = {key: uniform_200 for key in ("1", "2", "3")}
+            path = tmp_path / "p.json"
+            problem = {"n": 3, "k": 1, "axes": [200] * 3, "marginals": marginals}
+            path.write_text(json.dumps(problem))
+            argv = ["signed", str(path)]
+        start = time.monotonic()
+        proc = run_mmk(*argv)
+        assert time.monotonic() - start < 10
+        self.refused(proc, "exceeds the cap 2000000")
 
     def test_index_sets_too_many_to_list(self, tmp_path):
         # I_nk has C(40, 20), about 1.4e11, members: three marginals are

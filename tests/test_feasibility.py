@@ -234,14 +234,17 @@ class TestKellererCheck:
         "714"
     )
 
-    def test_slightly_negative_highs_vertex(self, monkeypatch):
+    def negative_vertex_family(self):
         grid = ProductGrid([3] * 5)
         mu = DiscreteMeasure(
             grid, [Fraction(int(d), 830) for d in self.NEGATIVE_VERTEX]
         )
-        fam = MarginalFamily(
+        return MarginalFamily(
             5, 3, [3] * 5, {a: project(mu, a) for a in all_index_sets(5, 3)}
         )
+
+    def test_slightly_negative_highs_vertex(self, monkeypatch):
+        fam = self.negative_vertex_family()
         verdict = fb.kellerer_check(fam, arithmetic="float")
         assert verdict.feasible
         assert min(verdict.witness.weights) >= 0
@@ -257,6 +260,15 @@ class TestKellererCheck:
         assert verdict.feasible
         for alpha in fam.index_sets():
             assert project(verdict.witness, alpha) == fam[alpha]
+
+    def test_negative_vertex_family_certified_by_one_highs_call(self, monkeypatch):
+        # Every HiGHS solve is tight, and its vertex here passes the exact
+        # check at once: no LP is solved a second time.
+        calls = []
+        highs = lp_core._highs
+        monkeypatch.setattr(lp_core, "_highs", lambda *args: calls.append(1) or highs(*args))
+        assert fb.kellerer_check(self.negative_vertex_family()).feasible
+        assert len(calls) == 1
 
     def test_unknown_arithmetic_refused_without_a_solve(self):
         with pytest.raises(DomainError, match="unknown arithmetic mode"):

@@ -45,9 +45,10 @@ class TestExact:
         assert sol.status == "optimal" and sol.value == 2
 
     def test_max_sense(self):
-        sol = solve(LPProblem([1, 2], [{0: 1, 1: 1}], [3], sense="max"))
-        assert sol.value == 6
-        assert sol.y[0] == 2  # marginal value of the resource
+        # max c.x is -(min -c.x).
+        sol = solve(LPProblem([-1, -2], [{0: 1, 1: 1}], [3]))
+        assert -sol.value == 6
+        assert -sol.y[0] == 2  # marginal value of the resource
 
     def test_infeasible_with_certificate(self):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
@@ -108,13 +109,11 @@ class TestExact:
 
     def test_with_objective_shares_the_constraints(self):
         problem = LPProblem([1, 2], [{0: 1, 1: 1}], [3])
-        other = problem.with_objective([2, 1], sense="max")
+        other = problem.with_objective([-2, -1])
         assert other.rows is problem.rows and other.rhs is problem.rhs
-        assert solve(other).value == 6 and solve(problem).value == 3
+        assert solve(other).value == -6 and solve(problem).value == 3
         with pytest.raises(DomainError, match="1 objective entries for 2 columns"):
             problem.with_objective([1])
-        with pytest.raises(DomainError, match="sense"):
-            problem.with_objective([1, 1], sense="sup")
 
     def test_tableau_pivots_on_an_integer_coefficient(self):
         sol = solve(LPProblem([1], [{0: 2}], [2]))
@@ -199,7 +198,7 @@ class TestCertifier:
 
     def test_accepts_optimal_vertex(self):
         p = self.PROBLEM
-        x, y, value = lp_core._certify(p, p.objective, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        x, y, value = lp_core._certify(p, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
         assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
         assert value == sum(yi * b for yi, b in zip(y, p.rhs)) == 0
 
@@ -209,28 +208,28 @@ class TestCertifier:
         rounded, real = [], lp_core._rounded
         monkeypatch.setattr(lp_core, "_rounded", lambda v: rounded.append(v) or real(v))
         p = self.PROBLEM
-        lp_core._certify(p, p.objective, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        lp_core._certify(p, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
         assert len(rounded) == p.nrows
 
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
         # No y from the columns x uses passes y.A <= c: x is not optimal.
         with pytest.raises(lp_core.CertificationError, match="y fails"):
-            lp_core._certify(p, p.objective, *self.WRONG)
+            lp_core._certify(p, *self.WRONG)
         x, y = self.WRONG
         wrong = SimpleNamespace(status=0, x=x, eqlin=SimpleNamespace(marginals=y))
         calls = []
         monkeypatch.setattr(
-            lp_core, "_highs", lambda A, b, obj, tight: calls.append(tight) or wrong
+            lp_core, "_highs", lambda A, b, obj: calls.append(obj) or wrong
         )
-        with pytest.raises(lp_core.CertificationError, match="tight retry.*y fails"):
+        with pytest.raises(lp_core.CertificationError, match="y fails"):
             solve(p)
-        assert calls == [False, True]
+        assert len(calls) == 1
 
     def test_rejects_infeasible_support(self):
         p = self.PROBLEM
         with pytest.raises(lp_core.CertificationError, match="x fails"):
-            lp_core._certify(p, p.objective, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
+            lp_core._certify(p, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
 
     # A (4,3) family on 3^4, the projections of weight d / sum(d) on the
     # cells in ravel order (d the digits), with the integer costs below.
@@ -283,8 +282,9 @@ class TestCertifier:
         tiny = Fraction(1, 10**12)
         # Column 1 lies in rows 0 and 3 and costs 3; the other columns hold
         # in both cases.
-        assert lp_core._columns_within(p.rows, [3 - tiny, -tiny, -3, tiny], p.objective)
-        assert not lp_core._columns_within(p.rows, [3, -tiny, -3, tiny], p.objective)
+        c = lp_core._scaled(p.objective)
+        assert lp_core._columns_within(p.rows, [3 - tiny, -tiny, -3, tiny], c)
+        assert not lp_core._columns_within(p.rows, [3, -tiny, -3, tiny], c)
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
@@ -292,7 +292,7 @@ class TestCertifier:
         phase1 = SimpleNamespace(status=0, eqlin=SimpleNamespace(marginals=[1.0, 1.0]))
         infeasible = SimpleNamespace(status=2)
         monkeypatch.setattr(  # the phase-1 LP has 2 + 2 columns
-            lp_core, "_highs", lambda A, b, obj, tight: phase1 if len(obj) == 4 else infeasible
+            lp_core, "_highs", lambda A, b, obj: phase1 if len(obj) == 4 else infeasible
         )
         with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
             solve(problem)
@@ -417,13 +417,13 @@ class TestRebuild:
         sol = solve(problem)
         assert sol.x == [Fraction(1, 1000003), 0] and sol.value == 0
         assert rebuilt == [{0: Fraction(1, 1000003)}] and not built
-        # Modulo 2^31 - 1 numerators and denominators stop at 32768: both
-        # vertices fail, and the LP is too large for the tableau.
+        # Modulo 2^31 - 1 numerators and denominators stop at 32768: the
+        # vertex fails, and the LP is too large for the tableau.
         monkeypatch.setattr(lp_core, "_PRIME", 2**31 - 1)
         rebuilt.clear()
-        with pytest.raises(lp_core.CertificationError, match="tight retry"):
+        with pytest.raises(lp_core.CertificationError, match="x fails"):
             solve(problem)
-        assert rebuilt == [None, None] and not built
+        assert rebuilt == [None] and not built
 
 
 def mixed_family(n, k, sizes, raw, s):
@@ -516,8 +516,8 @@ class TestFarkas:
         _, problem = self.modk_problem(4, 3)
         highs = lp_core._highs
 
-        def negated_phase1(A, b, obj, tight=False):
-            res = highs(A, b, obj, tight)
+        def negated_phase1(A, b, obj):
+            res = highs(A, b, obj)
             if len(obj) == problem.ncols:
                 return res
             return SimpleNamespace(
@@ -531,7 +531,7 @@ class TestFarkas:
 
     def test_float_highs_failure_raises(self, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
-        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective, tight: failed)
+        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective: failed)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
 
@@ -570,7 +570,7 @@ class TestFloat:
         res = SimpleNamespace(
             status=0, x=[-1e-8, 1.0], fun=1.0, eqlin=SimpleNamespace(marginals=[1.0])
         )
-        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective, tight: res)
+        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective: res)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([0, 1], [{0: 1, 1: 1}], [1]), arithmetic="float")
 
