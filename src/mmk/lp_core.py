@@ -10,10 +10,11 @@ over exact rationals, also the test oracle: it pivots by Bland's rule
 (the first column with negative reduced cost, the lowest basic index
 among tied ratios), which never cycles, and yields Farkas certificates.
 
-Every larger LP is certified from floating point.  One HiGHS (via scipy)
-solve, with feasibility tolerances TIGHT_TOLERANCE, returns an optimal
-vertex.  x is first its values rounded to the nearest multiples of 1/D,
-D the common denominator of b: a vertex denominator often divides D but
+Every larger LP is certified from floating point.  One HiGHS run per
+LP, on a model of A x = b cached for every objective posed on it and
+with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex.
+x is first its values rounded to the nearest multiples of 1/D, D the
+common denominator of b: a vertex denominator often divides D but
 exceeds limit_denominator's 10^6.  An x that fails its check is rounded
 again, to nearby rationals (Fraction.limit_denominator), as the dual
 prices y are.  A part that still fails is rebuilt, x on its support and
@@ -26,15 +27,16 @@ An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
 integers over common denominators; float tolerances and residues only
 choose the candidates.  A rejected HiGHS vertex is not solved again.
-When HiGHS reports the LP infeasible, the rounded duals of a HiGHS
-phase-1 solve are the Farkas ray (y.A <= 0, y.b > 0) if
-check_certificate accepts them.  Otherwise CertificationError names the
-failed check: x, y, the gap or the ray.  The tableau's time has no bound
-on a large LP, so it is no fallback.
+When HiGHS reports the LP infeasible, the Farkas ray (y.A <= 0,
+y.b > 0) comes from that same run: HiGHS's dual ray, scaled to largest
+entry 1 and rounded to nearby rationals, if check_certificate accepts
+it.  Otherwise CertificationError names the failed check: x, y, the gap
+or the ray.  The tableau's time has no bound on a large LP, so it is no
+fallback.
 
-Float mode makes the same HiGHS call and returns its answer, with x's
+Float mode makes the same HiGHS run and returns its answer, with x's
 entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
-and for infeasible problems the phase-1 duals as they are.  A model
+and for infeasible problems the scaled dual ray as it is.  A model
 without columns, which HiGHS rejects, goes to the tableau in both modes.
 No LP this package builds is unbounded (its marginal rows and x >= 0
 bound x), so an unbounded LP raises LPError, as does any other HiGHS
@@ -42,8 +44,8 @@ failure.
 
 LPProblem.with_objective poses a new objective on an LP's A x = b.  The
 problems so posed share one _Constraints, which makes what depends on A
-and b alone (the float matrix for HiGHS, b over its common denominator,
-A's columns) once, when first needed.
+and b alone (the HiGHS model, b over its common denominator, A's
+columns) once, when first needed.
 """
 
 from __future__ import annotations
@@ -73,16 +75,13 @@ FLOAT_NONZERO_CAP = 2_000_000
 # one, and the tableau's time grows without bound (over 600 s at 17,496).
 TABLEAU_ONLY_NONZEROS = 64
 
-# Primal and dual feasibility tolerance of every HiGHS solve (HiGHS's
+# Primal and dual feasibility tolerance of every HiGHS run (HiGHS's
 # default is 1e-7).  Under the default a basic variable may sit slightly
 # below 0 or a degenerate vertex may come out on an inconsistent support:
 # 27 of the 33 min-mass LPs of build_unreachable(12) have an entry near
 # -9e-8, and a degenerate (5,3) family's vertex fails x's exact check.
-# No LP is solved twice.  It costs HiGHS no time, but scipy checks each
-# option passed on every call: on the mass-extreme LPs of
-# build_nonstrong(8) and (10) (2 cores, Python 3.11, scipy's linprog) a
-# call took 2.5-3.4 ms with the default and 0.2 ms more with either
-# these two options or the same two at the default 1e-7.
+# No LP is solved twice, and the tighter tolerance costs HiGHS no time
+# on these LPs.
 TIGHT_TOLERANCE = 1e-10
 
 # The Mersenne prime 2^127 - 1, modulo which _solve_rational eliminates.
@@ -128,11 +127,29 @@ class _Constraints:
 
     @cached_property
     def highs_model(self):
-        """(A, b) as _highs takes them: a float CSR matrix and float b.
+        """A x = b, x >= 0 as the HighsLp _highs runs: A column-wise, the
+        objective zero.
 
         OverflowError if an entry of b is too large for a float.
         """
-        return _csr(self.rows, self.ncols), [float(v) for v in self.rhs]
+        from scipy.optimize._highspy._core import HighsLp, MatrixFormat
+
+        b = [float(v) for v in self.rhs]
+        start, index, value = [0], [], []
+        for column in self.columns:
+            index.extend(column)
+            value.extend(map(float, column.values()))
+            start.append(len(index))
+        model = HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = self.ncols
+        model.num_row_ = model.a_matrix_.num_row_ = len(b)
+        model.a_matrix_.format_ = MatrixFormat.kColwise
+        model.a_matrix_.start_, model.a_matrix_.index_ = start, index
+        model.a_matrix_.value_ = value
+        model.col_cost_ = model.col_lower_ = [0.0] * self.ncols
+        model.col_upper_ = [math.inf] * self.ncols
+        model.row_lower_ = model.row_upper_ = b
+        return model
 
 
 class LPProblem(Frozen):
@@ -411,68 +428,36 @@ class _ExactTableau:
         return y
 
 
-def _csr(rows: Sequence[Mapping], ncols: int):
-    """The float CSR matrix of the sparse rows, with ncols columns."""
-    from scipy.sparse import csr_matrix
+def _highs(model, objective: Sequence):
+    """One HiGHS run of min objective.x on the model of A x = b, x >= 0.
 
-    data, ri, ci = [], [], []
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            ri.append(i)
-            ci.append(j)
-            data.append(float(v))
-    return csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
-
-
-def _highs(A, b, objective: Sequence):
-    """scipy's HiGHS result for min objective.x over {x >= 0, A x = b}.
-
-    A is a float CSR matrix with one column per objective entry, b a float
-    list.  The feasibility tolerances are TIGHT_TOLERANCE.
+    A fresh solver takes the cached model (a _Constraints.highs_model)
+    and then the objective's nonzero entries, so the model keeps its zero
+    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Returns
+    (x, y, value) of an optimal vertex with its duals; for an infeasible
+    LP (None, ray, None), ray HiGHS's dual ray from the same run (None if
+    HiGHS has none).  LPError on any other status, such as an unbounded
+    LP; OverflowError if an entry is too large for a float.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-    c = [float(v) for v in objective]
-    options = {
-        "primal_feasibility_tolerance": TIGHT_TOLERANCE,
-        "dual_feasibility_tolerance": TIGHT_TOLERANCE,
-    }
-    return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=options)
-
-
-def _highs_answer(constraints: _Constraints, objective: Sequence):
-    """_highs's result on these constraints, of status 0 (optimal) or 2
-    (infeasible).
-
-    LPError on any other status, such as an unbounded LP, and on an entry
-    too large for a float.
-    """
-    try:
-        res = _highs(*constraints.highs_model, objective)
-    except OverflowError as exc:
-        raise LPError(f"an LP entry is too large for a float: {exc}") from exc
-    if res.status not in (0, 2):
-        raise LPError(f"HiGHS failed: {res.message}")
-    return res
-
-
-def _farkas(problem: LPProblem):
-    """The float Farkas ray y of an empty {x >= 0, A x = b}, from HiGHS.
-
-    Solves the phase-1 LP min 1.s over {A x + D s = b, x, s >= 0} with
-    D = diag(sign b), which is always feasible and bounded.  Its optimal
-    duals y satisfy y.A <= 0, and y.b is its optimum, positive exactly
-    when the system is empty.
-    """
-    n, m = problem.ncols, problem.nrows
-    rows = tuple(
-        {**row, n + i: -1 if b < 0 else 1}
-        for i, (row, b) in enumerate(zip(problem.rows, problem.rhs))
-    )
-    res = _highs_answer(_Constraints(rows, problem.rhs, n + m), [0] * n + [1] * m)
-    if res.status != 0:
-        raise LPError("HiGHS calls the phase-1 LP infeasible")
-    return res.eqlin.marginals
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("primal_feasibility_tolerance", TIGHT_TOLERANCE)
+    highs.setOptionValue("dual_feasibility_tolerance", TIGHT_TOLERANCE)
+    highs.passModel(model)
+    costs = {j: float(v) for j, v in enumerate(objective) if v}
+    highs.changeColsCost(len(costs), list(costs), list(costs.values()))
+    highs.run()
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        value = highs.getInfo().objective_function_value
+        return solution.col_value, solution.row_dual, value
+    if status == HighsModelStatus.kInfeasible:
+        _, has_ray, ray = highs.getDualRay()
+        return None, list(ray) if has_ray else None, None
+    raise LPError(f"HiGHS failed with model status {status.name}")
 
 
 def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
@@ -689,27 +674,34 @@ def _solve_tableau(problem: LPProblem) -> LPSolution:
 
 
 def _solve_highs(problem: LPProblem, exact: bool) -> LPSolution:
-    """The answer of one HiGHS solve, certified in exact mode.
+    """The answer of one HiGHS run, certified in exact mode.
 
-    Exact mode returns _certify's optimum, or the rounded phase-1 duals
-    of _farkas once _infeasible accepts them.  Float mode returns HiGHS's
-    numbers, with an entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's
-    own feasibility tolerance, as 0.0; LPError if its optimal x has an
-    entry below -TIGHT_TOLERANCE.
+    Exact mode returns _certify's optimum, or HiGHS's dual ray from the
+    same run, scaled to largest entry 1 and rounded, once _infeasible
+    accepts it.  Float mode returns HiGHS's numbers, with an entry of x
+    in [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance,
+    as 0.0, and the scaled ray; LPError if its optimal x has an entry
+    below -TIGHT_TOLERANCE or an infeasible run has no ray
+    (CertificationError in exact mode).
     """
-    res = _highs_answer(problem._constraints, problem.objective)
-    if res.status == 2:
-        y = _farkas(problem)
+    try:
+        x, y, value = _highs(problem._constraints.highs_model, problem.objective)
+    except OverflowError as exc:
+        raise LPError(f"an LP entry is too large for a float: {exc}") from exc
+    if x is None:
+        if y is None:
+            error = CertificationError if exact else LPError
+            raise error("HiGHS calls the LP infeasible but gives no dual ray")
+        scale = max(map(abs, y)) or 1.0
+        y = [v / scale for v in y]
         if not exact:
             return LPSolution("infeasible", certificate=Certificate(y))
-        return _infeasible(problem, [_rounded(v) for v in y], "the rounded phase-1 duals")
+        return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
     if exact:
-        return LPSolution("optimal", *_certify(problem, res.x, res.eqlin.marginals))
-    if min(res.x, default=0.0) < -TIGHT_TOLERANCE:
-        raise LPError(f"HiGHS's optimal x has an entry {min(res.x)} < -{TIGHT_TOLERANCE}")
-    x = [max(float(v), 0.0) for v in res.x]
-    y = [float(v) for v in res.eqlin.marginals]
-    return LPSolution("optimal", x=x, y=y, value=float(res.fun))
+        return LPSolution("optimal", *_certify(problem, x, y))
+    if min(x, default=0.0) < -TIGHT_TOLERANCE:
+        raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
+    return LPSolution("optimal", x=[max(v, 0.0) for v in x], y=list(y), value=value)
 
 
 def check_size(nonzeros: int, arithmetic: str) -> None:
@@ -737,7 +729,7 @@ def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     """Solve the LP; exact rational mode unless arithmetic='float'.
 
     The tableau takes an LP without columns, which HiGHS rejects, and an
-    exact one of at most TABLEAU_ONLY_NONZEROS nonzeros; one HiGHS solve
+    exact one of at most TABLEAU_ONLY_NONZEROS nonzeros; one HiGHS run
     takes every other.  Both modes enforce check_size's caps: coefficient
     growth makes huge exact pivots impractical, and a huge float LP would
     use up memory.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -181,13 +182,24 @@ class TestSolveAndDual:
         assert "81000000 nonzeros exceeds the cap 2000000" in captured.err
 
 
-def run_mmk(*argv):
-    """A fresh `python -m mmk.cli` process, given 20 s to finish."""
+def run_mmk(*argv, address_space=None):
+    """A fresh `python -m mmk.cli` process, given 20 s to finish.
+
+    address_space (bytes) caps its memory as `ulimit -v` does, or at the
+    hard limit this process already has if that is lower.
+    """
     src = os.path.dirname(os.path.dirname(mmk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = address_space if hard == resource.RLIM_INFINITY else min(address_space, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
     return subprocess.run(
         [sys.executable, "-m", "mmk.cli", *argv],
         env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -300,6 +312,41 @@ class TestHostileInput:
         proc = run_mmk(*argv)
         assert time.monotonic() - start < 10
         self.refused(proc, "exceeds the cap 2000000")
+
+    # Grids far too large to hold, and a marginal keyed outside I_nk.
+    HOSTILE = {
+        "axes-1e12-one-cell-marginals": {
+            "n": 3, "k": 1, "axes": [10**12] * 3,
+            "marginals": {a: {"axes": [1], "weights": ["1"]} for a in "123"},
+        },
+        "4-1-on-100^4": {
+            "n": 4, "k": 1, "axes": [100] * 4,
+            "marginals": {a: {"axes": [100], "weights": ["1/100"] * 100} for a in "1234"},
+        },
+        "8-1-on-10^8": {
+            "n": 8, "k": 1, "axes": [10] * 8,
+            "marginals": {a: {"axes": [10], "weights": ["1/10"] * 10} for a in "12345678"},
+        },
+        "key-outside-I_nk": {
+            "n": 3, "k": 2, "axes": [2] * 3,
+            "marginals": {
+                key: {"axes": [2, 2], "weights": ["1/4"] * 4}
+                for key in ("1,2", "1,3", "2,3", "1,4")
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("command", ["check", "solve", "signed"])
+    @pytest.mark.parametrize("probe", sorted(HOSTILE))
+    def test_hostile_probe_refused_at_once(self, tmp_path, probe, command):
+        # Under the 4 GB address-space limit of CI's test steps.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(self.HOSTILE[probe]))
+        start = time.monotonic()
+        proc = run_mmk(command, str(path), address_space=4_000_000 * 1024)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
 
     def test_index_sets_too_many_to_list(self, tmp_path):
         # I_nk has C(40, 20), about 1.4e11, members: three marginals are

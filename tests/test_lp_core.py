@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy import _core
 
 from mmk import lp_core
 from mmk.case_studies import build_nonstrong, min_mass_at_cell
 from mmk.feasibility import (
     kellerer_check,
     make_modk_counterexample,
+    make_two_point_counterexample,
     marginal_constraint_rows,
 )
 from mmk.lp_core import LPProblem, SizeCapError, check_certificate, solve
@@ -217,10 +218,9 @@ class TestCertifier:
         with pytest.raises(lp_core.CertificationError, match="y fails"):
             lp_core._certify(p, *self.WRONG)
         x, y = self.WRONG
-        wrong = SimpleNamespace(status=0, x=x, eqlin=SimpleNamespace(marginals=y))
         calls = []
         monkeypatch.setattr(
-            lp_core, "_highs", lambda A, b, obj: calls.append(obj) or wrong
+            lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0)
         )
         with pytest.raises(lp_core.CertificationError, match="y fails"):
             solve(p)
@@ -288,13 +288,9 @@ class TestCertifier:
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
-        # HiGHS's route: the phase-1 duals y = (1, 1) have y.A_0 = 2 > 0.
-        phase1 = SimpleNamespace(status=0, eqlin=SimpleNamespace(marginals=[1.0, 1.0]))
-        infeasible = SimpleNamespace(status=2)
-        monkeypatch.setattr(  # the phase-1 LP has 2 + 2 columns
-            lp_core, "_highs", lambda A, b, obj: phase1 if len(obj) == 4 else infeasible
-        )
-        with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
+        # HiGHS's route: the dual ray y = (1, 1) has y.A_0 = 2 > 0.
+        monkeypatch.setattr(lp_core, "_highs", lambda model, obj: (None, [1.0, 1.0], None))
+        with pytest.raises(lp_core.CertificationError, match="dual ray"):
             solve(problem)
         # The tableau's route, at the default threshold.
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", DEFAULT_THRESHOLD)
@@ -516,24 +512,81 @@ class TestFarkas:
         _, problem = self.modk_problem(4, 3)
         highs = lp_core._highs
 
-        def negated_phase1(A, b, obj):
-            res = highs(A, b, obj)
-            if len(obj) == problem.ncols:
-                return res
-            return SimpleNamespace(
-                status=res.status,
-                eqlin=SimpleNamespace(marginals=[-v for v in res.eqlin.marginals]),
-            )
+        def negated_ray(model, obj):
+            x, ray, value = highs(model, obj)
+            assert x is None
+            return x, [-v for v in ray], value
 
-        monkeypatch.setattr(lp_core, "_highs", negated_phase1)
-        with pytest.raises(lp_core.CertificationError, match="phase-1 duals"):
+        monkeypatch.setattr(lp_core, "_highs", negated_ray)
+        with pytest.raises(lp_core.CertificationError, match="dual ray"):
             solve(problem)
 
     def test_float_highs_failure_raises(self, monkeypatch):
-        failed = SimpleNamespace(status=4, message="numerical difficulties")
-        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective: failed)
-        with pytest.raises(lp_core.LPError):
+        # A run that ends in neither optimal nor infeasible: HiGHS never
+        # runs, and its model status stays kNotset.
+        class Failed(_core._Highs):
+            def run(self):
+                return _core.HighsStatus.kError
+
+        monkeypatch.setattr(_core, "_Highs", Failed)
+        with pytest.raises(lp_core.LPError, match="kNotset"):
             solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
+
+    def one_run_problems(self):
+        """The full-grid LPs of the mod-k families (4,3), (5,2), (6,2), (6,3)
+        and of the two-point family with ratio 5/2, all infeasible.
+        kellerer_check poses none of the mod-k ones: they have no supported
+        cell.  HiGHS's ray of (6,3) has entries near 206 that round to a
+        certificate only once the ray is scaled to largest entry 1."""
+        modk = [(4, 3), (5, 2), (6, 2), (6, 3)]
+        problems = [self.modk_problem(n, k)[1] for n, k in modk]
+        rows, rhs = marginal_constraint_rows(make_two_point_counterexample(Fraction(5, 2)))
+        return problems + [LPProblem([0] * 8, rows, rhs)]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_one_highs_run_per_infeasible_lp(self, monkeypatch, mode):
+        # The Farkas ray comes from the run that finds the LP infeasible.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        refuse_tableau(monkeypatch)
+        calls = []
+        highs = lp_core._highs
+        monkeypatch.setattr(lp_core, "_highs", lambda *args: calls.append(1) or highs(*args))
+        for problem in self.one_run_problems():
+            calls.clear()
+            sol = solve(problem, arithmetic=mode)
+            assert sol.status == "infeasible" and len(calls) == 1
+            tol = 0 if mode == "exact" else Fraction(1, 10**9)
+            assert check_certificate(problem, sol.certificate, tol)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_infeasible_run_without_a_ray_raises(self, monkeypatch, mode):
+        monkeypatch.setattr(lp_core, "_highs", lambda model, objective: (None, None, None))
+        _, problem = self.modk_problem(4, 3)
+        with pytest.raises(lp_core.LPError, match="no dual ray") as raised:
+            solve(problem, arithmetic=mode)
+        assert (raised.type is lp_core.CertificationError) == (mode == "exact")
+
+
+def test_highs_binding_has_what_lp_core_uses():
+    # lp_core runs HiGHS through scipy's private binding
+    # scipy.optimize._highspy._core (scipy >= 1.15).  Building the model
+    # sets every HighsLp field it uses; an optimal and an infeasible run
+    # read every result it reads, getDualRay's three values included.
+    for method in (
+        "setOptionValue", "passModel", "changeColsCost", "run",
+        "getModelStatus", "getSolution", "getInfo", "getDualRay",
+    ):
+        assert callable(getattr(_core._Highs, method))
+    assert isinstance(_core.MatrixFormat.kColwise, _core.MatrixFormat)
+    assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
+    problem = LPProblem([1, 1], [{0: 1, 1: 1}], [2])
+    model = problem._constraints.highs_model
+    assert isinstance(model, _core.HighsLp)
+    x, y, value = lp_core._highs(model, [1, 2])
+    assert (list(x), list(y), value) == ([2.0, 0.0], [1.0], 2.0)
+    infeasible = LPProblem([1], [{0: 1}, {0: 1}], [1, 2])._constraints.highs_model
+    x, ray, value = lp_core._highs(infeasible, [1])
+    assert x is None and value is None and len(ray) == 2
 
 
 class TestFloat:
@@ -567,10 +620,8 @@ class TestFloat:
         assert abs(sol.value - dual) < 1e-9
 
     def test_negative_x_raises(self, monkeypatch):
-        res = SimpleNamespace(
-            status=0, x=[-1e-8, 1.0], fun=1.0, eqlin=SimpleNamespace(marginals=[1.0])
-        )
-        monkeypatch.setattr(lp_core, "_highs", lambda A, b, objective: res)
+        res = ([-1e-8, 1.0], [1.0], 1.0)
+        monkeypatch.setattr(lp_core, "_highs", lambda model, objective: res)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([0, 1], [{0: 1, 1: 1}], [1]), arithmetic="float")
 
