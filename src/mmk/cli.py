@@ -172,8 +172,10 @@ def cmd_bounded_dual(args) -> int:
     return 0
 
 
-def _parse_dyadic(text: str) -> xor_model.Dyadic:
-    return xor_model.Dyadic.from_fraction(Fraction(text))
+def _parse_dyadic(text) -> xor_model.Dyadic:
+    if text is None:
+        raise DomainError("a dyadic operand is missing")
+    return xor_model.Dyadic.from_fraction(as_fraction(text))
 
 
 def _write_slice(z: xor_model.Dyadic, depth: int, out: str) -> int:

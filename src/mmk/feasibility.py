@@ -307,35 +307,26 @@ def signed_uniting(
     return total
 
 
-def _projection_rows(grid: ProductGrid, alpha: IndexSet, columns) -> list[dict]:
-    """One row {column number: 1} per cell of grid_alpha: the columns it collects."""
-    index = grid.projection_index(alpha)
-    rows = [{} for _ in range(grid.subgrid(alpha).ncells)]
-    for t, j in enumerate(columns):
-        rows[index[j]][t] = 1
-    return rows
-
-
-def marginal_constraint_rows(fam: MarginalFamily, columns=None):
-    """The equality system prj_alpha(pi) = mu_alpha as LP rows (rows, rhs).
-
-    Every column has one entry per alpha, so the rows hold
-    len(columns) * C(n, k) nonzeros.
+def marginal_constraint_rows(fam: MarginalFamily, cells=None):
+    """The equality system prj_alpha(pi) = mu_alpha as the (columns, rhs)
+    of an lp_core.LPProblem.
 
     The rows come in blocks, one per alpha in fam.index_sets() order, each
     one row per cell of grid_alpha in ravel order; row_blocks splits a
-    vector over them.  Column t is full-grid raveled cell columns[t]; all
-    cells when `columns` is None.
+    vector over them.  Column t is full-grid raveled cell cells[t] (all
+    cells when `cells` is None), and it lies in one row per block: row
+    offset_alpha + projection_index(alpha)[cells[t]], ascending.
     """
     grid = fam.full_grid()
-    if columns is None:
-        columns = range(grid.ncells)
-    rows = []
+    if cells is None:
+        cells = range(grid.ncells)
+    blocks = []
     rhs = []
     for alpha in fam.index_sets():
-        rows.extend(_projection_rows(grid, alpha, columns))
+        index, offset = grid.projection_index(alpha), len(rhs)
+        blocks.append([offset + index[j] for j in cells])
         rhs.extend(fam[alpha].weights)
-    return rows, rhs
+    return list(zip(*blocks)), rhs
 
 
 def row_blocks(fam: MarginalFamily, values: Sequence) -> dict:
@@ -369,14 +360,14 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     column t being cell columns[t]; with none left it is infeasible at
     once, with y = 1 on every row as its Farkas ray.  The cap of both
     modes is checked on all cells before anything grid-sized exists, the
-    mode's own cap on the support before the rows do; both run on every
-    call.
+    mode's own cap on the support before the LP's columns do; both run
+    on every call.
 
-    The first call that passes both caps poses the family's LP (support,
-    rows, a zero-objective LPProblem) and keeps it in the family's `_lp`
-    slot; a family is immutable, so it never goes stale.  Every later
-    call, whatever its objective or arithmetic, builds only its
-    objective vector and poses it with LPProblem.with_objective.
+    The first call that passes both caps builds the family's A x = b
+    (support, LPProblem) and keeps it in the family's `_lp` slot; a
+    family is immutable, so it never goes stale.  Every later call,
+    whatever its objective or arithmetic, builds only its objective
+    vector and passes it to lp_core.solve with that LPProblem.
     """
     nalpha = len(fam.index_sets())
     lp_core.check_size(fam.full_grid().ncells * nalpha, "float")
@@ -384,19 +375,14 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     columns = tuple(supported_columns(fam)) if posed is None else posed[0]
     lp_core.check_size(len(columns) * nalpha, arithmetic)
     if posed is None:
-        rows, rhs = marginal_constraint_rows(fam, columns)
-        posed = columns, lp_core.LPProblem([0] * len(columns), rows, rhs)
+        posed = columns, lp_core.LPProblem(*marginal_constraint_rows(fam, columns))
         fam._freeze(_lp=posed)
-    base = posed[1]
+    problem = posed[1]
     if not columns:
-        cert = lp_core.Certificate([1] * base.nrows)
+        cert = lp_core.Certificate([1] * problem.nrows)
         return lp_core.LPSolution("infeasible", certificate=cert), columns
-    if objective is None:
-        costs = [0] * len(columns)
-    else:
-        costs = [objective[j] for j in columns]
-    problem = base.with_objective(costs)
-    return lp_core.solve(problem, arithmetic=arithmetic), columns
+    costs = [0] * len(columns) if objective is None else [objective[j] for j in columns]
+    return lp_core.solve(problem, costs, arithmetic), columns
 
 
 def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
@@ -614,23 +600,18 @@ def uniting_by_density_2(
         tuple(alpha): product(_ref_product(refs, list(alpha))) for alpha in pairs
     }
 
-    # (i) maximize xi(X), as min -xi(X), subject to prj_ij(xi) <= mu_ij - m nu_ij.
+    # (i) maximize xi(X), as min -xi(X), subject to prj_ij(xi) <= mu_ij - m nu_ij:
+    # the marginal columns of every cell, then one slack column per row.
     ncells = grid.ncells
-    rows = []
-    rhs = []
-    slack_col = ncells
-    for alpha in pairs:
-        block = _projection_rows(grid, alpha, range(ncells))
-        for idx, row in enumerate(block):
-            row[slack_col] = 1
-            slack_col += 1
-            rhs.append(
-                fam[alpha].weights[idx] - m * nu_pair[tuple(alpha)].weights[idx]
-            )
-        rows.extend(block)
-    nvars = slack_col
-    objective = [Fraction(-1)] * ncells + [Fraction(0)] * (nvars - ncells)
-    sol = lp_core.solve(lp_core.LPProblem(objective, rows, rhs))
+    columns, _ = marginal_constraint_rows(fam)
+    rhs = [
+        w - m * v
+        for alpha in pairs
+        for w, v in zip(fam[alpha].weights, nu_pair[tuple(alpha)].weights)
+    ]
+    columns += [(i,) for i in range(len(rhs))]
+    objective = [-1] * ncells + [0] * len(rhs)
+    sol = lp_core.solve(lp_core.LPProblem(columns, rhs), objective)
     if sol.status != "optimal":
         raise lp_core.LPError(f"the extraction LP is {sol.status}")
     xi = DiscreteMeasure(grid, sol.x[:ncells])

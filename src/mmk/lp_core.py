@@ -1,8 +1,12 @@
-"""Exact linear programming over integer constraint matrices.
+"""Exact linear programming over 0/1 constraint matrices.
 
-Solves min c.x subject to A x = b, x >= 0, with A integer (every LP
-this package builds is 0/1) and c and b rational.  A maximum is the
-negated minimum of -c.x, which the callers pose.
+Solves min c.x subject to A x = b, x >= 0, with A a 0/1 matrix and c
+and b rational: every LP this package builds fixes projections, so each
+column of A is the set of rows it lies in.  LPProblem holds A x = b
+alone and solve takes the objective, so one LPProblem serves every
+objective posed on it, and what derives from A and b (the HiGHS model,
+b over its common denominator) is made once, when first needed.  A
+maximum is the negated minimum of -c.x, which the callers pose.
 
 Exact mode takes one route per LP, by size.  An LP of at most
 TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
@@ -41,11 +45,6 @@ without columns, which HiGHS rejects, goes to the tableau in both modes.
 No LP this package builds is unbounded (its marginal rows and x >= 0
 bound x), so an unbounded LP raises LPError, as does any other HiGHS
 failure.
-
-LPProblem.with_objective poses a new objective on an LP's A x = b.  The
-problems so posed share one _Constraints, which makes what depends on A
-and b alone (the HiGHS model, b over its common denominator, A's
-columns) once, when first needed.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .measures import DomainError, Frozen, as_fraction, as_int
@@ -100,30 +100,40 @@ class CertificationError(LPError):
     """An exact answer failed its own certificate check."""
 
 
-class _Constraints:
-    """A x = b with its column count: the part of an LP shared by every
-    LPProblem posed on it.  What the solvers derive from A and b alone is
-    made once, when first asked for, and shared by all of them."""
+class LPProblem(Frozen):
+    """A x = b, x >= 0 with A a 0/1 matrix: columns[j] lists the rows
+    where column j has a 1.
 
-    def __init__(self, rows: tuple, rhs: tuple, ncols: int):
-        self.rows = rows
-        self.rhs = rhs
-        self.ncols = ncols
-        self.nonzeros = sum(len(r) for r in rows)
+    Each row index must be an int (as_int) in 0..len(rhs) - 1 and occur
+    at most once in its column; anything else is a DomainError.  b is
+    rational.  The objective is solve's argument.
+    """
+
+    __slots__ = ("columns", "rhs", "_nonzeros", "__dict__")
+
+    def __init__(self, columns: Sequence[Sequence[int]], rhs: Sequence):
+        b = tuple(as_fraction(v) for v in rhs)
+        cols = tuple(tuple(map(as_int, column)) for column in columns)
+        for j, column in enumerate(cols):
+            if len(set(column)) != len(column) or not all(0 <= i < len(b) for i in column):
+                raise DomainError(f"column {j} must list distinct rows in 0..{len(b) - 1}")
+        self._freeze(columns=cols, rhs=b, _nonzeros=sum(map(len, cols)))
+
+    @property
+    def ncols(self) -> int:
+        return len(self.columns)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rhs)
+
+    def nonzeros(self) -> int:
+        return self._nonzeros
 
     @cached_property
     def scaled_rhs(self) -> tuple[list[int], int]:
         """_scaled(rhs): b as integers over its common denominator D."""
         return _scaled(self.rhs)
-
-    @cached_property
-    def columns(self) -> list[dict]:
-        """A's columns, each a {row: coefficient} mapping."""
-        columns = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                columns[j][i] = v
-        return columns
 
     @cached_property
     def highs_model(self):
@@ -135,76 +145,17 @@ class _Constraints:
         from scipy.optimize._highspy._core import HighsLp, MatrixFormat
 
         b = [float(v) for v in self.rhs]
-        start, index, value = [0], [], []
-        for column in self.columns:
-            index.extend(column)
-            value.extend(map(float, column.values()))
-            start.append(len(index))
         model = HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = self.ncols
         model.num_row_ = model.a_matrix_.num_row_ = len(b)
         model.a_matrix_.format_ = MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_ = start, index
-        model.a_matrix_.value_ = value
+        model.a_matrix_.start_ = list(accumulate(map(len, self.columns), initial=0))
+        model.a_matrix_.index_ = [i for column in self.columns for i in column]
+        model.a_matrix_.value_ = [1.0] * self._nonzeros
         model.col_cost_ = model.col_lower_ = [0.0] * self.ncols
         model.col_upper_ = [math.inf] * self.ncols
         model.row_lower_ = model.row_upper_ = b
         return model
-
-
-class LPProblem(Frozen):
-    """min objective.x over {x >= 0, A x = b}.
-
-    Each row of A is a {column: int} mapping; zero entries are dropped and
-    any other non-int (a Fraction, float or bool) is a DomainError.
-    with_objective poses another objective on the same A x = b.
-    """
-
-    __slots__ = ("objective", "rows", "rhs", "_constraints")
-
-    def __init__(self, objective: Sequence, rows: Sequence, rhs: Sequence):
-        objective = tuple(objective)
-        ncols = len(objective)
-        sparse_rows = []
-        for row in rows:
-            entries = {int(j): as_int(v) for j, v in row.items() if v != 0}
-            if entries and (min(entries) < 0 or max(entries) >= ncols):
-                raise DomainError("row refers to a column outside the objective")
-            sparse_rows.append(entries)
-        b = tuple(as_fraction(v) for v in rhs)
-        if len(b) != len(sparse_rows):
-            raise DomainError(f"{len(sparse_rows)} rows but {len(b)} rhs entries")
-        self._pose(objective, _Constraints(tuple(sparse_rows), b, ncols))
-
-    def _pose(self, objective: Sequence, constraints: _Constraints) -> None:
-        obj = tuple(as_fraction(v) for v in objective)
-        if len(obj) != constraints.ncols:
-            raise DomainError(f"{len(obj)} objective entries for {constraints.ncols} columns")
-        self._freeze(
-            objective=obj, rows=constraints.rows, rhs=constraints.rhs,
-            _constraints=constraints,
-        )
-
-    def with_objective(self, objective: Sequence) -> "LPProblem":
-        """The LP min objective.x on this LP's A x = b.
-
-        It shares the rows and all that solve derives from A and b, so
-        nothing of A is validated or converted again.
-        """
-        problem = type(self).__new__(type(self))
-        problem._pose(objective, self._constraints)
-        return problem
-
-    @property
-    def ncols(self) -> int:
-        return len(self.objective)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def nonzeros(self) -> int:
-        return self._constraints.nonzeros
 
 
 class Certificate(Frozen):
@@ -254,31 +205,32 @@ def _dot(scaled_u, v) -> Fraction:
     return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
 
 
-def _columns_within(rows, y, scaled_bound) -> bool:
+def _columns_within(columns, y, scaled_bound) -> bool:
     """True iff y.A_j <= bound[j] for every column j, decided in integers.
 
-    `rows` is A's integer rows and the bound is given as _scaled(bound).
-    With y = Y / dy and bound = C / dc, the test is s_j * dc <= C_j * dy,
-    where s_j = sum_i Y_i * rows[i][j].
+    `columns` is A's columns (the rows of each) and the bound is given as
+    _scaled(bound).  With y = Y / dy and bound = C / dc, the test is
+    s_j * dc <= C_j * dy, where s_j = sum of Y_i over the rows i of column j.
     """
     Y, dy = _scaled(y)
     C, dc = scaled_bound
-    sums = [0] * len(C)
-    for yi, row in zip(Y, rows):
-        if yi:
-            for j, a in row.items():
-                sums[j] += yi * a
-    return all(s * dc <= c * dy for s, c in zip(sums, C))
+    return all(
+        sum(map(Y.__getitem__, column)) * dc <= c * dy for column, c in zip(columns, C)
+    )
 
 
 def _primal_feasible(problem: LPProblem, x) -> bool:
     """True iff A x = b and x >= 0, decided in integers."""
     X, dx = _scaled(x)
-    rhs, d_rhs = problem._constraints.scaled_rhs
-    return min(X, default=0) >= 0 and all(
-        sum(a * X[j] for j, a in row.items()) * d_rhs == bi * dx
-        for row, bi in zip(problem.rows, rhs)
-    )
+    if min(X, default=0) < 0:
+        return False
+    ax = [0] * problem.nrows
+    for xj, column in zip(X, problem.columns):
+        if xj:
+            for i in column:
+                ax[i] += xj
+    rhs, d_rhs = problem.scaled_rhs
+    return all(a * d_rhs == bi * dx for a, bi in zip(ax, rhs))
 
 
 def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
@@ -286,8 +238,8 @@ def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     y, tol = cert.y, Fraction(tol)
     return (
         len(y) == problem.nrows
-        and _columns_within(problem.rows, y, _scaled([tol] * problem.ncols))
-        and _dot(problem._constraints.scaled_rhs, y) > tol
+        and _columns_within(problem.columns, y, _scaled([tol] * problem.ncols))
+        and _dot(problem.scaled_rhs, y) > tol
     )
 
 
@@ -300,22 +252,20 @@ class _ExactTableau:
     the final reduced-cost row.
     """
 
-    def __init__(self, problem: LPProblem):
+    def __init__(self, problem: LPProblem, objective: Sequence[Fraction]):
         self.n = problem.ncols
         self.m = problem.nrows
-        self.obj = list(problem.objective)
-        self.row_sign = []
+        self.obj = list(objective)
+        self.row_sign = [-1 if b < 0 else 1 for b in problem.rhs]
         self.rows = []
-        for i in range(self.m):
-            b = problem.rhs[i]
-            sign = -1 if b < 0 else 1
-            self.row_sign.append(sign)
+        for i, b in enumerate(problem.rhs):
             row = [Fraction(0)] * (self.n + self.m + 1)
-            for j, v in problem.rows[i].items():
-                row[j] = Fraction(sign * v)
             row[self.n + i] = Fraction(1)
-            row[-1] = sign * b
+            row[-1] = self.row_sign[i] * b
             self.rows.append(row)
+        for j, column in enumerate(problem.columns):
+            for i in column:
+                self.rows[i][j] = Fraction(self.row_sign[i])
         self.basis = [self.n + i for i in range(self.m)]
         self.live = list(range(self.m))  # rows not dropped as dependent
         self.r = None  # reduced-cost row; r[-1] == -objective value
@@ -431,7 +381,7 @@ class _ExactTableau:
 def _highs(model, objective: Sequence):
     """One HiGHS run of min objective.x on the model of A x = b, x >= 0.
 
-    A fresh solver takes the cached model (a _Constraints.highs_model)
+    A fresh solver takes the cached model (an LPProblem.highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
     objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Returns
     (x, y, value) of an optimal vertex with its duals; for an infeasible
@@ -584,7 +534,7 @@ def _rounded(v) -> Fraction:
     return Fraction(v).limit_denominator()
 
 
-def _accept(problem: LPProblem, xs, ys):
+def _accept(problem: LPProblem, objective, xs, ys):
     """(x, y, c.x) of an exactly checked optimum of the problem.
 
     x is the first candidate of xs with A x = b and x >= 0, y the first of
@@ -597,18 +547,18 @@ def _accept(problem: LPProblem, xs, ys):
     x = next((c for c in xs if _primal_feasible(problem, c)), None)
     if x is None:
         raise CertificationError("x fails A x = b, x >= 0")
-    objective = _scaled(problem.objective)
-    y = next((c for c in ys if _columns_within(problem.rows, c, objective)), None)
+    scaled_c = _scaled(objective)
+    y = next((c for c in ys if _columns_within(problem.columns, c, scaled_c)), None)
     if y is None:
         raise CertificationError("y fails y.A <= c")
-    value = _dot(objective, x)
-    gap = value - _dot(problem._constraints.scaled_rhs, y)
+    value = _dot(scaled_c, x)
+    gap = value - _dot(problem.scaled_rhs, y)
     if gap:
         raise CertificationError(f"gap c.x - b.y is {gap}, not 0")
     return x, y, value
 
 
-def _certify(problem: LPProblem, x_float, y_float):
+def _certify(problem: LPProblem, objective, x_float, y_float):
     """_accept's (x, y, value) near a float vertex of the problem.
 
     The x candidates keep the support of HiGHS's vertex (its entries
@@ -622,58 +572,58 @@ def _certify(problem: LPProblem, x_float, y_float):
     still passes where D does not (on some random transport LPs).  The y
     candidates are HiGHS's duals rounded to nearby rationals, then y
     rebuilt from the columns where y_float prices the reduced cost at
-    zero.  D and A's columns are the shared constraints'.  The float
-    tolerances only choose the candidates.
+    zero.  The support equations are built from A's columns in ascending
+    column order.  The float tolerances only choose the candidates.
     """
-    constraints = problem._constraints
-    objective = problem.objective
-    n = problem.ncols
+    columns = problem.columns
     zero = Fraction(0)
 
     def xs():
         x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
-        support = {j for j in range(n) if float(x_float[j]) > x_tol}
-        d_rhs = constraints.scaled_rhs[1]
+        support = [float(v) > x_tol for v in x_float]
+        d_rhs = problem.scaled_rhs[1]
         if d_rhs <= 2**53:
             yield [
-                Fraction(round(float(x_float[j]) * d_rhs), d_rhs) if j in support else zero
-                for j in range(n)
+                Fraction(round(float(v) * d_rhs), d_rhs) if kept else zero
+                for v, kept in zip(x_float, support)
             ]
-        yield [_rounded(x_float[j]) if j in support else zero for j in range(n)]
-        x_sparse = _solve_rational(
-            [{j: v for j, v in row.items() if j in support} for row in problem.rows],
-            problem.rhs,
-        )
+        yield [_rounded(v) if kept else zero for v, kept in zip(x_float, support)]
+        equations = [{} for _ in range(problem.nrows)]
+        for j, column in enumerate(columns):
+            if support[j]:
+                for i in column:
+                    equations[i][j] = 1
+        x_sparse = _solve_rational(equations, problem.rhs)
         if x_sparse is not None:
-            yield [x_sparse.get(j, zero) for j in range(n)]
+            yield [x_sparse.get(j, zero) for j in range(problem.ncols)]
 
     def ys():
         yield [_rounded(v) for v in y_float]
-        columns = constraints.columns
         y_f = [float(v) for v in y_float]
         reduced = [
-            float(c) - sum(y_f[i] * v for i, v in col.items())
-            for c, col in zip(objective, columns)
+            float(c) - sum(y_f[i] for i in column) for c, column in zip(objective, columns)
         ]
         c_tol = 1e-9 * (max((abs(float(v)) for v in objective), default=0.0) or 1.0)
         tight = [j for j, d in enumerate(reduced) if abs(d) <= c_tol]
-        y_sparse = _solve_rational([columns[j] for j in tight], [objective[j] for j in tight])
+        y_sparse = _solve_rational(
+            [dict.fromkeys(columns[j], 1) for j in tight], [objective[j] for j in tight]
+        )
         if y_sparse is not None:
             yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
 
-    return _accept(problem, xs(), ys())
+    return _accept(problem, objective, xs(), ys())
 
 
-def _solve_tableau(problem: LPProblem) -> LPSolution:
+def _solve_tableau(problem: LPProblem, objective) -> LPSolution:
     """The tableau's answer; its optimum passes _accept and its ray _infeasible."""
-    tab = _ExactTableau(problem)
+    tab = _ExactTableau(problem, objective)
     if not tab.phase1():
         return _infeasible(problem, tab.farkas(), "phase 1")
     tab.phase2()
-    return LPSolution("optimal", *_accept(problem, [tab.primal()], [tab.duals()]))
+    return LPSolution("optimal", *_accept(problem, objective, [tab.primal()], [tab.duals()]))
 
 
-def _solve_highs(problem: LPProblem, exact: bool) -> LPSolution:
+def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
     """The answer of one HiGHS run, certified in exact mode.
 
     Exact mode returns _certify's optimum, or HiGHS's dual ray from the
@@ -685,7 +635,7 @@ def _solve_highs(problem: LPProblem, exact: bool) -> LPSolution:
     (CertificationError in exact mode).
     """
     try:
-        x, y, value = _highs(problem._constraints.highs_model, problem.objective)
+        x, y, value = _highs(problem.highs_model, objective)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if x is None:
@@ -698,7 +648,7 @@ def _solve_highs(problem: LPProblem, exact: bool) -> LPSolution:
             return LPSolution("infeasible", certificate=Certificate(y))
         return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
     if exact:
-        return LPSolution("optimal", *_certify(problem, x, y))
+        return LPSolution("optimal", *_certify(problem, objective, x, y))
     if min(x, default=0.0) < -TIGHT_TOLERANCE:
         raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
     return LPSolution("optimal", x=[max(v, 0.0) for v in x], y=list(y), value=value)
@@ -725,8 +675,10 @@ def check_size(nonzeros: int, arithmetic: str) -> None:
         )
 
 
-def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
-    """Solve the LP; exact rational mode unless arithmetic='float'.
+def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") -> LPSolution:
+    """Min objective.x over the problem's A x = b, x >= 0; exact rational
+    mode unless arithmetic='float'.  The objective has one rational entry
+    (as_fraction) per column, else DomainError.
 
     The tableau takes an LP without columns, which HiGHS rejects, and an
     exact one of at most TABLEAU_ONLY_NONZEROS nonzeros; one HiGHS run
@@ -735,7 +687,10 @@ def solve(problem: LPProblem, arithmetic: str = "exact") -> LPSolution:
     use up memory.
     """
     check_size(problem.nonzeros(), arithmetic)
+    objective = tuple(as_fraction(v) for v in objective)
+    if len(objective) != problem.ncols:
+        raise DomainError(f"{len(objective)} objective entries for {problem.ncols} columns")
     exact = arithmetic == "exact"
     if not problem.ncols or (exact and problem.nonzeros() <= TABLEAU_ONLY_NONZEROS):
-        return _solve_tableau(problem)
-    return _solve_highs(problem, exact)
+        return _solve_tableau(problem, objective)
+    return _solve_highs(problem, objective, exact)

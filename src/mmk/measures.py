@@ -7,9 +7,10 @@ centers, dyadic coordinates) belongs to the modules that need it.
 All objects are immutable after construction and safe to share between
 threads: every value type of the package derives from Frozen, which sets
 the fields once in the constructor and refuses any later assignment.
-The one field set later is MarginalFamily's private `_lp`, where
-feasibility.marginal_lp keeps the family's LP once posed; two threads
-that pose it at once pose the same LP.
+The fields set later are MarginalFamily's private `_lp`, where
+feasibility.marginal_lp keeps the family's (support, LPProblem) once
+built, and the LPProblem's cached b and HiGHS model; two threads that
+build one at once build the same value.
 """
 
 from __future__ import annotations
@@ -382,7 +383,8 @@ class MarginalFamily(Frozen):
     """The constraint data of an (n,k)-problem: one measure per alpha in I_nk.
 
     `marginals` is a read-only mapping.  `_lp` is empty until
-    feasibility.marginal_lp first poses the family's LP and keeps it there.
+    feasibility.marginal_lp first builds the family's (support, LPProblem)
+    and keeps it there.
     """
 
     __slots__ = ("n", "k", "sizes", "marginals", "_lp")

@@ -17,6 +17,10 @@ from .measures import DiscreteMeasure, DomainError, ProductGrid, project, unifor
 from .measures import Frozen, IndexSet, MarginalFamily, all_index_sets
 
 
+# The deepest Sierpinski slice, a 1024^2 raster: each level costs 4x.
+MAX_SLICE_DEPTH = 10
+
+
 class Dyadic(Frozen):
     """The number a / 2^p with 0 <= a <= 2^p; digit strings stay explicit.
 
@@ -232,8 +236,11 @@ def sierpinski_slice(z: Dyadic, depth: int) -> list[list[int]]:
 
     Entry [row][col] is 1 when the cell corner (col/2^depth,
     row/2^depth, z) belongs to the set at the given depth.  Used by the
-    CLI to emit P2 graymaps.
+    CLI to emit P2 graymaps.  DomainError unless 0 <= depth <=
+    MAX_SLICE_DEPTH, checked before anything is allocated.
     """
+    if not 0 <= depth <= MAX_SLICE_DEPTH:
+        raise DomainError(f"slice depth must be in 0..{MAX_SLICE_DEPTH}, got {depth}")
     size = 1 << depth
     rows = []
     for r in range(size):

@@ -86,9 +86,7 @@ def test_criterion_03_modk_certificates():
             fam = fb.make_modk_counterexample(n, k)
             verdict = fb.kellerer_check(fam)
             assert not verdict.feasible
-            rows, rhs = fb.marginal_constraint_rows(fam)
-            ncols = fam.full_grid().ncells
-            problem = lp_core.LPProblem([Fraction(0)] * ncols, rows, rhs)
+            problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
             assert lp_core.check_certificate(problem, verdict.lp_certificate)
             total = sum(
                 f * w

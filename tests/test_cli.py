@@ -373,6 +373,26 @@ class TestHostileInput:
         path = self.edited_problem(tmp_path, edit)
         self.refused(run_mmk("check", path), "expected an integer")
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["xor", "xor"], "operand is missing"),
+            (["xor", "xor", "abc", "1/2"], "cannot interpret 'abc'"),
+            (["xor", "xor", "1e-999999999", "0"], "decimal exponent above 4300"),
+            (["xor", "slice", "--depth", "-1"], "slice depth must be in 0..10"),
+            (["xor", "slice", "--depth", "40"], "slice depth must be in 0..10"),
+            (["figure", "sierpinski", "--depth", "40"], "slice depth must be in 0..10"),
+        ],
+        ids=["missing-operand", "not-a-number", "huge-exponent", "negative-depth",
+             "depth-40", "figure-depth-40"],
+    )
+    def test_xor_input_refused_at_once(self, argv, words):
+        # A slice of depth 40 would be a 2^40 x 2^40 raster.
+        start = time.monotonic()
+        proc = run_mmk(*argv, address_space=2_000_000 * 1024)
+        assert time.monotonic() - start < 10
+        self.refused(proc, words)
+
 
 def test_import_loads_neither_numpy_nor_scipy():
     """One-shot runs on small LPs must not pay for numpy, scipy or dataclasses."""

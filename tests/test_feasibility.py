@@ -291,7 +291,8 @@ class TestKellererCheck:
         solved, sunk = [], []
         real_solve, real_sink = lp_core.solve, fb.sink
         monkeypatch.setattr(
-            lp_core, "solve", lambda p, **kw: solved.append(p.ncols) or real_solve(p, **kw)
+            lp_core, "solve",
+            lambda p, *args, **kw: solved.append(p.ncols) or real_solve(p, *args, **kw),
         )
 
         def spy(fam, prices, bound, columns):
@@ -302,8 +303,7 @@ class TestKellererCheck:
         monkeypatch.setattr(fb, "sink", spy)
         verdict = fb.kellerer_check(fam, arithmetic=mode)
         assert not verdict.feasible and solved == [8] and sunk == [True]
-        rows, rhs = fb.marginal_constraint_rows(fam)
-        problem = lp_core.LPProblem([0] * 27, rows, rhs)
+        problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
         assert lp_core.check_certificate(problem, verdict.lp_certificate)
         assert min(cell_sums(fam.full_grid(), verdict.potentials)) >= 0
 
@@ -320,18 +320,25 @@ class TestKellererCheck:
 class TestProjectionRows:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(FAMILY_SHAPES), st.integers(0, 10**6), st.data())
-    def test_rows_over_columns_are_filtered_and_renumbered(self, shape, seed, data):
+    def test_columns_sum_to_the_projections(self, shape, seed, data):
+        # A pi, summed over the columns, is the concatenated projections of
+        # pi; the columns of some cells are the full columns at those cells.
         n, k, sizes = shape
         fam = sparse_family(random.Random(seed), n, k, sizes)
-        ncells = fam.full_grid().ncells
-        columns = sorted(data.draw(st.sets(st.integers(0, ncells - 1))))
-        full_rows, full_rhs = fb.marginal_constraint_rows(fam)
-        rows, rhs = fb.marginal_constraint_rows(fam, columns)
-        col_of = {j: t for t, j in enumerate(columns)}
-        assert rows == [
-            {col_of[j]: v for j, v in row.items() if j in col_of} for row in full_rows
-        ]
-        assert rhs == full_rhs
+        grid = fam.full_grid()
+        weight = st.integers(0, 9)
+        pi = DiscreteMeasure(
+            grid, data.draw(st.lists(weight, min_size=grid.ncells, max_size=grid.ncells)))
+        columns, rhs = fb.marginal_constraint_rows(fam)
+        a_pi = [0] * len(rhs)
+        for column, w in zip(columns, pi.weights):
+            for i in column:
+                a_pi[i] += w
+        alphas = fam.index_sets()
+        assert a_pi == [w for alpha in alphas for w in project(pi, alpha).weights]
+        assert rhs == [w for alpha in alphas for w in fam[alpha].weights]
+        cells = sorted(data.draw(st.sets(st.integers(0, grid.ncells - 1))))
+        assert fb.marginal_constraint_rows(fam, cells) == ([columns[j] for j in cells], rhs)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(FAMILY_SHAPES), st.integers(0, 10**6))

@@ -42,83 +42,99 @@ def refuse_tableau(monkeypatch):
 
 class TestExact:
     def test_simple_min(self):
-        sol = solve(LPProblem([1], [{0: 1}], [2]))
+        sol = solve(LPProblem([[0]], [2]), [1])
         assert sol.status == "optimal" and sol.value == 2
 
     def test_max_sense(self):
         # max c.x is -(min -c.x).
-        sol = solve(LPProblem([-1, -2], [{0: 1, 1: 1}], [3]))
+        sol = solve(LPProblem([[0], [0]], [3]), [-1, -2])
         assert -sol.value == 6
         assert -sol.y[0] == 2  # marginal value of the resource
 
     def test_infeasible_with_certificate(self):
-        problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
-        sol = solve(problem)
+        problem = LPProblem([[0, 1], []], [1, 2])
+        sol = solve(problem, [1, 1])
         assert sol.status == "infeasible"
         assert check_certificate(problem, sol.certificate)
 
     def test_unbounded(self, monkeypatch):
         # No LP of mmk is unbounded, so no status stands for it: the
-        # tableau, HiGHS in exact mode and float mode all raise.
-        problem = LPProblem([-1, 0], [{0: 1, 1: -1}], [0])
+        # tableau, HiGHS in exact mode and float mode all raise.  Column 1
+        # lies in no row and costs -1.
+        problem = LPProblem([[0], []], [1])
         with pytest.raises(lp_core.LPError, match="unbounded"):
-            solve(problem)
+            solve(problem, [0, -1])
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         for arithmetic in ("exact", "float"):
             with pytest.raises(lp_core.LPError):
-                solve(problem, arithmetic)
+                solve(problem, [0, -1], arithmetic)
 
     def test_negative_rhs_handled(self):
-        sol = solve(LPProblem([1, 1], [{0: -1}], [-2]))
-        assert sol.status == "optimal" and sol.value == 2
+        # x0 = -2 has no solution x0 >= 0; the tableau flips the row's sign,
+        # and its Farkas ray flips back to y0 < 0.
+        problem = LPProblem([[0]], [-2])
+        sol = solve(problem, [1])
+        assert sol.status == "infeasible" and sol.certificate.y[0] < 0
+        assert check_certificate(problem, sol.certificate)
 
     def test_redundant_rows_dropped(self):
-        sol = solve(LPProblem([1], [{0: 1}, {0: 2}], [3, 6]))
+        sol = solve(LPProblem([[0, 1]], [3, 3]), [1])
         assert sol.status == "optimal" and sol.value == 3
 
     def test_transport_duality(self):
         # 2x2 balanced transport: value and dual value agree exactly.
-        problem = LPProblem(
-            [0, 3, 3, 0],
-            [{0: 1, 1: 1}, {2: 1, 3: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}],
-            [Fraction(1, 2)] * 4,
-        )
-        sol = solve(problem)
+        problem = LPProblem([[0, 2], [0, 3], [1, 2], [1, 3]], [Fraction(1, 2)] * 4)
+        sol = solve(problem, [0, 3, 3, 0])
         assert sol.value == 0
         assert sum(y * b for y, b in zip(sol.y, problem.rhs)) == 0
 
     def test_size_cap(self):
         n = 300
-        rows = [{j: 1 for j in range(n)} for _ in range(n)]
-        problem = LPProblem([1] * n, rows, [1] * n)
+        problem = LPProblem([range(n)] * n, [1] * n)
         with pytest.raises(SizeCapError):
-            solve(problem)
+            solve(problem, [1] * n)
 
     def test_float_size_cap(self, monkeypatch):
         lp_core.check_size(lp_core.FLOAT_NONZERO_CAP, "float")
         with pytest.raises(SizeCapError, match="of both modes"):
             lp_core.check_size(lp_core.FLOAT_NONZERO_CAP + 1, "float")
         monkeypatch.setattr(lp_core, "FLOAT_NONZERO_CAP", 3)
-        problem = LPProblem([1] * 4, [{j: 1 for j in range(4)}], [1])
+        problem = LPProblem([[0]] * 4, [1])
         with pytest.raises(SizeCapError, match="4 nonzeros exceeds the cap 3"):
-            solve(problem, arithmetic="float")
+            solve(problem, [1] * 4, arithmetic="float")
 
-    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, True])
+    # A column's entries are the row indices of its 1s: anything but an
+    # int is refused, a bool and a numeric string too.
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, True, 2.7, "1"])
     def test_non_integer_coefficient_refused(self, value):
         with pytest.raises(DomainError, match="expected an integer"):
-            LPProblem([1], [{0: value}], [1])
+            LPProblem([[value]], [1, 1, 1])
 
-    def test_with_objective_shares_the_constraints(self):
-        problem = LPProblem([1, 2], [{0: 1, 1: 1}], [3])
-        other = problem.with_objective([-2, -1])
-        assert other.rows is problem.rows and other.rhs is problem.rhs
-        assert solve(other).value == -6 and solve(problem).value == 3
+    @pytest.mark.parametrize(
+        "column, words",
+        [([-1], "distinct rows in 0..1"), ([2], "distinct rows in 0..1"), ([0, 1, 0], "distinct")],
+        ids=["negative", "nrows", "repeated"],
+    )
+    def test_row_index_out_of_range_or_repeated_refused(self, column, words):
+        with pytest.raises(DomainError, match=words):
+            LPProblem([[0], column], [1, 1])
+
+    def test_one_problem_serves_two_objectives(self, monkeypatch):
+        # Both solves run HiGHS on the one model the problem builds.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        built, models = [], []
+        monkeypatch.setattr(
+            _core, "HighsLp", lambda real=_core.HighsLp: built.append(1) or real()
+        )
+        highs = lp_core._highs
+        monkeypatch.setattr(
+            lp_core, "_highs", lambda model, obj: models.append(model) or highs(model, obj)
+        )
+        problem = LPProblem([[0], [0]], [3])
+        assert solve(problem, [-2, -1]).value == -6 and solve(problem, [1, 2]).value == 3
+        assert len(built) == 1 and models == [problem.highs_model] * 2
         with pytest.raises(DomainError, match="1 objective entries for 2 columns"):
-            problem.with_objective([1])
-
-    def test_tableau_pivots_on_an_integer_coefficient(self):
-        sol = solve(LPProblem([1], [{0: 2}], [2]))
-        assert sol.status == "optimal" and sol.x == [Fraction(1)] and sol.value == 1
+            solve(problem, [1])
 
     # min x0 + x1 s.t. x0 = 1, x1 = 1: the optimum is x = y = (1, 1).  Each
     # patch breaks one check of the tableau's answer; x = (2, 0) even keeps
@@ -132,11 +148,11 @@ class TestExact:
         ],
     )
     def test_tableau_optimum_checked(self, monkeypatch, method, wrong, check):
-        problem = LPProblem([1, 1], [{0: 1}, {1: 1}], [1, 1])
-        assert solve(problem).x == [1, 1]
+        problem = LPProblem([[0], [1]], [1, 1])
+        assert solve(problem, [1, 1]).x == [1, 1]
         monkeypatch.setattr(lp_core._ExactTableau, method, lambda self: list(wrong))
         with pytest.raises(lp_core.CertificationError, match=check):
-            solve(problem)
+            solve(problem, [1, 1])
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -149,13 +165,9 @@ class TestExact:
             data.draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
             for _ in range(n)
         ]
-        rows = [
-            {j: data.draw(st.integers(-6, 6)) for j in range(n)} for _ in range(m)
-        ]
-        rhs = [
-            sum(row.get(j, 0) * x_feas[j] for j in range(n)) for row in rows
-        ]
-        problem = LPProblem(obj, rows, rhs)
+        rows = [[data.draw(st.integers(0, 1)) for j in range(n)] for _ in range(m)]
+        rhs = [sum(a * x for a, x in zip(row, x_feas)) for row in rows]
+        problem = LPProblem([[i for i in range(m) if rows[i][j]] for j in range(n)], rhs)
         # These LPs are small enough to go straight to the tableau; solve
         # again with HiGHS and the certifier, which must agree.  The problem
         # is feasible by construction: if it is unbounded both routes raise
@@ -164,7 +176,7 @@ class TestExact:
         for threshold in (lp_core.TABLEAU_ONLY_NONZEROS, 0):
             with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", threshold):
                 try:
-                    results.append(solve(problem))
+                    results.append(solve(problem, obj))
                 except lp_core.CertificationError:
                     raise
                 except lp_core.LPError:
@@ -179,7 +191,7 @@ class TestExact:
             assert result.value == dual
             assert all(v >= 0 for v in result.x)
             for row, b in zip(rows, rhs):
-                assert sum(row[j] * result.x[j] for j in row) == b
+                assert sum(a * x for a, x in zip(row, result.x)) == b
 
 
 class TestCertifier:
@@ -188,18 +200,15 @@ class TestCertifier:
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
 
     # 2x2 balanced transport: the optimum 0 puts mass on the diagonal.
-    PROBLEM = LPProblem(
-        [0, 3, 3, 0],
-        [{0: 1, 1: 1}, {2: 1, 3: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}],
-        [Fraction(1, 2)] * 4,
-    )
+    PROBLEM = LPProblem([[0, 2], [0, 3], [1, 2], [1, 3]], [Fraction(1, 2)] * 4)
+    COSTS = tuple(map(Fraction, [0, 3, 3, 0]))
     # The anti-diagonal vertex is feasible but costs 3; y = (3, 3, 0, 0)
     # prices its support at zero reduced cost.
     WRONG = ([0.0, 0.5, 0.5, 0.0], [3.0, 3.0, 0.0, 0.0])
 
     def test_accepts_optimal_vertex(self):
         p = self.PROBLEM
-        x, y, value = lp_core._certify(p, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        x, y, value = lp_core._certify(p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
         assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
         assert value == sum(yi * b for yi, b in zip(y, p.rhs)) == 0
 
@@ -209,27 +218,27 @@ class TestCertifier:
         rounded, real = [], lp_core._rounded
         monkeypatch.setattr(lp_core, "_rounded", lambda v: rounded.append(v) or real(v))
         p = self.PROBLEM
-        lp_core._certify(p, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        lp_core._certify(p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
         assert len(rounded) == p.nrows
 
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
         # No y from the columns x uses passes y.A <= c: x is not optimal.
         with pytest.raises(lp_core.CertificationError, match="y fails"):
-            lp_core._certify(p, *self.WRONG)
+            lp_core._certify(p, self.COSTS, *self.WRONG)
         x, y = self.WRONG
         calls = []
         monkeypatch.setattr(
             lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0)
         )
         with pytest.raises(lp_core.CertificationError, match="y fails"):
-            solve(p)
+            solve(p, self.COSTS)
         assert len(calls) == 1
 
     def test_rejects_infeasible_support(self):
         p = self.PROBLEM
         with pytest.raises(lp_core.CertificationError, match="x fails"):
-            lp_core._certify(p, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
+            lp_core._certify(p, self.COSTS, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
 
     # A (4,3) family on 3^4, the projections of weight d / sum(d) on the
     # cells in ravel order (d the digits), with the integer costs below.
@@ -282,35 +291,35 @@ class TestCertifier:
         tiny = Fraction(1, 10**12)
         # Column 1 lies in rows 0 and 3 and costs 3; the other columns hold
         # in both cases.
-        c = lp_core._scaled(p.objective)
-        assert lp_core._columns_within(p.rows, [3 - tiny, -tiny, -3, tiny], c)
-        assert not lp_core._columns_within(p.rows, [3, -tiny, -3, tiny], c)
+        c = lp_core._scaled(self.COSTS)
+        assert lp_core._columns_within(p.columns, [3 - tiny, -tiny, -3, tiny], c)
+        assert not lp_core._columns_within(p.columns, [3, -tiny, -3, tiny], c)
 
     def test_bad_farkas_certificate_raises(self, monkeypatch):
-        problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
+        problem = LPProblem([[0, 1], []], [1, 2])
         # HiGHS's route: the dual ray y = (1, 1) has y.A_0 = 2 > 0.
         monkeypatch.setattr(lp_core, "_highs", lambda model, obj: (None, [1.0, 1.0], None))
         with pytest.raises(lp_core.CertificationError, match="dual ray"):
-            solve(problem)
+            solve(problem, [1, 1])
         # The tableau's route, at the default threshold.
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", DEFAULT_THRESHOLD)
         monkeypatch.setattr(lp_core._ExactTableau, "farkas", lambda self: [1, 1])
         with pytest.raises(lp_core.CertificationError, match="phase 1"):
-            solve(problem)
+            solve(problem, [1, 1])
 
     def test_entry_too_large_for_float_goes_to_tableau(self, monkeypatch):
-        problem = LPProblem([10**400, 0], [{0: 1, 1: 1}], [1])
+        problem = LPProblem([[0], [0]], [1])
         with pytest.raises(lp_core.LPError, match="too large for a float"):
-            solve(problem)
+            solve(problem, [10**400, 0])
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", DEFAULT_THRESHOLD)
-        sol = solve(problem)
+        sol = solve(problem, [10**400, 0])
         assert sol.status == "optimal" and sol.value == 0
 
     def test_empty_model_goes_to_tableau(self):
-        sol = solve(LPProblem([], [{}], [1]))
+        sol = solve(LPProblem([], [1]), [])
         assert sol.status == "infeasible"
-        assert check_certificate(LPProblem([], [{}], [1]), sol.certificate)
-        assert solve(LPProblem([1, 0], [], [])).value == 0
+        assert check_certificate(LPProblem([], [1]), sol.certificate)
+        assert solve(LPProblem([[], []], []), [1, 0]).value == 0
 
 
 def fraction_reference(equations, rhs):
@@ -393,33 +402,23 @@ class TestRebuild:
             assert project(verdict.witness, alpha) == fam[alpha]
 
     def test_failed_reconstruction_raises(self, monkeypatch):
-        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
-        # x = (1/1000003, 0): the denominator is above limit_denominator's
-        # 10^6 and b's is 1, so only the rebuild recovers x.
-        problem = LPProblem([0, 1], [{0: 1000003, 1: 1}], [1])
-        rebuilt, built = [], []
+        # The family of test_feasible_53_certified_by_the_rebuild, whose x
+        # only the rebuild recovers.  Modulo 2^31 - 1 numerators and
+        # denominators stop at 32768: the vertex fails, and the LP is too
+        # large for the tableau.
+        fam = random_feasible_53(3)
+        rebuilt = []
         rebuild = lp_core._solve_rational
         monkeypatch.setattr(
             lp_core,
             "_solve_rational",
             lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
         )
-        init = lp_core._ExactTableau.__init__
-        monkeypatch.setattr(
-            lp_core._ExactTableau,
-            "__init__",
-            lambda self, *args: built.append(1) or init(self, *args),
-        )
-        sol = solve(problem)
-        assert sol.x == [Fraction(1, 1000003), 0] and sol.value == 0
-        assert rebuilt == [{0: Fraction(1, 1000003)}] and not built
-        # Modulo 2^31 - 1 numerators and denominators stop at 32768: the
-        # vertex fails, and the LP is too large for the tableau.
+        refuse_tableau(monkeypatch)
         monkeypatch.setattr(lp_core, "_PRIME", 2**31 - 1)
-        rebuilt.clear()
         with pytest.raises(lp_core.CertificationError, match="x fails"):
-            solve(problem)
-        assert rebuilt == [None] and not built
+            kellerer_check(fam)
+        assert rebuilt
 
 
 def mixed_family(n, k, sizes, raw, s):
@@ -463,8 +462,8 @@ class TestOneRoute:
         exact = kellerer_check(fam)
         assert kellerer_check(fam, arithmetic="float").feasible == exact.feasible
         if not exact.feasible:
-            assert check_certificate(LPProblem(
-                [0] * grid.ncells, *marginal_constraint_rows(fam)), exact.lp_certificate)
+            assert check_certificate(
+                LPProblem(*marginal_constraint_rows(fam)), exact.lp_certificate)
             for arithmetic in ("exact", "float"):
                 with pytest.raises(InfeasibleFamilyError):
                     verify_gap(fam, cost, arithmetic)
@@ -479,8 +478,7 @@ class TestFarkas:
     @staticmethod
     def modk_problem(n, k):
         fam = make_modk_counterexample(n, k)
-        rows, rhs = marginal_constraint_rows(fam)
-        return fam, LPProblem([0] * fam.full_grid().ncells, rows, rhs)
+        return fam, LPProblem(*marginal_constraint_rows(fam))
 
     @pytest.mark.parametrize("n,k", MODK)
     def test_modk_certified_without_tableau(self, monkeypatch, n, k):
@@ -519,7 +517,7 @@ class TestFarkas:
 
         monkeypatch.setattr(lp_core, "_highs", negated_ray)
         with pytest.raises(lp_core.CertificationError, match="dual ray"):
-            solve(problem)
+            solve(problem, [0] * problem.ncols)
 
     def test_float_highs_failure_raises(self, monkeypatch):
         # A run that ends in neither optimal nor infeasible: HiGHS never
@@ -530,7 +528,7 @@ class TestFarkas:
 
         monkeypatch.setattr(_core, "_Highs", Failed)
         with pytest.raises(lp_core.LPError, match="kNotset"):
-            solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
+            solve(LPProblem([[0]], [2]), [1], arithmetic="float")
 
     def one_run_problems(self):
         """The full-grid LPs of the mod-k families (4,3), (5,2), (6,2), (6,3)
@@ -540,8 +538,8 @@ class TestFarkas:
         certificate only once the ray is scaled to largest entry 1."""
         modk = [(4, 3), (5, 2), (6, 2), (6, 3)]
         problems = [self.modk_problem(n, k)[1] for n, k in modk]
-        rows, rhs = marginal_constraint_rows(make_two_point_counterexample(Fraction(5, 2)))
-        return problems + [LPProblem([0] * 8, rows, rhs)]
+        two_point = marginal_constraint_rows(make_two_point_counterexample(Fraction(5, 2)))
+        return problems + [LPProblem(*two_point)]
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_one_highs_run_per_infeasible_lp(self, monkeypatch, mode):
@@ -553,7 +551,7 @@ class TestFarkas:
         monkeypatch.setattr(lp_core, "_highs", lambda *args: calls.append(1) or highs(*args))
         for problem in self.one_run_problems():
             calls.clear()
-            sol = solve(problem, arithmetic=mode)
+            sol = solve(problem, [0] * problem.ncols, arithmetic=mode)
             assert sol.status == "infeasible" and len(calls) == 1
             tol = 0 if mode == "exact" else Fraction(1, 10**9)
             assert check_certificate(problem, sol.certificate, tol)
@@ -563,7 +561,7 @@ class TestFarkas:
         monkeypatch.setattr(lp_core, "_highs", lambda model, objective: (None, None, None))
         _, problem = self.modk_problem(4, 3)
         with pytest.raises(lp_core.LPError, match="no dual ray") as raised:
-            solve(problem, arithmetic=mode)
+            solve(problem, [0] * problem.ncols, arithmetic=mode)
         assert (raised.type is lp_core.CertificationError) == (mode == "exact")
 
 
@@ -579,43 +577,42 @@ def test_highs_binding_has_what_lp_core_uses():
         assert callable(getattr(_core._Highs, method))
     assert isinstance(_core.MatrixFormat.kColwise, _core.MatrixFormat)
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
-    problem = LPProblem([1, 1], [{0: 1, 1: 1}], [2])
-    model = problem._constraints.highs_model
+    problem = LPProblem([[0], [0]], [2])
+    model = problem.highs_model
     assert isinstance(model, _core.HighsLp)
+    matrix = model.a_matrix_
+    assert (list(matrix.start_), list(matrix.index_), list(matrix.value_)) == (
+        [0, 1, 2], [0, 0], [1.0, 1.0])
     x, y, value = lp_core._highs(model, [1, 2])
     assert (list(x), list(y), value) == ([2.0, 0.0], [1.0], 2.0)
-    infeasible = LPProblem([1], [{0: 1}, {0: 1}], [1, 2])._constraints.highs_model
+    infeasible = LPProblem([[0, 1]], [1, 2]).highs_model
     x, ray, value = lp_core._highs(infeasible, [1])
     assert x is None and value is None and len(ray) == 2
 
 
 class TestFloat:
     def test_optimal(self):
-        sol = solve(LPProblem([1], [{0: 1}], [2]), arithmetic="float")
+        sol = solve(LPProblem([[0]], [2]), [1], arithmetic="float")
         assert sol.status == "optimal"
         assert abs(sol.value - 2) < 1e-9
 
     def test_infeasible_certificate(self):
-        problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
-        sol = solve(problem, arithmetic="float")
+        problem = LPProblem([[0, 1], []], [1, 2])
+        sol = solve(problem, [1, 1], arithmetic="float")
         assert sol.status == "infeasible"
         assert check_certificate(problem, sol.certificate, tol=Fraction(1, 10**6))
 
     def test_empty_model_answered_as_in_exact_mode(self):
         # HiGHS rejects a model without columns; the tableau answers it.
-        problem = LPProblem([], [{}], [1])
-        sol = solve(problem, arithmetic="float")
+        problem = LPProblem([], [1])
+        sol = solve(problem, [], arithmetic="float")
         assert sol.status == "infeasible"
         assert check_certificate(problem, sol.certificate)
-        assert solve(LPProblem([], [{}], [0]), arithmetic="float").value == 0
+        assert solve(LPProblem([], [0]), [], arithmetic="float").value == 0
 
     def test_dual_value_matches(self):
-        problem = LPProblem(
-            [0, 3, 3, 0],
-            [{0: 1, 1: 1}, {2: 1, 3: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}],
-            [Fraction(1, 2)] * 4,
-        )
-        sol = solve(problem, arithmetic="float")
+        problem = LPProblem([[0, 2], [0, 3], [1, 2], [1, 3]], [Fraction(1, 2)] * 4)
+        sol = solve(problem, [0, 3, 3, 0], arithmetic="float")
         dual = sum(y * float(b) for y, b in zip(sol.y, problem.rhs))
         assert abs(sol.value - dual) < 1e-9
 
@@ -623,24 +620,24 @@ class TestFloat:
         res = ([-1e-8, 1.0], [1.0], 1.0)
         monkeypatch.setattr(lp_core, "_highs", lambda model, objective: res)
         with pytest.raises(lp_core.LPError):
-            solve(LPProblem([0, 1], [{0: 1, 1: 1}], [1]), arithmetic="float")
+            solve(LPProblem([[0], [0]], [1]), [0, 1], arithmetic="float")
 
     def test_unknown_mode(self):
         with pytest.raises(Exception):
-            solve(LPProblem([1], [{0: 1}], [1]), arithmetic="interval")
+            solve(LPProblem([[0]], [1]), [1], arithmetic="interval")
 
 
 class TestCertificateChecker:
     def test_rejects_wrong_length(self):
-        problem = LPProblem([1], [{0: 1}], [1])
+        problem = LPProblem([[0]], [1])
         assert not check_certificate(problem, lp_core.Certificate([1, 1]))
 
     def test_rejects_column_above_zero_by_tiny_amount(self):
-        problem = LPProblem([1, 1], [{0: 1}, {0: 1}], [1, 2])
+        problem = LPProblem([[0, 1], []], [1, 2])
         assert check_certificate(problem, lp_core.Certificate([-1, 1]))
         tiny = Fraction(1, 10**12)
         assert not check_certificate(problem, lp_core.Certificate([-1 + tiny, 1]))
 
     def test_rejects_non_negative_yb(self):
-        problem = LPProblem([1], [{0: -1}], [1])
+        problem = LPProblem([(0,)], [1])
         assert not check_certificate(problem, lp_core.Certificate([-1]))

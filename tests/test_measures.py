@@ -349,7 +349,7 @@ def test_value_types_refuse_assignment():
         (mu, "weights"),
         (XorInstance(1).family(), "marginals"),
         (ConsistencyReport(True, []), "consistent"),
-        (LPProblem([1], [{0: 1}], [1]), "rows"),
+        (LPProblem([[0]], [1]), "columns"),
         (Certificate([1]), "y"),
         (LPSolution("optimal", x=[1], y=[1], value=1), "value"),
         (CoefficientVector([1]), "lambdas"),

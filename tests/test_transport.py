@@ -224,15 +224,14 @@ class TestSolve:
         calls = []
         real = lp_core.solve
         monkeypatch.setattr(
-            lp_core, "solve", lambda p, **kw: calls.append(1) or real(p, **kw)
+            lp_core, "solve", lambda p, *args, **kw: calls.append(1) or real(p, *args, **kw)
         )
         cost = CostGrid(grid, list(range(grid.ncells)))
         with pytest.raises(InfeasibleFamilyError) as err:
             verify_gap(fam, cost, arithmetic=mode)
         assert len(calls) == solves
         verdict = err.value.verdict
-        rows, rhs = fb.marginal_constraint_rows(fam)
-        problem = lp_core.LPProblem([0] * grid.ncells, rows, rhs)
+        problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
         assert not verdict.feasible
         assert lp_core.check_certificate(problem, verdict.lp_certificate)
 
@@ -366,14 +365,14 @@ if __debug__:
 
 
 def farkas(y_entry):
-    def solve(problem, arithmetic="exact"):
+    def solve(problem, objective, arithmetic="exact"):
         y = [Fraction(y_entry)] * problem.nrows
         return lp_core.LPSolution("infeasible", certificate=lp_core.Certificate(y))
 
     return solve
 
 
-def wrong_optimum(problem, arithmetic="exact"):
+def wrong_optimum(problem, objective, arithmetic="exact"):
     zero = Fraction(0) if arithmetic == "exact" else 0.0
     return lp_core.LPSolution(
         "optimal",
