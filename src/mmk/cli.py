@@ -339,7 +339,7 @@ def cmd_case(args) -> int:
 def cmd_figure(args) -> int:
     if args.name == "sierpinski":
         out = args.out or "sierpinski.pgm"
-        return _write_slice(_parse_dyadic(args.z or "0"), args.depth or 5, out)
+        return _write_slice(_parse_dyadic(args.z), args.depth, out)
     if args.name == "uniformband":
         report = _case_uniformband(args, args.arithmetic)
         _emit(report)
@@ -390,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("figure")
     pf.add_argument("name")
     pf.add_argument("--N", type=int)
-    pf.add_argument("--z", help="slice height (dyadic)")
-    pf.add_argument("--depth", type=int)
+    pf.add_argument("--z", default="0", help="slice height (dyadic)")
+    pf.add_argument("--depth", type=int, default=5)
     pf.add_argument("--out", help="output path")
     pf.set_defaults(handler=cmd_figure)
 

@@ -596,6 +596,14 @@ def uniting_by_density_2(
     m = bounds.m
     grid = fam.full_grid()
     pairs = all_index_sets(3, 2)
+    nonzeros = 3 * grid.ncells + sum(len(fam[alpha].weights) for alpha in pairs)
+    try:  # the extraction LP below: 3 nonzeros per cell, 1 per slack column
+        lp_core.check_size(nonzeros, "exact")
+    except lp_core.SizeCapError:
+        raise lp_core.SizeCapError(
+            f"the extraction LP of uniting_by_density_2 has {nonzeros} nonzeros, "
+            f"over the exact-mode cap {lp_core.EXACT_NONZERO_CAP}; it has no float mode"
+        ) from None
     nu_pair = {
         tuple(alpha): product(_ref_product(refs, list(alpha))) for alpha in pairs
     }

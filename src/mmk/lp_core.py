@@ -16,27 +16,23 @@ among tied ratios), which never cycles, and yields Farkas certificates.
 
 Every larger LP is certified from floating point.  One HiGHS run per
 LP, on a model of A x = b cached for every objective posed on it and
-with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex.
-x is first its values rounded to the nearest multiples of 1/D, D the
-common denominator of b: a vertex denominator often divides D but
-exceeds limit_denominator's 10^6.  An x that fails its check is rounded
-again, to nearby rationals (Fraction.limit_denominator), as the dual
-prices y are.  A part that still fails is rebuilt, x on its support and
-y from the columns whose reduced cost is zero, by sparse elimination
-modulo the prime _PRIME = 2^127 - 1; each value is then recovered by
-rational reconstruction, and one whose numerator or denominator would
-exceed sqrt(_PRIME / 2) fails the rebuild.
+with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex,
+its dual prices y and its basis.  x and y are rounded to nearby
+rationals, and a part that fails is rebuilt as the exact basic solution
+of that basis (Applegate, Cook, Dash & Espinoza, "Exact solutions to
+linear programming problems", Oper. Res. Lett. 2007) by elimination
+modulo the prime _PRIME = 2^127 - 1 and rational reconstruction.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
-integers over common denominators; float tolerances and residues only
-choose the candidates.  A rejected HiGHS vertex is not solved again.
-When HiGHS reports the LP infeasible, the Farkas ray (y.A <= 0,
-y.b > 0) comes from that same run: HiGHS's dual ray, scaled to largest
-entry 1 and rounded to nearby rationals, if check_certificate accepts
-it.  Otherwise CertificationError names the failed check: x, y, the gap
-or the ray.  The tableau's time has no bound on a large LP, so it is no
-fallback.
+integers over common denominators; HiGHS's floats, its basis and the
+residues only choose the candidates.  A rejected HiGHS vertex is not
+solved again.  When HiGHS reports the LP infeasible, the Farkas ray
+(y.A <= 0, y.b > 0) comes from that same run: HiGHS's dual ray, scaled
+to largest entry 1 and rounded to nearby rationals, if check_certificate
+accepts it.  Otherwise CertificationError names the failed check: x, y,
+the gap or the ray.  The tableau's time has no bound on a large LP, so
+it is no fallback.
 
 Float mode makes the same HiGHS run and returns its answer, with x's
 entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
@@ -51,10 +47,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .measures import DomainError, Frozen, as_fraction, as_int
 
@@ -384,10 +381,11 @@ def _highs(model, objective: Sequence):
     A fresh solver takes the cached model (an LPProblem.highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
     objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Returns
-    (x, y, value) of an optimal vertex with its duals; for an infeasible
-    LP (None, ray, None), ray HiGHS's dual ray from the same run (None if
-    HiGHS has none).  LPError on any other status, such as an unbounded
-    LP; OverflowError if an entry is too large for a float.
+    (x, y, value, basis) of an optimal vertex with its duals and its
+    HighsBasis; for an infeasible LP (None, ray, None, None), ray HiGHS's
+    dual ray from the same run (None if HiGHS has none).  LPError on any
+    other status, such as an unbounded LP; OverflowError if an entry is
+    too large for a float.
     """
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
@@ -403,10 +401,10 @@ def _highs(model, objective: Sequence):
     if status == HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         value = highs.getInfo().objective_function_value
-        return solution.col_value, solution.row_dual, value
+        return solution.col_value, solution.row_dual, value, highs.getBasis()
     if status == HighsModelStatus.kInfeasible:
         _, has_ray, ray = highs.getDualRay()
-        return None, list(ray) if has_ray else None, None
+        return None, list(ray) if has_ray else None, None, None
     raise LPError(f"HiGHS failed with model status {status.name}")
 
 
@@ -443,37 +441,31 @@ def _rational(r: int, d: int, bound: int):
     return Fraction(r1, t1)
 
 
-def _solve_rational(equations: Sequence[Mapping], rhs: Sequence):
-    """One exact solution of sum_v eq[v] * z[v] == rhs, or None.
+def _solve_rational(equations: Sequence[Sequence], rhs: Sequence):
+    """One exact solution of sum_{v in eq} z[v] == rhs, or None; each
+    equation eq lists its distinct unknowns, whose coefficients are 1.
 
-    Sparse Gaussian elimination on the residues modulo _PRIME of the
-    coefficients and rhs (num * den^-1): each pivot is the unknown that
-    occurs in the fewest equations, which keeps fill-in low on the 0/1
-    marginal rows.  Free unknowns are set to 0 and left out of the returned
-    {unknown: Fraction} dict.  Each value is recovered from its residue by
-    rational reconstruction.  None if the system is inconsistent modulo
-    _PRIME or a value has no reconstruction: its numerator or denominator
-    would exceed sqrt(_PRIME / 2), about 9.2e18.  The residues part from
-    the rationals only where _PRIME divides a number of the elimination,
-    and a value beyond the bound may reconstruct to a wrong small one, so
-    the caller checks whatever comes back exactly.
+    Sparse Gaussian elimination modulo _PRIME, on the residues of the
+    rational rhs (num * den^-1): each pivot is the unknown that occurs in
+    the fewest equations, which keeps fill-in low on the 0/1 systems.
+    Free unknowns are set to 0 and left out of the returned {unknown:
+    Fraction} dict.  Each value is recovered from its residue by rational
+    reconstruction.  None if the system is inconsistent modulo _PRIME or a
+    value has no reconstruction: its numerator or denominator would exceed
+    sqrt(_PRIME / 2), about 9.2e18.  The residues part from the rationals
+    only where _PRIME divides a number of the elimination, and a value
+    beyond the bound may reconstruct to a wrong small one, so the caller
+    checks whatever comes back exactly.
     """
     P = _PRIME
-
-    def residue(q):
-        return q.numerator * pow(q.denominator, -1, P) % P
-
     try:
         system = [
-            ({v: r for v, a in eq.items() if (r := residue(a))}, residue(b))
+            (dict.fromkeys(eq, 1), b.numerator * pow(b.denominator, -1, P) % P)
             for eq, b in zip(equations, rhs)
         ]
     except ValueError:  # a denominator divisible by _PRIME
         return None
-    occurs = {}
-    for eq in equations:
-        for v in eq:
-            occurs[v] = occurs.get(v, 0) + 1
+    occurs = Counter(v for eq in equations for v in eq)
     order = {}  # pivot unknown -> index into pivots
     pivots = []  # (unknown, equation scaled to coefficient 1 there, rhs)
     for row, b in system:
@@ -558,58 +550,56 @@ def _accept(problem: LPProblem, objective, xs, ys):
     return x, y, value
 
 
-def _certify(problem: LPProblem, objective, x_float, y_float):
-    """_accept's (x, y, value) near a float vertex of the problem.
+def _basic(statuses) -> list[int]:
+    """The ascending indices whose HiGHS basis status is kBasic."""
+    from scipy.optimize._highspy._core import HighsBasisStatus
 
-    The x candidates keep the support of HiGHS's vertex (its entries
-    above x_tol) and are 0 elsewhere.  In order: the vertex rounded to the
-    nearest multiples of 1/D, D the common denominator of b, if D <= 2^53
-    (a float resolves no finer grid); the vertex rounded to nearby
-    rationals (limit_denominator); x rebuilt on that support by
-    _solve_rational.  D goes first: a vertex denominator often divides D
-    but exceeds limit_denominator's 10^6 (as on 216 of 384 exact mass
-    extremes of build_nonstrong(8) and (10)), and limit_denominator
-    still passes where D does not (on some random transport LPs).  The y
-    candidates are HiGHS's duals rounded to nearby rationals, then y
-    rebuilt from the columns where y_float prices the reduced cost at
-    zero.  The support equations are built from A's columns in ascending
-    column order.  The float tolerances only choose the candidates.
+    return [j for j, s in enumerate(statuses) if s == HighsBasisStatus.kBasic]
+
+
+def _certify(problem: LPProblem, objective, x_float, y_float, basis):
+    """_accept's (x, y, value) near HiGHS's optimal vertex and its basis.
+
+    x's candidates, in order: the vertex rounded to the multiples of 1/D,
+    D the common denominator of b, if D <= 2^53 (a float resolves no finer
+    grid); the vertex rounded by limit_denominator; x rebuilt from the
+    basis.  D goes first: a vertex denominator often divides D but exceeds
+    limit_denominator's 10^6 (as on 216 of 384 exact mass extremes of
+    build_nonstrong(8) and (10)), and limit_denominator still passes where
+    D does not (on some random transport LPs).  y's: HiGHS's duals rounded
+    by limit_denominator, then y rebuilt.  Every entry is rounded, as
+    HiGHS puts the nonbasic columns at exactly 0.0.  The rebuilds solve
+    A_B x_B = b with x = 0 off the basic columns B, and y.A_j = c_j for j
+    in B with y = 0 on the basic rows.  The statuses are read only once a
+    rebuild is reached, as their lists cost about 0.2 ms per LP of
+    build_nonstrong(10); an invalid basis rebuilds nothing.
     """
-    columns = problem.columns
     zero = Fraction(0)
 
     def xs():
-        x_tol = 1e-9 * max((abs(float(v)) for v in x_float), default=0.0)
-        support = [float(v) > x_tol for v in x_float]
         d_rhs = problem.scaled_rhs[1]
         if d_rhs <= 2**53:
-            yield [
-                Fraction(round(float(v) * d_rhs), d_rhs) if kept else zero
-                for v, kept in zip(x_float, support)
-            ]
-        yield [_rounded(v) if kept else zero for v, kept in zip(x_float, support)]
-        equations = [{} for _ in range(problem.nrows)]
-        for j, column in enumerate(columns):
-            if support[j]:
-                for i in column:
-                    equations[i][j] = 1
-        x_sparse = _solve_rational(equations, problem.rhs)
-        if x_sparse is not None:
-            yield [x_sparse.get(j, zero) for j in range(problem.ncols)]
+            yield [Fraction(round(v * d_rhs), d_rhs) for v in x_float]
+        yield [_rounded(v) for v in x_float]
+        if basis.valid:
+            equations = [[] for _ in range(problem.nrows)]
+            for j in _basic(basis.col_status):
+                for i in problem.columns[j]:
+                    equations[i].append(j)
+            x_sparse = _solve_rational(equations, problem.rhs)
+            if x_sparse is not None:
+                yield [x_sparse.get(j, zero) for j in range(problem.ncols)]
 
     def ys():
         yield [_rounded(v) for v in y_float]
-        y_f = [float(v) for v in y_float]
-        reduced = [
-            float(c) - sum(y_f[i] for i in column) for c, column in zip(objective, columns)
-        ]
-        c_tol = 1e-9 * (max((abs(float(v)) for v in objective), default=0.0) or 1.0)
-        tight = [j for j, d in enumerate(reduced) if abs(d) <= c_tol]
-        y_sparse = _solve_rational(
-            [dict.fromkeys(columns[j], 1) for j in tight], [objective[j] for j in tight]
-        )
-        if y_sparse is not None:
-            yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
+        if basis.valid:
+            cols, basic_rows = _basic(basis.col_status), set(_basic(basis.row_status))
+            y_sparse = _solve_rational(
+                [[i for i in problem.columns[j] if i not in basic_rows] for j in cols],
+                [objective[j] for j in cols],
+            )
+            if y_sparse is not None:
+                yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
 
     return _accept(problem, objective, xs(), ys())
 
@@ -635,7 +625,7 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
     (CertificationError in exact mode).
     """
     try:
-        x, y, value = _highs(problem.highs_model, objective)
+        x, y, value, basis = _highs(problem.highs_model, objective)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if x is None:
@@ -648,7 +638,7 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
             return LPSolution("infeasible", certificate=Certificate(y))
         return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
     if exact:
-        return LPSolution("optimal", *_certify(problem, objective, x, y))
+        return LPSolution("optimal", *_certify(problem, objective, x, y, basis))
     if min(x, default=0.0) < -TIGHT_TOLERANCE:
         raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
     return LPSolution("optimal", x=[max(v, 0.0) for v in x], y=list(y), value=value)

@@ -142,7 +142,7 @@ class ProductGrid(Frozen):
     __slots__ = ("axes", "sizes")
 
     def __init__(self, sizes: Sequence[int], axes: Sequence[int] | None = None):
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(map(as_int, sizes))
         if any(s < 1 for s in sizes):
             raise DomainError(f"grid sizes must be >= 1, got {sizes}")
         if axes is None:
@@ -398,7 +398,7 @@ class MarginalFamily(Frozen):
     ):
         if not 1 <= k < n:
             raise DomainError(f"need 1 <= k < n, got n={n}, k={k}")
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(map(as_int, sizes))
         if len(sizes) != n:
             raise DomainError(f"expected {n} axis sizes, got {len(sizes)}")
         # C(n, k) index sets may be too many to list, so count them first.

@@ -550,5 +550,12 @@ class TestFigure:
         assert header == ["P2", "16 16", "1"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("depth, size", [(["--depth", "0"], "1 1"), ([], "32 32")])
+    def test_sierpinski_depth_zero_and_default(self, tmp_path, capsys, depth, size):
+        out = tmp_path / "s.pgm"
+        assert cli.main(["figure", "sierpinski", *depth, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[:3] == ["P2", size, "1"]
+        capsys.readouterr()
+
     def test_unknown_figure(self, capsys):
         assert cli.main(["figure", "nope"]) == 1

@@ -537,6 +537,24 @@ class TestDensityConstructions:
             assert fb.kellerer_check(fam).feasible
         assert hits > 0
 
+    def test_density2_over_the_exact_cap_builds_nothing(self, monkeypatch):
+        # Uniform marginals on 40^3 meet M/m <= 2, and the extraction LP
+        # would have 3 * 64000 + 4800 = 196800 nonzeros.
+        built = []
+
+        def spy(real):
+            return lambda *args: built.append(real) or real(*args)
+
+        monkeypatch.setattr(fb, "marginal_constraint_rows", spy(fb.marginal_constraint_rows))
+        monkeypatch.setattr(lp_core, "LPProblem", spy(lp_core.LPProblem))
+        fam = MarginalFamily(
+            3, 2, [40] * 3, {a: uniform([40, 40], axes=tuple(a)) for a in all_index_sets(3, 2)}
+        )
+        refs = [uniform([40], axes=[a]) for a in (1, 2, 3)]
+        with pytest.raises(lp_core.SizeCapError, match="196800 nonzeros.*no float mode"):
+            fb.uniting_by_density_2(fam, refs)
+        assert not built
+
     def test_density2_ratio_too_big(self):
         fam = fb.make_two_point_counterexample(Fraction(5, 2))
         with pytest.raises(fb.PreconditionError):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -38,6 +39,17 @@ def refuse_tableau(monkeypatch):
         raise AssertionError("the exact tableau was built")
 
     monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
+
+
+def stand_in_basis(basic_columns, basic_rows, ncols, nrows, valid=True):
+    """What _certify reads of a HighsBasis: the given columns and rows are
+    basic, every other variable sits at its lower bound."""
+    status = _core.HighsBasisStatus
+    return SimpleNamespace(
+        col_status=[status.kBasic if j in basic_columns else status.kLower for j in range(ncols)],
+        row_status=[status.kBasic if i in basic_rows else status.kLower for i in range(nrows)],
+        valid=valid,
+    )
 
 
 class TestExact:
@@ -203,12 +215,21 @@ class TestCertifier:
     PROBLEM = LPProblem([[0, 2], [0, 3], [1, 2], [1, 3]], [Fraction(1, 2)] * 4)
     COSTS = tuple(map(Fraction, [0, 3, 3, 0]))
     # The anti-diagonal vertex is feasible but costs 3; y = (3, 3, 0, 0)
-    # prices its support at zero reduced cost.
-    WRONG = ([0.0, 0.5, 0.5, 0.0], [3.0, 3.0, 0.0, 0.0])
+    # prices its support at zero reduced cost.  Its basis: columns 0, 1, 2
+    # and row 3.
+    WRONG = (
+        [0.0, 0.5, 0.5, 0.0], [3.0, 3.0, 0.0, 0.0], stand_in_basis({0, 1, 2}, {3}, 4, 4)
+    )
+
+    def optimal_basis(self):
+        """HiGHS's basis of the optimum of PROBLEM under COSTS."""
+        return lp_core._highs(self.PROBLEM.highs_model, self.COSTS)[3]
 
     def test_accepts_optimal_vertex(self):
         p = self.PROBLEM
-        x, y, value = lp_core._certify(p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        x, y, value = lp_core._certify(
+            p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4, self.optimal_basis()
+        )
         assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
         assert value == sum(yi * b for yi, b in zip(y, p.rhs)) == 0
 
@@ -218,31 +239,40 @@ class TestCertifier:
         rounded, real = [], lp_core._rounded
         monkeypatch.setattr(lp_core, "_rounded", lambda v: rounded.append(v) or real(v))
         p = self.PROBLEM
-        lp_core._certify(p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4)
+        basis = self.optimal_basis()
+        lp_core._certify(p, self.COSTS, [0.5, 0.0, 0.0, 0.5], [0.0] * 4, basis)
         assert len(rounded) == p.nrows
 
     def test_rejects_feasible_non_optimal_vertex(self, monkeypatch):
         p = self.PROBLEM
-        # No y from the columns x uses passes y.A <= c: x is not optimal.
+        # The y of its basis, (3, 6, -3, 0), has y.A_3 = 6 > 0: x is not optimal.
         with pytest.raises(lp_core.CertificationError, match="y fails"):
             lp_core._certify(p, self.COSTS, *self.WRONG)
-        x, y = self.WRONG
+        x, y, basis = self.WRONG
         calls = []
         monkeypatch.setattr(
-            lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0)
+            lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0, basis)
         )
         with pytest.raises(lp_core.CertificationError, match="y fails"):
             solve(p, self.COSTS)
         assert len(calls) == 1
 
     def test_rejects_infeasible_support(self):
+        # Column 0 alone, with rows 1-3 basic, rebuilds x = (1/2, 0, 0, 0),
+        # which misses row 1; an invalid basis rebuilds nothing.
         p = self.PROBLEM
-        with pytest.raises(lp_core.CertificationError, match="x fails"):
-            lp_core._certify(p, self.COSTS, [1.0, 0.0, 0.0, 0.0], [0.0] * 4)
+        for basis in (
+            stand_in_basis({0}, {1, 2, 3}, 4, 4),
+            stand_in_basis({0, 3}, {1, 2}, 4, 4, valid=False),
+        ):
+            with pytest.raises(lp_core.CertificationError, match="x fails"):
+                lp_core._certify(p, self.COSTS, [1.0, 0.0, 0.0, 0.0], [0.0] * 4, basis)
 
     # A (4,3) family on 3^4, the projections of weight d / sum(d) on the
     # cells in ravel order (d the digits), with the integer costs below.
-    # A rebuild of y with its free unknowns at 0 rejects its HiGHS vertex.
+    # The vertex is degenerate: the columns of zero reduced cost leave y
+    # free, and with its free unknowns at 0 it fails y.A <= c.  The
+    # basis's square system fixes y.
     DEGENERATE_43 = (
         "07900380170760005090065106033203728833820"
         "1004640564417382004682723119879901900071",
@@ -251,7 +281,8 @@ class TestCertifier:
         "16 19 7 9 13 8 2 19 10 5 13 0 4 3 9 18 17 19 18 5 13",
     )
 
-    def test_degenerate_vertex_certified_by_rounding(self, monkeypatch):
+    def degenerate_43(self):
+        """(family, cost) of DEGENERATE_43."""
         digits, costs = self.DEGENERATE_43
         grid = ProductGrid([3] * 4)
         total = sum(int(d) for d in digits)
@@ -259,13 +290,40 @@ class TestCertifier:
         fam = MarginalFamily(
             4, 3, [3] * 4, {a: project(mu, a) for a in all_index_sets(4, 3)}
         )
-        cost = CostGrid(grid, [Fraction(int(c)) for c in costs.split()])
+        return fam, CostGrid(grid, [Fraction(int(c)) for c in costs.split()])
+
+    def test_degenerate_vertex_certified_by_rounding(self, monkeypatch):
+        fam, cost = self.degenerate_43()
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 10**9)
         oracle = verify_gap(fam, cost).value
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         refuse_tableau(monkeypatch)
         report = verify_gap(fam, cost)
         assert report.gap == 0 and report.value == oracle
+
+    def test_degenerate_vertex_certified_by_the_basis_rebuild(self, monkeypatch):
+        # Both rounding candidates fail: limit_denominator's answer is
+        # 10^9, and HiGHS's x is shifted by 1/4 on its support, so x rounded
+        # at b's denominator 281 misses A x = b.  x and y then come from
+        # the basis.
+        fam, cost = self.degenerate_43()
+        refuse_tableau(monkeypatch)
+        highs, rebuild, rebuilt = lp_core._highs, lp_core._solve_rational, []
+
+        def shifted(model, obj):
+            x, y, value, basis = highs(model, obj)
+            return [v + 0.25 if v > 1e-9 else v for v in x], y, value, basis
+
+        monkeypatch.setattr(lp_core, "_highs", shifted)
+        monkeypatch.setattr(lp_core, "_rounded", lambda v: Fraction(10**9))
+        monkeypatch.setattr(
+            lp_core,
+            "_solve_rational",
+            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
+        )
+        report = verify_gap(fam, cost)
+        assert report.gap == 0 and report.value == Fraction(2959, 281)
+        assert len(rebuilt) == 2 and None not in rebuilt
 
     def test_x_rounded_at_b_denominator_while_y_stays_rounded(self, monkeypatch):
         fam, _ = build_nonstrong(10)
@@ -298,7 +356,9 @@ class TestCertifier:
     def test_bad_farkas_certificate_raises(self, monkeypatch):
         problem = LPProblem([[0, 1], []], [1, 2])
         # HiGHS's route: the dual ray y = (1, 1) has y.A_0 = 2 > 0.
-        monkeypatch.setattr(lp_core, "_highs", lambda model, obj: (None, [1.0, 1.0], None))
+        monkeypatch.setattr(
+            lp_core, "_highs", lambda model, obj: (None, [1.0, 1.0], None, None)
+        )
         with pytest.raises(lp_core.CertificationError, match="dual ray"):
             solve(problem, [1, 1])
         # The tableau's route, at the default threshold.
@@ -323,9 +383,10 @@ class TestCertifier:
 
 
 def fraction_reference(equations, rhs):
-    """(consistent, the solution if unique) by dense Gauss-Jordan in Fractions."""
+    """(consistent, the solution if unique) by dense Gauss-Jordan in Fractions;
+    each equation lists the unknowns whose coefficient is 1."""
     unknowns = sorted({v for eq in equations for v in eq})
-    table = [[Fraction(eq.get(v, 0)) for v in unknowns] + [Fraction(b)]
+    table = [[Fraction(v in eq) for v in unknowns] + [Fraction(b)]
              for eq, b in zip(equations, rhs)]
     pivots = []  # (row, unknown index)
     for c in range(len(unknowns)):
@@ -366,8 +427,7 @@ class TestRebuild:
         value = st.fractions(min_value=-5, max_value=5, max_denominator=30)
         z = [data.draw(value) for _ in range(nvars)]
         equations = [
-            {v: Fraction(1) for v in range(nvars) if data.draw(st.booleans())}
-            for _ in range(neqs)
+            [v for v in range(nvars) if data.draw(st.booleans())] for _ in range(neqs)
         ]
         rhs = [sum(z[v] for v in eq) for eq in equations]
         if data.draw(st.booleans()):  # maybe inconsistent now
@@ -511,9 +571,9 @@ class TestFarkas:
         highs = lp_core._highs
 
         def negated_ray(model, obj):
-            x, ray, value = highs(model, obj)
-            assert x is None
-            return x, [-v for v in ray], value
+            x, ray, value, basis = highs(model, obj)
+            assert x is None and basis is None
+            return x, [-v for v in ray], value, basis
 
         monkeypatch.setattr(lp_core, "_highs", negated_ray)
         with pytest.raises(lp_core.CertificationError, match="dual ray"):
@@ -558,7 +618,9 @@ class TestFarkas:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_infeasible_run_without_a_ray_raises(self, monkeypatch, mode):
-        monkeypatch.setattr(lp_core, "_highs", lambda model, objective: (None, None, None))
+        monkeypatch.setattr(
+            lp_core, "_highs", lambda model, objective: (None, None, None, None)
+        )
         _, problem = self.modk_problem(4, 3)
         with pytest.raises(lp_core.LPError, match="no dual ray") as raised:
             solve(problem, [0] * problem.ncols, arithmetic=mode)
@@ -569,25 +631,31 @@ def test_highs_binding_has_what_lp_core_uses():
     # lp_core runs HiGHS through scipy's private binding
     # scipy.optimize._highspy._core (scipy >= 1.15).  Building the model
     # sets every HighsLp field it uses; an optimal and an infeasible run
-    # read every result it reads, getDualRay's three values included.
+    # read every result it reads, getDualRay's three values and the
+    # basis's statuses included.
     for method in (
         "setOptionValue", "passModel", "changeColsCost", "run",
-        "getModelStatus", "getSolution", "getInfo", "getDualRay",
+        "getModelStatus", "getSolution", "getInfo", "getDualRay", "getBasis",
     ):
         assert callable(getattr(_core._Highs, method))
     assert isinstance(_core.MatrixFormat.kColwise, _core.MatrixFormat)
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
+    assert isinstance(_core.HighsBasisStatus.kBasic, _core.HighsBasisStatus)
     problem = LPProblem([[0], [0]], [2])
     model = problem.highs_model
     assert isinstance(model, _core.HighsLp)
     matrix = model.a_matrix_
     assert (list(matrix.start_), list(matrix.index_), list(matrix.value_)) == (
         [0, 1, 2], [0, 0], [1.0, 1.0])
-    x, y, value = lp_core._highs(model, [1, 2])
+    x, y, value, basis = lp_core._highs(model, [1, 2])
     assert (list(x), list(y), value) == ([2.0, 0.0], [1.0], 2.0)
+    basic = _core.HighsBasisStatus.kBasic
+    assert isinstance(basis, _core.HighsBasis) and basis.valid
+    assert [s == basic for s in basis.col_status] == [True, False]
+    assert [s == basic for s in basis.row_status] == [False]
     infeasible = LPProblem([[0, 1]], [1, 2]).highs_model
-    x, ray, value = lp_core._highs(infeasible, [1])
-    assert x is None and value is None and len(ray) == 2
+    x, ray, value, basis = lp_core._highs(infeasible, [1])
+    assert x is None and value is None and basis is None and len(ray) == 2
 
 
 class TestFloat:
@@ -617,7 +685,7 @@ class TestFloat:
         assert abs(sol.value - dual) < 1e-9
 
     def test_negative_x_raises(self, monkeypatch):
-        res = ([-1e-8, 1.0], [1.0], 1.0)
+        res = ([-1e-8, 1.0], [1.0], 1.0, stand_in_basis({1}, set(), 2, 1))
         monkeypatch.setattr(lp_core, "_highs", lambda model, objective: res)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([[0], [0]], [1]), [0, 1], arithmetic="float")

@@ -225,6 +225,14 @@ class TestMarginalFamily:
         with pytest.raises(DomainError):
             MarginalFamily(3, 2, [2, 2, 2], marg)
 
+    @pytest.mark.parametrize("size", [2.7, True, "3"])
+    def test_sizes_must_be_integers(self, size):
+        # int() would make 2.7 a 2 and True a 1 without a word.
+        with pytest.raises(DomainError, match="expected an integer"):
+            ProductGrid([size, 2])
+        with pytest.raises(DomainError, match="expected an integer"):
+            MarginalFamily(3, 2, [2, 2, size], self.build().marginals)
+
     def test_marginals_are_read_only(self):
         fam = self.build()
         with pytest.raises(TypeError):
