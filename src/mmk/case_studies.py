@@ -22,15 +22,11 @@ from .measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    as_int,
     project,
     uniform,
 )
-from .transport import (
-    CostGrid,
-    DualPotentials,
-    solve_dual,
-    solve_primal,
-)
+from .transport import CostGrid, DualPotentials, solve_dual
 from . import lp_core
 from .feasibility import marginal_lp
 
@@ -76,34 +72,45 @@ def unreachable_alpha0() -> Fraction:
     return 2 / (M * PI_SQUARED_HIGH + 2)
 
 
-def build_unreachable(N: int):
-    """Truncated mixture (1-a)mu_p + a mu_eps with the A_n indicator cost.
+def _lattice_case(N: int, base, mass, points, cost_points):
+    """The (3,2) family and indicator cost of a truncated lattice example.
 
-    mu_p spreads 2/(pi^2 n^2) over each point of A_n; mu_eps is the
-    dyadic product 2^(-n1-n2-n3).  Grid cell (i,j,k), 0-based,
-    represents the lattice point (i+1, j+1, k+1).  Returns
-    (family, cost, alpha0).
+    Grid cell (i,j,k), 0-based, represents the lattice point (i+1, j+1,
+    k+1).  The weight of a point is base(point) plus mass(n) for each
+    n < N with the point in points(n); the weights are renormalized to
+    mass 1.  The cost is 1 on cost_points(n) for n < N and 0 elsewhere.
+    Returns (family, cost).
     """
     if N < 6:
         raise DomainError("need N >= 6")
     grid = _capped_grid([N, N, N])
-    alpha0 = unreachable_alpha0()
-    weights = [Fraction(0)] * grid.ncells
-    for cell in grid.cells():
-        n1, n2, n3 = (c + 1 for c in cell)
-        weights[grid.ravel(cell)] = alpha0 * Fraction(1, 1 << (n1 + n2 + n3))
-    for n in range(1, N):
-        w = (1 - alpha0) * 2 / (PI_SQUARED_HIGH * n * n)
-        for pt in _a_points(n):
-            weights[grid.ravel(tuple(c - 1 for c in pt))] += w
-    total = sum(weights)
-    mu = DiscreteMeasure(grid, [w / total for w in weights])
-    fam = _family_from_full_measure(mu)
+    weights = [base(*(c + 1 for c in cell)) for cell in grid.cells()]
     cost_values = [Fraction(0)] * grid.ncells
     for n in range(1, N):
-        for pt in _a_points(n):
+        for pt in points(n):
+            weights[grid.ravel(tuple(c - 1 for c in pt))] += mass(n)
+        for pt in cost_points(n):
             cost_values[grid.ravel(tuple(c - 1 for c in pt))] = Fraction(1)
-    return fam, CostGrid(grid, cost_values), alpha0
+    total = sum(weights)
+    mu = DiscreteMeasure(grid, [w / total for w in weights])
+    return _family_from_full_measure(mu), CostGrid(grid, cost_values)
+
+
+def build_unreachable(N: int):
+    """Truncated mixture (1-a)mu_p + a mu_eps with the A_n indicator cost.
+
+    mu_p spreads 2/(pi^2 n^2) over each point of A_n; mu_eps is the
+    dyadic product 2^(-n1-n2-n3).  Returns (family, cost, alpha0).
+    """
+    alpha0 = unreachable_alpha0()
+    fam, cost = _lattice_case(
+        N,
+        lambda *pt: alpha0 * Fraction(1, 1 << sum(pt)),
+        lambda n: (1 - alpha0) * 2 / (PI_SQUARED_HIGH * n * n),
+        _a_points,
+        _a_points,
+    )
+    return fam, cost, alpha0
 
 
 def unreachable_gamma_bound(m: int, alpha0: Fraction) -> Fraction:
@@ -119,18 +126,12 @@ def unreachable_gamma_bound(m: int, alpha0: Fraction) -> Fraction:
 
 
 def _mass_extreme(fam: MarginalFamily, cell, sign: int, arithmetic: str):
-    """LP minimum of sign * pi(cell) over the uniting polytope.
-
-    A cell where some marginal vanishes carries no mass in any uniting
-    measure, so its extremes are 0 at once; otherwise one
+    """LP minimum of sign * pi(cell) over the uniting polytope: one
     feasibility.marginal_lp with sign at the cell as objective.
-    """
+    DomainError if the family has no uniting measure."""
     grid = fam.full_grid()
-    target = grid.ravel(cell)
-    if any(fam[a].weight([cell[i - 1] for i in a]) == 0 for a in fam.index_sets()):
-        return Fraction(0)
     objective = [Fraction(0)] * grid.ncells
-    objective[target] = Fraction(sign)
+    objective[grid.ravel(cell)] = Fraction(sign)
     sol, _ = marginal_lp(fam, objective, arithmetic)
     if sol.status != "optimal":
         raise DomainError(f"family is {sol.status}")
@@ -177,28 +178,20 @@ def weighted_diagonal_growth(sums) -> float:
 def build_nonstrong(N: int):
     """Truncated measure with weight 1/(pi^2 n^2) on A_n and B_n points,
     and the B_n indicator cost.  Returns (family, cost)."""
-    if N < 6:
-        raise DomainError("need N >= 6")
-    grid = _capped_grid([N, N, N])
-    weights = [Fraction(0)] * grid.ncells
-    for n in range(1, N):
-        w = Fraction(1) / (PI_SQUARED_HIGH * n * n)
-        for pt in _a_points(n) + _b_points(n):
-            weights[grid.ravel(tuple(c - 1 for c in pt))] += w
-    total = sum(weights)
-    mu = DiscreteMeasure(grid, [w / total for w in weights])
-    fam = _family_from_full_measure(mu)
-    cost_values = [Fraction(0)] * grid.ncells
-    for n in range(1, N):
-        for pt in _b_points(n):
-            cost_values[grid.ravel(tuple(c - 1 for c in pt))] = Fraction(1)
-    return fam, CostGrid(grid, cost_values)
+    return _lattice_case(
+        N,
+        lambda *pt: Fraction(0),
+        lambda n: 1 / (PI_SQUARED_HIGH * n * n),
+        lambda n: _a_points(n) + _b_points(n),
+        _b_points,
+    )
 
 
 def verify_unique_uniting(fam: MarginalFamily, cells, arithmetic: str = "exact"):
     """Check min pi(cell) == max pi(cell) over the uniting polytope for
     the given cells; returns the common values (proves uniqueness when
-    the cells span the support and the polytope is a point)."""
+    the cells span the support and the polytope is a point), or None.
+    DomainError if the polytope is empty."""
     out = {}
     for cell in cells:
         lo = min_mass_at_cell(fam, cell, arithmetic)
@@ -305,7 +298,7 @@ def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
     squeezed into the box of side 1/a_i at offset t_i/a_i; pairwise
     projections stay exactly uniform (checked).
     """
-    a = (int(a1), int(a2), int(a3))
+    a = tuple(map(as_int, (a1, a2, a3)))
     if any(v < 1 for v in a):
         raise DomainError("coefficients must be >= 1")
     if any(N % v for v in a):

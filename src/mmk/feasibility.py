@@ -170,31 +170,6 @@ class QuadExt:
         return f"QuadExt({self.a} + {self.b}*sqrt({self.root}))"
 
 
-class CoefficientVector(Frozen):
-    """Lambda coefficients (lambda_0, ..., lambda_k) of a linear combination."""
-
-    __slots__ = ("lambdas",)
-
-    def __init__(self, lambdas: Sequence[Fraction]):
-        self._freeze(lambdas=tuple(Fraction(v) for v in lambdas))
-
-    def __iter__(self):
-        return iter(self.lambdas)
-
-    def __getitem__(self, t):
-        return self.lambdas[t]
-
-    def __len__(self):
-        return len(self.lambdas)
-
-    def __eq__(self, other):
-        other_t = tuple(other) if not isinstance(other, CoefficientVector) else other.lambdas
-        return self.lambdas == other_t
-
-    def __repr__(self):
-        return f"CoefficientVector({[str(v) for v in self.lambdas]})"
-
-
 class DensityBounds(Frozen):
     """Cellwise bounds m <= mu_alpha / nu_alpha <= M for a checked family."""
 
@@ -237,7 +212,7 @@ class FeasibilityVerdict(Frozen):
         return f"FeasibilityVerdict({kind})"
 
 
-def signed_lambda(n: int, k: int) -> CoefficientVector:
+def signed_lambda(n: int, k: int) -> tuple[Fraction, ...]:
     """Coefficients making sum_t lambda_t mu~_t project to every mu_alpha.
 
     The system is triangular with unit diagonal:
@@ -250,7 +225,7 @@ def signed_lambda(n: int, k: int) -> CoefficientVector:
     for i in range(k - 1, -1, -1):
         acc = sum(lambdas[t] * math.comb(n - k, t - i) for t in range(i + 1, k + 1))
         lambdas[i] = -acc  # diagonal coefficient C(n-k, 0) = 1
-    return CoefficientVector(lambdas)
+    return tuple(lambdas)
 
 
 def _ref_product(refs: Sequence[DiscreteMeasure], axes: Sequence[int]):

@@ -82,11 +82,13 @@ class IndexSet(Frozen):
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int]):
-        ms = tuple(sorted(members))
+        ms = tuple(members)
+        # as_int's test inline: an IndexSet is built on every index_sets() call.
+        if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in ms):
+            raise DomainError(f"axis indices must be integers >= 1, got {ms}")
+        ms = tuple(sorted(ms))
         if len(set(ms)) != len(ms):
             raise DomainError(f"duplicate axis in index set {ms}")
-        if any((not isinstance(m, int)) or m < 1 for m in ms):
-            raise DomainError(f"axis indices must be integers >= 1, got {ms}")
         self._freeze(members=ms)
 
     def __len__(self) -> int:
@@ -178,13 +180,12 @@ class ProductGrid(Frozen):
     def index_set(self) -> IndexSet:
         return IndexSet(self.axes)
 
-    def size_of(self, axis: int) -> int:
-        return self.sizes[self.axes.index(axis)]
-
     def cells(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(s) for s in self.sizes))
 
     def ravel(self, cell: Sequence[int]) -> int:
+        if len(cell) != len(self.sizes):
+            raise DomainError(f"cell {tuple(cell)} does not have {len(self.sizes)} coordinates")
         idx = 0
         for coord, size in zip(cell, self.sizes):
             if not 0 <= coord < size:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp_core
 from .feasibility import (
-    CoefficientVector,
     FeasibilityVerdict,
     PreconditionError,
     marginal_lp,
@@ -223,7 +221,7 @@ def verify_gap(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact") -
     return SolveReport(pi, value, potentials, dual_value, gap)
 
 
-def decomp_lambda(n: int, k: int) -> CoefficientVector:
+def decomp_lambda(n: int, k: int) -> tuple[Fraction, ...]:
     """Coefficients of the base-point decomposition of an (n,k)-function.
 
     Unique solution with lambda_k = 1 of
@@ -239,11 +237,11 @@ def decomp_lambda(n: int, k: int) -> CoefficientVector:
             for t in range(a + 1, k + 1)
         )
         lam[a] = -acc / math.comb(n - a, k - a)
-    return CoefficientVector(lam)
+    return tuple(lam)
 
 
 def nk_decompose(
-    F: CostGrid, y: Sequence[int], lam: CoefficientVector
+    F: CostGrid, y: Sequence[int], lam: Sequence[Fraction]
 ) -> DualPotentials:
     """Split F into potentials f_alpha via sections through base cell y.
 
@@ -255,8 +253,6 @@ def nk_decompose(
     n = len(grid.axes)
     k = len(lam) - 1
     y = tuple(y)
-    if len(y) != n:
-        raise DomainError(f"base cell must have {n} coordinates")
     grid.ravel(y)  # validates the cell
     potentials = {}
     for alpha in all_index_sets(n, k):
@@ -275,13 +271,13 @@ def nk_decompose(
 
 
 def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, ...]:
-    """A cell y whose sections of c have controlled L1 norms.
+    """The first cell y, in lexicographic order, whose sections of c have
+    controlled L1 norms.
 
     For every nonempty proper subset alpha the section
     x_alpha -> c(x_alpha, y off alpha) satisfies
     ||c_alpha||_{L1(nu_alpha)} <= 2^(n+1) ||c||_{L1(nu)}.  Cells of
-    nu-mass >= 1/2 qualify, so a lexicographic scan (with a seeded
-    random fallback) terminates.
+    nu-mass >= 1/2 qualify; lp_core.CertificationError if none does.
     """
     grid = c.grid
     n = len(grid.axes)
@@ -289,32 +285,18 @@ def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, .
     norm_c = sum(abs(v) * w for v, w in zip(c.values, nu.weights))
     bound = (2 ** (n + 1)) * norm_c
     subsets = [
-        IndexSet(s)
+        (IndexSet(s), product([refs[grid.axes.index(a)] for a in s]).weights)
         for size in range(1, n)
         for s in itertools.combinations(grid.axes, size)
     ]
-
-    def qualifies(cell) -> bool:
-        for alpha in subsets:
-            nu_alpha = product([refs[grid.axes.index(a)] for a in alpha])
-            section = grid.section(alpha, cell)
-            norm = sum(abs(c.values[j]) * w for j, w in zip(section, nu_alpha.weights))
-            if norm > bound:
-                return False
-        return True
-
-    failures = 0
     for cell in grid.cells():
-        if qualifies(cell):
-            return tuple(cell)
-        failures += 1
-        if failures >= 2 ** (n + 1):
-            break
-    rng = random.Random(0)
-    while True:
-        cell = tuple(rng.randrange(s) for s in grid.sizes)
-        if qualifies(cell):
+        if all(
+            sum(abs(c.values[j]) * w for j, w in zip(grid.section(alpha, cell), weights))
+            <= bound
+            for alpha, weights in subsets
+        ):
             return cell
+    raise lp_core.CertificationError("no cell qualifies as a base point")
 
 
 def check_dual_feasible(d: DualPotentials, c: CostGrid):
@@ -348,12 +330,12 @@ def extract_bounded_dual(
 
     Requires product pairwise marginals (mu_ij = mu_i x mu_j) and c >= 0.
     The sum F = sum f_ij is bounded below by -12||c||_inf wherever the
-    product measure charges the cell; F is clamped there on null cells,
-    decomposed through a good base point with decomp_lambda(3,2), and
-    the result is floor-clamped at -80/3 ||c||_inf on null cells.  The
-    output keeps the dual value exactly and stays feasible, with every
-    value in [-80/3 ||c||_inf, 40/3 ||c||_inf]; lp_core.CertificationError
-    if any of these checks fails.
+    product measure charges the cell; F is decomposed with
+    decomp_lambda(3,2) through a good base point whose sections miss the
+    null cells where F is lower.  The output keeps the dual value exactly
+    and stays feasible, with every value in [-80/3 ||c||_inf,
+    40/3 ||c||_inf]; lp_core.CertificationError if any of these checks
+    fails.
     """
     if (fam.n, fam.k) != (3, 2):
         raise PreconditionError("extract_bounded_dual handles (3,2) only")
@@ -415,28 +397,15 @@ def extract_bounded_dual(
         raise lp_core.CertificationError(
             "no base cell with sections avoiding the bad set"
         )
-    lam = decomp_lambda(3, 2)
-    out = nk_decompose(F, y, lam)
-
-    floor_g = Fraction(-80, 3) * norm
-    ceil_g = Fraction(40, 3) * norm
-    clamped = {}
-    for alpha in fam.index_sets():
-        values = []
-        for t, v in enumerate(out[alpha]):
-            if v < floor_g:
-                if fam[alpha].weights[t] != 0:
-                    raise lp_core.CertificationError(
-                        f"potential below the clamp floor on a charged cell of {alpha}"
-                    )
-                v = floor_g
-            if v > ceil_g:
-                raise lp_core.CertificationError(
-                    f"potential {v} above 40/3 ||c||_inf"
-                )
-            values.append(v)
-        clamped[alpha] = values
-    result = DualPotentials(clamped)
+    # The sections read F only in [-12||c||_inf, ||c||_inf], so with
+    # lambda = (1/3, -1/2, 1) every potential is at least -17||c||_inf.
+    result = nk_decompose(F, y, decomp_lambda(3, 2))
+    bounds = (Fraction(-80, 3) * norm, Fraction(40, 3) * norm)
+    for alpha in result.index_sets():
+        if any(not bounds[0] <= v <= bounds[1] for v in result[alpha]):
+            raise lp_core.CertificationError(
+                f"a potential of {alpha} is outside [-80/3, 40/3] ||c||_inf"
+            )
     if result.value_against(fam) != opt_value:
         raise lp_core.CertificationError("extraction changed the value")
     if check_dual_feasible(result, c) > 0:

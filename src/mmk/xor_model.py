@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .lp_core import CertificationError
 from .measures import DiscreteMeasure, DomainError, ProductGrid, project, uniform
-from .measures import Frozen, IndexSet, MarginalFamily, all_index_sets
+from .measures import Frozen, MarginalFamily, all_index_sets, as_int
 
 
 # The deepest Sierpinski slice, a 1024^2 raster: each level costs 4x.
@@ -31,7 +31,7 @@ class Dyadic(Frozen):
     __slots__ = ("a", "p")
 
     def __init__(self, a: int, p: int):
-        a, p = int(a), int(p)
+        a, p = as_int(a), as_int(p)
         if p < 0 or a < 0 or a > (1 << p):
             raise DomainError(f"need 0 <= a <= 2^p, got a={a}, p={p}")
         self._freeze(a=a, p=p)
@@ -194,9 +194,9 @@ class XorInstance(Frozen):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 0:
+        if as_int(n) < 0:
             raise DomainError("n must be >= 0")
-        self._freeze(n=int(n))
+        self._freeze(n=n)
 
     @property
     def size(self) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mmk import case_studies as cs
-from mmk import lp_core
+from mmk import feasibility as fb
 from mmk.measures import (
     DiscreteMeasure,
     DomainError,
@@ -85,16 +85,12 @@ class TestUnreachable:
 
 
 class TestNonstrong:
-    def test_uncharged_cell_decided_without_a_solve(self, monkeypatch):
+    def test_uncharged_cell_decided_without_a_solve(self):
         # The coordinates of an A_n or B_n point differ by at most 1, so
         # the 1-2 marginal vanishes at (5, 0): no uniting measure charges
-        # cell (5, 0, 0).
+        # cell (5, 0, 0).  The LP still runs: only it knows whether the
+        # family has a uniting measure at all.
         fam, _ = cs.build_nonstrong(6)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("lp_core.solve was called")
-
-        monkeypatch.setattr(lp_core, "solve", no_solve)
         for mode in ("exact", "float"):
             assert cs.min_mass_at_cell(fam, (5, 0, 0), mode) == 0
             assert cs.max_mass_at_cell(fam, (5, 0, 0), mode) == 0
@@ -120,6 +116,20 @@ class TestNonstrong:
             w for w, c in zip(pi.weights, cost.values) if c == 1
         )
         assert value == expected > 0
+
+
+def test_mass_extremes_raise_on_a_family_without_uniting_measure():
+    # Some marginal vanishes on every cell of the mod-2 family on
+    # {0,1}^3, and no measure unites it: 0 is not its extreme anywhere.
+    fam = fb.make_modk_counterexample(3, 2)
+    cells = list(fam.full_grid().cells())
+    for cell in cells:
+        for extreme in (cs.min_mass_at_cell, cs.max_mass_at_cell):
+            for mode in ("exact", "float"):
+                with pytest.raises(DomainError, match="infeasible"):
+                    extreme(fam, cell, mode)
+    with pytest.raises(DomainError, match="infeasible"):
+        cs.verify_unique_uniting(fam, cells)
 
 
 class TestDiscontinuous:

@@ -342,7 +342,7 @@ class TestJson:
 def test_value_types_refuse_assignment():
     """Every value type of the package refuses to set a field after __init__."""
     from mmk.case_studies import PiecewiseDual32
-    from mmk.feasibility import CoefficientVector, DensityBounds, FeasibilityVerdict
+    from mmk.feasibility import DensityBounds, FeasibilityVerdict
     from mmk.lp_core import Certificate, LPProblem, LPSolution
     from mmk.measures import ConsistencyReport
     from mmk.transport import CostGrid, DualPotentials, SolveReport
@@ -360,7 +360,6 @@ def test_value_types_refuse_assignment():
         (LPProblem([[0]], [1]), "columns"),
         (Certificate([1]), "y"),
         (LPSolution("optimal", x=[1], y=[1], value=1), "value"),
-        (CoefficientVector([1]), "lambdas"),
         (DensityBounds(1, 2), "M"),
         (FeasibilityVerdict(True, witness=mu), "witness"),
         (CostGrid(grid, [1, 2]), "values"),
@@ -374,3 +373,49 @@ def test_value_types_refuse_assignment():
         for name in (field, "extra"):
             with pytest.raises(AttributeError, match="is immutable"):
                 setattr(value, name, None)
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (1, 2, 3, 0)])
+def test_cells_need_one_coordinate_per_axis(cell):
+    # zip-based ravel read (1, 2) as cell 5 and (1, 2, 3, 9) as cell 23.
+    from mmk import case_studies as cs
+    from mmk.transport import CostGrid, DualPotentials
+
+    sizes = [2, 3, 4]
+    grid = ProductGrid(sizes)
+    fam = MarginalFamily(
+        3,
+        2,
+        sizes,
+        {a: uniform([sizes[i - 1] for i in a], axes=a.members) for a in all_index_sets(3, 2)},
+    )
+    zeros = DualPotentials({a: [0] * grid.subgrid(a).ncells for a in all_index_sets(3, 2)})
+    for read in (
+        grid.ravel,
+        uniform(sizes).weight,
+        CostGrid(grid, [0] * grid.ncells).at,
+        lambda c: zeros.total_at(grid, c),
+        lambda c: cs.min_mass_at_cell(fam, c),
+        lambda c: cs.max_mass_at_cell(fam, c),
+    ):
+        with pytest.raises(DomainError, match="does not have 3 coordinates"):
+            read(cell)
+
+
+@pytest.mark.parametrize("value", [2.7, True, "3"])
+def test_integer_arguments_refuse_other_types(value):
+    # int() made 2.7 a 2, True a 1 and "3" a 3 without a word.
+    from mmk.case_studies import frac_coupling
+    from mmk.xor_model import Dyadic, XorInstance
+
+    for build in (
+        lambda: IndexSet([value, 2]),
+        lambda: XorInstance(value),
+        lambda: Dyadic(value, 2),
+        lambda: Dyadic(1, value),
+        lambda: frac_coupling(value, 1, 1, 6),
+        lambda: frac_coupling(1, value, 1, 6),
+        lambda: frac_coupling(1, 1, value, 6),
+    ):
+        with pytest.raises(DomainError):
+            build()

@@ -562,6 +562,39 @@ class TestBoundedDual:
             assert out.value_against(fam) == d.value_against(fam)
             assert check_dual_feasible(out, cost) <= 0
 
+    def test_null_cells_below_the_floor_are_avoided(self):
+        # mu_1 vanishes at x1 = 1.  Under the constant cost 1 the
+        # potentials 1/3 are optimal; lowering f12(1, 0) and f13(1, 0),
+        # which meet zero weight, keeps them optimal and feasible and
+        # puts F(1, 0, 0) = -41/3 below -12||c||.
+        mus = [
+            DiscreteMeasure(ProductGrid([3], axes=[1]), [Fraction(1, 2), 0, Fraction(1, 2)]),
+            DiscreteMeasure(ProductGrid([2], axes=[2]), [Fraction(1, 3), Fraction(2, 3)]),
+            DiscreteMeasure(ProductGrid([2], axes=[3]), [Fraction(1, 4), Fraction(3, 4)]),
+        ]
+        full = product(mus)
+        fam = MarginalFamily(
+            3, 2, [3, 2, 2], {a: project(full, a) for a in all_index_sets(3, 2)}
+        )
+        grid = fam.full_grid()
+        cost = CostGrid(grid, [1] * grid.ncells)
+        third = [Fraction(1, 3)] * 6
+        low = list(third)
+        low[grid.subgrid(IndexSet([1, 2])).ravel((1, 0))] = Fraction(-7)
+        d = DualPotentials(
+            {IndexSet([1, 2]): low, IndexSet([1, 3]): low, IndexSet([2, 3]): third[:4]}
+        )
+        F = cell_sums(grid, d.potentials)
+        assert [grid.unravel(j) for j, v in enumerate(F) if v < -12] == [(1, 0, 0)]
+        # The lexicographic base point's x1-section meets (1, 0, 0), so the
+        # scan for a base cell with clear sections runs.
+        assert good_basepoint(CostGrid(grid, F), mus) == (0, 0, 0)
+        out = extract_bounded_dual(fam, cost, d)
+        for alpha in out.index_sets():
+            assert all(Fraction(-80, 3) <= v <= Fraction(40, 3) for v in out[alpha])
+        assert check_dual_feasible(out, cost) <= 0
+        assert out.value_against(fam) == d.value_against(fam) == 1
+
     def test_rejects_non_product_marginals(self):
         rng = random.Random(18)
         fam = projected_family(rng, 3, 2, [2, 2, 2])
