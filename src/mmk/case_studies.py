@@ -26,7 +26,7 @@ from .measures import (
     project,
     uniform,
 )
-from .transport import CostGrid, DualPotentials, solve_dual
+from .transport import CostGrid, solve_dual
 from . import lp_core
 from .feasibility import marginal_lp
 
@@ -226,8 +226,8 @@ class PiecewiseDual32(Frozen):
     def F(self, x1, x2, x3) -> Fraction:
         return self.f13(x1, x3) + self.f23(x2, x3)
 
-    def potentials(self, N: int) -> DualPotentials:
-        """Sampled at cell centers (i + 1/2)/N of the N^3 grid."""
+    def potentials(self, N: int) -> dict:
+        """{alpha: tuple} sampled at cell centers (i + 1/2)/N of the N^3 grid."""
         sub = ProductGrid([N, N])
 
         def center(i):
@@ -236,12 +236,12 @@ class PiecewiseDual32(Frozen):
         out = {}
         for alpha in all_index_sets(3, 2):
             if alpha == IndexSet([1, 2]):
-                out[alpha] = [Fraction(0)] * sub.ncells
+                out[alpha] = (Fraction(0),) * sub.ncells
             else:
-                out[alpha] = [
+                out[alpha] = tuple(
                     self.f13(center(c[0]), center(c[1])) for c in sub.cells()
-                ]
-        return DualPotentials(out)
+                )
+        return out
 
 
 def build_discontinuous(N: int):
@@ -274,29 +274,13 @@ def _uniform_pairs(mu: DiscreteMeasure, N: int) -> DiscreteMeasure:
     return mu
 
 
-def cyclic_coupling(N: int) -> DiscreteMeasure:
-    """Weight 1/N^2 on every cell with i + j + k = 0 (mod N).
-
-    Each pair of coordinates determines the third, so all three
-    pairwise projections are exactly uniform (checked).
-    """
-    if N < 1:
-        raise DomainError("need N >= 1")
-    grid = ProductGrid([N, N, N])
-    w = Fraction(1, N * N)
-    weights = [Fraction(0)] * grid.ncells
-    for i in range(N):
-        for j in range(N):
-            weights[grid.ravel((i, j, (-i - j) % N))] = w
-    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
-
-
 def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
     """The coupling concentrated on frac(a1 x1 + a2 x2 + a3 x3) = 0.
 
     Mixture over shift triples t_i in {0..a_i-1} of the cyclic coupling
-    squeezed into the box of side 1/a_i at offset t_i/a_i; pairwise
-    projections stay exactly uniform (checked).
+    (weight 1/N^2 where v1 + v2 + v3 = 0 mod N, the whole measure when
+    a = (1, 1, 1)) squeezed into the box of side 1/a_i at offset t_i/a_i;
+    pairwise projections stay exactly uniform (checked).
     """
     a = tuple(map(as_int, (a1, a2, a3)))
     if any(v < 1 for v in a):

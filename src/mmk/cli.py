@@ -17,15 +17,13 @@ from fractions import Fraction
 
 from . import case_studies, feasibility, lp_core, transport, xor_model
 from .measures import (
-    DiscreteMeasure,
     DomainError,
     IndexSet,
     MarginalFamily,
-    ProductGrid,
-    all_index_sets,
     as_fraction,
     as_int,
     cell_sums,
+    integral,
     is_consistent,
     measure_from_json,
     measure_to_json,
@@ -150,7 +148,7 @@ def cmd_solve(args) -> int:
 def cmd_dual(args) -> int:
     fam, cost = _load_with_cost(args)
     potentials, value = transport.solve_dual(fam, cost, arithmetic=args.arithmetic)
-    _emit({"value": _rat(value), "potentials": potentials_to_json(potentials.potentials)})
+    _emit({"value": _rat(value), "potentials": potentials_to_json(potentials)})
     return 0
 
 
@@ -167,8 +165,7 @@ def cmd_bounded_dual(args) -> int:
     fam, cost = _load_with_cost(args)
     d, _ = transport.solve_dual(fam, cost)
     out = transport.extract_bounded_dual(fam, cost, d)
-    value = _rat(out.value_against(fam))
-    _emit({"value": value, "potentials": potentials_to_json(out.potentials)})
+    _emit({"value": _rat(integral(fam, out)), "potentials": potentials_to_json(out)})
     return 0
 
 
@@ -201,7 +198,7 @@ def cmd_xor(args) -> int:
 
 
 def _case_unreachable(args, arithmetic):
-    N = args.N or 12
+    N = 12 if args.N is None else args.N
     fam, cost, alpha0 = case_studies.build_unreachable(N)
     cells = []
     m_max = min(4, N - 2)
@@ -233,11 +230,11 @@ def _case_unreachable(args, arithmetic):
 
 
 def _case_nonstrong(args, arithmetic):
-    N = args.N or 10
+    N = 10 if args.N is None else args.N
     fam, cost = case_studies.build_nonstrong(N)
     potentials, value = transport.solve_dual(fam, cost, arithmetic=arithmetic)
     grid = fam.full_grid()
-    totals = cell_sums(grid, potentials.potentials)
+    totals = cell_sums(grid, potentials)
     diag = [_rat(totals[grid.ravel((n - 1, n - 1, n - 1))]) for n in range(1, N + 1)]
     return {
         "case": "nonstrong",
@@ -248,11 +245,11 @@ def _case_nonstrong(args, arithmetic):
 
 
 def _case_discontinuous(args, arithmetic):
-    N = args.N or 12
+    N = 12 if args.N is None else args.N
     fam, cost, dual = case_studies.build_discontinuous(N)
     pi = case_studies.composite_pi(N)
     pots = dual.potentials(N)
-    value = pots.value_against(fam)
+    value = integral(fam, pots)
     primal = sum(w * c for w, c in zip(pi.weights, cost.values))
     slack = transport.complementary_slackness(pi, pots, cost)
     return {
@@ -266,7 +263,7 @@ def _case_discontinuous(args, arithmetic):
 
 
 def _case_uniformband(args, arithmetic):
-    N = args.N or 24
+    N = 24 if args.N is None else args.N
     fam, cost = case_studies.build_uniformband(N)
     pi, value = transport.solve_primal(fam, cost, arithmetic="float")
     grid = fam.full_grid()

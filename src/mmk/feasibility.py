@@ -25,6 +25,7 @@ from .measures import (
     SignedDiscreteMeasure,
     all_index_sets,
     cell_sums,
+    integral,
     is_consistent,
     lower_marginal,
     product,
@@ -232,13 +233,15 @@ def _ref_product(refs: Sequence[DiscreteMeasure], axes: Sequence[int]):
     return [refs[a - 1] for a in axes]
 
 
-def _check_refs(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]):
-    if len(refs) != fam.n:
-        raise DomainError(f"expected {fam.n} reference measures, got {len(refs)}")
+def _check_refs(sizes: Sequence[int], refs: Sequence[DiscreteMeasure]):
+    """DomainError unless refs[i] is a probability measure on axis i + 1
+    of size sizes[i], for every axis."""
+    if len(refs) != len(sizes):
+        raise DomainError(f"expected {len(sizes)} reference measures, got {len(refs)}")
     for axis, nu in enumerate(refs, start=1):
         if nu.grid.axes != (axis,):
             raise DomainError(f"reference measure #{axis} must live on axis {axis}")
-        if nu.grid.sizes != (fam.sizes[axis - 1],):
+        if nu.grid.sizes != (sizes[axis - 1],):
             raise DomainError(f"reference measure #{axis} has the wrong size")
         if nu.mass != 1:
             raise DomainError(f"reference measure #{axis} is not a probability measure")
@@ -257,7 +260,7 @@ def signed_uniting(
     lp_core.check_size(fam.full_grid().ncells * len(fam.index_sets()), "float")
     if not is_consistent(fam):
         raise PreconditionError("signed_uniting requires a consistent family")
-    _check_refs(fam, refs)
+    _check_refs(fam.sizes, refs)
     n, k = fam.n, fam.k
     lambdas = signed_lambda(n, k)
     grid = fam.full_grid()
@@ -361,7 +364,7 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
 
 
 def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
-    """Prices {alpha: values} of a marginal_lp, made to sum to at most
+    """Prices {alpha: tuple} of a marginal_lp, made to sum to at most
     bound[j] on every cell j outside `columns` (the cost for transport
     duals, 0 for a Farkas ray).
 
@@ -384,7 +387,7 @@ def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
     alphas = fam.index_sets()
     s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
     prices = {
-        a: [v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights)]
+        a: tuple(v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights))
         for a in alphas
     }
     if above(prices):
@@ -414,7 +417,7 @@ def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVe
             raise lp_core.CertificationError(
                 "certificate potentials must be nonnegative cellwise"
             )
-        if sum(v * w for a in y for v, w in zip(y[a], fam[a].weights)) <= 0:
+        if integral(fam, potentials) >= 0:
             raise lp_core.CertificationError(
                 "certificate potentials must have negative total integral"
             )
@@ -431,7 +434,7 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
 
 def density_bounds(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]) -> DensityBounds:
     """Extremes of mu_alpha-weight / nu_alpha-weight over all alpha and cells."""
-    _check_refs(fam, refs)
+    _check_refs(fam.sizes, refs)
     m = None
     M = None
     for alpha in fam.index_sets():
@@ -564,7 +567,7 @@ def uniting_by_density_2(
     negative weight raises DensityAssemblyError with diagnostics.
     """
     _require_32(fam)
-    _check_refs(fam, refs)
+    _check_refs(fam.sizes, refs)
     bounds = density_bounds(fam, refs)
     if bounds.ratio > 2:
         raise PreconditionError(f"M/m = {bounds.ratio} exceeds 2")

@@ -380,6 +380,15 @@ def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list
     return totals
 
 
+def integral(fam: MarginalFamily, functions: Mapping[IndexSet, Sequence]):
+    """sum_alpha int f_alpha d mu_alpha, one alpha at a time in `functions` order."""
+    per_alpha = (
+        sum(f * w for f, w in zip(values, fam[alpha].weights))
+        for alpha, values in functions.items()
+    )
+    return sum(per_alpha, Fraction(0))
+
+
 class MarginalFamily(Frozen):
     """The constraint data of an (n,k)-problem: one measure per alpha in I_nk.
 

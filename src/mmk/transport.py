@@ -5,6 +5,11 @@ dual potentials are the projection-row prices.  On top of that the
 module provides the base-point decomposition of an (n,k)-function into
 per-alpha potentials with explicit norm control, and the bounded-dual
 extraction for (3,2) instances with product marginals.
+
+Potentials are a dict {IndexSet alpha: tuple of f_alpha's values on
+grid_alpha in ravel order}, the format of FeasibilityVerdict.potentials;
+they are feasible for a cost c iff sum_alpha f_alpha(x_alpha) <= c(x) on
+every cell.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import lp_core
 from .feasibility import (
     FeasibilityVerdict,
     PreconditionError,
+    _check_refs,
     marginal_lp,
     row_blocks,
     sink,
@@ -32,6 +38,7 @@ from .measures import (
     ProductGrid,
     all_index_sets,
     cell_sums,
+    integral,
     lower_marginal,
     measure_to_json,
     potentials_to_json,
@@ -78,57 +85,6 @@ class CostGrid(Frozen):
         return f"CostGrid(grid={self.grid})"
 
 
-class DualPotentials(Frozen):
-    """A map alpha -> grid function f_alpha on grid_alpha.
-
-    Feasible for cost c iff sum_alpha f_alpha(x_alpha) <= c(x) cellwise.
-    """
-
-    __slots__ = ("potentials",)
-
-    def __init__(self, potentials: Mapping[IndexSet, Sequence]):
-        self._freeze(
-            potentials={
-                alpha: tuple(
-                    Fraction(v) if isinstance(v, int) else v for v in values
-                )
-                for alpha, values in potentials.items()
-            }
-        )
-
-    def __getitem__(self, alpha: IndexSet):
-        return self.potentials[alpha]
-
-    def index_sets(self) -> list[IndexSet]:
-        return sorted(self.potentials, key=lambda a: a.members)
-
-    def total_at(self, grid: ProductGrid, cell: Sequence[int]):
-        """sum_alpha f_alpha(x_alpha) at one full-grid cell.
-
-        Sums every cell first; for many cells call measures.cell_sums once.
-        """
-        return cell_sums(grid, self.potentials)[grid.ravel(cell)]
-
-    def value_against(self, fam: MarginalFamily):
-        """sum_alpha int f_alpha d mu_alpha."""
-        s = Fraction(0)
-        for alpha, values in self.potentials.items():
-            s += sum(f * w for f, w in zip(values, fam[alpha].weights))
-        return s
-
-    def shifted(self, offsets: Mapping[IndexSet, Fraction]) -> "DualPotentials":
-        return DualPotentials(
-            {
-                alpha: [v + offsets.get(alpha, 0) for v in values]
-                for alpha, values in self.potentials.items()
-            }
-        )
-
-    def __repr__(self):
-        keys = ",".join(a.key() for a in self.index_sets())
-        return f"DualPotentials(alphas=[{keys}])"
-
-
 class SolveReport(Frozen):
     """Joint outcome of one primal/dual solve with its duality gap."""
 
@@ -144,7 +100,7 @@ class SolveReport(Frozen):
             "value": str(Fraction(self.value)),
             "gap": str(Fraction(self.gap)),
             "pi": measure_to_json(self.pi),
-            "potentials": potentials_to_json(self.potentials.potentials),
+            "potentials": potentials_to_json(self.potentials),
         }
 
     def __repr__(self):
@@ -156,17 +112,15 @@ def _check_cost(fam: MarginalFamily, cost: CostGrid):
         raise DomainError("cost grid does not match the family's full grid")
 
 
-def _normalize(potentials: dict, fam: MarginalFamily) -> DualPotentials:
-    """Force f_alpha(first cell) = 0 for all but the first alpha."""
-    alphas = fam.index_sets()
-    offsets = {}
-    carried = Fraction(0)
-    for alpha in alphas[1:]:
-        s = potentials[alpha][0]
-        offsets[alpha] = -s
-        carried += s
-    offsets[alphas[0]] = carried
-    return DualPotentials(potentials).shifted(offsets)
+def _normalize(fam: MarginalFamily, prices: Sequence) -> dict:
+    """The potentials {alpha: tuple} of a marginal_lp's row prices, shifted
+    to f_alpha(first cell) = 0 for all but the first alpha, which takes the
+    sum of the shifts."""
+    blocks = row_blocks(fam, prices)
+    first, *rest = blocks
+    offsets = {alpha: -blocks[alpha][0] for alpha in rest}
+    offsets[first] = sum((blocks[alpha][0] for alpha in rest), Fraction(0))
+    return {alpha: tuple(v + offsets[alpha] for v in f) for alpha, f in blocks.items()}
 
 
 def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
@@ -184,9 +138,8 @@ def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
     found = verdict(fam, sol, columns, arithmetic)
     if not found.feasible:
         raise InfeasibleFamilyError(found)
-    normalized = _normalize(row_blocks(fam, sol.y), fam).potentials
-    potentials = DualPotentials(sink(fam, normalized, cost.values, columns))
-    return found.witness, sol.value, potentials, potentials.value_against(fam)
+    potentials = sink(fam, _normalize(fam, sol.y), cost.values, columns)
+    return found.witness, sol.value, potentials, integral(fam, potentials)
 
 
 def solve_primal(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):
@@ -196,7 +149,8 @@ def solve_primal(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact")
 
 
 def solve_dual(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):
-    """Maximize sum int f_alpha d mu_alpha over feasible potentials.
+    """Maximize sum int f_alpha d mu_alpha over feasible potentials;
+    returns (potentials {alpha: tuple}, dual value).
 
     Potentials are normalized to f_alpha(first cell) = 0 for all but the
     first alpha, making the output deterministic.
@@ -242,8 +196,8 @@ def decomp_lambda(n: int, k: int) -> tuple[Fraction, ...]:
 
 def nk_decompose(
     F: CostGrid, y: Sequence[int], lam: Sequence[Fraction]
-) -> DualPotentials:
-    """Split F into potentials f_alpha via sections through base cell y.
+) -> dict:
+    """Split F into potentials {alpha: tuple} f_alpha via sections through base cell y.
 
     f_alpha(x_alpha) = sum over beta subset of alpha of
     lambda_{|beta|} F(x_beta, y off beta).  When F is an exact
@@ -266,8 +220,8 @@ def nk_decompose(
                 section = [lam[size] * F.values[j] for j in grid.section(beta, y)]
                 index = sub.projection_index(beta)
                 values = [v + section[i] for v, i in zip(values, index)]
-        potentials[alpha] = values
-    return DualPotentials(potentials)
+        potentials[alpha] = tuple(values)
+    return potentials
 
 
 def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, ...]:
@@ -278,8 +232,11 @@ def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, .
     x_alpha -> c(x_alpha, y off alpha) satisfies
     ||c_alpha||_{L1(nu_alpha)} <= 2^(n+1) ||c||_{L1(nu)}.  Cells of
     nu-mass >= 1/2 qualify; lp_core.CertificationError if none does.
+    DomainError unless refs are one probability measure per axis of c's
+    grid, on that axis and of its size.
     """
     grid = c.grid
+    _check_refs(grid.sizes, refs)
     n = len(grid.axes)
     nu = product(list(refs))
     norm_c = sum(abs(v) * w for v, w in zip(c.values, nu.weights))
@@ -299,20 +256,18 @@ def good_basepoint(c: CostGrid, refs: Sequence[DiscreteMeasure]) -> tuple[int, .
     raise lp_core.CertificationError("no cell qualifies as a base point")
 
 
-def check_dual_feasible(d: DualPotentials, c: CostGrid):
+def check_dual_feasible(d: dict, c: CostGrid):
     """Max over cells of sum_alpha f_alpha - c; <= 0 means feasible."""
-    return max(s - v for s, v in zip(cell_sums(c.grid, d.potentials), c.values))
+    return max(s - v for s, v in zip(cell_sums(c.grid, d), c.values))
 
 
-def complementary_slackness(
-    pi: DiscreteMeasure, d: DualPotentials, c: CostGrid
-) -> list:
+def complementary_slackness(pi: DiscreteMeasure, d: dict, c: CostGrid) -> list:
     """Cells carrying pi-mass where the dual sum is strictly below cost.
 
     Empty iff (pi, d) is a jointly optimal feasible pair.
     """
     grid = c.grid
-    totals = cell_sums(grid, d.potentials)
+    totals = cell_sums(grid, d)
     out = []
     for j, w in enumerate(pi.weights):
         if w <= 0:
@@ -323,10 +278,8 @@ def complementary_slackness(
     return out
 
 
-def extract_bounded_dual(
-    fam: MarginalFamily, c: CostGrid, d: DualPotentials
-) -> DualPotentials:
-    """Rebuild an optimal (3,2) dual with uniformly bounded potentials.
+def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict) -> dict:
+    """Rebuild an optimal (3,2) dual d with uniformly bounded potentials.
 
     Requires product pairwise marginals (mu_ij = mu_i x mu_j) and c >= 0.
     The sum F = sum f_ij is bounded below by -12||c||_inf wherever the
@@ -352,7 +305,7 @@ def extract_bounded_dual(
             )
     # d must be optimal: its value must match the primal optimum.
     _, opt_value = solve_primal(fam, c)
-    d_value = d.value_against(fam)
+    d_value = integral(fam, d)
     if d_value != opt_value:
         raise PreconditionError(
             f"dual value {d_value} != primal optimum {opt_value}"
@@ -363,7 +316,7 @@ def extract_bounded_dual(
     norm = c.linf()
     floor_F = -12 * norm
     nu = product(mu_i)
-    F_values = cell_sums(grid, d.potentials)
+    F_values = cell_sums(grid, d)
     bad = set()
     for t, v in enumerate(F_values):
         if v < floor_F:
@@ -401,12 +354,12 @@ def extract_bounded_dual(
     # lambda = (1/3, -1/2, 1) every potential is at least -17||c||_inf.
     result = nk_decompose(F, y, decomp_lambda(3, 2))
     bounds = (Fraction(-80, 3) * norm, Fraction(40, 3) * norm)
-    for alpha in result.index_sets():
-        if any(not bounds[0] <= v <= bounds[1] for v in result[alpha]):
+    for alpha, values in result.items():
+        if any(not bounds[0] <= v <= bounds[1] for v in values):
             raise lp_core.CertificationError(
                 f"a potential of {alpha} is outside [-80/3, 40/3] ||c||_inf"
             )
-    if result.value_against(fam) != opt_value:
+    if integral(fam, result) != opt_value:
         raise lp_core.CertificationError("extraction changed the value")
     if check_dual_feasible(result, c) > 0:
         raise lp_core.CertificationError("extraction broke feasibility")

@@ -21,6 +21,8 @@ from mmk.measures import (
     MarginalFamily,
     ProductGrid,
     all_index_sets,
+    cell_sums,
+    integral,
     product,
     project,
     uniform,
@@ -250,12 +252,12 @@ def test_criterion_09_bounded_dual_extraction():
             d, value = tp.solve_dual(fam, cost)
             out = tp.extract_bounded_dual(fam, cost, d)
             norm = cost.linf()
-            for alpha in out.index_sets():
-                for v in out[alpha]:
+            for values in out.values():
+                for v in values:
                     assert Fraction(-80, 3) * norm <= v <= Fraction(40, 3) * norm
-            for cell in grid.cells():
-                assert out.total_at(grid, cell) >= -12 * norm
-            assert out.value_against(fam) == value
+            for total in cell_sums(grid, out):
+                assert total >= -12 * norm
+            assert integral(fam, out) == value
 
 
 def test_criterion_10_discontinuous_composite():
@@ -303,10 +305,8 @@ def test_criterion_12_nonstrong_uniqueness_and_recurrence():
         assert values is not None
         potentials, _ = tp.solve_dual(fam, cost)
         grid = fam.full_grid()
-        F = [
-            potentials.total_at(grid, (n - 1, n - 1, n - 1))
-            for n in range(1, N)
-        ]
+        totals = cell_sums(grid, potentials)
+        F = [totals[grid.ravel((n - 1, n - 1, n - 1))] for n in range(1, N)]
         for a, b in zip(F[:-1], F[1:]):
             assert b - a == 3
 

@@ -528,6 +528,12 @@ class TestCases:
             with open(path) as fh:
                 assert fh.read(2) == "P2"
 
+    @pytest.mark.parametrize("name", ["unreachable", "nonstrong", "discontinuous", "uniformband"])
+    def test_size_zero_is_not_the_default_size(self, tmp_path, capsys, name):
+        # `args.N or 12` ran --N 0 at the default size and exited 0.
+        assert cli.main(["case", name, "--N", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_unreachable_small(self, capsys):
         assert cli.main(["case", "unreachable", "--N", "6"]) == 0
         out = json.loads(capsys.readouterr().out)

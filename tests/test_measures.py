@@ -17,6 +17,7 @@ from mmk.measures import (
     all_index_sets,
     as_fraction,
     dirac,
+    integral,
     is_consistent,
     lower_marginal,
     measure_from_json,
@@ -225,6 +226,18 @@ class TestMarginalFamily:
         with pytest.raises(DomainError):
             MarginalFamily(3, 2, [2, 2, 2], marg)
 
+    def test_integral_of_functions_on_the_marginal_grids(self):
+        fam = self.build()
+        f = {
+            IndexSet([1, 2]): (4, 0, 0, 0),
+            IndexSet([1, 3]): (1, 1, 1, 1),
+            IndexSet([2, 3]): (0, 0, 0, Fraction(-8)),
+        }
+        assert integral(fam, f) == 1 + 1 - 2
+        assert integral(fam, {}) == 0
+        floats = {a: (0.5, 0.25, 0.25, 0.0) for a in fam.index_sets()}
+        assert integral(fam, floats) == 0.75
+
     @pytest.mark.parametrize("size", [2.7, True, "3"])
     def test_sizes_must_be_integers(self, size):
         # int() would make 2.7 a 2 and True a 1 without a word.
@@ -345,7 +358,7 @@ def test_value_types_refuse_assignment():
     from mmk.feasibility import DensityBounds, FeasibilityVerdict
     from mmk.lp_core import Certificate, LPProblem, LPSolution
     from mmk.measures import ConsistencyReport
-    from mmk.transport import CostGrid, DualPotentials, SolveReport
+    from mmk.transport import CostGrid, SolveReport
     from mmk.xor_model import Dyadic, XorInstance
 
     grid = ProductGrid([2])
@@ -363,7 +376,6 @@ def test_value_types_refuse_assignment():
         (DensityBounds(1, 2), "M"),
         (FeasibilityVerdict(True, witness=mu), "witness"),
         (CostGrid(grid, [1, 2]), "values"),
-        (DualPotentials({IndexSet([1]): [0, 0]}), "potentials"),
         (SolveReport(mu, 0, None, 0, 0), "gap"),
         (Dyadic(1, 1), "a"),
         (XorInstance(1), "n"),
@@ -379,7 +391,7 @@ def test_value_types_refuse_assignment():
 def test_cells_need_one_coordinate_per_axis(cell):
     # zip-based ravel read (1, 2) as cell 5 and (1, 2, 3, 9) as cell 23.
     from mmk import case_studies as cs
-    from mmk.transport import CostGrid, DualPotentials
+    from mmk.transport import CostGrid
 
     sizes = [2, 3, 4]
     grid = ProductGrid(sizes)
@@ -389,12 +401,10 @@ def test_cells_need_one_coordinate_per_axis(cell):
         sizes,
         {a: uniform([sizes[i - 1] for i in a], axes=a.members) for a in all_index_sets(3, 2)},
     )
-    zeros = DualPotentials({a: [0] * grid.subgrid(a).ncells for a in all_index_sets(3, 2)})
     for read in (
         grid.ravel,
         uniform(sizes).weight,
         CostGrid(grid, [0] * grid.ncells).at,
-        lambda c: zeros.total_at(grid, c),
         lambda c: cs.min_mass_at_cell(fam, c),
         lambda c: cs.max_mass_at_cell(fam, c),
     ):

@@ -22,13 +22,13 @@ from mmk.measures import (
     ProductGrid,
     all_index_sets,
     cell_sums,
+    integral,
     product,
     project,
     uniform,
 )
 from mmk.transport import (
     CostGrid,
-    DualPotentials,
     InfeasibleFamilyError,
     check_dual_feasible,
     complementary_slackness,
@@ -117,21 +117,24 @@ class TestCostGrid:
             CostGrid(ProductGrid([2, 2]), [1, 2, 3])
 
 
+def total_at(d, grid, cell):
+    """sum_alpha f_alpha(x_alpha) of potentials d at one cell."""
+    return cell_sums(grid, d)[grid.ravel(cell)]
+
+
 class TestDualPotentials:
     def make(self):
-        return DualPotentials(
-            {
-                IndexSet([1, 2]): [0, 1, 2, 3],
-                IndexSet([1, 3]): [1, 1, 1, 1],
-                IndexSet([2, 3]): [0, 0, 0, Fraction(1, 2)],
-            }
-        )
+        return {
+            IndexSet([1, 2]): (0, 1, 2, 3),
+            IndexSet([1, 3]): (1, 1, 1, 1),
+            IndexSet([2, 3]): (0, 0, 0, Fraction(1, 2)),
+        }
 
     def test_total_at(self):
         d = self.make()
         grid = ProductGrid([2, 2, 2])
-        assert d.total_at(grid, (1, 1, 1)) == 3 + 1 + Fraction(1, 2)
-        assert d.total_at(grid, (0, 0, 0)) == 1
+        assert total_at(d, grid, (1, 1, 1)) == 3 + 1 + Fraction(1, 2)
+        assert total_at(d, grid, (0, 0, 0)) == 1
 
     def test_value_and_shift_invariance(self):
         rng = random.Random(5)
@@ -142,12 +145,12 @@ class TestDualPotentials:
             IndexSet([1, 3]): Fraction(-4),
             IndexSet([2, 3]): Fraction(-3),
         }
-        shifted = d.shifted(offsets)
+        shifted = {a: tuple(v + offsets[a] for v in values) for a, values in d.items()}
         # Offsets sum to zero, so both the value and the cellwise totals agree.
-        assert shifted.value_against(fam) == d.value_against(fam)
+        assert integral(fam, shifted) == integral(fam, d)
         grid = fam.full_grid()
         for cell in grid.cells():
-            assert shifted.total_at(grid, cell) == d.total_at(grid, cell)
+            assert total_at(shifted, grid, cell) == total_at(d, grid, cell)
 
 
 class TestSolve:
@@ -175,7 +178,7 @@ class TestSolve:
         cost = random_cost(rng, fam.full_grid())
         d, dual_value = solve_dual(fam, cost)
         assert check_dual_feasible(d, cost) <= 0
-        assert d.value_against(fam) == dual_value
+        assert integral(fam, d) == dual_value
         _, value = solve_primal(fam, cost)
         assert dual_value == value
 
@@ -183,7 +186,7 @@ class TestSolve:
         rng = random.Random(9)
         fam = projected_family(rng, 3, 2, [2, 2, 2])
         d, _ = solve_dual(fam, random_cost(rng, fam.full_grid()))
-        anchors = [d[a][0] for a in d.index_sets()]
+        anchors = [d[a][0] for a in fam.index_sets()]
         assert anchors[1] == anchors[2] == 0
 
     def test_verify_gap_and_report(self):
@@ -387,10 +390,8 @@ real_decompose = transport.nk_decompose
 
 def shifted_decompose(F, y, lam):
     out = real_decompose(F, y, lam)
-    alpha = out.index_sets()[0]
-    return transport.DualPotentials(
-        {**out.potentials, alpha: (out[alpha][0] + 1,) + out[alpha][1:]}
-    )
+    alpha = min(out)
+    return {**out, alpha: (out[alpha][0] + 1,) + out[alpha][1:]}
 
 
 grid = ProductGrid([2, 2, 2])
@@ -493,14 +494,11 @@ class TestDecomposition:
                 ]
                 for alpha in all_index_sets(3, 2)
             }
-            d_true = DualPotentials(parts)
-            F = CostGrid.from_function(
-                grid, lambda *cell: d_true.total_at(grid, cell)
-            )
+            F = CostGrid.from_function(grid, lambda *cell: total_at(parts, grid, cell))
             y = tuple(rng.randrange(s) for s in grid.sizes)
             d_got = nk_decompose(F, y, decomp_lambda(3, 2))
             for cell in grid.cells():
-                assert d_got.total_at(grid, cell) == F.at(cell)
+                assert total_at(d_got, grid, cell) == F.at(cell)
 
     def test_reconstruction_exact_43(self):
         rng = random.Random(15)
@@ -512,11 +510,20 @@ class TestDecomposition:
             ]
             for alpha in all_index_sets(4, 3)
         }
-        d_true = DualPotentials(parts)
-        F = CostGrid.from_function(grid, lambda *cell: d_true.total_at(grid, cell))
+        F = CostGrid.from_function(grid, lambda *cell: total_at(parts, grid, cell))
         d_got = nk_decompose(F, (0, 1, 0, 1), decomp_lambda(4, 3))
         for cell in grid.cells():
-            assert d_got.total_at(grid, cell) == F.at(cell)
+            assert total_at(d_got, grid, cell) == F.at(cell)
+
+    def test_good_basepoint_checks_its_refs(self):
+        # Two refs raised IndexError; a 3-cell ref on a 2-cell axis gave
+        # (0, 0, 0) from norms that zip had cut short.
+        c = CostGrid(ProductGrid([2, 2, 2]), [1] * 8)
+        pair = [uniform([2], axes=[a]) for a in (1, 2)]
+        long = [uniform([3], axes=[1]), *pair[1:], uniform([2], axes=[3])]
+        for refs, message in [(pair, "expected 3 reference measures"), (long, "wrong size")]:
+            with pytest.raises(DomainError, match=message):
+                good_basepoint(c, refs)
 
     def test_good_basepoint_bound(self):
         rng = random.Random(16)
@@ -556,10 +563,10 @@ class TestBoundedDual:
             fam, cost, d = self.instance(rng, sizes)
             out = extract_bounded_dual(fam, cost, d)
             norm = cost.linf()
-            for alpha in out.index_sets():
-                for v in out[alpha]:
+            for values in out.values():
+                for v in values:
                     assert Fraction(-80, 3) * norm <= v <= Fraction(40, 3) * norm
-            assert out.value_against(fam) == d.value_against(fam)
+            assert integral(fam, out) == integral(fam, d)
             assert check_dual_feasible(out, cost) <= 0
 
     def test_null_cells_below_the_floor_are_avoided(self):
@@ -581,19 +588,17 @@ class TestBoundedDual:
         third = [Fraction(1, 3)] * 6
         low = list(third)
         low[grid.subgrid(IndexSet([1, 2])).ravel((1, 0))] = Fraction(-7)
-        d = DualPotentials(
-            {IndexSet([1, 2]): low, IndexSet([1, 3]): low, IndexSet([2, 3]): third[:4]}
-        )
-        F = cell_sums(grid, d.potentials)
+        d = {IndexSet([1, 2]): low, IndexSet([1, 3]): low, IndexSet([2, 3]): third[:4]}
+        F = cell_sums(grid, d)
         assert [grid.unravel(j) for j, v in enumerate(F) if v < -12] == [(1, 0, 0)]
         # The lexicographic base point's x1-section meets (1, 0, 0), so the
         # scan for a base cell with clear sections runs.
         assert good_basepoint(CostGrid(grid, F), mus) == (0, 0, 0)
         out = extract_bounded_dual(fam, cost, d)
-        for alpha in out.index_sets():
-            assert all(Fraction(-80, 3) <= v <= Fraction(40, 3) for v in out[alpha])
+        for values in out.values():
+            assert all(Fraction(-80, 3) <= v <= Fraction(40, 3) for v in values)
         assert check_dual_feasible(out, cost) <= 0
-        assert out.value_against(fam) == d.value_against(fam) == 1
+        assert integral(fam, out) == integral(fam, d) == 1
 
     def test_rejects_non_product_marginals(self):
         rng = random.Random(18)
@@ -621,15 +626,14 @@ class TestBoundedDual:
         rng = random.Random(19)
         fam, _ = product_family(rng, [2, 2, 2])
         cost = CostGrid(fam.full_grid(), [-1] + [0] * 7)
-        d = DualPotentials(
-            {a: [0] * fam.full_grid().subgrid(a).ncells for a in fam.index_sets()}
-        )
+        d = {a: (0,) * fam.full_grid().subgrid(a).ncells for a in fam.index_sets()}
         with pytest.raises(fb.PreconditionError):
             extract_bounded_dual(fam, cost, d)
 
     def test_rejects_suboptimal_dual(self):
         rng = random.Random(20)
         fam, cost, d = self.instance(rng)
-        worse = d.shifted({d.index_sets()[0]: Fraction(-1)})
+        first = fam.index_sets()[0]
+        worse = {**d, first: tuple(v - 1 for v in d[first])}
         with pytest.raises(fb.PreconditionError):
             extract_bounded_dual(fam, cost, worse)
