@@ -163,8 +163,8 @@ def cmd_signed(args) -> int:
 
 def cmd_bounded_dual(args) -> int:
     fam, cost = _load_with_cost(args)
-    d, _ = transport.solve_dual(fam, cost)
-    out = transport.extract_bounded_dual(fam, cost, d)
+    d, value = transport.solve_dual(fam, cost)
+    out = transport.extract_bounded_dual(fam, cost, d, value)
     _emit({"value": _rat(integral(fam, out)), "potentials": potentials_to_json(out)})
     return 0
 

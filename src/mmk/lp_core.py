@@ -20,13 +20,14 @@ with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex,
 its dual prices y and its basis.  x and y are rounded to nearby
 rationals, and a part that fails is rebuilt as the exact basic solution
 of that basis (Applegate, Cook, Dash & Espinoza, "Exact solutions to
-linear programming problems", Oper. Res. Lett. 2007) by elimination
-modulo the prime _PRIME = 2^127 - 1 and rational reconstruction.
+linear programming problems", Oper. Res. Lett. 2007): a float factor of
+the basis matrix, refined with exact integer residuals to rationals of
+any size that the basis admits.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
 integers over common denominators; HiGHS's floats, its basis and the
-residues only choose the candidates.  A rejected HiGHS vertex is not
+float factor only choose the candidates.  A rejected HiGHS vertex is not
 solved again.  When HiGHS reports the LP infeasible, the Farkas ray
 (y.A <= 0, y.b > 0) comes from that same run: HiGHS's dual ray, scaled
 to largest entry 1 and rounded to nearby rationals, if check_certificate
@@ -45,18 +46,17 @@ failure.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Sequence
 
 from .measures import DomainError, Frozen, as_fraction, as_int
 
-# Exact pivoting cost grows with coefficient size; beyond this many
-# nonzeros the caller must opt into float mode explicitly.
+# Beyond this many nonzeros the caller must opt into float mode
+# explicitly.  Below it HiGHS takes most of the time: exact
+# build_discontinuous(24), 41,472 nonzeros, took 29 s, 0.7 s of it the rebuild.
 EXACT_NONZERO_CAP = 50_000
 
 # No LP in either mode may have more nonzeros than this.  The (3,2)
@@ -81,8 +81,7 @@ TABLEAU_ONLY_NONZEROS = 64
 # on these LPs.
 TIGHT_TOLERANCE = 1e-10
 
-# The Mersenne prime 2^127 - 1, modulo which _solve_rational eliminates.
-_PRIME = 2**127 - 1
+_ZERO = Fraction(0)  # the one Fraction for every exact 0 of a candidate
 
 
 class LPError(Exception):
@@ -416,100 +415,86 @@ def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
     return LPSolution("infeasible", certificate=cert)
 
 
-def _rational(r: int, d: int, bound: int):
-    """The rational num/den == r modulo _PRIME with |num|, den <= bound, or None.
+def _basis_factor(problem: LPProblem, basis):
+    """(B, M, lu, bound) of a HiGHS basis, or None if it is invalid, M is
+    not square or lu is singular: B the basic columns, M = [A_B | I_R]
+    with a unit column for each basic row, in CSC form, lu its splu
+    factor and bound > |det M|, the product of sqrt(|column|) over M's
+    columns (Hadamard's bound) rounded up."""
+    from scipy.optimize._highspy._core import HighsBasisStatus
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
 
-    num/d is tried first (d <= bound is the common denominator of the
-    values found so far); otherwise the half-extended Euclidean algorithm
-    on (_PRIME, r) stops at the first remainder within the bound.  Two such
-    rationals would differ by a multiple of _PRIME over at most
-    bound^2 < _PRIME / 2, so the one found is the only one.
-    """
-    P = _PRIME
-    num = r * d % P
-    if num > P // 2:
-        num -= P
-    if -bound <= num <= bound:
-        return Fraction(num, d)
-    r0, r1, t0, t1 = P, r, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound:
+    if not basis.valid:
         return None
-    return Fraction(r1, t1)
-
-
-def _solve_rational(equations: Sequence[Sequence], rhs: Sequence):
-    """One exact solution of sum_{v in eq} z[v] == rhs, or None; each
-    equation eq lists its distinct unknowns, whose coefficients are 1.
-
-    Sparse Gaussian elimination modulo _PRIME, on the residues of the
-    rational rhs (num * den^-1): each pivot is the unknown that occurs in
-    the fewest equations, which keeps fill-in low on the 0/1 systems.
-    Free unknowns are set to 0 and left out of the returned {unknown:
-    Fraction} dict.  Each value is recovered from its residue by rational
-    reconstruction.  None if the system is inconsistent modulo _PRIME or a
-    value has no reconstruction: its numerator or denominator would exceed
-    sqrt(_PRIME / 2), about 9.2e18.  The residues part from the rationals
-    only where _PRIME divides a number of the elimination, and a value
-    beyond the bound may reconstruct to a wrong small one, so the caller
-    checks whatever comes back exactly.
-    """
-    P = _PRIME
+    cols, rows = (
+        [j for j, s in enumerate(status) if s == HighsBasisStatus.kBasic]
+        for status in (basis.col_status, basis.row_status)
+    )
+    columns = [problem.columns[j] for j in cols] + [(i,) for i in rows]
+    m = problem.nrows
+    if len(columns) != m:
+        return None
+    indices = [i for column in columns for i in column]
+    indptr = list(accumulate(map(len, columns), initial=0))
+    M = csc_array(([1.0] * len(indices), indices, indptr), shape=(m, m))
     try:
-        system = [
-            (dict.fromkeys(eq, 1), b.numerator * pow(b.denominator, -1, P) % P)
-            for eq, b in zip(equations, rhs)
-        ]
-    except ValueError:  # a denominator divisible by _PRIME
+        lu = splu(M)
+    except RuntimeError:  # "Factor is exactly singular"
         return None
-    occurs = Counter(v for eq in equations for v in eq)
-    order = {}  # pivot unknown -> index into pivots
-    pivots = []  # (unknown, equation scaled to coefficient 1 there, rhs)
-    for row, b in system:
-        # Pivot rows are applied in the order they were made: row k holds
-        # no unknown pivoted before k, so no earlier pivot comes back.
-        heap = [order[v] for v in row if v in order]
-        heapq.heapify(heap)
-        while heap:
-            p, prow, pb = pivots[heapq.heappop(heap)]
-            f = row.get(p)
-            if f is None:
-                continue
-            for v, a in prow.items():
-                old = row.get(v)
-                new = (-f * a if old is None else old - f * a) % P
-                if new:
-                    row[v] = new
-                    if old is None and v in order:
-                        heapq.heappush(heap, order[v])
-                else:
-                    del row[v]
-            b = (b - f * pb) % P
-        if not row:
-            if b:
-                return None
-            continue
-        p = min(row, key=occurs.__getitem__)
-        inv = pow(row[p], -1, P)
-        order[p] = len(pivots)
-        pivots.append((p, {v: a * inv % P for v, a in row.items()}, b * inv % P))
-    z = {}
-    for p, prow, b in reversed(pivots):
-        z[p] = (b - sum(a * z[v] for v, a in prow.items() if v != p and v in z)) % P
-    bound = math.isqrt(P // 2)
-    d = 1  # the common denominator of the values so far, kept <= bound
-    for p, r in z.items():
-        value = _rational(r, d, bound)
-        if value is None:
+    return cols, M, lu, math.isqrt(math.prod(map(len, columns))) + 1
+
+
+def _refine(factor, rhs, transpose=False):
+    """The exact z with M z = rhs (M^T z = rhs if transpose), M from
+    factor = _basis_factor(...), or None.
+
+    Iterative refinement (Wan, J. Symb. Comput. 2006) keeps integers with
+    M N == d B - r, rhs = B / D.  A step solves M u = r / 2^e in floats
+    (r / 2^e below 1, however large r) and sets N, d, r to 2^a N + x,
+    2^a d, 2^a r - M x, x = 2^(a+e) u rounded, a <= 30 so small that r
+    does not grow.  r == 0 makes N / d exact; else each step tries
+    limit_denominator(q), q as large as the error 2^e |u| / d allows, and
+    returns a w that solves M w == B exactly (M^-1 B's denominators are
+    below the bound).  None if u is not finite, a step does not shrink the
+    error, or q reaches the bound.
+    """
+    import numpy as np
+
+    _, M, lu, bound = factor
+    A = (M.T if transpose else M).tocsr()
+    indices, indptr = A.indices.tolist(), A.indptr.tolist()
+    rows = [indices[p:q] for p, q in zip(indptr, indptr[1:])]
+    B, D = _scaled(rhs)
+    N, d, r, last_error = [0] * len(B), 1, B, math.inf
+    while any(r):
+        e = max(map(abs, r)).bit_length()
+        scale = 1 << e
+        v = np.array([ri / scale for ri in r])
+        u = lu.solve(v, trans="T" if transpose else "N")
+        top = float(np.abs(u).max())
+        k = math.frexp(top)[1]  # |u| < 2^k
+        error = e + k - d.bit_length()  # M^-1 r / d is below 2^(error + 1)
+        if not math.isfinite(top) or error >= last_error:
             return None
-        z[p] = value
-        d = math.lcm(d, value.denominator)
-        if d > bound:
-            d = value.denominator
-    return z
+        last_error = error
+        q = min(bound, 1 << max(0, (-2 - error) // 2))  # 2^(error + 1) <= 1/(2 q^2)
+        w = [Fraction(n, d).limit_denominator(q) for n in N]
+        W, dw = _scaled(w)
+        if all(sum(map(W.__getitem__, row)) == dw * b for row, b in zip(rows, B)):
+            return [wi / D for wi in w]
+        if q == bound:
+            return None
+        res = float(np.abs(v - A @ u).max())
+        a = min(30, -2 - math.frexp(res)[1]) if res else 30
+        if a < 1:
+            return None
+        s = max(0, a + e + k - 62)
+        x = [int(xi) << s for xi in np.rint(np.ldexp(u, a + e - s)).tolist()]
+        N = [(n << a) + xi for n, xi in zip(N, x)]
+        d <<= a
+        r = [(ri << a) - sum(map(x.__getitem__, row)) for ri, row in zip(r, rows)]
+    return [Fraction(n, d * D) for n in N]
 
 
 def _rounded(v) -> Fraction:
@@ -522,7 +507,7 @@ def _rounded(v) -> Fraction:
     v = float(v)
     r = round(v)
     if abs(v - r) < 4e-7:
-        return Fraction(r)
+        return Fraction(r) if r else _ZERO
     return Fraction(v).limit_denominator()
 
 
@@ -550,13 +535,6 @@ def _accept(problem: LPProblem, objective, xs, ys):
     return x, y, value
 
 
-def _basic(statuses) -> list[int]:
-    """The ascending indices whose HiGHS basis status is kBasic."""
-    from scipy.optimize._highspy._core import HighsBasisStatus
-
-    return [j for j, s in enumerate(statuses) if s == HighsBasisStatus.kBasic]
-
-
 def _certify(problem: LPProblem, objective, x_float, y_float, basis):
     """_accept's (x, y, value) near HiGHS's optimal vertex and its basis.
 
@@ -567,39 +545,31 @@ def _certify(problem: LPProblem, objective, x_float, y_float, basis):
     limit_denominator's 10^6 (as on 216 of 384 exact mass extremes of
     build_nonstrong(8) and (10)), and limit_denominator still passes where
     D does not (on some random transport LPs).  y's: HiGHS's duals rounded
-    by limit_denominator, then y rebuilt.  Every entry is rounded, as
-    HiGHS puts the nonbasic columns at exactly 0.0.  The rebuilds solve
-    A_B x_B = b with x = 0 off the basic columns B, and y.A_j = c_j for j
-    in B with y = 0 on the basic rows.  The statuses are read only once a
+    by limit_denominator, then y rebuilt.  The nonbasic columns, at
+    exactly 0.0, all round to the one _ZERO.  The rebuilds, x_B from
+    M z = b with x = 0 off B and y from M^T y = (c_B, 0), share
+    _basis_factor's M = [A_B | I_R].  The statuses are read only once a
     rebuild is reached, as their lists cost about 0.2 ms per LP of
-    build_nonstrong(10); an invalid basis rebuilds nothing.
+    build_nonstrong(10).
     """
-    zero = Fraction(0)
+    factor = cache(lambda: _basis_factor(problem, basis))
 
     def xs():
         d_rhs = problem.scaled_rhs[1]
         if d_rhs <= 2**53:
-            yield [Fraction(round(v * d_rhs), d_rhs) for v in x_float]
+            yield [Fraction(round(v * d_rhs), d_rhs) if v else _ZERO for v in x_float]
         yield [_rounded(v) for v in x_float]
-        if basis.valid:
-            equations = [[] for _ in range(problem.nrows)]
-            for j in _basic(basis.col_status):
-                for i in problem.columns[j]:
-                    equations[i].append(j)
-            x_sparse = _solve_rational(equations, problem.rhs)
-            if x_sparse is not None:
-                yield [x_sparse.get(j, zero) for j in range(problem.ncols)]
+        if factor() and (z := _refine(factor(), problem.rhs)) is not None:
+            x = dict(zip(factor()[0], z))
+            yield [x.get(j, _ZERO) for j in range(problem.ncols)]
 
     def ys():
         yield [_rounded(v) for v in y_float]
-        if basis.valid:
-            cols, basic_rows = _basic(basis.col_status), set(_basic(basis.row_status))
-            y_sparse = _solve_rational(
-                [[i for i in problem.columns[j] if i not in basic_rows] for j in cols],
-                [objective[j] for j in cols],
-            )
-            if y_sparse is not None:
-                yield [y_sparse.get(i, zero) for i in range(problem.nrows)]
+        if factor():
+            c_basic = [objective[j] for j in factor()[0]]
+            c_basic += [_ZERO] * (problem.nrows - len(c_basic))
+            if (y := _refine(factor(), c_basic, transpose=True)) is not None:
+                yield y
 
     return _accept(problem, objective, xs(), ys())
 

@@ -278,10 +278,12 @@ def complementary_slackness(pi: DiscreteMeasure, d: dict, c: CostGrid) -> list:
     return out
 
 
-def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict) -> dict:
+def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict, opt_value) -> dict:
     """Rebuild an optimal (3,2) dual d with uniformly bounded potentials.
 
-    Requires product pairwise marginals (mu_ij = mu_i x mu_j) and c >= 0.
+    Requires product pairwise marginals (mu_ij = mu_i x mu_j), c >= 0 and
+    d worth opt_value, the optimum of the transport LP, as solve_dual
+    returns it with d.
     The sum F = sum f_ij is bounded below by -12||c||_inf wherever the
     product measure charges the cell; F is decomposed with
     decomp_lambda(3,2) through a good base point whose sections miss the
@@ -303,8 +305,7 @@ def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict) -> dict:
             raise PreconditionError(
                 f"marginal for {alpha} is not the product of its 1-marginals"
             )
-    # d must be optimal: its value must match the primal optimum.
-    _, opt_value = solve_primal(fam, c)
+    # d must be optimal: its value must match the optimum.
     d_value = integral(fam, d)
     if d_value != opt_value:
         raise PreconditionError(

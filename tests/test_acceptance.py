@@ -250,7 +250,7 @@ def test_criterion_09_bounded_dual_extraction():
                 grid, [Fraction(rng.randint(0, 9)) for _ in range(grid.ncells)]
             )
             d, value = tp.solve_dual(fam, cost)
-            out = tp.extract_bounded_dual(fam, cost, d)
+            out = tp.extract_bounded_dual(fam, cost, d, value)
             norm = cost.linf()
             for values in out.values():
                 for v in values:

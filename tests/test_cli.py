@@ -422,7 +422,7 @@ class TestSignedAndBounded:
         for alpha in fam.index_sets():
             assert project(mu, alpha) == fam[alpha]
 
-    def test_bounded_dual_on_product_instance(self, tmp_path, capsys):
+    def test_bounded_dual_on_product_instance(self, tmp_path, capsys, monkeypatch):
         import random
 
         from mmk.measures import MarginalFamily, product, uniform
@@ -444,7 +444,10 @@ class TestSignedAndBounded:
         )
         cost = [Fraction(rng.randint(0, 5)) for _ in range(8)]
         path = write_problem(tmp_path / "p.json", fam, cost_values=cost)
+        solves, solve = [], lp_core.solve
+        monkeypatch.setattr(lp_core, "solve", lambda *args: solves.append(1) or solve(*args))
         assert cli.main(["bounded-dual", path]) == 0
+        assert len(solves) == 1  # the LP solve_dual solved, and no second one
         out = json.loads(capsys.readouterr().out)
         norm = max(cost)
         for values in out["potentials"].values():

@@ -6,12 +6,13 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize._highspy import _core
 
 from mmk import lp_core
-from mmk.case_studies import build_nonstrong, min_mass_at_cell
+from mmk.case_studies import build_discontinuous, build_nonstrong, min_mass_at_cell
 from mmk.feasibility import (
     kellerer_check,
     make_modk_counterexample,
@@ -39,6 +40,15 @@ def refuse_tableau(monkeypatch):
         raise AssertionError("the exact tableau was built")
 
     monkeypatch.setattr(lp_core._ExactTableau, "__init__", no_tableau)
+
+
+def record_rebuilds(monkeypatch):
+    """The list of _refine's results, one per call, from now on."""
+    rebuilt, refine = [], lp_core._refine
+    monkeypatch.setattr(
+        lp_core, "_refine", lambda *a, **kw: rebuilt.append(refine(*a, **kw)) or rebuilt[-1]
+    )
+    return rebuilt
 
 
 def stand_in_basis(basic_columns, basic_rows, ncols, nrows, valid=True):
@@ -308,7 +318,7 @@ class TestCertifier:
         # the basis.
         fam, cost = self.degenerate_43()
         refuse_tableau(monkeypatch)
-        highs, rebuild, rebuilt = lp_core._highs, lp_core._solve_rational, []
+        highs = lp_core._highs
 
         def shifted(model, obj):
             x, y, value, basis = highs(model, obj)
@@ -316,27 +326,18 @@ class TestCertifier:
 
         monkeypatch.setattr(lp_core, "_highs", shifted)
         monkeypatch.setattr(lp_core, "_rounded", lambda v: Fraction(10**9))
-        monkeypatch.setattr(
-            lp_core,
-            "_solve_rational",
-            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
-        )
+        rebuilt = record_rebuilds(monkeypatch)
         report = verify_gap(fam, cost)
         assert report.gap == 0 and report.value == Fraction(2959, 281)
         assert len(rebuilt) == 2 and None not in rebuilt
 
     def test_x_rounded_at_b_denominator_while_y_stays_rounded(self, monkeypatch):
         fam, _ = build_nonstrong(10)
-        problems, rebuilt = [], []
-        certify, rebuild = lp_core._certify, lp_core._solve_rational
+        problems, certify = [], lp_core._certify
         monkeypatch.setattr(
             lp_core, "_certify", lambda p, *args: problems.append(p) or certify(p, *args)
         )
-        monkeypatch.setattr(
-            lp_core,
-            "_solve_rational",
-            lambda eqs, rhs: rebuilt.append(rhs) or rebuild(eqs, rhs),
-        )
+        rebuilt = record_rebuilds(monkeypatch)
         refuse_tableau(monkeypatch)
         # The denominator is above limit_denominator's 10^6, so the rounded
         # x fails A x = b; it divides b's common denominator 58668846, and
@@ -416,43 +417,46 @@ def random_feasible_53(seed):
     return MarginalFamily(5, 3, [3] * 5, {a: project(mu, a) for a in all_index_sets(5, 3)})
 
 
+def transport_lp(rows, cols):
+    """The LPProblem of transport between the row marginal `rows` and the
+    column marginal `cols`: cell (i, j) is column i * len(cols) + j."""
+    m = len(rows)
+    return LPProblem(
+        [[i, m + j] for i in range(m) for j in range(len(cols))], list(rows) + list(cols)
+    )
+
+
 class TestRebuild:
-    """_solve_rational: elimination modulo _PRIME and rational reconstruction."""
+    """_basis_factor and _refine: the exact basic solution of a basis."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_fraction_elimination(self, data):
-        nvars = data.draw(st.integers(1, 7))
-        neqs = data.draw(st.integers(1, 7))
+        # M = [A_B | I_R] of a random 0/1 A and basis, and M z = b and
+        # M^T y = b on its one factor, against dense Gauss-Jordan.
+        n = data.draw(st.integers(1, 7))
+        columns = [[i for i in range(n) if data.draw(st.booleans())] for _ in range(n)]
+        basic_rows = [i for i in range(n) if data.draw(st.booleans())]
+        basic_cols = range(n - len(basic_rows))
+        m_columns = [columns[j] for j in basic_cols] + [[i] for i in basic_rows]
+        m_rows = [[k for k, col in enumerate(m_columns) if i in col] for i in range(n)]
         value = st.fractions(min_value=-5, max_value=5, max_denominator=30)
-        z = [data.draw(value) for _ in range(nvars)]
-        equations = [
-            [v for v in range(nvars) if data.draw(st.booleans())] for _ in range(neqs)
-        ]
-        rhs = [sum(z[v] for v in eq) for eq in equations]
-        if data.draw(st.booleans()):  # maybe inconsistent now
-            rhs[data.draw(st.integers(0, neqs - 1))] += data.draw(value)
-        consistent, unique = fraction_reference(equations, rhs)
-        got = lp_core._solve_rational(equations, rhs)
-        if not consistent:
-            assert got is None
+        rhs = [data.draw(value) for _ in range(n)]
+        _, z = fraction_reference(m_rows, rhs)
+        if z is None or len(z) < n:  # M is singular
             return
-        assert got is not None
-        assert all(isinstance(v, Fraction) for v in got.values())
-        for eq, b in zip(equations, rhs):
-            assert sum(got.get(v, 0) for v in eq) == b
-        if unique is not None:
-            assert {v: got.get(v, 0) for v in unique} == unique
+        _, y = fraction_reference(m_columns, rhs)
+        basis = stand_in_basis(set(basic_cols), set(basic_rows), n, n)
+        factor = lp_core._basis_factor(LPProblem(columns, rhs), basis)
+        assert factor[0] == list(basic_cols)
+        got = lp_core._refine(factor, rhs)
+        assert got == [z[k] for k in range(n)]
+        assert all(isinstance(v, Fraction) for v in got)
+        assert lp_core._refine(factor, rhs, transpose=True) == [y[i] for i in range(n)]
 
     def test_feasible_53_certified_by_the_rebuild(self, monkeypatch):
         fam = random_feasible_53(3)
-        rebuilt = []
-        rebuild = lp_core._solve_rational
-        monkeypatch.setattr(
-            lp_core,
-            "_solve_rational",
-            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
-        )
+        rebuilt = record_rebuilds(monkeypatch)
         refuse_tableau(monkeypatch)
         verdict = kellerer_check(fam)
         # The vertex denominators exceed limit_denominator's 10^6 and do not
@@ -463,22 +467,77 @@ class TestRebuild:
 
     def test_failed_reconstruction_raises(self, monkeypatch):
         # The family of test_feasible_53_certified_by_the_rebuild, whose x
-        # only the rebuild recovers.  Modulo 2^31 - 1 numerators and
-        # denominators stop at 32768: the vertex fails, and the LP is too
-        # large for the tableau.
+        # only the rebuild recovers.  With the denominator bound cut to 2
+        # the budget runs out: the vertex fails, and the LP is too large
+        # for the tableau.
         fam = random_feasible_53(3)
-        rebuilt = []
-        rebuild = lp_core._solve_rational
-        monkeypatch.setattr(
-            lp_core,
-            "_solve_rational",
-            lambda eqs, rhs: rebuilt.append(rebuild(eqs, rhs)) or rebuilt[-1],
-        )
+        rebuilt = record_rebuilds(monkeypatch)
+        factor = lp_core._basis_factor
+        monkeypatch.setattr(lp_core, "_basis_factor", lambda *args: factor(*args)[:3] + (2,))
         refuse_tableau(monkeypatch)
-        monkeypatch.setattr(lp_core, "_PRIME", 2**31 - 1)
         with pytest.raises(lp_core.CertificationError, match="x fails"):
             kellerer_check(fam)
-        assert rebuilt
+        assert rebuilt == [None]
+
+    def test_singular_or_invalid_basis_rebuilds_nothing(self, monkeypatch):
+        # The family again, its basis made invalid or its factor singular.
+        fam = random_feasible_53(3)
+        rebuilt = record_rebuilds(monkeypatch)
+        refuse_tableau(monkeypatch)
+        highs = lp_core._highs
+
+        def invalid(model, obj):
+            x, y, value, basis = highs(model, obj)
+            return x, y, value, SimpleNamespace(valid=False)
+
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        for patch in ((lp_core, "_highs", invalid), (scipy.sparse.linalg, "splu", singular)):
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                with pytest.raises(lp_core.CertificationError, match="x fails"):
+                    kellerer_check(fam)
+        assert rebuilt == []
+        # All four columns of the 2x2 transport LP, which has rank 3.
+        p = TestCertifier.PROBLEM
+        assert lp_core._basis_factor(p, stand_in_basis(range(4), (), 4, 4)) is None
+
+    def test_denominators_beyond_63_bits_certified(self, monkeypatch):
+        # 6x6 transport, 72 nonzeros: x's denominators reach b's 3^41 > 2^64,
+        # past the reach of a float and of limit_denominator, so x comes
+        # from the rebuild.
+        rng = random.Random(5)
+        q = 3**41
+        rows = [Fraction(rng.randint(1, q), q) for _ in range(5)]
+        rows.append(6 - sum(rows))
+        cols = [Fraction(1)] * 6
+        problem = transport_lp(rows, cols)
+        costs = [rng.randint(0, 9) for _ in range(problem.ncols)]
+        with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", 10**9):
+            oracle = solve(problem, costs).value
+        rebuilt = record_rebuilds(monkeypatch)
+        refuse_tableau(monkeypatch)
+        sol = solve(problem, costs)
+        assert sol.value == oracle and max(v.denominator for v in sol.x) == q
+        assert len(rebuilt) == 1
+
+    def test_rhs_too_large_for_a_float(self, monkeypatch):
+        # b's common denominator 2 * 3^700 is too large for a float, and the
+        # rebuild's residuals, scaled before they become floats, recover
+        # the optimum (1/2 + t, 0, 0, 1/2 - t) exactly.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        t = Fraction(1, 3**700)
+        half = Fraction(1, 2)
+        problem = transport_lp([half + t, half - t], [half + t, half - t])
+        sol = solve(problem, [0, 3, 3, 0])
+        assert sol.x == [half + t, 0, 0, half - t] and sol.value == 0
+
+    def test_discontinuous_18_certified(self):
+        # x's vertex denominators have 66 bits.
+        fam, cost = build_discontinuous(18)[:2]
+        report = verify_gap(fam, cost)
+        assert report.value == Fraction(1, 6) and report.gap == 0
 
 
 def mixed_family(n, k, sizes, raw, s):

@@ -400,7 +400,7 @@ fam = MarginalFamily(
     3, 2, [2, 2, 2], {a: project(mu, a) for a in all_index_sets(3, 2)}
 )
 cost = transport.CostGrid(grid, [1] * 8)
-dual, _ = transport.solve_dual(fam, cost)
+dual, dual_value = transport.solve_dual(fam, cost)
 check = lambda: feasibility.kellerer_check(fam)
 cases = [
     (lp_core, "solve", farkas(1), check),  # negative cell sums
@@ -409,7 +409,7 @@ cases = [
     (lp_core, "solve", wrong_optimum, lambda: transport.verify_gap(fam, cost, "float")),
     # the extracted dual's value differs from the optimum
     (transport, "nk_decompose", shifted_decompose,
-     lambda: transport.extract_bounded_dual(fam, cost, dual)),
+     lambda: transport.extract_bounded_dual(fam, cost, dual, dual_value)),
 ]
 for module, name, fake, run in cases:
     real = getattr(module, name)
@@ -554,14 +554,14 @@ class TestBoundedDual:
     def instance(self, rng, sizes=(2, 2, 2)):
         fam, _ = product_family(rng, list(sizes))
         cost = random_cost(rng, fam.full_grid())
-        d, _ = solve_dual(fam, cost)
-        return fam, cost, d
+        d, value = solve_dual(fam, cost)
+        return fam, cost, d, value
 
     def test_extraction_bounds_and_value(self):
         rng = random.Random(17)
         for sizes in [(2, 2, 2), (2, 3, 2), (3, 3, 3)]:
-            fam, cost, d = self.instance(rng, sizes)
-            out = extract_bounded_dual(fam, cost, d)
+            fam, cost, d, value = self.instance(rng, sizes)
+            out = extract_bounded_dual(fam, cost, d, value)
             norm = cost.linf()
             for values in out.values():
                 for v in values:
@@ -594,7 +594,7 @@ class TestBoundedDual:
         # The lexicographic base point's x1-section meets (1, 0, 0), so the
         # scan for a base cell with clear sections runs.
         assert good_basepoint(CostGrid(grid, F), mus) == (0, 0, 0)
-        out = extract_bounded_dual(fam, cost, d)
+        out = extract_bounded_dual(fam, cost, d, solve_dual(fam, cost)[1])
         for values in out.values():
             assert all(Fraction(-80, 3) <= v <= Fraction(40, 3) for v in values)
         assert check_dual_feasible(out, cost) <= 0
@@ -604,7 +604,7 @@ class TestBoundedDual:
         rng = random.Random(18)
         fam = projected_family(rng, 3, 2, [2, 2, 2])
         cost = random_cost(rng, fam.full_grid())
-        d, _ = solve_dual(fam, cost)
+        d, value = solve_dual(fam, cost)
         if all(
             fam[a]
             == project(
@@ -620,7 +620,7 @@ class TestBoundedDual:
         ):
             pytest.skip("random family happened to be a product")
         with pytest.raises(fb.PreconditionError):
-            extract_bounded_dual(fam, cost, d)
+            extract_bounded_dual(fam, cost, d, value)
 
     def test_rejects_negative_cost(self):
         rng = random.Random(19)
@@ -628,12 +628,12 @@ class TestBoundedDual:
         cost = CostGrid(fam.full_grid(), [-1] + [0] * 7)
         d = {a: (0,) * fam.full_grid().subgrid(a).ncells for a in fam.index_sets()}
         with pytest.raises(fb.PreconditionError):
-            extract_bounded_dual(fam, cost, d)
+            extract_bounded_dual(fam, cost, d, 0)
 
     def test_rejects_suboptimal_dual(self):
         rng = random.Random(20)
-        fam, cost, d = self.instance(rng)
+        fam, cost, d, value = self.instance(rng)
         first = fam.index_sets()[0]
         worse = {**d, first: tuple(v - 1 for v in d[first])}
         with pytest.raises(fb.PreconditionError):
-            extract_bounded_dual(fam, cost, worse)
+            extract_bounded_dual(fam, cost, worse, value)
