@@ -6,6 +6,11 @@ engine (a uniting measure or a dual certificate with sum f_alpha >= 0
 pointwise and sum of integrals < 0), the density-ratio sufficient
 conditions for (3,2) families, and the two standard counterexample
 builders (mod-k and the two-point anti-diagonal family).
+
+Every closed-form measure is a list of (coefficient, product factors)
+terms summed by _combine and checked by _assert_uniting.  The (3,2)
+formulas (density-3/2, two-thirds, and the three density-2 branches)
+are coefficient rows of the one symmetric template _symmetric_32.
 """
 
 from __future__ import annotations
@@ -229,10 +234,6 @@ def signed_lambda(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(lambdas)
 
 
-def _ref_product(refs: Sequence[DiscreteMeasure], axes: Sequence[int]):
-    return [refs[a - 1] for a in axes]
-
-
 def _check_refs(sizes: Sequence[int], refs: Sequence[DiscreteMeasure]):
     """DomainError unless refs[i] is a probability measure on axis i + 1
     of size sizes[i], for every axis."""
@@ -253,36 +254,20 @@ def signed_uniting(
     """A signed measure projecting exactly to every mu_alpha of `fam`.
 
     Builds mu~_t = sum over t-subsets of (lower marginal x off-axis
-    refs) and combines them with signed_lambda(n, k).  The result's
-    projections are asserted before returning.  A grid over the float
-    cap of check_size (cells times marginals) is refused before it exists.
+    refs) and combines them with signed_lambda(n, k) in one _combine,
+    which refuses a grid over the float cap before it exists.  The
+    result's projections are checked before returning.
     """
-    lp_core.check_size(fam.full_grid().ncells * len(fam.index_sets()), "float")
     if not is_consistent(fam):
         raise PreconditionError("signed_uniting requires a consistent family")
     _check_refs(fam.sizes, refs)
-    n, k = fam.n, fam.k
-    lambdas = signed_lambda(n, k)
-    grid = fam.full_grid()
-    total = SignedDiscreteMeasure(grid, [Fraction(0)] * grid.ncells)
-    for t in range(k + 1):
-        if lambdas[t] == 0:
-            continue
-        tier = SignedDiscreteMeasure(grid, [Fraction(0)] * grid.ncells)
-        for beta in all_index_sets(n, t) if t > 0 else [IndexSet([])]:
-            off_axes = [a for a in range(1, n + 1) if a not in beta]
-            factors = list(_ref_product(refs, off_axes))
-            if t > 0:
-                factors.append(lower_marginal(fam, beta))
-            term = product(factors)
-            tier = tier + SignedDiscreteMeasure(grid, term.weights)
-        total = total + tier.scaled(lambdas[t])
-    for alpha in fam.index_sets():
-        got = project(total, alpha)
-        want = fam[alpha]
-        if tuple(got.weights) != tuple(want.weights):
-            raise AssertionError(f"signed uniting projection mismatch on {alpha}")
-    return total
+    n = fam.n
+    terms = (  # t = 0: beta is empty, its lower marginal the mass 1
+        (lam, [refs[a - 1] for a in range(1, n + 1) if a not in beta] + [lower_marginal(fam, beta)])
+        for t, lam in enumerate(signed_lambda(n, fam.k))
+        for beta in all_index_sets(n, t)
+    )
+    return _assert_uniting(_combine(fam, terms), fam, "signed uniting", signed=True)
 
 
 def marginal_constraint_rows(fam: MarginalFamily, cells=None):
@@ -435,39 +420,78 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
 def density_bounds(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]) -> DensityBounds:
     """Extremes of mu_alpha-weight / nu_alpha-weight over all alpha and cells."""
     _check_refs(fam.sizes, refs)
-    m = None
-    M = None
+    ratios = []
     for alpha in fam.index_sets():
-        nu_alpha = product(_ref_product(refs, list(alpha)))
+        nu_alpha = product([refs[a - 1] for a in alpha])
         for w_mu, w_nu in zip(fam[alpha].weights, nu_alpha.weights):
-            if w_nu == 0:
-                if w_mu != 0:
-                    raise DomainError(
-                        f"marginal for {alpha} is not absolutely continuous "
-                        "with respect to the reference product"
-                    )
-                continue
-            ratio = w_mu / w_nu
-            m = ratio if m is None or ratio < m else m
-            M = ratio if M is None or ratio > M else M
-    if m is None:
+            if w_nu != 0:
+                ratios.append(w_mu / w_nu)
+            elif w_mu != 0:
+                raise DomainError(
+                    f"marginal for {alpha} is not absolutely continuous "
+                    "with respect to the reference product"
+                )
+    if not ratios:
         raise DomainError("reference product vanishes everywhere")
-    return DensityBounds(m, M)
+    return DensityBounds(min(ratios), max(ratios))
 
 
-def _assert_uniting(mu, fam: MarginalFamily, label: str) -> DiscreteMeasure:
-    for i, w in enumerate(mu.weights):
+def _combine(fam: MarginalFamily, terms) -> SignedDiscreteMeasure:
+    """sum of coef * product(factors) over the (coef, factors) terms, on
+    fam's full grid: the one sum of every closed-form measure.
+
+    The float cap of check_size (cells times marginals) refuses the grid
+    before the first product exists.  Zero coefficients are skipped, and
+    a QuadExt weight with no irrational part comes back as a Fraction.
+    """
+    grid = fam.full_grid()
+    lp_core.check_size(grid.ncells * math.comb(fam.n, fam.k), "float")
+    total = [Fraction(0)] * grid.ncells
+    for coef, factors in terms:
+        if coef != 0:
+            total = [s + coef * w for s, w in zip(total, product(factors).weights)]
+    return SignedDiscreteMeasure(
+        grid, [w.a if isinstance(w, QuadExt) and w.b == 0 else w for w in total]
+    )
+
+
+def _symmetric_32(fam: MarginalFamily, refs, *coefficients) -> list:
+    """The _combine terms of the symmetric (3,2) template
+
+        c1 mu1 mu2 mu3 + c2 nu1 nu2 nu3 + sum over axes a, {b, c} the others,
+        of c3 nu_a mu_b mu_c + c4 mu_a nu_b nu_c + c5 mu_bc nu_a + c6 mu_bc mu_a,
+
+    mu_i the lower marginals of fam, mu_bc its marginals, nu_i = refs[i-1].
+    Every closed-form (3,2) construction is one row (c1, ..., c6).
+    """
+    c1, c2, c3, c4, c5, c6 = coefficients
+    mu = [lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)]
+    terms = [(c1, mu), (c2, refs)]
+    for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        pair = fam[IndexSet([b + 1, c + 1])]
+        terms += [
+            (c3, [refs[a], mu[b], mu[c]]),
+            (c4, [mu[a], refs[b], refs[c]]),
+            (c5, [pair, refs[a]]),
+            (c6, [pair, mu[a]]),
+        ]
+    return terms
+
+
+def _assert_uniting(mu, fam: MarginalFamily, label: str, signed: bool = False):
+    """`mu`, checked to project onto every marginal of fam, as a
+    DiscreteMeasure unless `signed`.  lp_core.CertificationError for a
+    projection mismatch; DensityAssemblyError for a negative weight
+    unless `signed`."""
+    for i, w in enumerate(() if signed else mu.weights):
         if w < 0:
-            raise DensityAssemblyError(
-                f"{label}: negative weight at cell {mu.grid.unravel(i)}",
-                cell=mu.grid.unravel(i),
-                weight=w,
-            )
+            cell = mu.grid.unravel(i)
+            message = f"{label}: negative weight at cell {cell}"
+            raise DensityAssemblyError(message, cell=cell, weight=w)
     for alpha in fam.index_sets():
-        got = project(mu, alpha)
-        if any(a != b for a, b in zip(got.weights, fam[alpha].weights)):
-            raise AssertionError(f"{label}: projection mismatch on {alpha}")
-    return DiscreteMeasure(mu.grid, mu.weights)
+        if project(mu, alpha).weights != fam[alpha].weights:
+            raise lp_core.CertificationError(f"{label}: projection mismatch on {alpha}")
+    return mu if signed else DiscreteMeasure(mu.grid, mu.weights)
 
 
 def _require_32(fam: MarginalFamily):
@@ -478,7 +502,8 @@ def _require_32(fam: MarginalFamily):
 def uniting_by_density_32(
     fam: MarginalFamily, refs: Sequence[DiscreteMeasure]
 ) -> DiscreteMeasure:
-    """The explicit uniting measure for (3,2) families with M/m <= 3/2.
+    """The explicit uniting measure for (3,2) families with M/m <= 3/2:
+    the _symmetric_32 row (4, 0, -2, 0, 2, -1),
 
     mu = 4 mu1 mu2 mu3 - 2(nu1 mu2 mu3 + mu1 nu2 mu3 + mu1 mu2 nu3)
          + 2(mu12 nu3 + mu13 nu2 + mu23 nu1)
@@ -488,40 +513,21 @@ def uniting_by_density_32(
     bounds = density_bounds(fam, refs)
     if bounds.ratio > Fraction(3, 2):
         raise PreconditionError(f"M/m = {bounds.ratio} exceeds 3/2")
-    mu = {a: lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)}
-    nu = {a: refs[a - 1] for a in (1, 2, 3)}
-    pair = {tuple(a): fam[a] for a in all_index_sets(3, 2)}
-    grid = fam.full_grid()
-
-    def t(*factors):
-        return SignedDiscreteMeasure(grid, product(list(factors)).weights)
-
-    total = t(mu[1], mu[2], mu[3]).scaled(4)
-    total = total - (
-        t(nu[1], mu[2], mu[3]) + t(mu[1], nu[2], mu[3]) + t(mu[1], mu[2], nu[3])
-    ).scaled(2)
-    total = total + (
-        t(pair[(1, 2)], nu[3]) + t(pair[(1, 3)], nu[2]) + t(pair[(2, 3)], nu[1])
-    ).scaled(2)
-    total = total - (
-        t(pair[(1, 2)], mu[3]) + t(pair[(1, 3)], mu[2]) + t(pair[(2, 3)], mu[1])
-    )
-    return _assert_uniting(total, fam, "density-3/2 assembly")
+    terms = _symmetric_32(fam, refs, 4, 0, -2, 0, 2, -1)
+    return _assert_uniting(_combine(fam, terms), fam, "density-3/2 assembly")
 
 
 def uniting_by_twothirds(fam: MarginalFamily) -> DiscreteMeasure:
     """Uniting measure when mu_ij >= (2/3) mu_i x mu_j cellwise.
 
-    mu = sum over pairs of (mu_ij - (2/3) mu_i x mu_j) x mu_k.
+    mu = sum over pairs of (mu_ij - (2/3) mu_i x mu_j) x mu_k
+       = sum over pairs of mu_ij x mu_k - 2 mu1 mu2 mu3,
+    the _symmetric_32 row (-2, 0, 0, 0, 0, 1), which reads no reference.
     """
     _require_32(fam)
     mu = {a: lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)}
-    grid = fam.full_grid()
-    total = SignedDiscreteMeasure(grid, [Fraction(0)] * grid.ncells)
     for alpha in all_index_sets(3, 2):
-        i, j = alpha.members
-        (k,) = [a for a in (1, 2, 3) if a not in alpha]
-        prod_ij = product([mu[i], mu[j]])
+        prod_ij = product([mu[a] for a in alpha])
         for idx, (w_pair, w_prod) in enumerate(
             zip(fam[alpha].weights, prod_ij.weights)
         ):
@@ -530,17 +536,8 @@ def uniting_by_twothirds(fam: MarginalFamily) -> DiscreteMeasure:
                 raise PreconditionError(
                     f"mu_{alpha.key()} < (2/3) product at cell {cell}"
                 )
-        slack = SignedDiscreteMeasure(
-            fam[alpha].grid,
-            [
-                w_pair - Fraction(2, 3) * w_prod
-                for w_pair, w_prod in zip(fam[alpha].weights, prod_ij.weights)
-            ],
-        )
-        total = total + SignedDiscreteMeasure(
-            grid, product([slack, mu[k]]).weights
-        )
-    return _assert_uniting(total, fam, "two-thirds assembly")
+    terms = _symmetric_32(fam, [None] * 3, -2, 0, 0, 0, 0, 1)
+    return _assert_uniting(_combine(fam, terms), fam, "two-thirds assembly")
 
 
 def _sqrt_fraction(value: Fraction):
@@ -567,7 +564,6 @@ def uniting_by_density_2(
     negative weight raises DensityAssemblyError with diagnostics.
     """
     _require_32(fam)
-    _check_refs(fam.sizes, refs)
     bounds = density_bounds(fam, refs)
     if bounds.ratio > 2:
         raise PreconditionError(f"M/m = {bounds.ratio} exceeds 2")
@@ -582,9 +578,6 @@ def uniting_by_density_2(
             f"the extraction LP of uniting_by_density_2 has {nonzeros} nonzeros, "
             f"over the exact-mode cap {lp_core.EXACT_NONZERO_CAP}; it has no float mode"
         ) from None
-    nu_pair = {
-        tuple(alpha): product(_ref_product(refs, list(alpha))) for alpha in pairs
-    }
 
     # (i) maximize xi(X), as min -xi(X), subject to prj_ij(xi) <= mu_ij - m nu_ij:
     # the marginal columns of every cell, then one slack column per row.
@@ -593,7 +586,7 @@ def uniting_by_density_2(
     rhs = [
         w - m * v
         for alpha in pairs
-        for w, v in zip(fam[alpha].weights, nu_pair[tuple(alpha)].weights)
+        for w, v in zip(fam[alpha].weights, product([refs[a - 1] for a in alpha]).weights)
     ]
     columns += [(i,) for i in range(len(rhs))]
     objective = [-1] * ncells + [0] * len(rhs)
@@ -601,91 +594,48 @@ def uniting_by_density_2(
     if sol.status != "optimal":
         raise lp_core.LPError(f"the extraction LP is {sol.status}")
     xi = DiscreteMeasure(grid, sol.x[:ncells])
-    extracted = xi.mass
-    if extracted == 1:
+    alpha_rem = 1 - xi.mass
+    if alpha_rem == 0:
         return _assert_uniting(xi, fam, "density-2 assembly (pure extraction)")
-    alpha_rem = 1 - extracted
 
+    # (ii) the residual family (mu_ij - prj_ij(xi)) / (1 - xi(X)).
     residual = {}
     for alpha in pairs:
-        proj = project(xi, alpha)
-        residual[tuple(alpha)] = DiscreteMeasure(
-            proj.grid,
-            [
-                (w_mu - w_xi) / alpha_rem
-                for w_mu, w_xi in zip(fam[alpha].weights, proj.weights)
-            ],
+        weights = zip(fam[alpha].weights, project(xi, alpha).weights)
+        residual[alpha] = DiscreteMeasure(
+            fam[alpha].grid, [(w_mu - w_xi) / alpha_rem for w_mu, w_xi in weights]
         )
-    fam_prime = MarginalFamily(
-        3, 2, fam.sizes, {alpha: residual[tuple(alpha)] for alpha in pairs}
-    )
-    bounds_prime = density_bounds(fam_prime, refs)
-    m_prime = bounds_prime.m
+    fam_prime = MarginalFamily(3, 2, fam.sizes, residual)
+    m_prime = density_bounds(fam_prime, refs).m
 
-    mu_i = {a: lower_marginal(fam_prime, IndexSet([a])) for a in (1, 2, 3)}
-    nu_i = {a: refs[a - 1] for a in (1, 2, 3)}
-
-    def t(*factors):
-        return SignedDiscreteMeasure(grid, product(list(factors)).weights)
-
+    # (iii) one _symmetric_32 row per branch.
     if m_prime >= 1:
-        inner = t(nu_i[1], nu_i[2], nu_i[3])
+        row = (0, 1, 0, 0, 0, 0)
     elif m_prime == Fraction(2, 3):
-        inner = (
-            t(mu_i[1], residual[(2, 3)])
-            + t(mu_i[2], residual[(1, 3)])
-            + t(mu_i[3], residual[(1, 2)])
-            - t(mu_i[1], mu_i[2], mu_i[3]).scaled(2)
-        )
+        row = (-2, 0, 0, 0, 0, 1)
     elif m_prime > Fraction(2, 3):
         u_sq = 3 - 2 / m_prime
         u = _sqrt_fraction(u_sq)
         if u is None:
             u = QuadExt(0, 1, u_sq)
-        one = u * 0 + 1  # unit in the same field as u
-        denom3 = u * (u + 1) * (u + 1) * (u + 1)
-        denom2 = (u + 1) * (u + 1)
-        c_mmm = (one * (-8)) / (m_prime * m_prime * denom3)
-        c_nnn = (one * 2) * (u * 5 + 9) / denom3
-        c_nmm = (one * 4) * (u + 3) / (m_prime * denom3)
-        c_mnn = (one * (-2)) * (u * 5 + 9) / denom3
-        c_pair_nu = (one * 2) * (u + 2) / denom2
-        c_pair_mu = (one * (-2)) / (m_prime * denom2)
-        inner = (
-            t(mu_i[1], mu_i[2], mu_i[3]).scaled(c_mmm)
-            + t(nu_i[1], nu_i[2], nu_i[3]).scaled(c_nnn)
-            + (
-                t(nu_i[1], mu_i[2], mu_i[3])
-                + t(mu_i[1], nu_i[2], mu_i[3])
-                + t(mu_i[1], mu_i[2], nu_i[3])
-            ).scaled(c_nmm)
-            + (
-                t(mu_i[1], nu_i[2], nu_i[3])
-                + t(nu_i[1], mu_i[2], nu_i[3])
-                + t(nu_i[1], nu_i[2], mu_i[3])
-            ).scaled(c_mnn)
-            + (
-                t(residual[(2, 3)], nu_i[1])
-                + t(residual[(1, 3)], nu_i[2])
-                + t(residual[(1, 2)], nu_i[3])
-            ).scaled(c_pair_nu)
-            + (
-                t(residual[(2, 3)], mu_i[1])
-                + t(residual[(1, 3)], mu_i[2])
-                + t(residual[(1, 2)], mu_i[3])
-            ).scaled(c_pair_mu)
+        d2 = (u + 1) * (u + 1)
+        d3 = u * (u + 1) * d2
+        row = (
+            -8 / (m_prime * m_prime * d3),
+            2 * (5 * u + 9) / d3,
+            4 * (u + 3) / (m_prime * d3),
+            -2 * (5 * u + 9) / d3,
+            2 * (u + 2) / d2,
+            -2 / (m_prime * d2),
         )
     else:
         raise DensityAssemblyError(
             f"residual lower density m' = {m_prime} < 2/3; the discrete family "
             "violates the extreme-measure assumptions"
         )
-
+    inner = _combine(fam_prime, _symmetric_32(fam_prime, refs, *row))
     _assert_uniting(inner, fam_prime, "density-2 inner assembly")
-    combined = SignedDiscreteMeasure(
-        grid,
-        [alpha_rem * w + x for w, x in zip(inner.weights, xi.weights)],
-    )
+    combined = _combine(fam, [(alpha_rem, [inner]), (1, [xi])])
     return _assert_uniting(combined, fam, "density-2 assembly")
 
 

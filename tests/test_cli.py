@@ -20,6 +20,7 @@ from mmk.measures import (
     DiscreteMeasure,
     MarginalFamily,
     ProductGrid,
+    SignedDiscreteMeasure,
     all_index_sets,
     cell_sums,
     measure_to_json,
@@ -421,6 +422,24 @@ class TestSignedAndBounded:
         )
         for alpha in fam.index_sets():
             assert project(mu, alpha) == fam[alpha]
+
+    def test_signed_self_check_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # A product that doubles every weight breaks the projections; the
+        # self-check reports it in one line instead of a traceback.
+        fam = projected_family(5)
+        path = write_problem(tmp_path / "p.json", fam)
+        real = fb.product
+
+        def doubled(factors):
+            mu = real(factors)
+            return SignedDiscreteMeasure(mu.grid, [2 * w for w in mu.weights])
+
+        monkeypatch.setattr(fb, "product", doubled)
+        assert cli.main(["signed", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "projection mismatch" in captured.err
 
     def test_bounded_dual_on_product_instance(self, tmp_path, capsys, monkeypatch):
         import random

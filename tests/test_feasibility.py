@@ -23,6 +23,7 @@ from mmk.measures import (
     cell_sums,
     is_consistent,
     lower_marginal,
+    measure_to_json,
     product,
     project,
     uniform,
@@ -536,6 +537,79 @@ class TestDensityConstructions:
             assert got.is_nonnegative()
             assert fb.kellerer_check(fam).feasible
         assert hits > 0
+
+    def test_density2_rational_weights_are_fractions(self):
+        # At ratio 19/10 the Q(u) branch runs with u irrational, yet every
+        # weight's irrational part is 0: the result must be plain Fractions,
+        # hashable and JSON-encodable.
+        fam = fb.make_two_point_counterexample(Fraction(19, 10))
+        mu = fb.uniting_by_density_2(fam, self.refs())
+        assert all(type(w) is Fraction for w in mu.weights)
+        assert type(mu.mass) is Fraction and mu.mass == 1
+        hash(mu)
+        assert len(measure_to_json(mu)["weights"]) == 8
+
+    def test_constructions_over_the_float_cap(self, monkeypatch):
+        # A uniform (3,2) family on 120^3 meets both preconditions, and its
+        # 1,728,000 cells times 3 marginals exceed the float cap: both
+        # constructions refuse it before building a full-grid product.
+        real = fb.product
+
+        def marginal_sized(factors):
+            cells = math.prod(s for f in factors for s in f.grid.sizes)
+            assert cells <= 120 * 120, "a full-grid product is being built"
+            return real(factors)
+
+        monkeypatch.setattr(fb, "product", marginal_sized)
+        fam = MarginalFamily(
+            3, 2, [120] * 3, {a: uniform([120, 120], axes=tuple(a)) for a in all_index_sets(3, 2)}
+        )
+        refs = [uniform([120], axes=[a]) for a in (1, 2, 3)]
+        with pytest.raises(lp_core.SizeCapError, match="5184000 nonzeros"):
+            fb.uniting_by_density_32(fam, refs)
+        with pytest.raises(lp_core.SizeCapError, match="5184000 nonzeros"):
+            fb.uniting_by_twothirds(fam)
+
+    def test_formulas_match_a_cellwise_oracle(self):
+        # The density-3/2 and two-thirds formulas evaluated cell by cell
+        # from the marginals with plain loops, against the template.
+        rng = random.Random(22)
+        hits = 0
+        refs = self.refs3()
+        for _ in range(8):
+            # Densities in [1, 1.4] of the uniform reference.
+            raw = [Fraction(rng.randint(10, 14), 10) for _ in range(27)]
+            mu = DiscreteMeasure(ProductGrid([3, 3, 3]), [w / sum(raw) for w in raw])
+            fam = MarginalFamily(
+                3, 2, [3, 3, 3], {a: project(mu, a) for a in all_index_sets(3, 2)}
+            )
+            p = {(i, j): fam[IndexSet([i, j])] for i, j in ((1, 2), (1, 3), (2, 3))}
+            m1 = [sum(p[1, 2].weight((x, y)) for y in range(3)) for x in range(3)]
+            m2 = [sum(p[1, 2].weight((x, y)) for x in range(3)) for y in range(3)]
+            m3 = [sum(p[1, 3].weight((x, z)) for x in range(3)) for z in range(3)]
+            nu = Fraction(1, 3)
+            d32, d23 = [], []
+            for x, y, z in ProductGrid([3, 3, 3]).cells():
+                a, b, c = m1[x], m2[y], m3[z]
+                pxy = p[1, 2].weight((x, y))
+                pxz = p[1, 3].weight((x, z))
+                pyz = p[2, 3].weight((y, z))
+                d32.append(
+                    4 * a * b * c
+                    - 2 * (nu * b * c + a * nu * c + a * b * nu)
+                    + 2 * (pxy * nu + pxz * nu + pyz * nu)
+                    - (pxy * c + pxz * b + pyz * a)
+                )
+                d23.append(
+                    (pxy - Fraction(2, 3) * a * b) * c
+                    + (pxz - Fraction(2, 3) * a * c) * b
+                    + (pyz - Fraction(2, 3) * b * c) * a
+                )
+            if fb.density_bounds(fam, refs).ratio <= Fraction(3, 2):
+                hits += 1
+                assert fb.uniting_by_density_32(fam, refs).weights == tuple(d32)
+                assert fb.uniting_by_twothirds(fam).weights == tuple(d23)
+        assert hits >= 4
 
     def test_density2_over_the_exact_cap_builds_nothing(self, monkeypatch):
         # Uniform marginals on 40^3 meet M/m <= 2, and the extraction LP

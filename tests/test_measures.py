@@ -153,14 +153,6 @@ class TestMeasures:
             DiscreteMeasure(grid, [Fraction(-1), Fraction(2)])
         SignedDiscreteMeasure(grid, [Fraction(-1), Fraction(2)])
 
-    def test_arithmetic(self):
-        grid = ProductGrid([2])
-        a = SignedDiscreteMeasure(grid, [1, 2])
-        b = SignedDiscreteMeasure(grid, [3, 4])
-        assert (a + b).weights == (4, 6)
-        assert (b - a).weights == (2, 2)
-        assert a.scaled(Fraction(1, 2)).weights == (Fraction(1, 2), 1)
-
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_projection_preserves_mass(self, data):
