@@ -157,6 +157,10 @@ class QuadExt:
         except TypeError:
             return NotImplemented
 
+    def __hash__(self):
+        # root is no rational square: equal values share (a, b, root).
+        return hash((self.a, self.b, self.root)) if self.b else hash(self.a)
+
     def __lt__(self, other):
         return self._cmp(other) < 0
 

@@ -20,14 +20,15 @@ with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex,
 its dual prices y and its basis.  x and y are rounded to nearby
 rationals, and a part that fails is rebuilt as the exact basic solution
 of that basis (Applegate, Cook, Dash & Espinoza, "Exact solutions to
-linear programming problems", Oper. Res. Lett. 2007): a float factor of
-the basis matrix, refined with exact integer residuals to rationals of
-any size that the basis admits.
+linear programming problems", Oper. Res. Lett. 2007): solves on HiGHS's
+own factor of the basis matrix, refined with exact integer residuals to
+rationals of any size that the basis admits.  scipy's HiGHS binding is
+loaded by itself (_core), without scipy.optimize or scipy.sparse.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
-integers over common denominators; HiGHS's floats, its basis and the
-float factor only choose the candidates.  A rejected HiGHS vertex is not
+integers over common denominators; HiGHS's floats, its basis and its
+factor only choose the candidates.  A rejected HiGHS vertex is not
 solved again.  When HiGHS reports the LP infeasible, the Farkas ray
 (y.A <= 0, y.b > 0) comes from that same run: HiGHS's dual ray, scaled
 to largest entry 1 and rounded to nearby rationals, if check_certificate
@@ -46,7 +47,10 @@ failure.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
@@ -65,11 +69,11 @@ EXACT_NONZERO_CAP = 50_000
 FLOAT_NONZERO_CAP = 2_000_000
 
 # Exact LPs with at most this many nonzeros go to the tableau, and no
-# other exact LP does: on the test suite's LPs the tableau solves them in
-# 0.1-4 ms, a HiGHS call plus certification takes 2-8 ms, and a process
-# that never calls HiGHS never pays the ~0.8 s import of scipy.optimize.
-# Above it HiGHS won 76 of 78 LPs with 65-128 nonzeros and every larger
-# one, and the tableau's time grows without bound (over 600 s at 17,496).
+# other exact LP does: on the test suite's LPs the tableau takes 0.1-4 ms,
+# HiGHS plus certification 2-8 ms, and a first HiGHS run another ~0.1 s
+# (0.01 s to load the binding, the rest mostly numpy's import).  Above it
+# HiGHS won 76 of 78 LPs with 65-128 nonzeros and every larger one, and
+# the tableau's time grows without bound (over 600 s at 17,496).
 TABLEAU_ONLY_NONZEROS = 64
 
 # Primal and dual feasibility tolerance of every HiGHS run (HiGHS's
@@ -86,6 +90,20 @@ _ZERO = Fraction(0)  # the one Fraction for every exact 0 of a candidate
 
 class LPError(Exception):
     pass
+
+
+def _core():
+    """scipy's HiGHS binding, loaded from its file alone: the package
+    scipy.optimize would first import scipy.sparse, scipy.linalg and more."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [f"{d}/optimize/_highspy" for d in dirs])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 class SizeCapError(LPError):
@@ -138,13 +156,11 @@ class LPProblem(Frozen):
 
         OverflowError if an entry of b is too large for a float.
         """
-        from scipy.optimize._highspy._core import HighsLp, MatrixFormat
-
         b = [float(v) for v in self.rhs]
-        model = HighsLp()
+        model = _core().HighsLp()
         model.num_col_ = model.a_matrix_.num_col_ = self.ncols
         model.num_row_ = model.a_matrix_.num_row_ = len(b)
-        model.a_matrix_.format_ = MatrixFormat.kColwise
+        model.a_matrix_.format_ = _core().MatrixFormat.kColwise
         model.a_matrix_.start_ = list(accumulate(map(len, self.columns), initial=0))
         model.a_matrix_.index_ = [i for column in self.columns for i in column]
         model.a_matrix_.value_ = [1.0] * self._nonzeros
@@ -380,15 +396,14 @@ def _highs(model, objective: Sequence):
     A fresh solver takes the cached model (an LPProblem.highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
     objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Returns
-    (x, y, value, basis) of an optimal vertex with its duals and its
-    HighsBasis; for an infeasible LP (None, ray, None, None), ray HiGHS's
-    dual ray from the same run (None if HiGHS has none).  LPError on any
-    other status, such as an unbounded LP; OverflowError if an entry is
-    too large for a float.
+    (x, y, value, highs) of an optimal vertex with its duals and the
+    solver itself, which holds the factor of its basis; for an infeasible
+    LP (None, ray, None, None), ray HiGHS's dual ray from the same run
+    (None if HiGHS has none).  LPError on any other status, such as an
+    unbounded LP; OverflowError if an entry is too large for a float.
     """
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
-    highs = _Highs()
+    core = _core()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("primal_feasibility_tolerance", TIGHT_TOLERANCE)
     highs.setOptionValue("dual_feasibility_tolerance", TIGHT_TOLERANCE)
@@ -397,11 +412,11 @@ def _highs(model, objective: Sequence):
     highs.changeColsCost(len(costs), list(costs), list(costs.values()))
     highs.run()
     status = highs.getModelStatus()
-    if status == HighsModelStatus.kOptimal:
+    if status == core.HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         value = highs.getInfo().objective_function_value
-        return solution.col_value, solution.row_dual, value, highs.getBasis()
-    if status == HighsModelStatus.kInfeasible:
+        return solution.col_value, solution.row_dual, value, highs
+    if status == core.HighsModelStatus.kInfeasible:
         _, has_ray, ray = highs.getDualRay()
         return None, list(ray) if has_ray else None, None, None
     raise LPError(f"HiGHS failed with model status {status.name}")
@@ -415,34 +430,18 @@ def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
     return LPSolution("infeasible", certificate=cert)
 
 
-def _basis_factor(problem: LPProblem, basis):
-    """(B, M, lu, bound) of a HiGHS basis, or None if it is invalid, M is
-    not square or lu is singular: B the basic columns, M = [A_B | I_R]
-    with a unit column for each basic row, in CSC form, lu its splu
-    factor and bound > |det M|, the product of sqrt(|column|) over M's
-    columns (Hadamard's bound) rounded up."""
-    from scipy.optimize._highspy._core import HighsBasisStatus
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import splu
-
-    if not basis.valid:
+def _basis_factor(problem: LPProblem, highs):
+    """(basic, columns, highs, bound) of the basis HiGHS has factored (it
+    may have replaced dependent columns), or None if it has none: basic in
+    HiGHS's order, j >= 0 column j and -1 - i row i, columns those of
+    M = [A_B | I_R] in that order, and bound > |det M|, the product of
+    sqrt(|column|) over M's columns (Hadamard's bound) rounded up."""
+    status, basic = highs.getBasicVariables()
+    if status != _core().HighsStatus.kOk:
         return None
-    cols, rows = (
-        [j for j, s in enumerate(status) if s == HighsBasisStatus.kBasic]
-        for status in (basis.col_status, basis.row_status)
-    )
-    columns = [problem.columns[j] for j in cols] + [(i,) for i in rows]
-    m = problem.nrows
-    if len(columns) != m:
-        return None
-    indices = [i for column in columns for i in column]
-    indptr = list(accumulate(map(len, columns), initial=0))
-    M = csc_array(([1.0] * len(indices), indices, indptr), shape=(m, m))
-    try:
-        lu = splu(M)
-    except RuntimeError:  # "Factor is exactly singular"
-        return None
-    return cols, M, lu, math.isqrt(math.prod(map(len, columns))) + 1
+    basic = basic.tolist()
+    columns = [problem.columns[j] if j >= 0 else (-1 - j,) for j in basic]
+    return basic, columns, highs, math.isqrt(math.prod(map(len, columns))) + 1
 
 
 def _refine(factor, rhs, transpose=False):
@@ -450,32 +449,38 @@ def _refine(factor, rhs, transpose=False):
     factor = _basis_factor(...), or None.
 
     Iterative refinement (Wan, J. Symb. Comput. 2006) keeps integers with
-    M N == d B - r, rhs = B / D.  A step solves M u = r / 2^e in floats
-    (r / 2^e below 1, however large r) and sets N, d, r to 2^a N + x,
-    2^a d, 2^a r - M x, x = 2^(a+e) u rounded, a <= 30 so small that r
-    does not grow.  r == 0 makes N / d exact; else each step tries
+    M N == d B - r, rhs = B / D.  A step solves M u = r / 2^e on HiGHS's
+    factor (r / 2^e below 1, however large r) and sets N, d, r to
+    2^a N + x, 2^a d, 2^a r - M x, x = 2^(a+e) u rounded, a <= 30 so small
+    that r does not grow.  r == 0 makes N / d exact; else each step tries
     limit_denominator(q), q as large as the error 2^e |u| / d allows, and
     returns a w that solves M w == B exactly (M^-1 B's denominators are
-    below the bound).  None if u is not finite, a step does not shrink the
-    error, or q reaches the bound.
+    below the bound).  None if a solve fails, u is not finite, a step does
+    not shrink the error, or q reaches the bound.
     """
     import numpy as np
 
-    _, M, lu, bound = factor
-    A = (M.T if transpose else M).tocsr()
-    indices, indptr = A.indices.tolist(), A.indptr.tolist()
-    rows = [indices[p:q] for p, q in zip(indptr, indptr[1:])]
+    _, columns, highs, bound = factor
+    rows = columns
+    if not transpose:
+        rows = [[] for _ in columns]
+        for k, column in enumerate(columns):
+            for i in column:
+                rows[i].append(k)
+    flat = np.array([k for row in rows for k in row])
+    starts = list(accumulate(map(len, rows[:-1]), initial=0))
+    solve = highs.getBasisTransposeSolve if transpose else highs.getBasisSolve
     B, D = _scaled(rhs)
     N, d, r, last_error = [0] * len(B), 1, B, math.inf
     while any(r):
         e = max(map(abs, r)).bit_length()
         scale = 1 << e
         v = np.array([ri / scale for ri in r])
-        u = lu.solve(v, trans="T" if transpose else "N")
+        status, u = solve(v)
         top = float(np.abs(u).max())
         k = math.frexp(top)[1]  # |u| < 2^k
         error = e + k - d.bit_length()  # M^-1 r / d is below 2^(error + 1)
-        if not math.isfinite(top) or error >= last_error:
+        if status != _core().HighsStatus.kOk or not math.isfinite(top) or error >= last_error:
             return None
         last_error = error
         q = min(bound, 1 << max(0, (-2 - error) // 2))  # 2^(error + 1) <= 1/(2 q^2)
@@ -485,7 +490,7 @@ def _refine(factor, rhs, transpose=False):
             return [wi / D for wi in w]
         if q == bound:
             return None
-        res = float(np.abs(v - A @ u).max())
+        res = float(np.abs(v - np.add.reduceat(u[flat], starts)).max())
         a = min(30, -2 - math.frexp(res)[1]) if res else 30
         if a < 1:
             return None
@@ -535,7 +540,7 @@ def _accept(problem: LPProblem, objective, xs, ys):
     return x, y, value
 
 
-def _certify(problem: LPProblem, objective, x_float, y_float, basis):
+def _certify(problem: LPProblem, objective, x_float, y_float, highs):
     """_accept's (x, y, value) near HiGHS's optimal vertex and its basis.
 
     x's candidates, in order: the vertex rounded to the multiples of 1/D,
@@ -548,11 +553,10 @@ def _certify(problem: LPProblem, objective, x_float, y_float, basis):
     by limit_denominator, then y rebuilt.  The nonbasic columns, at
     exactly 0.0, all round to the one _ZERO.  The rebuilds, x_B from
     M z = b with x = 0 off B and y from M^T y = (c_B, 0), share
-    _basis_factor's M = [A_B | I_R].  The statuses are read only once a
-    rebuild is reached, as their lists cost about 0.2 ms per LP of
-    build_nonstrong(10).
+    _basis_factor's M = [A_B | I_R] and the factor that the solver highs
+    holds, read only once a rebuild is reached; it is never run again.
     """
-    factor = cache(lambda: _basis_factor(problem, basis))
+    factor = cache(lambda: _basis_factor(problem, highs))
 
     def xs():
         d_rhs = problem.scaled_rhs[1]
@@ -566,8 +570,7 @@ def _certify(problem: LPProblem, objective, x_float, y_float, basis):
     def ys():
         yield [_rounded(v) for v in y_float]
         if factor():
-            c_basic = [objective[j] for j in factor()[0]]
-            c_basic += [_ZERO] * (problem.nrows - len(c_basic))
+            c_basic = [objective[j] if j >= 0 else _ZERO for j in factor()[0]]
             if (y := _refine(factor(), c_basic, transpose=True)) is not None:
                 yield y
 
@@ -595,7 +598,7 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
     (CertificationError in exact mode).
     """
     try:
-        x, y, value, basis = _highs(problem.highs_model, objective)
+        x, y, value, highs = _highs(problem.highs_model, objective)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if x is None:
@@ -608,7 +611,7 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
             return LPSolution("infeasible", certificate=Certificate(y))
         return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
     if exact:
-        return LPSolution("optimal", *_certify(problem, objective, x, y, basis))
+        return LPSolution("optimal", *_certify(problem, objective, x, y, highs))
     if min(x, default=0.0) < -TIGHT_TOLERANCE:
         raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
     return LPSolution("optimal", x=[max(v, 0.0) for v in x], y=list(y), value=value)

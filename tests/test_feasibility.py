@@ -95,6 +95,27 @@ class TestQuadExt:
         with pytest.raises(DomainError):
             QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
 
+    def test_equal_values_hash_alike(self):
+        r = Fraction(2, 5)
+        a, b = QuadExt(1, 2, r), QuadExt(Fraction(-1, 3), 1, r)
+        pairs = [((a * b) / b, a), (a - a + 3, 3), (QuadExt(Fraction(1, 2), 0, r), Fraction(1, 2))]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert len({a, (a * b) / b, a - a + 3, 3, Fraction(3)}) == 2
+
+    def test_set_of_irrational_density2_weights(self):
+        # A 2x3x2 family of density near 1 whose density-2 measure has
+        # weights with a nonzero irrational part.
+        rng = random.Random(5)
+        grid = ProductGrid([2, 3, 2])
+        raw = [Fraction(rng.randint(10, 14), 10) for _ in range(grid.ncells)]
+        mu = DiscreteMeasure(grid, [w / sum(raw) for w in raw])
+        fam = MarginalFamily(3, 2, grid.sizes, {a: project(mu, a) for a in all_index_sets(3, 2)})
+        weights = fb.uniting_by_density_2(fam, uniform_refs(fam)).weights
+        assert any(isinstance(w, QuadExt) and w.b for w in weights)
+        distinct = set(weights)
+        assert all(w in distinct for w in weights) and len(distinct) <= len(weights)
+
 
 class TestSignedLambda:
     def test_32_golden(self):

@@ -1,15 +1,16 @@
 """Exact and float LP solving: optima, duals, certificates, caps."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize._highspy import _core
 
 from mmk import lp_core
 from mmk.case_studies import build_discontinuous, build_nonstrong, min_mass_at_cell
@@ -34,6 +35,9 @@ from mmk.transport import CostGrid, InfeasibleFamilyError, verify_gap
 # The threshold as shipped; TestCertifier's fixture lowers it to 0.
 DEFAULT_THRESHOLD = lp_core.TABLEAU_ONLY_NONZEROS
 
+# scipy's HiGHS binding, loaded as lp_core loads it.
+_core = lp_core._core()
+
 
 def refuse_tableau(monkeypatch):
     def no_tableau(self, *args):
@@ -51,15 +55,23 @@ def record_rebuilds(monkeypatch):
     return rebuilt
 
 
-def stand_in_basis(basic_columns, basic_rows, ncols, nrows, valid=True):
-    """What _certify reads of a HighsBasis: the given columns and rows are
-    basic, every other variable sits at its lower bound."""
+def solver_with_basis(problem, basic_columns, basic_rows):
+    """A HiGHS solver of the problem's model, not run, whose basis has the
+    given columns and rows basic and every other variable at its lower
+    bound.  HiGHS factors the basis when lp_core first asks for it."""
     status = _core.HighsBasisStatus
-    return SimpleNamespace(
-        col_status=[status.kBasic if j in basic_columns else status.kLower for j in range(ncols)],
-        row_status=[status.kBasic if i in basic_rows else status.kLower for i in range(nrows)],
-        valid=valid,
-    )
+    basis = _core.HighsBasis()
+    basis.col_status = [
+        status.kBasic if j in basic_columns else status.kLower for j in range(problem.ncols)
+    ]
+    basis.row_status = [
+        status.kBasic if i in basic_rows else status.kLower for i in range(problem.nrows)
+    ]
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(problem.highs_model)
+    assert highs.setBasis(basis) == _core.HighsStatus.kOk
+    return highs
 
 
 class TestExact:
@@ -224,15 +236,15 @@ class TestCertifier:
     # 2x2 balanced transport: the optimum 0 puts mass on the diagonal.
     PROBLEM = LPProblem([[0, 2], [0, 3], [1, 2], [1, 3]], [Fraction(1, 2)] * 4)
     COSTS = tuple(map(Fraction, [0, 3, 3, 0]))
-    # The anti-diagonal vertex is feasible but costs 3; y = (3, 3, 0, 0)
-    # prices its support at zero reduced cost.  Its basis: columns 0, 1, 2
-    # and row 3.
-    WRONG = (
-        [0.0, 0.5, 0.5, 0.0], [3.0, 3.0, 0.0, 0.0], stand_in_basis({0, 1, 2}, {3}, 4, 4)
-    )
+    def wrong(self):
+        """The anti-diagonal vertex, feasible but of cost 3, a y = (3, 3, 0, 0)
+        that prices its support at zero reduced cost, and a solver set to
+        its basis: columns 0, 1, 2 and row 3."""
+        basis = solver_with_basis(self.PROBLEM, {0, 1, 2}, {3})
+        return [0.0, 0.5, 0.5, 0.0], [3.0, 3.0, 0.0, 0.0], basis
 
     def optimal_basis(self):
-        """HiGHS's basis of the optimum of PROBLEM under COSTS."""
+        """The solver of HiGHS's run to the optimum of PROBLEM under COSTS."""
         return lp_core._highs(self.PROBLEM.highs_model, self.COSTS)[3]
 
     def test_accepts_optimal_vertex(self):
@@ -257,8 +269,8 @@ class TestCertifier:
         p = self.PROBLEM
         # The y of its basis, (3, 6, -3, 0), has y.A_3 = 6 > 0: x is not optimal.
         with pytest.raises(lp_core.CertificationError, match="y fails"):
-            lp_core._certify(p, self.COSTS, *self.WRONG)
-        x, y, basis = self.WRONG
+            lp_core._certify(p, self.COSTS, *self.wrong())
+        x, y, basis = self.wrong()
         calls = []
         monkeypatch.setattr(
             lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0, basis)
@@ -269,12 +281,11 @@ class TestCertifier:
 
     def test_rejects_infeasible_support(self):
         # Column 0 alone, with rows 1-3 basic, rebuilds x = (1/2, 0, 0, 0),
-        # which misses row 1; an invalid basis rebuilds nothing.
+        # which misses row 1; a solver without a basis rebuilds nothing.
         p = self.PROBLEM
-        for basis in (
-            stand_in_basis({0}, {1, 2, 3}, 4, 4),
-            stand_in_basis({0, 3}, {1, 2}, 4, 4, valid=False),
-        ):
+        no_basis = solver_with_basis(p, {0}, {1, 2, 3})
+        no_basis.clearSolver()
+        for basis in (solver_with_basis(p, {0}, {1, 2, 3}), no_basis):
             with pytest.raises(lp_core.CertificationError, match="x fails"):
                 lp_core._certify(p, self.COSTS, [1.0, 0.0, 0.0, 0.0], [0.0] * 4, basis)
 
@@ -408,6 +419,11 @@ def fraction_reference(equations, rhs):
     return True, {unknowns[c]: table[r][-1] for r, c in pivots}
 
 
+def transposed(columns, n):
+    """The rows of the n-row 0/1 matrix with the given columns."""
+    return [[k for k, column in enumerate(columns) if i in column] for i in range(n)]
+
+
 def random_feasible_53(seed):
     """Projections of a random measure on 3^5 (weight 0 w.p. 0.3, else 1-9)."""
     rng = random.Random(seed)
@@ -433,22 +449,25 @@ class TestRebuild:
     @given(st.data())
     def test_matches_fraction_elimination(self, data):
         # M = [A_B | I_R] of a random 0/1 A and basis, and M z = b and
-        # M^T y = b on its one factor, against dense Gauss-Jordan.
+        # M^T y = b on HiGHS's one factor, against dense Gauss-Jordan.
+        # HiGHS keeps a nonsingular basis and replaces variables of a
+        # singular one; either way its M is nonsingular.
         n = data.draw(st.integers(1, 7))
         columns = [[i for i in range(n) if data.draw(st.booleans())] for _ in range(n)]
         basic_rows = [i for i in range(n) if data.draw(st.booleans())]
         basic_cols = range(n - len(basic_rows))
-        m_columns = [columns[j] for j in basic_cols] + [[i] for i in basic_rows]
-        m_rows = [[k for k, col in enumerate(m_columns) if i in col] for i in range(n)]
         value = st.fractions(min_value=-5, max_value=5, max_denominator=30)
         rhs = [data.draw(value) for _ in range(n)]
-        _, z = fraction_reference(m_rows, rhs)
-        if z is None or len(z) < n:  # M is singular
-            return
+        problem = LPProblem(columns, rhs)
+        factor = lp_core._basis_factor(
+            problem, solver_with_basis(problem, set(basic_cols), set(basic_rows))
+        )
+        basic, m_columns = factor[:2]
+        chosen = [columns[j] for j in basic_cols] + [[i] for i in basic_rows]
+        if len(fraction_reference(transposed(chosen, n), rhs)[1] or ()) == n:
+            assert sorted(basic) == sorted([*basic_cols, *(-1 - i for i in basic_rows)])
+        _, z = fraction_reference(transposed(m_columns, n), rhs)
         _, y = fraction_reference(m_columns, rhs)
-        basis = stand_in_basis(set(basic_cols), set(basic_rows), n, n)
-        factor = lp_core._basis_factor(LPProblem(columns, rhs), basis)
-        assert factor[0] == list(basic_cols)
         got = lp_core._refine(factor, rhs)
         assert got == [z[k] for k in range(n)]
         assert all(isinstance(v, Fraction) for v in got)
@@ -480,28 +499,41 @@ class TestRebuild:
         assert rebuilt == [None]
 
     def test_singular_or_invalid_basis_rebuilds_nothing(self, monkeypatch):
-        # The family again, its basis made invalid or its factor singular.
+        # The family again, its solver's basis cleared: nothing is rebuilt.
         fam = random_feasible_53(3)
         rebuilt = record_rebuilds(monkeypatch)
         refuse_tableau(monkeypatch)
         highs = lp_core._highs
 
-        def invalid(model, obj):
-            x, y, value, basis = highs(model, obj)
-            return x, y, value, SimpleNamespace(valid=False)
+        def cleared(model, obj):
+            x, y, value, solver = highs(model, obj)
+            solver.clearSolver()
+            return x, y, value, solver
 
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
-
-        for patch in ((lp_core, "_highs", invalid), (scipy.sparse.linalg, "splu", singular)):
-            with monkeypatch.context() as m:
-                m.setattr(*patch)
-                with pytest.raises(lp_core.CertificationError, match="x fails"):
-                    kellerer_check(fam)
+        monkeypatch.setattr(lp_core, "_highs", cleared)
+        with pytest.raises(lp_core.CertificationError, match="x fails"):
+            kellerer_check(fam)
         assert rebuilt == []
-        # All four columns of the 2x2 transport LP, which has rank 3.
-        p = TestCertifier.PROBLEM
-        assert lp_core._basis_factor(p, stand_in_basis(range(4), (), 4, 4)) is None
+        # Every singular choice of four basic variables of the 2x2 transport
+        # LP, which has rank 3, with candidates from HiGHS that both fail.
+        # HiGHS factors a basis it may have repaired, so the rebuild solves
+        # some other basis or none; either way _certify returns the optimum
+        # or nothing.
+        p, costs = TestCertifier.PROBLEM, TestCertifier.COSTS
+        singular = 0
+        for chosen in itertools.combinations(range(8), 4):
+            cols, rows = {j for j in chosen if j < 4}, {j - 4 for j in chosen if j >= 4}
+            m_columns = [p.columns[j] for j in sorted(cols)] + [[i] for i in sorted(rows)]
+            if len(fraction_reference(transposed(m_columns, 4), p.rhs)[1] or ()) == 4:
+                continue
+            singular += 1
+            solver = solver_with_basis(p, cols, rows)
+            try:
+                x, y, value = lp_core._certify(p, costs, [-1.0] * 4, [9.0] * 4, solver)
+            except lp_core.CertificationError:
+                continue
+            assert x == [Fraction(1, 2), 0, 0, Fraction(1, 2)] and value == 0
+        assert singular
 
     def test_denominators_beyond_63_bits_certified(self, monkeypatch):
         # 6x6 transport, 72 nonzeros: x's denominators reach b's 3^41 > 2^64,
@@ -690,31 +722,93 @@ def test_highs_binding_has_what_lp_core_uses():
     # lp_core runs HiGHS through scipy's private binding
     # scipy.optimize._highspy._core (scipy >= 1.15).  Building the model
     # sets every HighsLp field it uses; an optimal and an infeasible run
-    # read every result it reads, getDualRay's three values and the
-    # basis's statuses included.
+    # read every result it reads, getDualRay's three values and the basic
+    # variables and basis solves of the rebuild included.
     for method in (
-        "setOptionValue", "passModel", "changeColsCost", "run",
-        "getModelStatus", "getSolution", "getInfo", "getDualRay", "getBasis",
+        "setOptionValue", "passModel", "changeColsCost", "run", "getModelStatus",
+        "getSolution", "getInfo", "getDualRay", "getBasicVariables", "getBasisSolve",
+        "getBasisTransposeSolve",
     ):
         assert callable(getattr(_core._Highs, method))
     assert isinstance(_core.MatrixFormat.kColwise, _core.MatrixFormat)
     assert {"kOptimal", "kInfeasible"} <= set(_core.HighsModelStatus.__members__)
-    assert isinstance(_core.HighsBasisStatus.kBasic, _core.HighsBasisStatus)
+    assert isinstance(_core.HighsStatus.kOk, _core.HighsStatus)
     problem = LPProblem([[0], [0]], [2])
     model = problem.highs_model
     assert isinstance(model, _core.HighsLp)
     matrix = model.a_matrix_
     assert (list(matrix.start_), list(matrix.index_), list(matrix.value_)) == (
         [0, 1, 2], [0, 0], [1.0, 1.0])
-    x, y, value, basis = lp_core._highs(model, [1, 2])
+    x, y, value, highs = lp_core._highs(model, [1, 2])
     assert (list(x), list(y), value) == ([2.0, 0.0], [1.0], 2.0)
-    basic = _core.HighsBasisStatus.kBasic
-    assert isinstance(basis, _core.HighsBasis) and basis.valid
-    assert [s == basic for s in basis.col_status] == [True, False]
-    assert [s == basic for s in basis.row_status] == [False]
+    assert isinstance(highs, _core._Highs)
+    status, basic = highs.getBasicVariables()
+    assert status == _core.HighsStatus.kOk and basic.tolist() == [0]
+    for solve in (highs.getBasisSolve, highs.getBasisTransposeSolve):
+        status, u = solve([3.0])
+        assert status == _core.HighsStatus.kOk and u.tolist() == [3.0]
     infeasible = LPProblem([[0, 1]], [1, 2]).highs_model
-    x, ray, value, basis = lp_core._highs(infeasible, [1])
-    assert x is None and value is None and basis is None and len(ray) == 2
+    x, ray, value, highs = lp_core._highs(infeasible, [1])
+    assert x is None and value is None and highs is None and len(ray) == 2
+
+
+def run_python(code):
+    """The stdout of a fresh interpreter that runs code, mmk importable."""
+    src = os.path.dirname(os.path.dirname(lp_core.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+
+
+def test_highs_runs_import_neither_scipy_optimize_nor_scipy_sparse():
+    # lp_core loads the HiGHS binding by itself.  `mmk case nonstrong` runs
+    # one exact HiGHS LP of 192 nonzeros, and the 6x6 transport of
+    # test_denominators_beyond_63_bits_certified reaches the rebuild in
+    # exact mode and is solved in float mode too.
+    code = """
+import contextlib, io, json, random, sys
+from fractions import Fraction
+from mmk import cli, lp_core
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["case", "nonstrong", "--N", "10"]) == 0
+assert len(json.loads(out.getvalue())["F_diagonal"]) == 10
+rng = random.Random(5)
+q = 3**41
+rows = [Fraction(rng.randint(1, q), q) for _ in range(5)]
+rows.append(6 - sum(rows))
+problem = lp_core.LPProblem([[i, 6 + j] for i in range(6) for j in range(6)], rows + [1] * 6)
+costs = [rng.randint(0, 9) for _ in range(problem.ncols)]
+refined, refine = [], lp_core._refine
+lp_core._refine = lambda *args, **kw: refined.append(1) or refine(*args, **kw)
+assert max(v.denominator for v in lp_core.solve(problem, costs).x) == q and refined
+assert lp_core.solve(problem, costs, "float").status == "optimal"
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+"""
+    assert run_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("binding_first", [True, False], ids=["binding-first", "scipy-first"])
+def test_binding_shared_with_scipy_optimize(binding_first):
+    # Loaded before or after scipy.optimize, the binding is one module, and
+    # linprog still solves.
+    code = f"""
+import sys
+from mmk import lp_core
+if {binding_first}:
+    core = lp_core._core()
+    from scipy.optimize import linprog
+else:
+    from scipy.optimize import linprog
+    core = lp_core._core()
+from scipy.optimize._highspy import _core
+assert _core is core is lp_core._core() is sys.modules["scipy.optimize._highspy._core"]
+result = linprog([1, 2], A_eq=[[1, 1]], b_eq=[1], method="highs")
+print(result.status, result.x.tolist())
+"""
+    assert run_python(code).strip() == "0 [1.0, 0.0]"
 
 
 class TestFloat:
@@ -744,7 +838,7 @@ class TestFloat:
         assert abs(sol.value - dual) < 1e-9
 
     def test_negative_x_raises(self, monkeypatch):
-        res = ([-1e-8, 1.0], [1.0], 1.0, stand_in_basis({1}, set(), 2, 1))
+        res = ([-1e-8, 1.0], [1.0], 1.0, None)
         monkeypatch.setattr(lp_core, "_highs", lambda model, objective: res)
         with pytest.raises(lp_core.LPError):
             solve(LPProblem([[0], [0]], [1]), [0, 1], arithmetic="float")
