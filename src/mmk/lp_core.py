@@ -56,7 +56,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .measures import DomainError, Frozen, as_fraction, as_int
+from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
 # Beyond this many nonzeros the caller must opt into float mode
 # explicitly.  Below it HiGHS takes most of the time: exact
@@ -146,8 +146,8 @@ class LPProblem(Frozen):
 
     @cached_property
     def scaled_rhs(self) -> tuple[list[int], int]:
-        """_scaled(rhs): b as integers over its common denominator D."""
-        return _scaled(self.rhs)
+        """scaled(rhs): b as integers over its common denominator D."""
+        return scaled(self.rhs)
 
     @cached_property
     def highs_model(self):
@@ -200,20 +200,10 @@ class LPSolution(Frozen):
         return f"LPSolution(status={self.status!r}, value={self.value})"
 
 
-def _scaled(values) -> tuple[list[int], int]:
-    """Integers z and the least common denominator d, values[i] == z[i] / d."""
-    d = 1
-    for v in values:
-        q = v.denominator
-        if d % q:
-            d = d // math.gcd(d, q) * q
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def _dot(scaled_u, v) -> Fraction:
     """The exact inner product of u and v, summed in integers; u is given
-    as _scaled(u)."""
-    (a, da), (b, db) = scaled_u, _scaled(v)
+    as scaled(u)."""
+    (a, da), (b, db) = scaled_u, scaled(v)
     return Fraction(sum(s * t for s, t in zip(a, b)), da * db)
 
 
@@ -221,10 +211,10 @@ def _columns_within(columns, y, scaled_bound) -> bool:
     """True iff y.A_j <= bound[j] for every column j, decided in integers.
 
     `columns` is A's columns (the rows of each) and the bound is given as
-    _scaled(bound).  With y = Y / dy and bound = C / dc, the test is
+    scaled(bound).  With y = Y / dy and bound = C / dc, the test is
     s_j * dc <= C_j * dy, where s_j = sum of Y_i over the rows i of column j.
     """
-    Y, dy = _scaled(y)
+    Y, dy = scaled(y)
     C, dc = scaled_bound
     return all(
         sum(map(Y.__getitem__, column)) * dc <= c * dy for column, c in zip(columns, C)
@@ -233,7 +223,7 @@ def _columns_within(columns, y, scaled_bound) -> bool:
 
 def _primal_feasible(problem: LPProblem, x) -> bool:
     """True iff A x = b and x >= 0, decided in integers."""
-    X, dx = _scaled(x)
+    X, dx = scaled(x)
     if min(X, default=0) < 0:
         return False
     ax = [0] * problem.nrows
@@ -250,7 +240,7 @@ def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
     y, tol = cert.y, Fraction(tol)
     return (
         len(y) == problem.nrows
-        and _columns_within(problem.columns, y, _scaled([tol] * problem.ncols))
+        and _columns_within(problem.columns, y, scaled([tol] * problem.ncols))
         and _dot(problem.scaled_rhs, y) > tol
     )
 
@@ -470,7 +460,7 @@ def _refine(factor, rhs, transpose=False):
     flat = np.array([k for row in rows for k in row])
     starts = list(accumulate(map(len, rows[:-1]), initial=0))
     solve = highs.getBasisTransposeSolve if transpose else highs.getBasisSolve
-    B, D = _scaled(rhs)
+    B, D = scaled(rhs)
     N, d, r, last_error = [0] * len(B), 1, B, math.inf
     while any(r):
         e = max(map(abs, r)).bit_length()
@@ -485,7 +475,7 @@ def _refine(factor, rhs, transpose=False):
         last_error = error
         q = min(bound, 1 << max(0, (-2 - error) // 2))  # 2^(error + 1) <= 1/(2 q^2)
         w = [Fraction(n, d).limit_denominator(q) for n in N]
-        W, dw = _scaled(w)
+        W, dw = scaled(w)
         if all(sum(map(W.__getitem__, row)) == dw * b for row, b in zip(rows, B)):
             return [wi / D for wi in w]
         if q == bound:
@@ -529,7 +519,7 @@ def _accept(problem: LPProblem, objective, xs, ys):
     x = next((c for c in xs if _primal_feasible(problem, c)), None)
     if x is None:
         raise CertificationError("x fails A x = b, x >= 0")
-    scaled_c = _scaled(objective)
+    scaled_c = scaled(objective)
     y = next((c for c in ys if _columns_within(problem.columns, c, scaled_c)), None)
     if y is None:
         raise CertificationError("y fails y.A <= c")

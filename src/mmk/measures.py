@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from types import MappingProxyType
@@ -351,17 +352,41 @@ def product(factors: Sequence[SignedDiscreteMeasure]) -> SignedDiscreteMeasure:
     return cls(grid, weights)
 
 
+def scaled(values) -> tuple[list[int], int]:
+    """Integers z and the least common denominator d, values[i] == z[i] / d."""
+    d = 1
+    for v in values:
+        q = v.denominator
+        if d % q:
+            d = d // math.gcd(d, q) * q
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list:
-    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order."""
-    totals = [Fraction(0)] * grid.ncells
-    for alpha, values in functions.items():
+    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order: in
+    integers over one common denominator if every value is an int or a
+    Fraction, else left to right in floats."""
+    blocks = list(functions.values())
+    exact = all(isinstance(v, (int, Fraction)) for values in blocks for v in values)
+    if exact:
+        flat, d = scaled([v for values in blocks for v in values])
+        ends = itertools.accumulate(map(len, blocks))
+        blocks = [flat[end - len(values):end] for end, values in zip(ends, blocks)]
+    totals = [0 if exact else 0.0] * grid.ncells
+    for alpha, values in zip(functions, blocks):
         index = grid.projection_index(alpha)
         totals = [s + values[i] for s, i in zip(totals, index)]
-    return totals
+    return [Fraction(t, d) for t in totals] if exact else totals
 
 
 def integral(fam: MarginalFamily, functions: Mapping[IndexSet, Sequence]):
-    """sum_alpha int f_alpha d mu_alpha, one alpha at a time in `functions` order."""
+    """sum_alpha int f_alpha d mu_alpha: in integers over the common
+    denominators of the f's and of the weights if all are ints or
+    Fractions, else one alpha at a time in `functions` order."""
+    terms = [t for alpha, values in functions.items() for t in zip(values, fam[alpha].weights)]
+    if all(isinstance(v, (int, Fraction)) for t in terms for v in t):
+        (F, df), (W, dw) = scaled([f for f, _ in terms]), scaled([w for _, w in terms])
+        return Fraction(sum(map(operator.mul, F, W)), df * dw)
     per_alpha = (
         sum(f * w for f, w in zip(values, fam[alpha].weights))
         for alpha, values in functions.items()

@@ -28,6 +28,7 @@ from mmk.measures import (
     project,
     uniform,
 )
+from test_measures import fraction_cell_sums
 
 
 def random_family(rng, n, k, sizes):
@@ -328,6 +329,28 @@ class TestKellererCheck:
         problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
         assert lp_core.check_certificate(problem, verdict.lp_certificate)
         assert min(cell_sums(fam.full_grid(), verdict.potentials)) >= 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("n, k", [(5, 3), (7, 2)])
+    def test_modk_verdict_as_with_per_cell_fraction_sums(self, monkeypatch, n, k, mode):
+        # cell_sums adds exact potentials as integers over one denominator;
+        # with the per-cell Fraction sum in its place the verdict is the
+        # same, and on both runs sink lowers a price.
+        lowered = []
+        real_sink = fb.sink
+
+        def spy(fam, prices, bound, columns):
+            out = real_sink(fam, prices, bound, columns)
+            lowered.append(any(v < p for a in prices for v, p in zip(out[a], prices[a])))
+            return out
+
+        monkeypatch.setattr(fb, "sink", spy)
+        fast = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
+        monkeypatch.setattr(fb, "cell_sums", fraction_cell_sums)
+        slow = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
+        assert not fast.feasible and not slow.feasible and lowered == [True, True]
+        assert fast.potentials == slow.potentials
+        assert fast.lp_certificate.y == slow.lp_certificate.y
 
     def test_nonuniform_witness(self):
         from mmk.case_studies import build_nonuniform_2x2x2

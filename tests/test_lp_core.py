@@ -28,6 +28,7 @@ from mmk.measures import (
     ProductGrid,
     all_index_sets,
     project,
+    scaled,
 )
 from mmk.transport import CostGrid, InfeasibleFamilyError, verify_gap
 
@@ -361,7 +362,7 @@ class TestCertifier:
         tiny = Fraction(1, 10**12)
         # Column 1 lies in rows 0 and 3 and costs 3; the other columns hold
         # in both cases.
-        c = lp_core._scaled(self.COSTS)
+        c = scaled(self.COSTS)
         assert lp_core._columns_within(p.columns, [3 - tiny, -tiny, -3, tiny], c)
         assert not lp_core._columns_within(p.columns, [3, -tiny, -3, tiny], c)
 

@@ -16,6 +16,7 @@ from mmk.measures import (
     SignedDiscreteMeasure,
     all_index_sets,
     as_fraction,
+    cell_sums,
     dirac,
     integral,
     is_consistent,
@@ -311,6 +312,97 @@ class TestMarginalFamily:
         one = lower_marginal(fam, IndexSet([2]))
         assert one.grid.axes == (2,)
         assert one.weights == (Fraction(1, 2), Fraction(1, 2))
+
+
+def fraction_cell_sums(grid, functions):
+    """The oracle: sum_alpha f_alpha(x_alpha), one Fraction addition per cell."""
+    totals = [Fraction(0)] * grid.ncells
+    for alpha, values in functions.items():
+        index = grid.projection_index(alpha)
+        totals = [s + values[i] for s, i in zip(totals, index)]
+    return totals
+
+
+def fraction_integral(fam, functions):
+    """The oracle: sum_alpha int f_alpha d mu_alpha, one alpha at a time."""
+    per_alpha = (
+        sum(f * w for f, w in zip(values, fam[alpha].weights))
+        for alpha, values in functions.items()
+    )
+    return sum(per_alpha, Fraction(0))
+
+
+def exact_values():
+    """Ints and Fractions, negative ones and denominators above 2^64 among
+    them, and Fraction(float) values with power-of-two denominators."""
+    return st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)),
+        st.floats(-1e6, 1e6, allow_nan=False).map(Fraction),
+    )
+
+
+@st.composite
+def families_with_potentials(draw, values):
+    """A family of projections of a random probability measure and values
+    for a random subset of its index sets."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n = len(sizes)
+    k = draw(st.integers(1, n - 1))
+    grid = ProductGrid(sizes)
+    weights = draw(st.lists(st.integers(1, 9), min_size=grid.ncells, max_size=grid.ncells))
+    mu = DiscreteMeasure(grid, [Fraction(w, sum(weights)) for w in weights])
+    fam = MarginalFamily(n, k, sizes, {a: project(mu, a) for a in all_index_sets(n, k)})
+    alphas = draw(st.lists(st.sampled_from(fam.index_sets()), min_size=1, unique=True))
+    return fam, {
+        a: tuple(draw(st.lists(values, min_size=fam[a].grid.ncells, max_size=fam[a].grid.ncells)))
+        for a in alphas
+    }
+
+
+def bits(floats):
+    return [x.hex() for x in floats]
+
+
+class TestPotentialSums:
+    @settings(max_examples=60, deadline=None)
+    @given(families_with_potentials(exact_values()))
+    def test_exact_values_match_the_fraction_sums(self, drawn):
+        fam, f = drawn
+        grid = fam.full_grid()
+        sums = cell_sums(grid, f)
+        assert sums == fraction_cell_sums(grid, f)
+        assert all(type(s) is Fraction for s in sums)
+        value = integral(fam, f)
+        assert type(value) is Fraction and value == fraction_integral(fam, f)
+
+    def test_denominators_above_2_64_and_negative_ints(self):
+        fam = TestMarginalFamily().build()
+        big = Fraction(1, 2**64 + 13)
+        f = {
+            IndexSet([1, 2]): (-(2**80), 3, big, -big),
+            IndexSet([1, 3]): (Fraction(-7, 2**65 + 1), 0, 1, Fraction(0.1)),
+        }
+        grid = fam.full_grid()
+        assert cell_sums(grid, f) == fraction_cell_sums(grid, f)
+        assert cell_sums(grid, f)[0] == -(2**80) + Fraction(-7, 2**65 + 1)
+        assert integral(fam, f) == fraction_integral(fam, f)
+
+    def test_empty_mapping_gives_zero_on_every_cell(self):
+        fam = TestMarginalFamily().build()
+        sums = cell_sums(fam.full_grid(), {})
+        assert sums == [Fraction(0)] * 8 and all(type(s) is Fraction for s in sums)
+        assert type(integral(fam, {})) is Fraction and integral(fam, {}) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(families_with_potentials(st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_float_values_keep_the_float_sums_bit_for_bit(self, drawn):
+        fam, f = drawn
+        grid = fam.full_grid()
+        sums = cell_sums(grid, f)
+        assert all(type(s) is float for s in sums)
+        assert bits(sums) == bits(fraction_cell_sums(grid, f))
+        assert bits([integral(fam, f)]) == bits([fraction_integral(fam, f)])
 
 
 class TestJson:
