@@ -21,14 +21,15 @@ from .measures import (
     IndexSet,
     MarginalFamily,
     ProductGrid,
+    SignedDiscreteMeasure,
     all_index_sets,
     as_int,
     project,
-    uniform,
+    uniform_family,
 )
 from .transport import CostGrid, solve_dual
 from . import lp_core
-from .feasibility import marginal_lp
+from .feasibility import _assert_uniting, marginal_lp
 
 # Certified rational bracket for pi^2; the upper bound is used wherever
 # a larger "pi^2" makes the derived inequalities conservative.
@@ -251,10 +252,7 @@ def build_discontinuous(N: int):
     if N % 6:
         raise DomainError("N must be divisible by 6")
     grid = _capped_grid([N, N, N])
-    marginals = {
-        alpha: uniform([N, N], axes=tuple(alpha)) for alpha in all_index_sets(3, 2)
-    }
-    fam = MarginalFamily(3, 2, [N, N, N], marginals)
+    fam = uniform_family([N, N, N], 2)
 
     def cost_fn(i, j, k):
         x = Fraction(2 * i + 1, 2 * N)
@@ -263,15 +261,6 @@ def build_discontinuous(N: int):
         return max(Fraction(0), x + y + 3 * z - 3)
 
     return fam, CostGrid.from_function(grid, cost_fn), PiecewiseDual32()
-
-
-def _uniform_pairs(mu: DiscreteMeasure, N: int) -> DiscreteMeasure:
-    """mu, once each pairwise projection is checked to be uniform on N x N."""
-    flat = uniform([N, N]).weights
-    for alpha in all_index_sets(3, 2):
-        if project(mu, alpha).weights != flat:
-            raise lp_core.CertificationError(f"projection {alpha} is not uniform")
-    return mu
 
 
 def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
@@ -302,7 +291,8 @@ def frac_coupling(a1: int, a2: int, a3: int, N: int) -> DiscreteMeasure:
                     base[2] + v3 // a[2],
                 )
                 weights[grid.ravel(cell)] += w
-    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
+    mu = SignedDiscreteMeasure(grid, weights)
+    return _assert_uniting(mu, uniform_family([N, N, N], 2), "frac_coupling")
 
 
 def composite_pi(N: int) -> DiscreteMeasure:
@@ -330,7 +320,8 @@ def composite_pi(N: int) -> DiscreteMeasure:
         w1, w2, w3 = fine.grid.unravel(idx)
         cell = (w1 // 2, w2 // 2, (w3 + N) // 3)
         weights[grid.ravel(cell)] += scale * w
-    return _uniform_pairs(DiscreteMeasure(grid, weights), N)
+    mu = SignedDiscreteMeasure(grid, weights)
+    return _assert_uniting(mu, uniform_family([N, N, N], 2), "composite_pi")
 
 
 def build_uniformband(N: int):
@@ -339,12 +330,7 @@ def build_uniformband(N: int):
     if N < 3:
         raise DomainError("need N >= 3")
     grid = _capped_grid([N, N, 3])
-    marginals = {
-        IndexSet([1, 2]): uniform([N, N], axes=(1, 2)),
-        IndexSet([1, 3]): uniform([N, 3], axes=(1, 3)),
-        IndexSet([2, 3]): uniform([N, 3], axes=(2, 3)),
-    }
-    fam = MarginalFamily(3, 2, [N, N, 3], marginals)
+    fam = uniform_family([N, N, 3], 2)
 
     def cost_fn(i, j, k):
         return Fraction(2 * i + 1, 2 * N) * Fraction(2 * j + 1, 2 * N) * k

@@ -41,10 +41,15 @@ def _rat(value) -> str:
 
 
 def load_problem(path: str):
-    """Parse a problem file into (family, cost or None, refs or None)."""
+    """Parse a problem file into (family, cost or None, refs or None).
+
+    A JSON number with a fraction or exponent is read from its decimal
+    text (0.1 is 1/10, not the double nearest it), through as_fraction's
+    exponent guard; an integer is read as an int.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=str)
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON, >4300 digits, too deep
         raise MalformedInput(f"cannot read problem file: {exc}") from exc
     try:
@@ -63,7 +68,7 @@ def load_problem(path: str):
             if not isinstance(data["cost"], dict):
                 raise DomainError("cost must be an object with weights")
             grid = fam.full_grid()
-            values = [as_fraction(str(v)) for v in data["cost"]["weights"]]
+            values = [as_fraction(v) for v in data["cost"]["weights"]]
             if [as_int(v) for v in data["cost"].get("axes", axes)] != axes:
                 raise DomainError("cost axes do not match problem axes")
             cost = transport.CostGrid(grid, values)

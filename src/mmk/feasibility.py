@@ -2,10 +2,12 @@
 
 Implements the signed uniting construction (always possible for
 consistent families), the exact feasibility criterion backed by the LP
-engine (a uniting measure or a dual certificate with sum f_alpha >= 0
-pointwise and sum of integrals < 0), the density-ratio sufficient
-conditions for (3,2) families, and the two standard counterexample
-builders (mod-k and the two-point anti-diagonal family).
+engine (a uniting measure, or potentials f_alpha with sum f_alpha >= 0
+pointwise and sum of integrals < 0, negated from the Farkas ray that
+lp_core.solve makes, also for a family that charges no cell), the
+density-ratio sufficient conditions for (3,2) families, and the two
+standard counterexample builders (mod-k and the two-point anti-diagonal
+family).
 
 Every closed-form measure is a list of (coefficient, product factors)
 terms summed by _combine and checked by _assert_uniting.  The (3,2)
@@ -204,15 +206,10 @@ class FeasibilityVerdict(Frozen):
     sum_alpha int f_alpha d mu_alpha < 0.
     """
 
-    __slots__ = ("feasible", "witness", "potentials", "lp_certificate")
+    __slots__ = ("feasible", "witness", "potentials")
 
-    def __init__(self, feasible, witness=None, potentials=None, lp_certificate=None):
-        self._freeze(
-            feasible=feasible,
-            witness=witness,
-            potentials=potentials,
-            lp_certificate=lp_certificate,
-        )
+    def __init__(self, feasible, witness=None, potentials=None):
+        self._freeze(feasible=feasible, witness=witness, potentials=potentials)
 
     def __bool__(self):
         return self.feasible
@@ -324,8 +321,9 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
 
     `objective` has one entry per full-grid cell (None: the zero
     objective).  The LP is posed on columns = supported_columns(fam),
-    column t being cell columns[t]; with none left it is infeasible at
-    once, with y = 1 on every row as its Farkas ray.  The cap of both
+    column t being cell columns[t], even with none left (lp_core.solve
+    answers that LP itself: infeasible, with y = 1 on every row as its
+    Farkas ray, since the weights are not all 0).  The cap of both
     modes is checked on all cells before anything grid-sized exists, the
     mode's own cap on the support before the LP's columns do; both run
     on every call.
@@ -344,12 +342,8 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     if posed is None:
         posed = columns, lp_core.LPProblem(*marginal_constraint_rows(fam, columns))
         fam._freeze(_lp=posed)
-    problem = posed[1]
-    if not columns:
-        cert = lp_core.Certificate([1] * problem.nrows)
-        return lp_core.LPSolution("infeasible", certificate=cert), columns
     costs = [0] * len(columns) if objective is None else [objective[j] for j in columns]
-    return lp_core.solve(problem, costs, arithmetic), columns
+    return lp_core.solve(posed[1], costs, arithmetic), columns
 
 
 def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
@@ -399,7 +393,7 @@ def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVe
         for t, j in enumerate(columns):
             weights[j] = sol.x[t]
         return FeasibilityVerdict(True, witness=DiscreteMeasure(grid, weights))
-    y = sink(fam, row_blocks(fam, sol.certificate.y), [0] * grid.ncells, columns)
+    y = sink(fam, row_blocks(fam, sol.y), [0] * grid.ncells, columns)
     potentials = {alpha: tuple(-v for v in block) for alpha, block in y.items()}
     if arithmetic == "exact":
         if min(cell_sums(grid, potentials)) < 0:
@@ -410,8 +404,7 @@ def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVe
             raise lp_core.CertificationError(
                 "certificate potentials must have negative total integral"
             )
-    cert = lp_core.Certificate([v for alpha in fam.index_sets() for v in y[alpha]])
-    return FeasibilityVerdict(False, potentials=potentials, lp_certificate=cert)
+    return FeasibilityVerdict(False, potentials=potentials)
 
 
 def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> FeasibilityVerdict:

@@ -12,7 +12,7 @@ Exact mode takes one route per LP, by size.  An LP of at most
 TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
 over exact rationals, also the test oracle: it pivots by Bland's rule
 (the first column with negative reduced cost, the lowest basic index
-among tied ratios), which never cycles, and yields Farkas certificates.
+among tied ratios), which never cycles, and yields Farkas rays.
 
 Every larger LP is certified from floating point.  One HiGHS run per
 LP, on a model of A x = b cached for every objective posed on it and
@@ -29,17 +29,19 @@ An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
 integers over common denominators; HiGHS's floats, its basis and its
 factor only choose the candidates.  A rejected HiGHS vertex is not
-solved again.  When HiGHS reports the LP infeasible, the Farkas ray
-(y.A <= 0, y.b > 0) comes from that same run: HiGHS's dual ray, scaled
-to largest entry 1 and rounded to nearby rationals, if check_certificate
-accepts it.  Otherwise CertificationError names the failed check: x, y,
-the gap or the ray.  The tableau's time has no bound on a large LP, so
-it is no fallback.
+solved again.  An infeasible LPSolution holds its Farkas ray (y.A <= 0,
+y.b > 0) in y, where an optimum holds its dual prices.  When HiGHS
+reports the LP infeasible, the ray comes from that same run: HiGHS's
+dual ray, scaled to largest entry 1 and rounded to nearby rationals, if
+check_certificate accepts it.  Otherwise CertificationError names the
+failed check: x, y, the gap or the ray.  The tableau's time has no
+bound on a large LP, so it is no fallback.
 
 Float mode makes the same HiGHS run and returns its answer, with x's
 entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
-and for infeasible problems the scaled dual ray as it is.  A model
-without columns, which HiGHS rejects, goes to the tableau in both modes.
+and for infeasible problems the scaled dual ray, each entry the exact
+Fraction of its float.  solve itself answers a model without columns,
+which HiGHS rejects, the same way in both modes, its ray also checked.
 No LP this package builds is unbounded (its marginal rows and x >= 0
 bound x), so an unbounded LP raises LPError, as does any other HiGHS
 failure.
@@ -170,31 +172,19 @@ class LPProblem(Frozen):
         return model
 
 
-class Certificate(Frozen):
-    """A Farkas witness of infeasibility: y.A <= 0 componentwise, y.b > 0."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y: Sequence):
-        self._freeze(y=tuple(Fraction(v) for v in y))
-
-    def __repr__(self) -> str:
-        return f"Certificate(y={[str(v) for v in self.y]})"
-
-
 class LPSolution(Frozen):
     """Solver outcome: status plus the relevant witness objects.
 
     status 'optimal':    x, y (dual prices), value
-    status 'infeasible': certificate
+    status 'infeasible': y, a Farkas ray (y.A <= 0, y.b > 0) of Fractions
 
     No other status exists: solve raises LPError on an unbounded LP.
     """
 
-    __slots__ = ("status", "x", "y", "value", "certificate")
+    __slots__ = ("status", "x", "y", "value")
 
-    def __init__(self, status, x=None, y=None, value=None, certificate=None):
-        self._freeze(status=status, x=x, y=y, value=value, certificate=certificate)
+    def __init__(self, status, x=None, y=None, value=None):
+        self._freeze(status=status, x=x, y=y, value=value)
 
     def __repr__(self) -> str:
         return f"LPSolution(status={self.status!r}, value={self.value})"
@@ -235,9 +225,10 @@ def _primal_feasible(problem: LPProblem, x) -> bool:
     return all(a * d_rhs == bi * dx for a, bi in zip(ax, rhs))
 
 
-def check_certificate(problem: LPProblem, cert: Certificate, tol=0) -> bool:
-    """True iff y.A <= 0 on every column and y.b > 0 (up to tol)."""
-    y, tol = cert.y, Fraction(tol)
+def check_certificate(problem: LPProblem, y: Sequence, tol=0) -> bool:
+    """True iff the ray y has y.A <= 0 on every column and y.b > 0 (up to
+    tol); its entries are ints or Fractions."""
+    tol = Fraction(tol)
     return (
         len(y) == problem.nrows
         and _columns_within(problem.columns, y, scaled([tol] * problem.ncols))
@@ -414,10 +405,9 @@ def _highs(model, objective: Sequence):
 
 def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
     """The infeasible answer with Farkas ray y, once check_certificate accepts it."""
-    cert = Certificate(y)
-    if not check_certificate(problem, cert):
+    if not check_certificate(problem, y):
         raise CertificationError(f"the Farkas ray from {source} fails y.A <= 0, y.b > 0")
-    return LPSolution("infeasible", certificate=cert)
+    return LPSolution("infeasible", y=y)
 
 
 def _basis_factor(problem: LPProblem, highs):
@@ -583,8 +573,8 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
     same run, scaled to largest entry 1 and rounded, once _infeasible
     accepts it.  Float mode returns HiGHS's numbers, with an entry of x
     in [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance,
-    as 0.0, and the scaled ray; LPError if its optimal x has an entry
-    below -TIGHT_TOLERANCE or an infeasible run has no ray
+    as 0.0, and the scaled ray in Fractions; LPError if its optimal x has
+    an entry below -TIGHT_TOLERANCE or an infeasible run has no ray
     (CertificationError in exact mode).
     """
     try:
@@ -598,7 +588,7 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
         scale = max(map(abs, y)) or 1.0
         y = [v / scale for v in y]
         if not exact:
-            return LPSolution("infeasible", certificate=Certificate(y))
+            return LPSolution("infeasible", y=[Fraction(v) for v in y])
         return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
     if exact:
         return LPSolution("optimal", *_certify(problem, objective, x, y, highs))
@@ -633,17 +623,24 @@ def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") ->
     mode unless arithmetic='float'.  The objective has one rational entry
     (as_fraction) per column, else DomainError.
 
-    The tableau takes an LP without columns, which HiGHS rejects, and an
-    exact one of at most TABLEAU_ONLY_NONZEROS nonzeros; one HiGHS run
-    takes every other.  Both modes enforce check_size's caps: coefficient
-    growth makes huge exact pivots impractical, and a huge float LP would
-    use up memory.
+    An LP without columns, which HiGHS rejects, is answered here: x = ()
+    is its one point if b = 0 (optimal, y = 0, value 0), and else the ray
+    y_i = -1 where b_i < 0 and 1 elsewhere proves it infeasible.  The
+    tableau takes an exact LP of at most TABLEAU_ONLY_NONZEROS nonzeros;
+    one HiGHS run takes every other.  Both modes enforce check_size's
+    caps: coefficient growth makes huge exact pivots impractical, and a
+    huge float LP would use up memory.
     """
     check_size(problem.nonzeros(), arithmetic)
     objective = tuple(as_fraction(v) for v in objective)
     if len(objective) != problem.ncols:
         raise DomainError(f"{len(objective)} objective entries for {problem.ncols} columns")
+    if not problem.ncols:
+        if any(problem.rhs):
+            ray = [Fraction(-1 if b < 0 else 1) for b in problem.rhs]
+            return _infeasible(problem, ray, "the signs of b")
+        return LPSolution("optimal", x=[], y=[_ZERO] * problem.nrows, value=_ZERO)
     exact = arithmetic == "exact"
-    if not problem.ncols or (exact and problem.nonzeros() <= TABLEAU_ONLY_NONZEROS):
+    if exact and problem.nonzeros() <= TABLEAU_ONLY_NONZEROS:
         return _solve_tableau(problem, objective)
     return _solve_highs(problem, objective, exact)

@@ -51,12 +51,13 @@ _EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
 def as_fraction(value) -> Fraction:
     """Coerce ints, 'p/q' or decimal strings, floats and Fractions to Fraction.
 
-    DomainError for anything else, for infinite or NaN floats and for a
-    decimal exponent beyond _MAX_EXPONENT.
+    DomainError for anything else (bools too: JSON's true is no weight),
+    for infinite or NaN floats and for a decimal exponent beyond
+    _MAX_EXPONENT.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         exponent = _EXPONENT.search(value.replace("_", ""))
@@ -84,7 +85,7 @@ class IndexSet(Frozen):
 
     def __init__(self, members: Iterable[int]):
         ms = tuple(members)
-        # as_int's test inline: an IndexSet is built on every index_sets() call.
+        # as_int's test inline, so that the error names the whole set.
         if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in ms):
             raise DomainError(f"axis indices must be integers >= 1, got {ms}")
         ms = tuple(sorted(ms))
@@ -201,9 +202,12 @@ class ProductGrid(Frozen):
             index //= size
         return tuple(reversed(coords))
 
-    def subgrid(self, alpha: IndexSet) -> "ProductGrid":
-        if not alpha <= self.index_set():
+    def _require_axes(self, alpha: IndexSet) -> None:
+        if not all(a in self.axes for a in alpha):
             raise DomainError(f"{alpha} is not a subset of grid axes {self.axes}")
+
+    def subgrid(self, alpha: IndexSet) -> "ProductGrid":
+        self._require_axes(alpha)
         positions = [self.axes.index(a) for a in alpha]
         return ProductGrid([self.sizes[p] for p in positions], axes=tuple(alpha))
 
@@ -213,8 +217,7 @@ class ProductGrid(Frozen):
         Entry j is subgrid(alpha).ravel of the alpha coordinates of
         unravel(j): prj_alpha sends cell j to sub-cell index[j].
         """
-        if not alpha <= self.index_set():
-            raise DomainError(f"{alpha} is not a subset of grid axes {self.axes}")
+        self._require_axes(alpha)
         strides = {}
         stride = 1
         for a, s in zip(reversed(self.axes), reversed(self.sizes)):
@@ -230,8 +233,7 @@ class ProductGrid(Frozen):
     def section(self, alpha: IndexSet, base: Sequence[int]) -> list[int]:
         """The section through `base` along alpha, in subgrid(alpha) ravel order:
         entry t is `base` with its alpha coordinates set to subgrid(alpha).unravel(t)."""
-        if not alpha <= self.index_set():
-            raise DomainError(f"{alpha} is not a subset of grid axes {self.axes}")
+        self._require_axes(alpha)
         index = [self.ravel(base)]
         stride = self.ncells
         for a, s, b in zip(self.axes, self.sizes, base):
@@ -397,12 +399,13 @@ def integral(fam: MarginalFamily, functions: Mapping[IndexSet, Sequence]):
 class MarginalFamily(Frozen):
     """The constraint data of an (n,k)-problem: one measure per alpha in I_nk.
 
-    `marginals` is a read-only mapping.  `_lp` is empty until
-    feasibility.marginal_lp first builds the family's (support, LPProblem)
-    and keeps it there.
+    `marginals` is a read-only mapping.  The full grid and the index sets
+    (a tuple) are the ones __init__ validated, kept for full_grid() and
+    index_sets().  `_lp` is empty until feasibility.marginal_lp first
+    builds the family's (support, LPProblem) and keeps it there.
     """
 
-    __slots__ = ("n", "k", "sizes", "marginals", "_lp")
+    __slots__ = ("n", "k", "sizes", "marginals", "_grid", "_index_sets", "_lp")
 
     def __init__(
         self,
@@ -417,9 +420,9 @@ class MarginalFamily(Frozen):
         if len(sizes) != n:
             raise DomainError(f"expected {n} axis sizes, got {len(sizes)}")
         # C(n, k) index sets may be too many to list, so count them first.
-        if len(marginals) != math.comb(n, k) or sorted(
-            marginals.keys(), key=lambda a: a.members
-        ) != all_index_sets(n, k):
+        if len(marginals) != math.comb(n, k) or tuple(
+            sorted(marginals.keys(), key=lambda a: a.members)
+        ) != (alphas := tuple(all_index_sets(n, k))):
             raise DomainError("marginal keys must enumerate I_nk exactly")
         full = ProductGrid(sizes)
         for alpha, mu in marginals.items():
@@ -428,20 +431,32 @@ class MarginalFamily(Frozen):
             if mu.mass != 1:
                 raise DomainError(f"marginal for {alpha} has mass {mu.mass}, not 1")
         self._freeze(
-            n=n, k=k, sizes=sizes, marginals=MappingProxyType(dict(marginals)), _lp=None
+            n=n, k=k, sizes=sizes, marginals=MappingProxyType(dict(marginals)),
+            _grid=full, _index_sets=alphas, _lp=None,
         )
 
     def full_grid(self) -> ProductGrid:
-        return ProductGrid(self.sizes)
+        return self._grid
 
-    def index_sets(self) -> list[IndexSet]:
-        return all_index_sets(self.n, self.k)
+    def index_sets(self) -> tuple[IndexSet, ...]:
+        return self._index_sets
 
     def __getitem__(self, alpha: IndexSet) -> DiscreteMeasure:
         return self.marginals[alpha]
 
     def __repr__(self) -> str:
         return f"MarginalFamily(n={self.n}, k={self.k}, sizes={list(self.sizes)})"
+
+
+def uniform_family(sizes: Sequence[int], k: int) -> MarginalFamily:
+    """The (n,k) family on the grid of `sizes`, n = len(sizes), whose
+    every marginal is uniform."""
+    n = len(sizes)
+    marginals = {
+        alpha: uniform([sizes[a - 1] for a in alpha], axes=alpha.members)
+        for alpha in all_index_sets(n, k)
+    }
+    return MarginalFamily(n, k, sizes, marginals)
 
 
 class ConsistencyReport(Frozen):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .lp_core import CertificationError
-from .measures import DiscreteMeasure, DomainError, ProductGrid, project, uniform
-from .measures import Frozen, MarginalFamily, all_index_sets, as_int
+from .feasibility import _assert_uniting
+from .measures import DiscreteMeasure, DomainError, Frozen, MarginalFamily, ProductGrid
+from .measures import SignedDiscreteMeasure, as_int, uniform_family
 
 
 # The deepest Sierpinski slice, a 1024^2 raster: each level costs 4x.
@@ -167,8 +167,9 @@ def sierpinski_member(x: Dyadic, y: Dyadic, z: Dyadic, depth: int) -> bool:
 def xor_coupling(n: int) -> DiscreteMeasure:
     """Weight 4^-n on every cell (i, j, i xor j) of the (2^n)^3 grid.
 
-    All three pairwise projections are uniform (checked): each pair of
-    coordinates determines the third bijectively.
+    All three pairwise projections are uniform (checked by
+    feasibility._assert_uniting): each pair of coordinates determines the
+    third bijectively.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -179,12 +180,8 @@ def xor_coupling(n: int) -> DiscreteMeasure:
     for i in range(size):
         for j in range(size):
             weights[grid.ravel((i, j, i ^ j))] = w
-    mu = DiscreteMeasure(grid, weights)
-    flat = uniform([size, size])
-    for alpha in all_index_sets(3, 2):
-        if project(mu, alpha).weights != flat.weights:
-            raise CertificationError(f"projection {alpha} is not uniform")
-    return mu
+    mu = SignedDiscreteMeasure(grid, weights)
+    return _assert_uniting(mu, uniform_family([size] * 3, 2), "xor_coupling")
 
 
 class XorInstance(Frozen):
@@ -206,11 +203,7 @@ class XorInstance(Frozen):
         return ProductGrid([self.size] * 3)
 
     def family(self) -> MarginalFamily:
-        marg = {
-            alpha: uniform([self.size, self.size], axes=tuple(alpha))
-            for alpha in all_index_sets(3, 2)
-        }
-        return MarginalFamily(3, 2, [self.size] * 3, marg)
+        return uniform_family([self.size] * 3, 2)
 
     def cost(self):
         from .transport import CostGrid

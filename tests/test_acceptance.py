@@ -89,7 +89,8 @@ def test_criterion_03_modk_certificates():
             verdict = fb.kellerer_check(fam)
             assert not verdict.feasible
             problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
-            assert lp_core.check_certificate(problem, verdict.lp_certificate)
+            ray = [-v for alpha in fam.index_sets() for v in verdict.potentials[alpha]]
+            assert lp_core.check_certificate(problem, ray)
             total = sum(
                 f * w
                 for alpha in fam.index_sets()

@@ -9,10 +9,12 @@ import pytest
 
 from mmk import case_studies as cs
 from mmk import feasibility as fb
+from mmk import lp_core, xor_model
 from mmk.measures import (
     DiscreteMeasure,
     DomainError,
     IndexSet,
+    SignedDiscreteMeasure,
     all_index_sets,
     integral,
     is_consistent,
@@ -184,6 +186,30 @@ class TestCouplings:
     def test_frac_domain(self):
         with pytest.raises(DomainError):
             cs.frac_coupling(1, 1, 5, 12)
+
+    @pytest.mark.parametrize(
+        "module, build",
+        [
+            (cs, lambda: cs.frac_coupling(1, 1, 2, 6)),
+            (cs, lambda: cs.composite_pi(6)),
+            (xor_model, lambda: xor_model.xor_coupling(2)),
+        ],
+        ids=["frac_coupling", "composite_pi", "xor_coupling"],
+    )
+    def test_corrupted_coupling_refused(self, monkeypatch, module, build):
+        # Half the weight of the first charged cell moves to the next cell:
+        # the mass stays 1 and no weight turns negative, but a pairwise
+        # projection is no longer uniform.
+        def corrupted(grid, weights):
+            weights = list(weights)
+            j = next(i for i, w in enumerate(weights) if w)
+            weights[j] /= 2
+            weights[(j + 1) % len(weights)] += weights[j]
+            return SignedDiscreteMeasure(grid, weights)
+
+        monkeypatch.setattr(module, "SignedDiscreteMeasure", corrupted)
+        with pytest.raises(lp_core.CertificationError, match="projection mismatch"):
+            build()
 
     def test_composite_structure(self):
         mu = cs.composite_pi(6)

@@ -153,6 +153,28 @@ class TestSolveAndDual:
         assert abs(float(Fraction(out["gap"]))) < 1e-7
 
 
+    def test_json_decimals_read_as_their_text(self, tmp_path, capsys):
+        # mu_12 = (0.1, 0.2, 0.3, 0.4) with x3 uniform: the decimals sum to
+        # 1 exactly, their doubles do not.  A file of "p/q" strings and one
+        # of the same values as JSON decimals give the same reports.
+        grid = ProductGrid([2, 2, 2])
+        mu = DiscreteMeasure(grid, [Fraction(w, 20) for w in (1, 1, 2, 2, 3, 3, 4, 4)])
+        fam = MarginalFamily(3, 2, [2, 2, 2], {a: project(mu, a) for a in all_index_sets(3, 2)})
+        cost = [Fraction(c) for c in ("0.1", "2.5", "0", "0.3", "3", "0.75", "1.25", "0.5")]
+        strings = write_problem(tmp_path / "strings.json", fam, cost_values=cost)
+        data = json.loads(open(strings).read())
+        for obj in [*data["marginals"].values(), data["cost"]]:
+            obj["weights"] = [float(Fraction(w)) for w in obj["weights"]]
+        decimals = tmp_path / "decimals.json"
+        decimals.write_text(json.dumps(data))
+        assert "0.15" in decimals.read_text()
+        for command, status in (("check", 0), ("solve", 0)):
+            outputs = []
+            for path in (strings, str(decimals)):
+                assert cli.main([command, path]) == status
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
     def test_size_cap_exit_one_with_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lp_core, "EXACT_NONZERO_CAP", 10)
         fam = projected_family(5)
@@ -274,6 +296,17 @@ class TestHostileInput:
     def test_marginals_as_a_list(self, tmp_path):
         path = self.edited_problem(tmp_path, lambda d: d.update(marginals=[1, 2]))
         self.refused(run_mmk("check", path), "marginals must be an object")
+
+    @pytest.mark.parametrize("where", ["weight", "cost"])
+    def test_bool_weight(self, tmp_path, where):
+        def edit(data):
+            if where == "weight":
+                data["marginals"]["1,2"]["weights"][0] = True
+            else:
+                data["cost"]["weights"][0] = True
+
+        path = self.edited_problem(tmp_path, edit)
+        self.refused(run_mmk("solve", path), "cannot interpret True as a rational")
 
     @pytest.mark.parametrize("where", ["weight", "cost"])
     def test_huge_decimal_exponent(self, tmp_path, where):

@@ -40,6 +40,12 @@ DEFAULT_THRESHOLD = lp_core.TABLEAU_ONLY_NONZEROS
 _core = lp_core._core()
 
 
+def farkas_ray(fam, verdict):
+    """The Farkas ray of fam's full marginal LP that an infeasible verdict
+    holds: its potentials in index-set order, negated."""
+    return [-v for alpha in fam.index_sets() for v in verdict.potentials[alpha]]
+
+
 def refuse_tableau(monkeypatch):
     def no_tableau(self, *args):
         raise AssertionError("the exact tableau was built")
@@ -90,7 +96,7 @@ class TestExact:
         problem = LPProblem([[0, 1], []], [1, 2])
         sol = solve(problem, [1, 1])
         assert sol.status == "infeasible"
-        assert check_certificate(problem, sol.certificate)
+        assert check_certificate(problem, sol.y)
 
     def test_unbounded(self, monkeypatch):
         # No LP of mmk is unbounded, so no status stands for it: the
@@ -109,8 +115,8 @@ class TestExact:
         # and its Farkas ray flips back to y0 < 0.
         problem = LPProblem([[0]], [-2])
         sol = solve(problem, [1])
-        assert sol.status == "infeasible" and sol.certificate.y[0] < 0
-        assert check_certificate(problem, sol.certificate)
+        assert sol.status == "infeasible" and sol.y[0] < 0
+        assert check_certificate(problem, sol.y)
 
     def test_redundant_rows_dropped(self):
         sol = solve(LPProblem([[0, 1]], [3, 3]), [1])
@@ -388,11 +394,24 @@ class TestCertifier:
         sol = solve(problem, [10**400, 0])
         assert sol.status == "optimal" and sol.value == 0
 
-    def test_empty_model_goes_to_tableau(self):
-        sol = solve(LPProblem([], [1]), [])
-        assert sol.status == "infeasible"
-        assert check_certificate(LPProblem([], [1]), sol.certificate)
-        assert solve(LPProblem([[], []], []), [1, 0]).value == 0
+    def test_empty_model_answered_without_a_solver(self, monkeypatch):
+        # solve answers an LP without columns itself, in both modes: x = ()
+        # is its one point if b = 0, and else y_i = -1 where b_i < 0 and 1
+        # elsewhere is a Farkas ray.  Neither the tableau nor HiGHS runs.
+        assert solve(LPProblem([[], []], []), [1, 0]).value == 0  # columns, no rows
+        refuse_tableau(monkeypatch)
+        monkeypatch.setattr(lp_core, "_highs", None)
+        for mode in ("exact", "float"):
+            for b in ([0, 0], []):
+                sol = solve(LPProblem([], b), [], mode)
+                assert sol.status == "optimal" and tuple(sol.x) == ()
+                assert sol.value == 0 and all(v == 0 for v in sol.y) and len(sol.y) == len(b)
+            for b, ray in (([1, 0, 2], [1, 1, 1]), ([-1, 1], [-1, 1]), ([0, -3], [1, -1])):
+                problem = LPProblem([], b)
+                sol = solve(problem, [], mode)
+                assert sol.status == "infeasible" and list(sol.y) == ray
+                assert all(type(v) is Fraction for v in sol.y)
+                assert check_certificate(problem, sol.y)
 
 
 def fraction_reference(equations, rhs):
@@ -615,7 +634,7 @@ class TestOneRoute:
         assert kellerer_check(fam, arithmetic="float").feasible == exact.feasible
         if not exact.feasible:
             assert check_certificate(
-                LPProblem(*marginal_constraint_rows(fam)), exact.lp_certificate)
+                LPProblem(*marginal_constraint_rows(fam)), farkas_ray(fam, exact))
             for arithmetic in ("exact", "float"):
                 with pytest.raises(InfeasibleFamilyError):
                     verify_gap(fam, cost, arithmetic)
@@ -641,21 +660,24 @@ class TestFarkas:
         fam, problem = self.modk_problem(n, k)
         verdict = kellerer_check(fam)
         assert not verdict.feasible
-        assert check_certificate(problem, verdict.lp_certificate)
+        assert check_certificate(problem, farkas_ray(fam, verdict))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("n,k", MODK)
     def test_modk_decided_without_a_solve(self, monkeypatch, n, k, mode):
         # No cell of a mod-k family is charged by every marginal, so the
-        # LP on the support has no column and y = 1 is its certificate.
-        def no_solve(*args, **kwargs):
-            raise AssertionError("lp_core.solve was called")
-
-        monkeypatch.setattr(lp_core, "solve", no_solve)
+        # LP on the support has no column: one lp_core.solve call answers
+        # it with y = 1 as its ray, and neither the tableau nor HiGHS runs.
+        refuse_tableau(monkeypatch)
+        monkeypatch.setattr(lp_core, "_highs", None)
+        calls, real = [], lp_core.solve
+        monkeypatch.setattr(
+            lp_core, "solve", lambda p, *args, **kw: calls.append(p.ncols) or real(p, *args, **kw)
+        )
         fam, problem = self.modk_problem(n, k)
         verdict = kellerer_check(fam, arithmetic=mode)
-        assert not verdict.feasible
-        assert check_certificate(problem, verdict.lp_certificate)
+        assert not verdict.feasible and calls == [0]
+        assert check_certificate(problem, farkas_ray(fam, verdict))
 
     def test_farkas_rounding_failure_raises(self, monkeypatch):
         refuse_tableau(monkeypatch)
@@ -685,9 +707,10 @@ class TestFarkas:
     def one_run_problems(self):
         """The full-grid LPs of the mod-k families (4,3), (5,2), (6,2), (6,3)
         and of the two-point family with ratio 5/2, all infeasible.
-        kellerer_check poses none of the mod-k ones: they have no supported
-        cell.  HiGHS's ray of (6,3) has entries near 206 that round to a
-        certificate only once the ray is scaled to largest entry 1."""
+        kellerer_check poses the mod-k ones without columns: they have no
+        supported cell.  HiGHS's ray of (6,3) has entries near 206 that
+        round to a certificate only once the ray is scaled to largest
+        entry 1."""
         modk = [(4, 3), (5, 2), (6, 2), (6, 3)]
         problems = [self.modk_problem(n, k)[1] for n, k in modk]
         two_point = marginal_constraint_rows(make_two_point_counterexample(Fraction(5, 2)))
@@ -706,7 +729,7 @@ class TestFarkas:
             sol = solve(problem, [0] * problem.ncols, arithmetic=mode)
             assert sol.status == "infeasible" and len(calls) == 1
             tol = 0 if mode == "exact" else Fraction(1, 10**9)
-            assert check_certificate(problem, sol.certificate, tol)
+            assert check_certificate(problem, sol.y, tol)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_infeasible_run_without_a_ray_raises(self, monkeypatch, mode):
@@ -822,14 +845,14 @@ class TestFloat:
         problem = LPProblem([[0, 1], []], [1, 2])
         sol = solve(problem, [1, 1], arithmetic="float")
         assert sol.status == "infeasible"
-        assert check_certificate(problem, sol.certificate, tol=Fraction(1, 10**6))
+        assert check_certificate(problem, sol.y, tol=Fraction(1, 10**6))
 
     def test_empty_model_answered_as_in_exact_mode(self):
-        # HiGHS rejects a model without columns; the tableau answers it.
+        # HiGHS rejects a model without columns; solve answers it itself.
         problem = LPProblem([], [1])
         sol = solve(problem, [], arithmetic="float")
         assert sol.status == "infeasible"
-        assert check_certificate(problem, sol.certificate)
+        assert check_certificate(problem, sol.y)
         assert solve(LPProblem([], [0]), [], arithmetic="float").value == 0
 
     def test_dual_value_matches(self):
@@ -852,14 +875,14 @@ class TestFloat:
 class TestCertificateChecker:
     def test_rejects_wrong_length(self):
         problem = LPProblem([[0]], [1])
-        assert not check_certificate(problem, lp_core.Certificate([1, 1]))
+        assert not check_certificate(problem, [1, 1])
 
     def test_rejects_column_above_zero_by_tiny_amount(self):
         problem = LPProblem([[0, 1], []], [1, 2])
-        assert check_certificate(problem, lp_core.Certificate([-1, 1]))
+        assert check_certificate(problem, [-1, 1])
         tiny = Fraction(1, 10**12)
-        assert not check_certificate(problem, lp_core.Certificate([-1 + tiny, 1]))
+        assert not check_certificate(problem, [-1 + tiny, 1])
 
     def test_rejects_non_negative_yb(self):
         problem = LPProblem([(0,)], [1])
-        assert not check_certificate(problem, lp_core.Certificate([-1]))
+        assert not check_certificate(problem, [-1])

@@ -26,6 +26,7 @@ from mmk.measures import (
     product,
     project,
     uniform,
+    uniform_family,
 )
 
 
@@ -137,6 +138,8 @@ class TestProductGrid:
     def test_projection_index_rejects_foreign_axes(self):
         with pytest.raises(DomainError):
             ProductGrid([2, 3]).projection_index(IndexSet([1, 3]))
+        with pytest.raises(DomainError, match="not a subset of grid axes"):
+            ProductGrid([2, 3], axes=(2, 3)).subgrid(IndexSet([1]))
 
 
 class TestMeasures:
@@ -203,6 +206,13 @@ class TestMarginalFamily:
             for alpha in all_index_sets(3, 2)
         }
         return MarginalFamily(3, 2, [2, 2, 2], marg)
+
+    def test_grid_and_index_sets_kept_from_construction(self):
+        fam = self.build()
+        assert fam.full_grid() is fam.full_grid() and fam.full_grid() == ProductGrid([2] * 3)
+        assert fam.index_sets() is fam.index_sets()
+        assert fam.index_sets() == tuple(all_index_sets(3, 2))
+        assert uniform_family([2, 2, 2], 2).marginals == fam.marginals
 
     def test_keys_must_cover_index_sets(self):
         marg = {IndexSet([1, 2]): uniform([2, 2], axes=(1, 2))}
@@ -425,7 +435,7 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "value",
-        ["1e999999999", "1E-4301", "2.5e+1_0000", "abc", float("nan"), float("inf")],
+        ["1e999999999", "1E-4301", "2.5e+1_0000", "abc", float("nan"), float("inf"), True],
     )
     def test_as_fraction_refuses_huge_exponents_and_non_numbers(self, value):
         with pytest.raises(DomainError):
@@ -440,7 +450,7 @@ def test_value_types_refuse_assignment():
     """Every value type of the package refuses to set a field after __init__."""
     from mmk.case_studies import PiecewiseDual32
     from mmk.feasibility import DensityBounds, FeasibilityVerdict
-    from mmk.lp_core import Certificate, LPProblem, LPSolution
+    from mmk.lp_core import LPProblem, LPSolution
     from mmk.measures import ConsistencyReport
     from mmk.transport import CostGrid, SolveReport
     from mmk.xor_model import Dyadic, XorInstance
@@ -455,7 +465,6 @@ def test_value_types_refuse_assignment():
         (XorInstance(1).family(), "marginals"),
         (ConsistencyReport(True, []), "consistent"),
         (LPProblem([[0]], [1]), "columns"),
-        (Certificate([1]), "y"),
         (LPSolution("optimal", x=[1], y=[1], value=1), "value"),
         (DensityBounds(1, 2), "M"),
         (FeasibilityVerdict(True, witness=mu), "witness"),
