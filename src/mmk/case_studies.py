@@ -133,7 +133,7 @@ def _mass_extreme(fam: MarginalFamily, cell, sign: int, arithmetic: str):
     grid = fam.full_grid()
     objective = [Fraction(0)] * grid.ncells
     objective[grid.ravel(cell)] = Fraction(sign)
-    sol, _ = marginal_lp(fam, objective, arithmetic)
+    sol = marginal_lp(fam, objective, arithmetic)
     if sol.status != "optimal":
         raise DomainError(f"family is {sol.status}")
     return sol.value

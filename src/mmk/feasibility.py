@@ -4,10 +4,10 @@ Implements the signed uniting construction (always possible for
 consistent families), the exact feasibility criterion backed by the LP
 engine (a uniting measure, or potentials f_alpha with sum f_alpha >= 0
 pointwise and sum of integrals < 0, negated from the Farkas ray that
-lp_core.solve makes, also for a family that charges no cell), the
-density-ratio sufficient conditions for (3,2) families, and the two
-standard counterexample builders (mod-k and the two-point anti-diagonal
-family).
+lp_core.solve makes on the support and lift carries to the full grid,
+also for a family that charges no cell), the density-ratio sufficient
+conditions for (3,2) families, and the two standard counterexample
+builders (mod-k and the two-point anti-diagonal family).
 
 Every closed-form measure is a list of (coefficient, product factors)
 terms summed by _combine and checked by _assert_uniting.  The (3,2)
@@ -317,7 +317,7 @@ def supported_columns(fam: MarginalFamily) -> list[int]:
 
 
 def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
-    """Min objective.pi over the uniting measures, as (solution, columns).
+    """Min objective.pi over the uniting measures, as an lp_core.LPSolution.
 
     `objective` has one entry per full-grid cell (None: the zero
     objective).  The LP is posed on columns = supported_columns(fam),
@@ -328,11 +328,10 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     mode's own cap on the support before the LP's columns do; both run
     on every call.
 
-    The first call that passes both caps builds the family's A x = b
-    (support, LPProblem) and keeps it in the family's `_lp` slot; a
-    family is immutable, so it never goes stale.  Every later call,
-    whatever its objective or arithmetic, builds only its objective
-    vector and passes it to lp_core.solve with that LPProblem.
+    The first call that passes both caps keeps the family's A x = b as
+    (support, LPProblem) in its `_lp` slot, where verdict and lift read
+    the support; a family is immutable, so it never goes stale.  Every
+    later call, whatever its objective or mode, only builds its objective vector.
     """
     nalpha = len(fam.index_sets())
     lp_core.check_size(fam.full_grid().ncells * nalpha, "float")
@@ -343,75 +342,70 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
         posed = columns, lp_core.LPProblem(*marginal_constraint_rows(fam, columns))
         fam._freeze(_lp=posed)
     costs = [0] * len(columns) if objective is None else [objective[j] for j in columns]
-    return lp_core.solve(posed[1], costs, arithmetic), columns
+    return lp_core.solve(posed[1], costs, arithmetic)
 
 
-def sink(fam: MarginalFamily, prices, bound: Sequence, columns) -> dict:
-    """Prices {alpha: tuple} of a marginal_lp, made to sum to at most
-    bound[j] on every cell j outside `columns` (the cost for transport
-    duals, 0 for a Farkas ray).
+def lift(fam: MarginalFamily, prices, bound: Sequence, every_cell: bool) -> dict:
+    """Prices {alpha: tuple} of a marginal_lp, lifted from the support to
+    the full grid, where they must sum to at most bound[j] on every
+    dropped cell j (the cost for transport duals, 0 for a Farkas ray).
 
-    If some dropped cell is above its bound, every price on a zero-weight
-    marginal cell is lowered to at most -s, s = sum over alpha of
-    max|price_alpha| + max|bound| + 1.  Those prices meet zero weights, so
-    b.y stays; every dropped cell has one, so its sum falls to at most
-    -max|bound| - 1.  lp_core.CertificationError if one is still above.
+    One grid sum, none if no cell was dropped and not every_cell.  If a
+    dropped cell is above its bound, every price on a zero-weight marginal
+    cell is lowered to at most -s, s = sum over alpha of max|price_alpha|
+    + max|bound| + 1, and summed again: b.y stays, and every dropped cell
+    meets such a price, so its sum falls to at most -max|bound| - 1.
+    lp_core.CertificationError if a dropped cell, or with every_cell any
+    cell, is still above its bound.
     """
     grid = fam.full_grid()
-    kept = set(columns)
+    kept = set(fam._lp[0])
     dropped = [j for j in range(grid.ncells) if j not in kept]
-
-    def above(p):
-        totals = cell_sums(grid, p)
-        return any(totals[j] > bound[j] for j in dropped)
-
-    if not dropped or not above(prices):
+    if not dropped and not every_cell:
         return prices
-    alphas = fam.index_sets()
-    s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
-    prices = {
-        a: tuple(v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights))
-        for a in alphas
-    }
-    if above(prices):
-        raise lp_core.CertificationError("sunk prices still exceed the bound on a dropped cell")
+    totals = cell_sums(grid, prices)
+    if any(totals[j] > bound[j] for j in dropped):
+        alphas = fam.index_sets()
+        s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
+        prices = {
+            a: tuple(v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights))
+            for a in alphas
+        }
+        totals = cell_sums(grid, prices)
+    if any(totals[j] > bound[j] for j in (range(grid.ncells) if every_cell else dropped)):
+        raise lp_core.CertificationError("lifted prices exceed the bound on a cell")
     return prices
 
 
-def verdict(fam: MarginalFamily, sol, columns, arithmetic: str) -> FeasibilityVerdict:
+def verdict(fam: MarginalFamily, sol, arithmetic: str) -> FeasibilityVerdict:
     """The FeasibilityVerdict of a marginal_lp solution.
 
     Optimal: the witness is x on the full grid.  Infeasible: the Farkas
-    ray y, sunk on the dropped cells, certifies the full LP, and the
+    ray y, lifted to the full grid, certifies the full LP, and the
     potentials are f_alpha = -y_alpha; exact mode raises
-    lp_core.CertificationError unless sum f_alpha >= 0 on every cell and
-    sum int f_alpha d mu < 0.
+    lp_core.CertificationError unless sum f_alpha >= 0 on every cell
+    (lift's every_cell check) and sum int f_alpha d mu < 0.
     """
     grid = fam.full_grid()
     if sol.status == "optimal":
         weights = [0] * grid.ncells
-        for t, j in enumerate(columns):
+        for t, j in enumerate(fam._lp[0]):
             weights[j] = sol.x[t]
         return FeasibilityVerdict(True, witness=DiscreteMeasure(grid, weights))
-    y = sink(fam, row_blocks(fam, sol.y), [0] * grid.ncells, columns)
+    exact = arithmetic == "exact"
+    y = lift(fam, row_blocks(fam, sol.y), [0] * grid.ncells, exact)
     potentials = {alpha: tuple(-v for v in block) for alpha, block in y.items()}
-    if arithmetic == "exact":
-        if min(cell_sums(grid, potentials)) < 0:
-            raise lp_core.CertificationError(
-                "certificate potentials must be nonnegative cellwise"
-            )
-        if integral(fam, potentials) >= 0:
-            raise lp_core.CertificationError(
-                "certificate potentials must have negative total integral"
-            )
+    if exact and integral(fam, potentials) >= 0:
+        raise lp_core.CertificationError(
+            "certificate potentials must have negative total integral"
+        )
     return FeasibilityVerdict(False, potentials=potentials)
 
 
 def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> FeasibilityVerdict:
     """Decide Pi(mu_alpha) != {} exactly, with a checkable witness either way:
     the verdict of one zero-objective marginal_lp on the supported cells."""
-    sol, columns = marginal_lp(fam, None, arithmetic)
-    return verdict(fam, sol, columns, arithmetic)
+    return verdict(fam, marginal_lp(fam, None, arithmetic), arithmetic)
 
 
 def density_bounds(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]) -> DensityBounds:
@@ -558,7 +552,8 @@ def uniting_by_density_2(
     (iii) the residual is united by the product branch (m' = 1), the
     2-mu1mu2mu3 formula (m' = 2/3), or the explicit u-formula with
     u = sqrt(3 - 2/m') evaluated in the quadratic field Q(u).  Any
-    negative weight raises DensityAssemblyError with diagnostics.
+    negative weight raises DensityAssemblyError with diagnostics.  Weights
+    with a nonzero irrational part stay QuadExt and have no JSON form.
     """
     _require_32(fam)
     bounds = density_bounds(fam, refs)

@@ -512,7 +512,11 @@ def lower_marginal(fam: MarginalFamily, beta: IndexSet) -> DiscreteMeasure:
 
 
 def measure_to_json(mu: SignedDiscreteMeasure) -> dict:
-    """Encode a measure as {"axes": [...sizes...], "weights": ["p/q", ...]}."""
+    """Encode a measure as {"axes": [...sizes...], "weights": ["p/q", ...]};
+    DomainError names the first cell whose weight is not rational."""
+    for i, w in enumerate(mu.weights):
+        if not isinstance(w, (int, float, Fraction)):
+            raise DomainError(f"weight {w!r} at cell {mu.grid.unravel(i)} is not rational")
     return {
         "axes": list(mu.grid.sizes),
         "weights": [str(Fraction(w)) for w in mu.weights],

@@ -24,9 +24,9 @@ from .feasibility import (
     FeasibilityVerdict,
     PreconditionError,
     _check_refs,
+    lift,
     marginal_lp,
     row_blocks,
-    sink,
     verdict,
 )
 from .measures import (
@@ -129,16 +129,16 @@ def _solve_both(fam: MarginalFamily, cost: CostGrid, arithmetic: str):
 
     pi comes from feasibility.verdict, which also turns an infeasible LP's
     own Farkas ray into the InfeasibleFamilyError's certificate.  The LP is
-    posed on the cells every marginal charges, so feasibility.sink lowers
+    posed on the cells every marginal charges, so feasibility.lift lowers
     the potentials of zero-weight marginal cells if they exceed the cost
-    on a dropped cell.
+    on a dropped cell; it sums over the grid only if a cell was dropped.
     """
     _check_cost(fam, cost)
-    sol, columns = marginal_lp(fam, cost.values, arithmetic)
-    found = verdict(fam, sol, columns, arithmetic)
+    sol = marginal_lp(fam, cost.values, arithmetic)
+    found = verdict(fam, sol, arithmetic)
     if not found.feasible:
         raise InfeasibleFamilyError(found)
-    potentials = sink(fam, _normalize(fam, sol.y), cost.values, columns)
+    potentials = lift(fam, _normalize(fam, sol.y), cost.values, False)
     return found.witness, sol.value, potentials, integral(fam, potentials)
 
 

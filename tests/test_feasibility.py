@@ -3,6 +3,7 @@ and the counterexample builders."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,20 @@ def sparse_family(rng, n, k, sizes):
     return MarginalFamily(n, k, sizes, marginals)
 
 
+def padded_two_point():
+    """The ratio-5/2 two-point family padded to 3x3x3 by a third level of
+    zero weight: 8 charged cells, 19 dropped."""
+    two = fb.make_two_point_counterexample(Fraction(5, 2))
+    marginals = {}
+    for alpha in two.index_sets():
+        sub = ProductGrid([3, 3], axes=alpha.members)
+        weights = [Fraction(0)] * 9
+        for cell in two[alpha].grid.cells():
+            weights[sub.ravel(cell)] = two[alpha].weight(cell)
+        marginals[alpha] = DiscreteMeasure(sub, weights)
+    return MarginalFamily(3, 2, [3, 3, 3], marginals)
+
+
 FAMILY_SHAPES = [
     (3, 1, [3, 2, 2]),
     (3, 2, [2, 3, 2]),
@@ -104,18 +119,29 @@ class TestQuadExt:
             assert x == y and hash(x) == hash(y)
         assert len({a, (a * b) / b, a - a + 3, 3, Fraction(3)}) == 2
 
-    def test_set_of_irrational_density2_weights(self):
-        # A 2x3x2 family of density near 1 whose density-2 measure has
-        # weights with a nonzero irrational part.
+    @staticmethod
+    def irrational_density2_measure():
+        """The density-2 measure of a 2x3x2 family of density near 1: some
+        of its weights have a nonzero irrational part."""
         rng = random.Random(5)
         grid = ProductGrid([2, 3, 2])
         raw = [Fraction(rng.randint(10, 14), 10) for _ in range(grid.ncells)]
         mu = DiscreteMeasure(grid, [w / sum(raw) for w in raw])
         fam = MarginalFamily(3, 2, grid.sizes, {a: project(mu, a) for a in all_index_sets(3, 2)})
-        weights = fb.uniting_by_density_2(fam, uniform_refs(fam)).weights
+        return fb.uniting_by_density_2(fam, uniform_refs(fam))
+
+    def test_set_of_irrational_density2_weights(self):
+        weights = self.irrational_density2_measure().weights
         assert any(isinstance(w, QuadExt) and w.b for w in weights)
         distinct = set(weights)
         assert all(w in distinct for w in weights) and len(distinct) <= len(weights)
+
+    def test_irrational_density2_weights_have_no_json_form(self):
+        mu = self.irrational_density2_measure()
+        first = next(i for i, w in enumerate(mu.weights) if isinstance(w, QuadExt))
+        cell = mu.grid.unravel(first)
+        with pytest.raises(DomainError, match=re.escape(f"at cell {cell} is not rational")):
+            measure_to_json(mu)
 
 
 class TestSignedLambda:
@@ -299,31 +325,22 @@ class TestKellererCheck:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_padded_two_point_certificate_sunk_for_the_full_lp(self, monkeypatch, mode):
-        # The ratio-5/2 two-point family padded to 3x3x3 by a third level
-        # of zero weight: the LP is posed on the 8 charged cells, and its
-        # Farkas ray must be sunk to hold on the 19 dropped ones too.
-        two = fb.make_two_point_counterexample(Fraction(5, 2))
-        marginals = {}
-        for alpha in two.index_sets():
-            sub = ProductGrid([3, 3], axes=alpha.members)
-            weights = [Fraction(0)] * 9
-            for cell in two[alpha].grid.cells():
-                weights[sub.ravel(cell)] = two[alpha].weight(cell)
-            marginals[alpha] = DiscreteMeasure(sub, weights)
-        fam = MarginalFamily(3, 2, [3, 3, 3], marginals)
+        # The LP is posed on the 8 charged cells, and its Farkas ray must be
+        # sunk to hold on the 19 dropped ones too.
+        fam = padded_two_point()
         solved, sunk = [], []
-        real_solve, real_sink = lp_core.solve, fb.sink
+        real_solve, real_lift = lp_core.solve, fb.lift
         monkeypatch.setattr(
             lp_core, "solve",
             lambda p, *args, **kw: solved.append(p.ncols) or real_solve(p, *args, **kw),
         )
 
-        def spy(fam, prices, bound, columns):
-            out = real_sink(fam, prices, bound, columns)
+        def spy(fam, prices, bound, every_cell):
+            out = real_lift(fam, prices, bound, every_cell)
             sunk.append(out is not prices)
             return out
 
-        monkeypatch.setattr(fb, "sink", spy)
+        monkeypatch.setattr(fb, "lift", spy)
         verdict = fb.kellerer_check(fam, arithmetic=mode)
         assert not verdict.feasible and solved == [8] and sunk == [True]
         problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
@@ -336,16 +353,16 @@ class TestKellererCheck:
     def test_modk_verdict_as_with_per_cell_fraction_sums(self, monkeypatch, n, k, mode):
         # cell_sums adds exact potentials as integers over one denominator;
         # with the per-cell Fraction sum in its place the verdict is the
-        # same, and on both runs sink lowers a price.
+        # same, and on both runs lift lowers a price.
         lowered = []
-        real_sink = fb.sink
+        real_lift = fb.lift
 
-        def spy(fam, prices, bound, columns):
-            out = real_sink(fam, prices, bound, columns)
+        def spy(fam, prices, bound, every_cell):
+            out = real_lift(fam, prices, bound, every_cell)
             lowered.append(any(v < p for a in prices for v, p in zip(out[a], prices[a])))
             return out
 
-        monkeypatch.setattr(fb, "sink", spy)
+        monkeypatch.setattr(fb, "lift", spy)
         fast = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
         monkeypatch.setattr(fb, "cell_sums", fraction_cell_sums)
         slow = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
@@ -355,6 +372,46 @@ class TestKellererCheck:
         problem = lp_core.LPProblem(*fb.marginal_constraint_rows(fam))
         ray = [-v for alpha in fam.index_sets() for v in fast.potentials[alpha]]
         assert lp_core.check_certificate(problem, ray)
+
+    @pytest.mark.parametrize(
+        "mode, family, calls",
+        [
+            ("exact", "modk53", 2),
+            ("exact", "padded", 2),
+            ("float", "modk53", 2),
+            ("float", "padded", 2),
+            ("exact", "two_point", 1),
+            ("float", "two_point", 0),
+        ],
+    )
+    def test_grid_sums_per_kellerer_check(self, monkeypatch, mode, family, calls):
+        # A ray that lift lowers is summed twice: to find a dropped cell
+        # above 0, and to check the lowered one (exact: on every cell).  The
+        # two-point family drops no cell, so only exact mode sums it.
+        fam = {
+            "modk53": lambda: fb.make_modk_counterexample(5, 3),
+            "padded": padded_two_point,
+            "two_point": lambda: fb.make_two_point_counterexample(Fraction(5, 2)),
+        }[family]()
+        counted, real_cell_sums = [], fb.cell_sums
+        monkeypatch.setattr(fb, "cell_sums", lambda *a: counted.append(1) or real_cell_sums(*a))
+        assert not fb.kellerer_check(fam, mode).feasible
+        assert len(counted) == calls
+
+    def test_lift_checks_every_cell_only_when_asked(self):
+        # One price raised by 1 puts the supported cells through it above
+        # their bound 0 and no dropped cell above its bound 1.
+        fam = padded_two_point()
+        assert isinstance(fb.marginal_lp(fam, None, "exact"), lp_core.LPSolution)
+        supported = set(fb.supported_columns(fam))
+        bound = [0 if j in supported else 1 for j in range(fam.full_grid().ncells)]
+        prices = {alpha: (0,) * 9 for alpha in fam.index_sets()}
+        first = fam.index_sets()[0]
+        assert fam[first].weights[0] != 0
+        prices[first] = (1,) + (0,) * 8
+        assert fb.lift(fam, prices, bound, False) is prices
+        with pytest.raises(lp_core.CertificationError):
+            fb.lift(fam, prices, bound, True)
 
     def test_nonuniform_witness(self):
         from mmk.case_studies import build_nonuniform_2x2x2
