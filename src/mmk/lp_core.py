@@ -14,10 +14,18 @@ over exact rationals, also the test oracle: it pivots by Bland's rule
 (the first column with negative reduced cost, the lowest basic index
 among tied ratios), which never cycles, and yields Farkas rays.
 
-Every larger LP is certified from floating point.  One HiGHS run per
-LP, on a model of A x = b cached for every objective posed on it and
-with feasibility tolerances TIGHT_TOLERANCE, returns an optimal vertex,
-its dual prices y and its basis.  x and y are rounded to nearby
+Every larger LP is certified from floating point.  HiGHS solves it on a
+model of A x = b cached for every objective posed on it, with
+feasibility tolerances TIGHT_TOLERANCE, and returns an optimal vertex,
+its dual prices y and its basis.  The method follows the LP: one with
+more than IPM_NONZEROS nonzeros and more than one nonzero objective
+entry runs the interior-point method with crossover, which ends on an
+optimal basis as the simplex does (Andersen & Ye, "Combining
+interior-point and pivoting algorithms for linear programming",
+Management Sci. 1996); every other LP, zero and one-entry objectives
+included, runs the dual simplex.  An interior-point run that ends
+without an optimum is run again by the simplex on the same solver, so
+every Farkas ray comes from the simplex.  x and y are rounded to nearby
 rationals, and a part that fails is rebuilt as the exact basic solution
 of that basis (Applegate, Cook, Dash & Espinoza, "Exact solutions to
 linear programming problems", Oper. Res. Lett. 2007): solves on HiGHS's
@@ -31,17 +39,18 @@ integers over common denominators; HiGHS's floats, its basis and its
 factor only choose the candidates.  A rejected HiGHS vertex is not
 solved again.  An infeasible LPSolution holds its Farkas ray (y.A <= 0,
 y.b > 0) in y, where an optimum holds its dual prices.  When HiGHS
-reports the LP infeasible, the ray comes from that same run: HiGHS's
-dual ray, scaled to largest entry 1 and rounded to nearby rationals, if
-check_certificate accepts it.  Otherwise CertificationError names the
+reports the LP infeasible, the ray comes from the simplex run that
+found it: HiGHS's dual ray, scaled to largest entry 1 and rounded to
+nearby rationals, if check_certificate accepts it.  Otherwise CertificationError names the
 failed check: x, y, the gap or the ray.  The tableau's time has no
 bound on a large LP, so it is no fallback.
 
-Float mode makes the same HiGHS run and returns its answer, with x's
+Float mode makes the same HiGHS runs and returns their answer, with x's
 entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
-and for infeasible problems the scaled dual ray, each entry the exact
-Fraction of its float.  solve itself answers a model without columns,
-which HiGHS rejects, the same way in both modes, its ray also checked.
+and for infeasible problems the rounded ray if check_certificate
+accepts it, else the scaled dual ray, each entry the exact Fraction of
+its float.  solve itself answers a model without columns, which HiGHS
+rejects, the same way in both modes, its ray also checked.
 No LP this package builds is unbounded (its marginal rows and x >= 0
 bound x), so an unbounded LP raises LPError, as does any other HiGHS
 failure.
@@ -61,8 +70,9 @@ from typing import Sequence
 from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
 # Beyond this many nonzeros the caller must opt into float mode explicitly.
-# Below it HiGHS takes most of the time: exact build_discontinuous(24),
-# 41,472 nonzeros, took 24.8 s on 2 cores, 0.7 s of it the rebuild.
+# Below it exact build_discontinuous(24), 41,472 nonzeros, takes 4-5 s
+# on 2 cores: 1.6 s in HiGHS's interior-point method and crossover, most
+# of the rest the rebuild of x.
 EXACT_NONZERO_CAP = 50_000
 
 # No LP in either mode may have more nonzeros than this.  The (3,2)
@@ -83,9 +93,21 @@ TABLEAU_ONLY_NONZEROS = 64
 # below 0 or a degenerate vertex may come out on an inconsistent support:
 # 27 of the 33 min-mass LPs of build_unreachable(12) have an entry near
 # -9e-8, and a degenerate (5,3) family's vertex fails x's exact check.
-# No LP is solved twice, and the tighter tolerance costs HiGHS no time
-# on these LPs.
+# No LP is solved again at another tolerance, and the tighter one costs
+# HiGHS no time on these LPs.
 TIGHT_TOLERANCE = 1e-10
+
+# An LP with more nonzeros than this and more than one nonzero objective
+# entry runs HiGHS's interior-point method with crossover, every other LP
+# its dual simplex.  Exact verify_gap, dual simplex -> interior point, on
+# 2 cores (medians of 3): build_discontinuous(6), 648 nonzeros, 9-10 ->
+# 12-15 ms; XorInstance(3), 1,536, 15-17 -> 19 ms; random (3,2) on 10^3,
+# 3,000, 52-55 -> 48 ms; on 12^3, 5,184, 165-201 -> 107 ms;
+# build_discontinuous(12), 5,184, 196-200 -> 119-131 ms; XorInstance(4),
+# 12,288, 284-302 -> 144-161 ms.  A one-entry objective loses at every
+# size: float min_mass_at_cell on build_unreachable(12), 5,184 nonzeros,
+# went from 22 to 43-69 ms, and on (18) from 81-92 to 181-217 ms.
+IPM_NONZEROS = 4096
 
 _ZERO = Fraction(0)  # the one Fraction for every exact 0 of a candidate
 
@@ -371,16 +393,20 @@ class _ExactTableau:
 
 
 def _highs(model, objective: Sequence):
-    """One HiGHS run of min objective.x on the model of A x = b, x >= 0.
+    """HiGHS's min objective.x on the model of A x = b, x >= 0.
 
     A fresh solver takes the cached model (an LPProblem.highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
-    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Returns
-    (x, y, value, highs) of an optimal vertex with its duals and the
-    solver itself, which holds the factor of its basis; for an infeasible
-    LP (None, ray, None, None), ray HiGHS's dual ray from the same run
-    (None if HiGHS has none).  LPError on any other status, such as an
-    unbounded LP; OverflowError if an entry is too large for a float.
+    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Above
+    IPM_NONZEROS nonzeros, an objective with more than one nonzero entry
+    runs the interior-point method with crossover; if that run ends
+    without an optimum, the same solver runs again with the simplex.
+    Every other LP has one simplex run.  Returns (x, y, value, highs) of
+    an optimal vertex with its duals and the solver itself, which holds
+    the factor of its basis; for an infeasible LP (None, ray, None,
+    None), ray the dual ray of the simplex run that found it (None if
+    HiGHS has none).  LPError on any other status, such as an unbounded
+    LP; OverflowError if an entry is too large for a float.
     """
     core = _core()
     highs = core._Highs()
@@ -390,8 +416,16 @@ def _highs(model, objective: Sequence):
     highs.passModel(model)
     costs = {j: float(v) for j, v in enumerate(objective) if v}
     highs.changeColsCost(len(costs), list(costs), list(costs.values()))
+    ipm = len(costs) > 1 and highs.getNumNz() > IPM_NONZEROS
+    if ipm:
+        highs.setOptionValue("solver", "ipm")
+        highs.setOptionValue("run_crossover", "on")
     highs.run()
     status = highs.getModelStatus()
+    if ipm and status != core.HighsModelStatus.kOptimal:
+        highs.setOptionValue("solver", "simplex")
+        highs.run()
+        status = highs.getModelStatus()
     if status == core.HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         value = highs.getInfo().objective_function_value
@@ -566,13 +600,14 @@ def _solve_tableau(problem: LPProblem, objective) -> LPSolution:
 
 
 def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
-    """The answer of one HiGHS run, certified in exact mode.
+    """_highs's answer, certified in exact mode.
 
-    Exact mode returns _certify's optimum, or HiGHS's dual ray from the
-    same run, scaled to largest entry 1 and rounded, once _infeasible
-    accepts it.  Float mode returns HiGHS's numbers, with an entry of x
-    in [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance,
-    as 0.0, and the scaled ray in Fractions; LPError if its optimal x has
+    Exact mode returns _certify's optimum, or HiGHS's dual ray, scaled
+    to largest entry 1 and rounded, once _infeasible accepts it.  Float
+    mode returns HiGHS's numbers, with an entry of x in
+    [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance, as
+    0.0; its ray is the rounded one if check_certificate accepts it, else
+    the scaled ray in Fractions.  LPError if float mode's optimal x has
     an entry below -TIGHT_TOLERANCE or an infeasible run has no ray
     (CertificationError in exact mode).
     """
@@ -586,9 +621,12 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
             raise error("HiGHS calls the LP infeasible but gives no dual ray")
         scale = max(map(abs, y)) or 1.0
         y = [v / scale for v in y]
-        if not exact:
-            return LPSolution("infeasible", y=[Fraction(v) for v in y])
-        return _infeasible(problem, [_rounded(v) for v in y], "HiGHS's rounded dual ray")
+        ray = [_rounded(v) for v in y]
+        if exact:
+            return _infeasible(problem, ray, "HiGHS's rounded dual ray")
+        if not check_certificate(problem, ray):
+            ray = [Fraction(v) for v in y]
+        return LPSolution("infeasible", y=ray)
     if exact:
         return LPSolution("optimal", *_certify(problem, objective, x, y, highs))
     if min(x, default=0.0) < -TIGHT_TOLERANCE:
@@ -626,9 +664,9 @@ def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") ->
     is its one point if b = 0 (optimal, y = 0, value 0), and else the ray
     y_i = -1 where b_i < 0 and 1 elsewhere proves it infeasible.  The
     tableau takes an exact LP of at most TABLEAU_ONLY_NONZEROS nonzeros;
-    one HiGHS run takes every other.  Both modes enforce check_size's
-    caps: coefficient growth makes huge exact pivots impractical, and a
-    huge float LP would use up memory.
+    HiGHS, by _highs's choice of method, takes every other.  Both modes
+    enforce check_size's caps: coefficient growth makes huge exact pivots
+    impractical, and a huge float LP would use up memory.
     """
     check_size(problem.nonzeros(), arithmetic)
     objective = tuple(as_fraction(v) for v in objective)

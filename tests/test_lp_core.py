@@ -31,6 +31,7 @@ from mmk.measures import (
     scaled,
 )
 from mmk.transport import CostGrid, InfeasibleFamilyError, verify_gap
+from mmk.xor_model import XorInstance
 
 
 # The threshold as shipped; TestCertifier's fixture lowers it to 0.
@@ -46,12 +47,28 @@ def farkas_ray(fam, verdict):
     return [-v for alpha in fam.index_sets() for v in verdict.potentials[alpha]]
 
 
-def ray_within(problem, y, tol):
-    """y.A_j <= tol on every column and y.b > tol, in Fractions: the test
-    of check_certificate with slack tol, for float mode's unchecked rays."""
-    return all(sum(y[i] for i in column) <= tol for column in problem.columns) and (
-        sum(v * b for v, b in zip(y, problem.rhs)) > tol
-    )
+def record_runs(monkeypatch):
+    """The list of HiGHS runs from now on, each (options, ipm): the
+    (option, value) pairs set on its solver before the run, in order, and
+    the run's interior-point iteration count."""
+    runs = []
+
+    class Recording(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            self.options = []
+
+        def setOptionValue(self, name, value):
+            self.options.append((name, value))
+            return super().setOptionValue(name, value)
+
+        def run(self):
+            status = super().run()
+            runs.append((list(self.options), self.getInfo().ipm_iteration_count))
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    return runs
 
 
 def refuse_tableau(monkeypatch):
@@ -736,10 +753,7 @@ class TestFarkas:
             calls.clear()
             sol = solve(problem, [0] * problem.ncols, arithmetic=mode)
             assert sol.status == "infeasible" and len(calls) == 1
-            if mode == "exact":
-                assert check_certificate(problem, sol.y)
-            else:
-                assert ray_within(problem, sol.y, Fraction(1, 10**9))
+            assert check_certificate(problem, sol.y)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_infeasible_run_without_a_ray_raises(self, monkeypatch, mode):
@@ -752,16 +766,70 @@ class TestFarkas:
         assert (raised.type is lp_core.CertificationError) == (mode == "exact")
 
 
-def test_highs_binding_has_what_lp_core_uses():
+class TestMethodRoute:
+    """_highs runs the interior-point method with crossover on an LP of more
+    than IPM_NONZEROS nonzeros with more than one nonzero objective entry,
+    and the simplex on every other LP and after an interior-point run
+    that ends without an optimum."""
+
+    @staticmethod
+    def xor_problem(n):
+        inst = XorInstance(n)
+        return LPProblem(*marginal_constraint_rows(inst.family())), list(inst.cost().values)
+
+    IPM = [("solver", "ipm"), ("run_crossover", "on")]
+
+    def test_method_follows_nonzeros_and_objective(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        problem, cost = self.xor_problem(4)
+        small, small_cost = self.xor_problem(3)
+        assert problem.nonzeros() == 12_288 and small.nonzeros() == 1_536
+        one_cell = [0] * problem.ncols
+        one_cell[5] = 1
+        for lp, objective, ipm in ((problem, cost, True), (problem, one_cell, False),
+                                   (problem, [0] * problem.ncols, False),
+                                   (small, small_cost, False)):
+            runs.clear()
+            assert solve(lp, objective).status == "optimal"
+            [(options, ipm_iterations)] = runs
+            assert (options[-2:] == self.IPM) == ipm == (ipm_iterations > 0)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_ray_after_interior_point_comes_from_the_simplex(self, monkeypatch, mode):
+        # An interior-point run that finds the LP infeasible has no dual
+        # ray; the same solver then runs the simplex for it.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        monkeypatch.setattr(lp_core, "IPM_NONZEROS", 0)
+        runs = record_runs(monkeypatch)
+        for n, k in [(5, 2), (6, 3)]:
+            _, problem = TestFarkas.modk_problem(n, k)
+            runs.clear()
+            sol = solve(problem, [j % 7 + 1 for j in range(problem.ncols)], arithmetic=mode)
+            assert sol.status == "infeasible" and check_certificate(problem, sol.y)
+            [(first, _), (second, ipm_iterations)] = runs
+            assert first[-2:] == self.IPM and second == first + [("solver", "simplex")]
+            assert ipm_iterations == 0
+
+    def test_xor4_value_in_both_modes(self):
+        inst = XorInstance(4)
+        fam, cost = inst.family(), inst.cost()
+        exact = verify_gap(fam, cost)
+        assert exact.value == Fraction(1395, 4) and exact.gap == 0
+        approx = verify_gap(fam, cost, arithmetic="float")
+        assert abs(approx.value - 1395 / 4) <= 1e-9
+
+
+def test_highs_binding_has_what_lp_core_uses(monkeypatch):
     # lp_core runs HiGHS through scipy's private binding
     # scipy.optimize._highspy._core (scipy >= 1.15).  Building the model
     # sets every HighsLp field it uses; an optimal and an infeasible run
     # read every result it reads, getDualRay's three values and the basic
-    # variables and basis solves of the rebuild included.
+    # variables and basis solves of the rebuild included, and an
+    # interior-point run with crossover leaves a basis to read.
     for method in (
-        "setOptionValue", "passModel", "changeColsCost", "run", "getModelStatus",
-        "getSolution", "getInfo", "getDualRay", "getBasicVariables", "getBasisSolve",
-        "getBasisTransposeSolve",
+        "setOptionValue", "passModel", "changeColsCost", "getNumNz", "run",
+        "getModelStatus", "getSolution", "getInfo", "getDualRay", "getBasicVariables",
+        "getBasisSolve", "getBasisTransposeSolve",
     ):
         assert callable(getattr(_core._Highs, method))
     assert isinstance(_core.MatrixFormat.kColwise, _core.MatrixFormat)
@@ -784,6 +852,14 @@ def test_highs_binding_has_what_lp_core_uses():
     infeasible = LPProblem([[0, 1]], [1, 2]).highs_model
     x, ray, value, highs = lp_core._highs(infeasible, [1])
     assert x is None and value is None and highs is None and len(ray) == 2
+    for option, setting in (("solver", "ipm"), ("run_crossover", "on"), ("solver", "simplex")):
+        assert _core._Highs().setOptionValue(option, setting) == _core.HighsStatus.kOk
+    monkeypatch.setattr(lp_core, "IPM_NONZEROS", 0)
+    problem, cost = TestMethodRoute.xor_problem(2)
+    x, y, value, highs = lp_core._highs(problem.highs_model, cost)
+    assert highs.getInfo().ipm_iteration_count > 0 and value == pytest.approx(9 / 4)
+    status, basic = highs.getBasicVariables()
+    assert status == _core.HighsStatus.kOk and len(basic) == problem.nrows
 
 
 def run_python(code):
