@@ -24,6 +24,7 @@ from .measures import (
     SignedDiscreteMeasure,
     all_index_sets,
     as_int,
+    family_from_rule,
     project,
     uniform_family,
 )
@@ -368,12 +369,6 @@ def build_nonuniform_2x2x2() -> MarginalFamily:
     The uniting polytope is a single point: the measure vanishing at
     (0,0,0) and (1,1,1) and equal to 1/6 elsewhere.
     """
-    marginals = {}
-    for alpha in all_index_sets(3, 2):
-        sub = ProductGrid([2, 2], axes=tuple(alpha))
-        w = [
-            Fraction(1, 6) if c[0] == c[1] else Fraction(1, 3)
-            for c in sub.cells()
-        ]
-        marginals[alpha] = DiscreteMeasure(sub, w)
-    return MarginalFamily(3, 2, [2, 2, 2], marginals)
+    return family_from_rule(
+        [2, 2, 2], 2, lambda cell: Fraction(1, 6) if cell[0] == cell[1] else Fraction(1, 3)
+    )

@@ -202,7 +202,7 @@ def cmd_xor(args) -> int:
     return 0
 
 
-def _case_unreachable(args, arithmetic):
+def _case_unreachable(args):
     N = 12 if args.N is None else args.N
     fam, cost, alpha0 = case_studies.build_unreachable(N)
     cells = []
@@ -234,10 +234,10 @@ def _case_unreachable(args, arithmetic):
     }
 
 
-def _case_nonstrong(args, arithmetic):
+def _case_nonstrong(args):
     N = 10 if args.N is None else args.N
     fam, cost = case_studies.build_nonstrong(N)
-    potentials, value = transport.solve_dual(fam, cost, arithmetic=arithmetic)
+    potentials, value = transport.solve_dual(fam, cost, arithmetic=args.arithmetic)
     grid = fam.full_grid()
     totals = cell_sums(grid, potentials)
     diag = [_rat(totals[grid.ravel((n - 1, n - 1, n - 1))]) for n in range(1, N + 1)]
@@ -249,7 +249,7 @@ def _case_nonstrong(args, arithmetic):
     }
 
 
-def _case_discontinuous(args, arithmetic):
+def _case_discontinuous(args):
     N = 12 if args.N is None else args.N
     fam, cost, dual = case_studies.build_discontinuous(N)
     pi = case_studies.composite_pi(N)
@@ -267,7 +267,7 @@ def _case_discontinuous(args, arithmetic):
     }
 
 
-def _case_uniformband(args, arithmetic):
+def _case_uniformband(args):
     N = 24 if args.N is None else args.N
     fam, cost = case_studies.build_uniformband(N)
     pi, value = transport.solve_primal(fam, cost, arithmetic="float")
@@ -291,7 +291,7 @@ def _case_uniformband(args, arithmetic):
     }
 
 
-def _case_plane_duals(args, arithmetic):
+def _case_plane_duals(args):
     checks = []
     for A in (0, 1, 2):
         x, y = Fraction(1, 3), Fraction(1, 4)
@@ -305,10 +305,10 @@ def _case_plane_duals(args, arithmetic):
     return {"case": "plane-duals", "kappa": _rat(case_studies.FA_KAPPA), "checks": checks}
 
 
-def _case_nonuniform222(args, arithmetic):
+def _case_nonuniform222(args):
     fam = case_studies.build_nonuniform_2x2x2()
     values = case_studies.verify_unique_uniting(
-        fam, list(fam.full_grid().cells()), arithmetic=arithmetic
+        fam, list(fam.full_grid().cells()), arithmetic=args.arithmetic
     )
     return {
         "case": "nonuniform222",
@@ -334,7 +334,7 @@ def cmd_case(args) -> int:
     if handler is None:
         print(f"unknown case {args.name!r}; choose from {sorted(_CASES)}", file=sys.stderr)
         return 1
-    _emit(handler(args, args.arithmetic))
+    _emit(handler(args))
     return 0
 
 
@@ -343,7 +343,7 @@ def cmd_figure(args) -> int:
         out = args.out or "sierpinski.pgm"
         return _write_slice(_parse_dyadic(args.z), args.depth, out)
     if args.name == "uniformband":
-        report = _case_uniformband(args, args.arithmetic)
+        report = _case_uniformband(args)
         _emit(report)
         return 0
     print(f"unknown figure {args.name!r}", file=sys.stderr)

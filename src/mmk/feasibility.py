@@ -28,10 +28,10 @@ from .measures import (
     Frozen,
     IndexSet,
     MarginalFamily,
-    ProductGrid,
     SignedDiscreteMeasure,
     all_index_sets,
     cell_sums,
+    family_from_rule,
     integral,
     is_consistent,
     lower_marginal,
@@ -640,16 +640,8 @@ def make_modk_counterexample(n: int, k: int) -> MarginalFamily:
     """
     if not 1 < k < n:
         raise DomainError(f"need 1 < k < n, got n={n}, k={k}")
-    sizes = [k] * n
     weight = Fraction(1, k ** (k - 1))
-    marginals = {}
-    for alpha in all_index_sets(n, k):
-        sub = ProductGrid([k] * k, axes=tuple(alpha))
-        ws = []
-        for cell in sub.cells():
-            ws.append(weight if sum(cell) % k == 1 else Fraction(0))
-        marginals[alpha] = DiscreteMeasure(sub, ws)
-    return MarginalFamily(n, k, sizes, marginals)
+    return family_from_rule([k] * n, k, lambda cell: weight if sum(cell) % k == 1 else 0)
 
 
 def make_two_point_counterexample(ratio) -> MarginalFamily:
@@ -663,11 +655,4 @@ def make_two_point_counterexample(ratio) -> MarginalFamily:
         raise DomainError(f"ratio must be >= 1, got {r}")
     m = Fraction(1, 2) / (1 + r)
     M = r * m
-    marginals = {}
-    for alpha in all_index_sets(3, 2):
-        sub = ProductGrid([2, 2], axes=tuple(alpha))
-        ws = []
-        for cell in sub.cells():
-            ws.append(M if cell[0] + cell[1] == 1 else m)
-        marginals[alpha] = DiscreteMeasure(sub, ws)
-    return MarginalFamily(3, 2, [2, 2, 2], marginals)
+    return family_from_rule([2, 2, 2], 2, lambda cell: M if cell[0] != cell[1] else m)

@@ -116,18 +116,22 @@ class LPError(Exception):
     pass
 
 
+@cache
 def _core():
-    """scipy's HiGHS binding, loaded from its file alone: the package
-    scipy.optimize would first import scipy.sparse, scipy.linalg and more."""
+    """scipy's HiGHS binding: the imported module if there is one, else
+    loaded from its file alone, since the package scipy.optimize would
+    first import scipy.sparse, scipy.linalg and more.  The loaded module
+    is not registered: a later import of scipy.optimize then imports it
+    itself, gets the same module and sets it on scipy.optimize._highspy."""
     name = "scipy.optimize._highspy._core"
-    if name not in sys.modules:
-        dirs = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [f"{d}/optimize/_highspy" for d in dirs])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]
+    if name in sys.modules:
+        return sys.modules[name]
+    dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [f"{d}/optimize/_highspy" for d in dirs])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class SizeCapError(LPError):
@@ -249,7 +253,8 @@ def _primal_feasible(problem: LPProblem, x) -> bool:
 
 def check_certificate(problem: LPProblem, y: Sequence) -> bool:
     """True iff the ray y has y.A <= 0 on every column and y.b > 0,
-    decided exactly; its entries are ints or Fractions."""
+    decided exactly at the exact value of each entry (int, Fraction or
+    float), through scaled."""
     return (
         len(y) == problem.nrows
         and _columns_within(problem.columns, y, ([0] * problem.ncols, 1))

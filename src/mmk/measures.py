@@ -355,45 +355,38 @@ def product(factors: Sequence[SignedDiscreteMeasure]) -> SignedDiscreteMeasure:
 
 
 def scaled(values) -> tuple[list[int], int]:
-    """Integers z and the least common denominator d, values[i] == z[i] / d."""
+    """Integers z and the least common denominator d, values[i] == z[i] / d.
+
+    Each value is read once, through as_integer_ratio(): ints, bools,
+    Fractions and finite floats all have it, and it is their exact value.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
     d = 1
-    for v in values:
-        q = v.denominator
+    for _, q in ratios:
         if d % q:
             d = d // math.gcd(d, q) * q
-    return [v.numerator * (d // v.denominator) for v in values], d
+    return [p * (d // q) for p, q in ratios], d
 
 
-def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list:
-    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order: in
-    integers over one common denominator if every value is an int or a
-    Fraction, else left to right in floats."""
+def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list[Fraction]:
+    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order:
+    exact Fractions, summed in integers over one common denominator."""
     blocks = list(functions.values())
-    exact = all(isinstance(v, (int, Fraction)) for values in blocks for v in values)
-    if exact:
-        flat, d = scaled([v for values in blocks for v in values])
-        ends = itertools.accumulate(map(len, blocks))
-        blocks = [flat[end - len(values):end] for end, values in zip(ends, blocks)]
-    totals = [0 if exact else 0.0] * grid.ncells
-    for alpha, values in zip(functions, blocks):
-        index = grid.projection_index(alpha)
-        totals = [s + values[i] for s, i in zip(totals, index)]
-    return [Fraction(t, d) for t in totals] if exact else totals
+    flat, d = scaled([v for values in blocks for v in values])
+    ends = itertools.accumulate(map(len, blocks))
+    totals = [0] * grid.ncells
+    for alpha, end, values in zip(functions, ends, blocks):
+        block = flat[end - len(values):end]
+        totals = [s + block[i] for s, i in zip(totals, grid.projection_index(alpha))]
+    return [Fraction(t, d) for t in totals]
 
 
-def integral(fam: MarginalFamily, functions: Mapping[IndexSet, Sequence]):
-    """sum_alpha int f_alpha d mu_alpha: in integers over the common
-    denominators of the f's and of the weights if all are ints or
-    Fractions, else one alpha at a time in `functions` order."""
+def integral(fam: MarginalFamily, functions: Mapping[IndexSet, Sequence]) -> Fraction:
+    """sum_alpha int f_alpha d mu_alpha: one exact Fraction, summed in
+    integers over the common denominators of the f's and of the weights."""
     terms = [t for alpha, values in functions.items() for t in zip(values, fam[alpha].weights)]
-    if all(isinstance(v, (int, Fraction)) for t in terms for v in t):
-        (F, df), (W, dw) = scaled([f for f, _ in terms]), scaled([w for _, w in terms])
-        return Fraction(sum(map(operator.mul, F, W)), df * dw)
-    per_alpha = (
-        sum(f * w for f, w in zip(values, fam[alpha].weights))
-        for alpha, values in functions.items()
-    )
-    return sum(per_alpha, Fraction(0))
+    (F, df), (W, dw) = scaled([f for f, _ in terms]), scaled([w for _, w in terms])
+    return Fraction(sum(map(operator.mul, F, W)), df * dw)
 
 
 class MarginalFamily(Frozen):
@@ -446,6 +439,17 @@ class MarginalFamily(Frozen):
 
     def __repr__(self) -> str:
         return f"MarginalFamily(n={self.n}, k={self.k}, sizes={list(self.sizes)})"
+
+
+def family_from_rule(sizes: Sequence[int], k: int, weight) -> MarginalFamily:
+    """The (n,k) family on the grid of `sizes`, n = len(sizes), whose
+    marginal on each alpha weighs every cell of its sub-grid by weight(cell)."""
+    n = len(sizes)
+    marginals = {}
+    for alpha in all_index_sets(n, k):
+        sub = ProductGrid([sizes[a - 1] for a in alpha], axes=alpha.members)
+        marginals[alpha] = DiscreteMeasure(sub, [weight(cell) for cell in sub.cells()])
+    return MarginalFamily(n, k, sizes, marginals)
 
 
 def uniform_family(sizes: Sequence[int], k: int) -> MarginalFamily:

@@ -150,7 +150,8 @@ def solve_primal(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact")
 
 def solve_dual(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact"):
     """Maximize sum int f_alpha d mu_alpha over feasible potentials;
-    returns (potentials {alpha: tuple}, dual value).
+    returns (potentials {alpha: tuple}, dual value).  The dual value is
+    the exact integral of the returned potentials, float ones included.
 
     Potentials are normalized to f_alpha(first cell) = 0 for all but the
     first alpha, making the output deterministic.

@@ -902,8 +902,8 @@ print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 
 @pytest.mark.parametrize("binding_first", [True, False], ids=["binding-first", "scipy-first"])
 def test_binding_shared_with_scipy_optimize(binding_first):
-    # Loaded before or after scipy.optimize, the binding is one module, and
-    # linprog still solves.
+    # Loaded before or after scipy.optimize, the binding is one module, the
+    # attribute of its package too, and linprog still solves.
     code = f"""
 import sys
 from mmk import lp_core
@@ -913,8 +913,9 @@ if {binding_first}:
 else:
     from scipy.optimize import linprog
     core = lp_core._core()
+import scipy.optimize._highspy as pkg
 from scipy.optimize._highspy import _core
-assert _core is core is lp_core._core() is sys.modules["scipy.optimize._highspy._core"]
+assert pkg._core is _core is core is lp_core._core() is sys.modules["scipy.optimize._highspy._core"]
 result = linprog([1, 2], A_eq=[[1, 1]], b_eq=[1], method="highs")
 print(result.status, result.x.tolist())
 """

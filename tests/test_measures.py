@@ -1,6 +1,7 @@
 """Grids, measures, projections, products, families, JSON round-trips."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from mmk.measures import (
     measure_to_json,
     product,
     project,
+    scaled,
     uniform,
     uniform_family,
 )
@@ -325,18 +327,20 @@ class TestMarginalFamily:
 
 
 def fraction_cell_sums(grid, functions):
-    """The oracle: sum_alpha f_alpha(x_alpha), one Fraction addition per cell."""
+    """The oracle: sum_alpha f_alpha(x_alpha), one Fraction addition per
+    cell, each value taken as its exact Fraction."""
     totals = [Fraction(0)] * grid.ncells
     for alpha, values in functions.items():
         index = grid.projection_index(alpha)
-        totals = [s + values[i] for s, i in zip(totals, index)]
+        totals = [s + Fraction(values[i]) for s, i in zip(totals, index)]
     return totals
 
 
 def fraction_integral(fam, functions):
-    """The oracle: sum_alpha int f_alpha d mu_alpha, one alpha at a time."""
+    """The oracle: sum_alpha int f_alpha d mu_alpha, one alpha at a time,
+    each value taken as its exact Fraction."""
     per_alpha = (
-        sum(f * w for f, w in zip(values, fam[alpha].weights))
+        sum(Fraction(f) * w for f, w in zip(values, fam[alpha].weights))
         for alpha, values in functions.items()
     )
     return sum(per_alpha, Fraction(0))
@@ -344,11 +348,13 @@ def fraction_integral(fam, functions):
 
 def exact_values():
     """Ints and Fractions, negative ones and denominators above 2^64 among
-    them, and Fraction(float) values with power-of-two denominators."""
+    them, and floats, both raw and as Fraction(float)."""
+    floats = st.floats(-1e6, 1e6, allow_nan=False)
     return st.one_of(
         st.integers(-(2**70), 2**70),
         st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)),
-        st.floats(-1e6, 1e6, allow_nan=False).map(Fraction),
+        floats,
+        floats.map(Fraction),
     )
 
 
@@ -368,10 +374,6 @@ def families_with_potentials(draw, values):
         a: tuple(draw(st.lists(values, min_size=fam[a].grid.ncells, max_size=fam[a].grid.ncells)))
         for a in alphas
     }
-
-
-def bits(floats):
-    return [x.hex() for x in floats]
 
 
 class TestPotentialSums:
@@ -404,15 +406,12 @@ class TestPotentialSums:
         assert sums == [Fraction(0)] * 8 and all(type(s) is Fraction for s in sums)
         assert type(integral(fam, {})) is Fraction and integral(fam, {}) == 0
 
-    @settings(max_examples=60, deadline=None)
-    @given(families_with_potentials(st.floats(-1e6, 1e6, allow_nan=False)))
-    def test_float_values_keep_the_float_sums_bit_for_bit(self, drawn):
-        fam, f = drawn
-        grid = fam.full_grid()
-        sums = cell_sums(grid, f)
-        assert all(type(s) is float for s in sums)
-        assert bits(sums) == bits(fraction_cell_sums(grid, f))
-        assert bits([integral(fam, f)]) == bits([fraction_integral(fam, f)])
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(exact_values() | st.booleans(), max_size=12))
+    def test_scaled_is_the_common_denominator_of_the_exact_values(self, values):
+        exact = [Fraction(v) for v in values]
+        d = math.lcm(*(v.denominator for v in exact))
+        assert scaled(values) == ([int(v * d) for v in exact], d)
 
 
 class TestJson:

@@ -40,6 +40,8 @@ from mmk.transport import (
     solve_primal,
     verify_gap,
 )
+from mmk.xor_model import XorInstance
+from test_measures import fraction_integral
 
 
 def projected_family(rng, n, k, sizes):
@@ -181,6 +183,22 @@ class TestSolve:
         assert integral(fam, d) == dual_value
         _, value = solve_primal(fam, cost)
         assert dual_value == value
+
+    def test_float_dual_value_is_the_integral_of_its_potentials(self):
+        # Float potentials are summed exactly, so the dual value that float
+        # mode reports is the exact integral of the potentials it returns.
+        rng = random.Random(3)
+        cases = []
+        for _ in range(20):
+            fam = projected_family(rng, 3, 2, [3, 3, 3])
+            costs = [Fraction(rng.randint(0, 20), 7) for _ in range(27)]
+            cases.append((fam, CostGrid(fam.full_grid(), costs)))
+        xor = XorInstance(3)
+        cases.append((xor.family(), xor.cost()))
+        for fam, cost in cases:
+            d, value = solve_dual(fam, cost, arithmetic="float")
+            assert type(value) is Fraction
+            assert value == integral(fam, d) == fraction_integral(fam, d)
 
     def test_dual_normalization(self):
         rng = random.Random(9)
