@@ -230,20 +230,11 @@ class PiecewiseDual32(Frozen):
 
     def potentials(self, N: int) -> dict:
         """{alpha: tuple} sampled at cell centers (i + 1/2)/N of the N^3 grid."""
-        sub = ProductGrid([N, N])
-
-        def center(i):
-            return Fraction(2 * i + 1, 2 * N)
-
-        out = {}
-        for alpha in all_index_sets(3, 2):
-            if alpha == IndexSet([1, 2]):
-                out[alpha] = (Fraction(0),) * sub.ncells
-            else:
-                out[alpha] = tuple(
-                    self.f13(center(c[0]), center(c[1])) for c in sub.cells()
-                )
-        return out
+        centers = [Fraction(2 * i + 1, 2 * N) for i in range(N)]
+        return {
+            alpha: tuple(f(x, y) for x, y in itertools.product(centers, repeat=2))
+            for alpha, f in zip(all_index_sets(3, 2), (self.f12, self.f13, self.f23))
+        }
 
 
 def build_discontinuous(N: int):

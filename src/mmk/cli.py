@@ -3,8 +3,8 @@
 Subcommands: check, solve, dual, signed, bounded-dual, xor, case,
 figure.  Problem files are JSON; rationals serialize as "p/q" strings.
 Exit codes: 0 success/feasible, 2 infeasible, 1 malformed input,
-unknown name or an LP the solver refuses (a size cap) or cannot
-certify.
+unknown name, an output file that cannot be written, or an LP the
+solver refuses (a size cap) or cannot certify.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ def load_problem(path: str):
         if "cost" in data:
             if not isinstance(data["cost"], dict):
                 raise DomainError("cost must be an object with weights")
-            grid = fam.full_grid()
+            if not isinstance(data["cost"]["weights"], list):
+                raise DomainError("cost weights must be a JSON array")
             values = [as_fraction(v) for v in data["cost"]["weights"]]
             if [as_int(v) for v in data["cost"].get("axes", axes)] != axes:
                 raise DomainError("cost axes do not match problem axes")
-            cost = transport.CostGrid(grid, values)
+            cost = transport.CostGrid(fam.full_grid(), values)
         refs = None
         if "refs" in data:
             refs = [
@@ -416,6 +417,9 @@ def main(argv=None) -> int:
         return 1
     except lp_core.LPError as exc:
         print(f"cannot solve: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output file: load_problem reports its own
+        print(f"cannot write: {exc}", file=sys.stderr)
         return 1
 
 

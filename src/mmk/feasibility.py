@@ -17,6 +17,7 @@ are coefficient rows of the one symmetric template _symmetric_32.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -59,6 +60,7 @@ class DensityAssemblyError(Exception):
         self.weight = weight
 
 
+@functools.total_ordering
 class QuadExt:
     """An element a + b*sqrt(root) of a real quadratic field.
 
@@ -132,48 +134,28 @@ class QuadExt:
         return QuadExt(other, 0, self.root) / self
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:  # same signs, or a part is 0
+            return sa or sb
         # Opposite signs: compare |a| with |b|*sqrt(root) via squares.
-        lhs, rhs = a * a, b * b * self.root
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        return (self - o).sign()
+        d = self.a * self.a - self.b * self.b * self.root
+        return sa * ((d > 0) - (d < 0))
 
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return (self - o).sign() == 0
+
+    def __lt__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return (self - o).sign() < 0
 
     def __hash__(self):
         # root is no rational square: equal values share (a, b, root).
         return hash((self.a, self.b, self.root)) if self.b else hash(self.a)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(float(self.root))
@@ -219,20 +201,27 @@ class FeasibilityVerdict(Frozen):
         return f"FeasibilityVerdict({kind})"
 
 
-def signed_lambda(n: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients making sum_t lambda_t mu~_t project to every mu_alpha.
+def solve_lambda(n: int, k: int, e) -> tuple[Fraction, ...]:
+    """The solution with lambda_k = 1 of the triangular system
 
-    The system is triangular with unit diagonal:
-        sum_{t=i}^{k} lambda_t C(n-k, t-i) = [i == k]   for i = 0..k.
+        sum_{t=i}^{k} lambda_t e(i, t) = 0,   i = 0..k-1,
+
+    by back-substitution from i = k-1 down.  DomainError unless 1 <= k < n.
     """
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got n={n}, k={k}")
-    lambdas = [Fraction(0)] * (k + 1)
-    lambdas[k] = Fraction(1)
+    lambdas = [Fraction(0)] * k + [Fraction(1)]
     for i in range(k - 1, -1, -1):
-        acc = sum(lambdas[t] * math.comb(n - k, t - i) for t in range(i + 1, k + 1))
-        lambdas[i] = -acc  # diagonal coefficient C(n-k, 0) = 1
+        acc = sum(lambdas[t] * e(i, t) for t in range(i + 1, k + 1))
+        lambdas[i] = -acc / e(i, i)
     return tuple(lambdas)
+
+
+def signed_lambda(n: int, k: int) -> tuple[Fraction, ...]:
+    """Coefficients making sum_t lambda_t mu~_t project to every mu_alpha:
+    the solution of sum_{t=i}^{k} lambda_t C(n-k, t-i) = [i == k], i = 0..k,
+    which is solve_lambda with e(i, t) = C(n-k, t-i)."""
+    return solve_lambda(n, k, lambda i, t: math.comb(n - k, t - i))
 
 
 def _check_refs(sizes: Sequence[int], refs: Sequence[DiscreteMeasure]):

@@ -108,9 +108,6 @@ class IndexSet(Frozen):
     def __hash__(self) -> int:
         return hash(self.members)
 
-    def __le__(self, other: "IndexSet") -> bool:
-        return set(self.members) <= set(other.members)
-
     def __lt__(self, other: "IndexSet") -> bool:
         return self.members < other.members
 
@@ -178,9 +175,6 @@ class ProductGrid(Frozen):
         for s in self.sizes:
             out *= s
         return out
-
-    def index_set(self) -> IndexSet:
-        return IndexSet(self.axes)
 
     def cells(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(s) for s in self.sizes))
@@ -345,9 +339,9 @@ def product(factors: Sequence[SignedDiscreteMeasure]) -> SignedDiscreteMeasure:
     axes = tuple(sorted(size_of))
     grid = ProductGrid([size_of[a] for a in axes], axes=axes)
     first = factors[0].weights
-    weights = [first[i] for i in grid.projection_index(factors[0].grid.index_set())]
+    weights = [first[i] for i in grid.projection_index(factors[0].grid.axes)]
     for f in factors[1:]:
-        index = grid.projection_index(f.grid.index_set())
+        index = grid.projection_index(f.grid.axes)
         weights = [w * f.weights[i] for w, i in zip(weights, index)]
     signed = any(not isinstance(f, DiscreteMeasure) for f in factors)
     cls = SignedDiscreteMeasure if signed else DiscreteMeasure
@@ -359,8 +353,13 @@ def scaled(values) -> tuple[list[int], int]:
 
     Each value is read once, through as_integer_ratio(): ints, bools,
     Fractions and finite floats all have it, and it is their exact value.
+    DomainError names the first value without one (an infinite or NaN
+    float, a numpy integer, a string).
     """
-    ratios = [v.as_integer_ratio() for v in values]
+    try:  # v is the value last read, so the one that failed
+        ratios = [(v := value).as_integer_ratio() for value in values]
+    except (AttributeError, OverflowError, ValueError):
+        raise DomainError(f"{v!r} has no exact ratio") from None
     d = 1
     for _, q in ratios:
         if d % q:
@@ -502,7 +501,7 @@ def lower_marginal(fam: MarginalFamily, beta: IndexSet) -> DiscreteMeasure:
     """
     if len(beta) > fam.k:
         raise DomainError(f"|beta| = {len(beta)} exceeds k = {fam.k}")
-    hosts = [alpha for alpha in fam.index_sets() if beta <= alpha]
+    hosts = [alpha for alpha in fam.index_sets() if set(beta) <= set(alpha)]
     if not hosts:
         raise DomainError(f"no marginal contains {beta}")
     results = [project(fam[alpha], beta) for alpha in hosts]
@@ -533,9 +532,12 @@ def potentials_to_json(potentials: Mapping) -> dict:
 
 
 def measure_from_json(data: Mapping, axes: Sequence[int] | None = None) -> DiscreteMeasure:
-    """Decode a measure; weights may be 'p/q' strings or JSON numbers."""
+    """Decode a measure; its weights are a JSON array of 'p/q' strings or
+    JSON numbers."""
     try:
         sizes = [as_int(s) for s in data["axes"]]
+        if not isinstance(data["weights"], list):
+            raise DomainError("weights must be a JSON array")
         weights = [as_fraction(w) for w in data["weights"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed measure object: {exc}") from exc

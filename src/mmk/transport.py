@@ -27,6 +27,7 @@ from .feasibility import (
     lift,
     marginal_lp,
     row_blocks,
+    solve_lambda,
     verdict,
 )
 from .measures import (
@@ -43,7 +44,6 @@ from .measures import (
     measure_to_json,
     potentials_to_json,
     product,
-    project,
 )
 
 
@@ -177,22 +177,9 @@ def verify_gap(fam: MarginalFamily, cost: CostGrid, arithmetic: str = "exact") -
 
 
 def decomp_lambda(n: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients of the base-point decomposition of an (n,k)-function.
-
-    Unique solution with lambda_k = 1 of
-        sum_{t=a}^{k} lambda_t C(n-t, k-t) C(n-k, t-a) = 0,  a = 0..k-1.
-    """
-    if not 1 <= k < n:
-        raise DomainError(f"need 1 <= k < n, got n={n}, k={k}")
-    lam = [Fraction(0)] * (k + 1)
-    lam[k] = Fraction(1)
-    for a in range(k - 1, -1, -1):
-        acc = sum(
-            lam[t] * math.comb(n - t, k - t) * math.comb(n - k, t - a)
-            for t in range(a + 1, k + 1)
-        )
-        lam[a] = -acc / math.comb(n - a, k - a)
-    return tuple(lam)
+    """Coefficients of the base-point decomposition of an (n,k)-function:
+    feasibility.solve_lambda with e(a, t) = C(n-t, k-t) C(n-k, t-a)."""
+    return solve_lambda(n, k, lambda a, t: math.comb(n - t, k - t) * math.comb(n - k, t - a))
 
 
 def nk_decompose(
@@ -302,7 +289,7 @@ def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict, opt_value) -
     mu_i = [lower_marginal(fam, IndexSet([a])) for a in (1, 2, 3)]
     for alpha in fam.index_sets():
         i, j = alpha.members
-        if fam[alpha] != project(product([mu_i[i - 1], mu_i[j - 1]]), alpha):
+        if fam[alpha] != product([mu_i[i - 1], mu_i[j - 1]]):
             raise PreconditionError(
                 f"marginal for {alpha} is not the product of its 1-marginals"
             )
@@ -312,13 +299,13 @@ def extract_bounded_dual(fam: MarginalFamily, c: CostGrid, d: dict, opt_value) -
         raise PreconditionError(
             f"dual value {d_value} != primal optimum {opt_value}"
         )
-    if check_dual_feasible(d, c) > 0:
+    F_values = cell_sums(grid, d)
+    if any(s > v for s, v in zip(F_values, c.values)):
         raise PreconditionError("input potentials are not feasible")
 
     norm = c.linf()
     floor_F = -12 * norm
     nu = product(mu_i)
-    F_values = cell_sums(grid, d)
     bad = set()
     for t, v in enumerate(F_values):
         if v < floor_F:

@@ -142,6 +142,18 @@ class TestDiscontinuous:
         assert check_dual_feasible(pot, cost) <= 0
         assert integral(fam, pot) == Fraction(1, 6)
 
+    def test_potentials_sample_each_pair_function(self):
+        class Tilted(cs.PiecewiseDual32):
+            __slots__ = ()
+
+            def f12(self, x1, x2):
+                return x1 - 2 * x2
+
+        pot, N = Tilted().potentials(6), 6
+        centers = [Fraction(2 * i + 1, 2 * N) for i in range(N)]
+        for alpha, f in zip(all_index_sets(3, 2), (Tilted().f12, Tilted().f13, Tilted().f23)):
+            assert pot[alpha] == tuple(f(x, y) for x in centers for y in centers)
+
     def test_F_jumps_at_threshold(self):
         dual = cs.PiecewiseDual32()
         x = Fraction(1)

@@ -112,6 +112,22 @@ class TestCheck:
         bad.write_text(json.dumps({"n": 3}))
         assert cli.main(["check", str(bad)]) == 1
 
+    @pytest.mark.parametrize("where", ["marginal", "cost"])
+    def test_string_weights_exit_one(self, tmp_path, capsys, where):
+        # Read one character per weight, "1" and "123" were a marginal of
+        # mass 1 and the cost 1, 2, 3, and `solve` printed the value 2.
+        problem = {
+            "n": 2, "k": 1, "axes": [1, 3],
+            "marginals": {"1": {"axes": [1], "weights": "1" if where == "marginal" else [1]},
+                          "2": {"axes": [3], "weights": ["1/3", "1/3", "1/3"]}},
+            "cost": {"axes": [1, 3], "weights": "123"},
+        }
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["solve", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "must be a JSON array" in err
+
 
 class TestSolveAndDual:
     def test_solve_round_trip(self, tmp_path, capsys):
@@ -535,6 +551,22 @@ class TestXor:
     def test_non_dyadic_rejected(self, capsys):
         assert cli.main(["xor", "f", "1/3", "1/2"]) == 1
         assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xor", "slice", "--z", "0", "--depth", "2", "--out", "{missing}/s.pgm"],
+        ["figure", "sierpinski", "--depth", "2", "--out", "{missing}/s.pgm"],
+        ["case", "uniformband", "--N", "3", "--out", "{missing}"],
+        ["figure", "uniformband", "--N", "3", "--out", "{missing}"],
+    ],
+)
+def test_unwritable_output_exit_one(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such" / "dir"
+    assert cli.main([a.format(missing=missing) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "cannot write" in err and str(missing) in err
 
 
 class TestCases:

@@ -100,6 +100,28 @@ class TestQuadExt:
         assert QuadExt(3, -2, r) > 0  # 9 > 8
         assert QuadExt(1, -1, r) < 0
 
+    def test_order_agrees_with_the_float_value(self):
+        # sqrt(3) is irrational, so a + b sqrt(3) is 0 only at a = b = 0 and
+        # its float is far enough from 0 to give the sign.
+        values = [QuadExt(a, b, 3) for a in range(-3, 4) for b in range(-3, 4)]
+        for x in values:
+            assert x.sign() == (float(x) > 0) - (float(x) < 0)
+            for y in values + [Fraction(1, 2), -2]:
+                fx, fy = float(x), float(y)
+                assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                    fx < fy, fx <= fy, fx > fy, fx >= fy, fx == fy
+                )
+                assert (y < x, y <= x, y > x, y >= x) == (fy < fx, fy <= fx, fy > fx, fy >= fx)
+
+    def test_foreign_types_are_unordered_and_unequal(self):
+        x = QuadExt(1, 1, 3)
+        assert x != "x" and not x == "x"
+        for compare in (lambda: x < "x", lambda: x <= "x", lambda: x > "x", lambda: x >= "x"):
+            with pytest.raises(TypeError):
+                compare()
+        with pytest.raises(DomainError):
+            x < QuadExt(0, 1, 2)
+
     def test_interop_with_fraction(self):
         r = Fraction(3)
         x = QuadExt(1, 1, r)

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,8 @@ from mmk.measures import (
     uniform,
     uniform_family,
 )
+from mmk.lp_core import LPProblem, check_certificate
+from mmk.transport import CostGrid, check_dual_feasible
 
 
 def rationals():
@@ -62,7 +66,6 @@ class TestIndexSet:
         a, b = IndexSet([1, 2]), IndexSet([2, 3])
         assert a & b == IndexSet([2])
         assert a | b == IndexSet([1, 2, 3])
-        assert IndexSet([2]) <= a
 
     def test_all_index_sets(self):
         assert len(all_index_sets(4, 2)) == 6
@@ -413,6 +416,23 @@ class TestPotentialSums:
         d = math.lcm(*(v.denominator for v in exact))
         assert scaled(values) == ([int(v * d) for v in exact], d)
 
+    @pytest.mark.parametrize("entry", ["cell_sums", "integral", "certificate", "dual"])
+    @pytest.mark.parametrize(
+        "value", [np.int64(1), math.inf, math.nan, "1/2"], ids=["int64", "inf", "nan", "str"]
+    )
+    def test_a_value_without_an_exact_ratio_is_a_domain_error(self, value, entry):
+        fam = uniform_family([2, 2, 2], 2)
+        grid = fam.full_grid()
+        f = {alpha: (0, value, 1, 2) for alpha in fam.index_sets()}
+        call = {
+            "cell_sums": lambda: cell_sums(grid, f),
+            "integral": lambda: integral(fam, f),
+            "certificate": lambda: check_certificate(LPProblem([[0, 1]], [1, 1]), [1, value]),
+            "dual": lambda: check_dual_feasible(f, CostGrid(grid, [1] * grid.ncells)),
+        }[entry]
+        with pytest.raises(DomainError, match=re.escape(f"{value!r} has no exact ratio")):
+            call()
+
 
 class TestJson:
     def test_round_trip(self):
@@ -425,6 +445,11 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(DomainError):
             measure_from_json({"axes": [2]})
+
+    def test_weights_must_be_an_array(self):
+        # A string is iterable: "1" would otherwise be the one weight 1.
+        with pytest.raises(DomainError, match="weights must be a JSON array"):
+            measure_from_json({"axes": [1], "weights": "1"})
 
     def test_as_fraction(self):
         assert as_fraction("3/7") == Fraction(3, 7)
