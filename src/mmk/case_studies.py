@@ -157,7 +157,11 @@ def diagnose_dual_growth(N: int, arithmetic: str = "float"):
     |f12(n,n)| + |f13(n,n)| + |f23(n,n)|.  The n^-2-weighted total of
     this list grows with the window size: at full scale the dual
     supremum is not attained and the potentials blow up along the
-    diagonal.
+    diagonal.  The dual optimum is not unique: the sums are read from the
+    one optimal dual HiGHS returns, out of many, so they follow HiGHS's
+    method and presolve setting.  Its simplex without presolve moves the
+    weighted totals at N = 8 and 10 from 4.999 and 5.606 to 10.685 and
+    7.693.
     """
     fam, cost, _ = build_unreachable(N)
     potentials, _ = solve_dual(fam, cost, arithmetic=arithmetic)

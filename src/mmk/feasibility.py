@@ -64,10 +64,11 @@ class DensityAssemblyError(Exception):
 class QuadExt:
     """An element a + b*sqrt(root) of a real quadratic field.
 
-    `root` is a fixed nonnegative rational that is not a perfect square
-    of a rational.  Supports field arithmetic with Fractions/ints and
-    exact comparisons, which is what the density-2 construction needs to
-    certify nonnegativity without floating point.
+    `root` is a fixed positive rational that is not the square of a
+    rational, else DomainError: equality, hash and sign() rely on
+    sqrt(root) being irrational.  Supports field arithmetic with
+    Fractions/ints and exact comparisons, which is what the density-2
+    construction needs to certify nonnegativity without floating point.
     """
 
     __slots__ = ("a", "b", "root")
@@ -76,8 +77,8 @@ class QuadExt:
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.root = Fraction(root)
-        if self.root < 0:
-            raise DomainError("root must be nonnegative")
+        if self.root < 0 or _sqrt_fraction(self.root) is not None:
+            raise DomainError(f"root {self.root} must be positive and not a rational square")
 
     def _coerce(self, other):
         if isinstance(other, QuadExt):

@@ -25,13 +25,23 @@ interior-point and pivoting algorithms for linear programming",
 Management Sci. 1996); every other LP, zero and one-entry objectives
 included, runs the dual simplex.  An interior-point run that ends
 without an optimum is run again by the simplex on the same solver, so
-every Farkas ray comes from the simplex.  x and y are rounded to nearby
-rationals, and a part that fails is rebuilt as the exact basic solution
-of that basis (Applegate, Cook, Dash & Espinoza, "Exact solutions to
-linear programming problems", Oper. Res. Lett. 2007): solves on HiGHS's
-own factor of the basis matrix, refined with exact integer residuals to
-rationals of any size that the basis admits.  scipy's HiGHS binding is
-loaded by itself (_core), without scipy.optimize or scipy.sparse.
+every Farkas ray comes from the simplex.  An objective with at most one
+nonzero entry (kellerer_check's zero objective, the one-cell objectives
+of the mass extremes) runs without HiGHS's presolve, which costs a
+quarter of such a run and saves 2% of its simplex iterations.  A costed
+LP, with more, keeps presolve for two reasons: an interior-point run
+without it leaves no simplex factor, and reading the basis
+(getBasicVariables) then crashes HiGHS 1.12.0; and a simplex run
+without it ends on another of the optimal duals, which
+diagnose_dual_growth's sums read.
+
+x and y are rounded to nearby rationals, and a part that fails is
+rebuilt as the exact basic solution of that basis (Applegate, Cook,
+Dash & Espinoza, "Exact solutions to linear programming problems",
+Oper. Res. Lett. 2007): solves on HiGHS's own factor of the basis
+matrix, refined with exact integer residuals to rationals of any size
+that the basis admits.  scipy's HiGHS binding is loaded by itself
+(_core), without scipy.optimize or scipy.sparse.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
@@ -402,16 +412,20 @@ def _highs(model, objective: Sequence):
 
     A fresh solver takes the cached model (an LPProblem.highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
-    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Above
-    IPM_NONZEROS nonzeros, an objective with more than one nonzero entry
-    runs the interior-point method with crossover; if that run ends
-    without an optimum, the same solver runs again with the simplex.
-    Every other LP has one simplex run.  Returns (x, y, value, highs) of
-    an optimal vertex with its duals and the solver itself, which holds
-    the factor of its basis; for an infeasible LP (None, ray, None,
-    None), ray the dual ray of the simplex run that found it (None if
-    HiGHS has none).  LPError on any other status, such as an unbounded
-    LP; OverflowError if an entry is too large for a float.
+    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  An
+    objective with at most one nonzero entry runs without presolve.  A
+    costed one, with more, keeps presolve: without it an interior-point
+    run leaves no factor, and getBasicVariables then crashes HiGHS
+    1.12.0, and a simplex run ends on another optimal dual.  Above
+    IPM_NONZEROS nonzeros a costed LP runs the interior-point method with
+    crossover; if that run ends without an optimum, the same solver runs
+    again with the simplex.  Every other LP has one simplex run.  Returns
+    (x, y, value, highs) of an optimal vertex with its duals and the
+    solver itself, which holds the factor of its basis; for an infeasible
+    LP (None, ray, None, None), ray the dual ray of the simplex run that
+    found it (None if HiGHS has none).  LPError on any other status, such
+    as an unbounded LP; OverflowError if an entry is too large for a
+    float.
     """
     core = _core()
     highs = core._Highs()
@@ -421,7 +435,10 @@ def _highs(model, objective: Sequence):
     highs.passModel(model)
     costs = {j: float(v) for j, v in enumerate(objective) if v}
     highs.changeColsCost(len(costs), list(costs), list(costs.values()))
-    ipm = len(costs) > 1 and highs.getNumNz() > IPM_NONZEROS
+    costed = len(costs) > 1
+    ipm = costed and highs.getNumNz() > IPM_NONZEROS
+    if not costed:
+        highs.setOptionValue("presolve", "off")
     if ipm:
         highs.setOptionValue("solver", "ipm")
         highs.setOptionValue("run_crossover", "on")

@@ -141,6 +141,13 @@ class TestQuadExt:
             assert x == y and hash(x) == hash(y)
         assert len({a, (a * b) / b, a - a + 3, 3, Fraction(3)}) == 2
 
+    @pytest.mark.parametrize("root", [0, 4, Fraction(9, 4), -2])
+    def test_root_must_be_positive_and_no_rational_square(self, root):
+        # With sqrt(root) rational, QuadExt(0, 1, 4) would equal 2 but hash
+        # apart from it, and QuadExt(0, 1, 0), the value 0, would have sign 1.
+        with pytest.raises(DomainError, match="rational square"):
+            QuadExt(0, 1, root)
+
     @staticmethod
     def irrational_density2_measure():
         """The density-2 measure of a 2x3x2 family of density near 1: some
@@ -157,6 +164,15 @@ class TestQuadExt:
         assert any(isinstance(w, QuadExt) and w.b for w in weights)
         distinct = set(weights)
         assert all(w in distinct for w in weights) and len(distinct) <= len(weights)
+
+    def test_density2_still_builds_irrational_weights(self):
+        weights = self.irrational_density2_measure().weights
+        irrational = [w for w in weights if isinstance(w, QuadExt)]
+        [root] = {w.root for w in irrational}
+        assert math.isqrt(root.numerator) ** 2 != root.numerator or (
+            math.isqrt(root.denominator) ** 2 != root.denominator)
+        assert all(w.b for w in irrational) and all(w >= 0 for w in weights)
+        assert sum(weights) == 1
 
     def test_irrational_density2_weights_have_no_json_form(self):
         mu = self.irrational_density2_measure()

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmk import lp_core
-from mmk.case_studies import build_discontinuous, build_nonstrong, min_mass_at_cell
+from mmk.case_studies import (
+    _a_points,
+    _b_points,
+    build_discontinuous,
+    build_nonstrong,
+    max_mass_at_cell,
+    min_mass_at_cell,
+)
 from mmk.feasibility import (
     kellerer_check,
     make_modk_counterexample,
@@ -69,6 +76,10 @@ def record_runs(monkeypatch):
 
     monkeypatch.setattr(_core, "_Highs", Recording)
     return runs
+
+
+# The option a run without presolve has among record_runs's options.
+PRESOLVE_OFF = ("presolve", "off")
 
 
 def refuse_tableau(monkeypatch):
@@ -529,6 +540,29 @@ class TestRebuild:
         for alpha in fam.index_sets():
             assert project(verdict.witness, alpha) == fam[alpha]
 
+    def test_mass_extremes_rebuilt_after_a_run_without_presolve(self, monkeypatch):
+        # One-cell objectives run without presolve, and the basis of such a
+        # run must still be factored for the rebuild (after an
+        # interior-point run without presolve, getBasicVariables crashed
+        # HiGHS).  Every rounded candidate fails, so at least y is rebuilt.
+        fam, _ = build_nonstrong(8)
+        monkeypatch.setattr(lp_core, "_rounded", lambda v: Fraction(v) + Fraction(1, 3))
+        refuse_tableau(monkeypatch)
+        runs = record_runs(monkeypatch)
+        rebuilt = record_rebuilds(monkeypatch)
+        # The unique uniting measure weighs each point of A_n and B_n,
+        # n < 8, by 1/n^2 over the total.
+        total = sum(Fraction(6, n * n) for n in range(1, 8))
+        for n in range(1, 8):
+            for point in _a_points(n) + _b_points(n):
+                cell = tuple(c - 1 for c in point)
+                for extreme in (min_mass_at_cell, max_mass_at_cell):
+                    runs.clear()
+                    rebuilt.clear()
+                    assert extreme(fam, cell) == Fraction(1, n * n) / total
+                    assert [PRESOLVE_OFF in options for options, _ in runs] == [True]
+                    assert any(z is not None for z in rebuilt)
+
     def test_failed_reconstruction_raises(self, monkeypatch):
         # The family of test_feasible_53_certified_by_the_rebuild, whose x
         # only the rebuild recovers.  With the denominator bound cut to 2
@@ -770,7 +804,8 @@ class TestMethodRoute:
     """_highs runs the interior-point method with crossover on an LP of more
     than IPM_NONZEROS nonzeros with more than one nonzero objective entry,
     and the simplex on every other LP and after an interior-point run
-    that ends without an optimum."""
+    that ends without an optimum.  Only an objective with at most one
+    nonzero entry runs without presolve."""
 
     @staticmethod
     def xor_problem(n):
@@ -808,7 +843,36 @@ class TestMethodRoute:
             assert sol.status == "infeasible" and check_certificate(problem, sol.y)
             [(first, _), (second, ipm_iterations)] = runs
             assert first[-2:] == self.IPM and second == first + [("solver", "simplex")]
-            assert ipm_iterations == 0
+            assert ipm_iterations == 0 and PRESOLVE_OFF not in second
+
+    def test_presolve_off_for_zero_and_one_entry_objectives_only(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        problem, cost = self.xor_problem(4)
+        small, small_cost = self.xor_problem(3)
+
+        def one_cell(lp, j, value):
+            objective = [0] * lp.ncols
+            objective[j] = value
+            return objective
+
+        for lp, objective, costed in (
+            (problem, cost, True), (small, small_cost, True),
+            (problem, [0] * problem.ncols, False), (small, [0] * small.ncols, False),
+            (problem, one_cell(problem, 5, 1), False), (small, one_cell(small, 7, -3), False),
+        ):
+            for mode in ("exact", "float"):
+                runs.clear()
+                assert solve(lp, objective, arithmetic=mode).status == "optimal"
+                [(options, ipm_iterations)] = runs
+                assert (PRESOLVE_OFF not in options) == costed
+                assert (ipm_iterations > 0) == (costed and lp is problem)
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        for lp in TestFarkas().one_run_problems():
+            for mode in ("exact", "float"):
+                runs.clear()
+                sol = solve(lp, [0] * lp.ncols, arithmetic=mode)
+                assert sol.status == "infeasible" and check_certificate(lp, sol.y)
+                assert [PRESOLVE_OFF in options for options, _ in runs] == [True]
 
     def test_xor4_value_in_both_modes(self):
         inst = XorInstance(4)
