@@ -157,11 +157,14 @@ def diagnose_dual_growth(N: int, arithmetic: str = "float"):
     |f12(n,n)| + |f13(n,n)| + |f23(n,n)|.  The n^-2-weighted total of
     this list grows with the window size: at full scale the dual
     supremum is not attained and the potentials blow up along the
-    diagonal.  The dual optimum is not unique: the sums are read from the
-    one optimal dual HiGHS returns, out of many, so they follow HiGHS's
-    method and presolve setting.  Its simplex without presolve moves the
-    weighted totals at N = 8 and 10 from 4.999 and 5.606 to 10.685 and
-    7.693.
+    diagonal.  The dual optimum is not unique, but lp_core solves this
+    symmetric LP on its quotient and lifts a dual that is constant on
+    each class of rows, so the sums follow neither HiGHS's method nor its
+    presolve: the weighted totals at N = 8, 10 and 12 are 3.571, 4.138
+    and 4.615, the least growth over all optimal duals (a separate LP,
+    solved in float, gave these minima).  HiGHS's dual of the full LP
+    gave 4.999, 5.606 and 6.107, and without presolve 10.685, 7.693 and
+    14.792.
     """
     fam, cost, _ = build_unreachable(N)
     potentials, _ = solve_dual(fam, cost, arithmetic=arithmetic)

@@ -17,31 +17,48 @@ among tied ratios), which never cycles, and yields Farkas rays.
 Every larger LP is certified from floating point.  HiGHS solves it on a
 model of A x = b cached for every objective posed on it, with
 feasibility tolerances TIGHT_TOLERANCE, and returns an optimal vertex,
-its dual prices y and its basis.  The method follows the LP: one with
-more than IPM_NONZEROS nonzeros and more than one nonzero objective
-entry runs the interior-point method with crossover, which ends on an
-optimal basis as the simplex does (Andersen & Ye, "Combining
-interior-point and pivoting algorithms for linear programming",
-Management Sci. 1996); every other LP, zero and one-entry objectives
-included, runs the dual simplex.  An interior-point run that ends
-without an optimum is run again by the simplex on the same solver, so
-every Farkas ray comes from the simplex.  An objective with at most one
-nonzero entry (kellerer_check's zero objective, the one-cell objectives
-of the mass extremes) runs without HiGHS's presolve, which costs a
-quarter of such a run and saves 2% of its simplex iterations.  A costed
-LP, with more, keeps presolve for two reasons: an interior-point run
-without it leaves no simplex factor, and reading the basis
-(getBasicVariables) then crashes HiGHS 1.12.0; and a simplex run
-without it ends on another of the optimal duals, which
-diagnose_dual_growth's sums read.
+its dual prices y and its basis.  A costed LP, with more than one
+nonzero objective entry, first gets the coarsest equitable partition
+of its rows and columns refined from b and c (colour refinement: Grohe,
+Kersting, Mladenov & Selman, ESA 2014; Bödi, Herr & Joswig, Math. Prog.
+2013).  If the partition is not discrete, HiGHS solves its quotient,
+one variable per column class, one row per row class, with integer
+coefficients (XorInstance(4): 136 x 816 against 768 x 4,096), and the
+quotient's vertex, duals or ray are lifted to the LP: x_j = X_Q(j) and
+y_i = w_P(i) / |P(i)|.  The lifted answer is checked on the LP itself
+like any other, so no claim rests on the theorem; a rejected quotient
+answer is not solved again on the full LP.  A first pass in plain
+Python ends the partition for most LPs without symmetry, and they go
+to HiGHS as they are.
+
+The method follows the model HiGHS is given: one with more than
+IPM_NONZEROS nonzeros and a costed objective runs the interior-point
+method with crossover, which ends on an optimal basis as the simplex
+does (Andersen & Ye, "Combining interior-point and pivoting algorithms
+for linear programming", Management Sci. 1996); every other model,
+zero and one-entry objectives included, runs the dual simplex.  An
+interior-point run that ends without an optimum is run again by the
+simplex on the same solver, so every Farkas ray comes from the simplex.
+An objective with at most one nonzero entry (kellerer_check's zero
+objective, the one-cell objectives of the mass extremes) runs without
+HiGHS's presolve, which costs a quarter of such a run and saves 2% of
+its simplex iterations.  A costed LP keeps presolve: an interior-point
+run without it leaves no simplex factor, and reading the basis
+(getBasicVariables) then crashes HiGHS 1.12.0.  The duals of a costed
+LP with a quotient are constant on the row classes whichever optimal
+basis HiGHS ends on, so diagnose_dual_growth's sums no longer follow
+presolve or the method.
 
 x and y are rounded to nearby rationals, and a part that fails is
 rebuilt as the exact basic solution of that basis (Applegate, Cook,
 Dash & Espinoza, "Exact solutions to linear programming problems",
 Oper. Res. Lett. 2007): solves on HiGHS's own factor of the basis
-matrix, refined with exact integer residuals to rationals of any size
-that the basis admits.  scipy's HiGHS binding is loaded by itself
-(_core), without scipy.optimize or scipy.sparse.
+matrix, the quotient's if HiGHS solved it, refined with exact integer
+residuals to rationals of any size that the basis admits.  Rounding and
+rebuilding both work on the short quotient vectors before the lift.
+scipy's HiGHS binding is loaded by itself (_core), without
+scipy.optimize or scipy.sparse, and numpy is imported only by the
+partition's refinement and the rebuild.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
@@ -55,7 +72,7 @@ nearby rationals, if check_certificate accepts it.  Otherwise CertificationError
 failed check: x, y, the gap or the ray.  The tableau's time has no
 bound on a large LP, so it is no fallback.
 
-Float mode makes the same HiGHS runs and returns their answer, with x's
+Float mode makes the same HiGHS runs and returns their lifted answer, with x's
 entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
 and for infeasible problems the rounded ray if check_certificate
 accepts it, else the scaled dual ray, each entry the exact Fraction of
@@ -72,6 +89,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
@@ -80,9 +98,10 @@ from typing import Sequence
 from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
 # Beyond this many nonzeros the caller must opt into float mode explicitly.
-# Below it exact build_discontinuous(24), 41,472 nonzeros, takes 4-5 s
-# on 2 cores: 1.6 s in HiGHS's interior-point method and crossover, most
-# of the rest the rebuild of x.
+# The count is the full LP's, also where HiGHS solves a quotient.  Below
+# it exact build_discontinuous(24), 41,472 nonzeros, takes 0.4-0.5 s on 2
+# cores through its 708 x 5,100 quotient: 0.15 s in HiGHS, 0.08 s to find
+# the partition and 0.05 s to rebuild x.  It took 3.4 s on the full LP.
 EXACT_NONZERO_CAP = 50_000
 
 # No LP in either mode may have more nonzeros than this.  The (3,2)
@@ -107,16 +126,20 @@ TABLEAU_ONLY_NONZEROS = 64
 # HiGHS no time on these LPs.
 TIGHT_TOLERANCE = 1e-10
 
-# An LP with more nonzeros than this and more than one nonzero objective
-# entry runs HiGHS's interior-point method with crossover, every other LP
-# its dual simplex.  Exact verify_gap, dual simplex -> interior point, on
-# 2 cores (medians of 3): build_discontinuous(6), 648 nonzeros, 9-10 ->
-# 12-15 ms; XorInstance(3), 1,536, 15-17 -> 19 ms; random (3,2) on 10^3,
-# 3,000, 52-55 -> 48 ms; on 12^3, 5,184, 165-201 -> 107 ms;
-# build_discontinuous(12), 5,184, 196-200 -> 119-131 ms; XorInstance(4),
-# 12,288, 284-302 -> 144-161 ms.  A one-entry objective loses at every
-# size: float min_mass_at_cell on build_unreachable(12), 5,184 nonzeros,
-# went from 22 to 43-69 ms, and on (18) from 81-92 to 181-217 ms.
+# A model with more nonzeros than this and more than one nonzero objective
+# entry runs HiGHS's interior-point method with crossover, every other
+# model its dual simplex.  The count is the model's, the quotient's if
+# HiGHS solves one.  These timings were taken on full LPs, before
+# symmetric LPs went to HiGHS as their quotients.  Exact verify_gap, dual
+# simplex -> interior point, on 2 cores (medians of 3):
+# build_discontinuous(6), 648 nonzeros, 9-10 -> 12-15 ms; XorInstance(3),
+# 1,536, 15-17 -> 19 ms; random (3,2) on 10^3, 3,000, 52-55 -> 48 ms; on
+# 12^3, 5,184, 165-201 -> 107 ms; build_discontinuous(12), 5,184, 196-200
+# -> 119-131 ms; XorInstance(4), 12,288, 284-302 -> 144-161 ms.  A
+# one-entry objective loses at every size: float min_mass_at_cell on
+# build_unreachable(12), 5,184 nonzeros, went from 22 to 43-69 ms, and on
+# (18) from 81-92 to 181-217 ms.  The quotient of build_discontinuous(24),
+# 14,892 nonzeros, still runs the interior-point method.
 IPM_NONZEROS = 4096
 
 _ZERO = Fraction(0)  # the one Fraction for every exact 0 of a candidate
@@ -189,23 +212,30 @@ class LPProblem(Frozen):
 
     @cached_property
     def highs_model(self):
-        """A x = b, x >= 0 as the HighsLp _highs runs: A column-wise, the
-        objective zero.
+        """A x = b, x >= 0 as the HighsLp _highs runs (_highs_lp)."""
+        index = [i for column in self.columns for i in column]
+        return _highs_lp(map(len, self.columns), index, [1.0] * self._nonzeros, self.rhs)
 
-        OverflowError if an entry of b is too large for a float.
-        """
-        b = [float(v) for v in self.rhs]
-        model = _core().HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = self.ncols
-        model.num_row_ = model.a_matrix_.num_row_ = len(b)
-        model.a_matrix_.format_ = _core().MatrixFormat.kColwise
-        model.a_matrix_.start_ = list(accumulate(map(len, self.columns), initial=0))
-        model.a_matrix_.index_ = [i for column in self.columns for i in column]
-        model.a_matrix_.value_ = [1.0] * self._nonzeros
-        model.col_cost_ = model.col_lower_ = [0.0] * self.ncols
-        model.col_upper_ = [math.inf] * self.ncols
-        model.row_lower_ = model.row_upper_ = b
-        return model
+
+def _highs_lp(lengths, index, values, rhs):
+    """A x = b, x >= 0 as a HighsLp, its objective zero: A column-wise,
+    column j's lengths[j] entries next in index (rows) and values.
+
+    OverflowError if an entry of b is too large for a float.
+    """
+    b = [float(v) for v in rhs]
+    model = _core().HighsLp()
+    start = list(accumulate(lengths, initial=0))
+    model.num_col_ = model.a_matrix_.num_col_ = len(start) - 1
+    model.num_row_ = model.a_matrix_.num_row_ = len(b)
+    model.a_matrix_.format_ = _core().MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = values
+    model.col_cost_ = model.col_lower_ = [0.0] * model.num_col_
+    model.col_upper_ = [math.inf] * model.num_col_
+    model.row_lower_ = model.row_upper_ = b
+    return model
 
 
 class LPSolution(Frozen):
@@ -410,14 +440,14 @@ class _ExactTableau:
 def _highs(model, objective: Sequence):
     """HiGHS's min objective.x on the model of A x = b, x >= 0.
 
-    A fresh solver takes the cached model (an LPProblem.highs_model)
-    and then the objective's nonzero entries, so the model keeps its zero
-    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  An
-    objective with at most one nonzero entry runs without presolve.  A
-    costed one, with more, keeps presolve: without it an interior-point
-    run leaves no factor, and getBasicVariables then crashes HiGHS
-    1.12.0, and a simplex run ends on another optimal dual.  Above
-    IPM_NONZEROS nonzeros a costed LP runs the interior-point method with
+    A fresh solver takes the cached model (the highs_model of an
+    LPProblem or a _Quotient) and then the objective's nonzero entries,
+    so the model keeps its zero objective.  The feasibility tolerances
+    are TIGHT_TOLERANCE.  An objective with at most one nonzero entry
+    runs without presolve.  A costed one, with more, keeps presolve:
+    without it an interior-point run leaves no factor, and
+    getBasicVariables then crashes HiGHS 1.12.0.  Above IPM_NONZEROS
+    nonzeros of the model a costed LP runs the interior-point method with
     crossover; if that run ends without an optimum, the same solver runs
     again with the simplex.  Every other LP has one simplex run.  Returns
     (x, y, value, highs) of an optimal vertex with its duals and the
@@ -458,6 +488,165 @@ def _highs(model, objective: Sequence):
     raise LPError(f"HiGHS failed with model status {status.name}")
 
 
+class _Quotient:
+    """The quotient LP of an equitable partition of A's rows and columns
+    (Grohe, Kersting, Mladenov & Selman, "Dimension reduction via colour
+    refinement", ESA 2014), and the lift of its answers.
+
+    row_class[i] is the class P of row i and col_class[j] the class Q of
+    column j; every row of P has the same b_i and the same number A_PQ of
+    class-Q columns, every column of Q the same c_j and the same number
+    of class-P rows.  Variable X_Q is the value of each column of Q, row
+    P reads sum_Q A_PQ X_Q = b_P, and X_Q costs c_Q |Q|.  columns[Q]
+    lists row P A_PQ times, so the rebuild's sums over a column take
+    the integer coefficients.  A quotient x lifts to x_j = X_Q(j), a
+    quotient dual price or ray w to y_i = w_P(i) / |P(i)|.
+    """
+
+    def __init__(self, problem: LPProblem, objective, row_class, col_class, entries):
+        self.row_class, self.col_class, self.entries = row_class, col_class, entries
+        row_sizes, col_sizes = Counter(row_class), Counter(col_class)
+        rhs, cost = dict(zip(row_class, problem.rhs)), dict(zip(col_class, objective))
+        self.row_sizes = [row_sizes[p] for p in range(len(row_sizes))]
+        self.rhs = [rhs[p] for p in range(len(row_sizes))]
+        self.objective = [cost[q] * col_sizes[q] for q in range(len(col_sizes))]
+        self.ncols = len(col_sizes)
+        self.columns = [[] for _ in range(self.ncols)]
+        self.squares = [0] * self.ncols  # columns[Q]'s squared 2-norm
+        for p, q, a in entries:
+            self.columns[q] += [p] * a
+            self.squares[q] += a * a
+
+    @cached_property
+    def highs_model(self):
+        """The quotient as the HighsLp _highs runs (_highs_lp)."""
+        lengths = Counter(q for _, q, _ in self.entries)
+        return _highs_lp(
+            (lengths[q] for q in range(self.ncols)), [p for p, _, _ in self.entries],
+            [float(a) for _, _, a in self.entries], self.rhs)
+
+    def lift_x(self, x) -> list:
+        return [x[q] for q in self.col_class]
+
+    def lift_y(self, w) -> list:
+        per_row = [v / n for v, n in zip(w, self.row_sizes)]
+        return [per_row[p] for p in self.row_class]
+
+
+def _colour_ids(keys) -> list:
+    """Each key's class number, numbered in order of first appearance."""
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def _quotient(problem: LPProblem, objective, scaled_c) -> _Quotient | None:
+    """The quotient of the coarsest equitable partition refined from b
+    and c = scaled_c, or None if its columns are all apart (the discrete
+    partition) or _equitable finds none.
+
+    A first pass in plain Python colours column j by (C_j, the sorted
+    B_i of its rows), with b = B / D and c = C / dc.  If these keys all
+    differ, which ends the work for most LPs, there is no quotient, and
+    numpy is not needed.  The key takes the sorted B_i: in the order of
+    the rows, a symmetry of the axes would part the columns it swaps.
+    """
+    B = problem.scaled_rhs[0]
+    keys = [(c, *sorted(map(B.__getitem__, column)))
+            for c, column in zip(scaled_c[0], problem.columns)]
+    if len(set(keys)) == len(keys):
+        return None
+    found = _equitable(problem, _colour_ids(B), _colour_ids(keys))
+    return found and _Quotient(problem, objective, *found)
+
+
+def _classes(old, h):
+    """Class numbers of the pairs (old[t], h[t]) of two integer arrays,
+    numbered in the pairs' lexicographic order, and their count."""
+    import numpy as np
+
+    if not len(old):
+        return old, 0
+    order = np.lexsort((h, old))
+    step = np.zeros(len(old), dtype=np.intp)
+    step[1:] = (np.diff(old[order]) != 0) | (np.diff(h[order]) != 0)
+    new = np.empty_like(step)
+    new[order] = np.cumsum(step)
+    return new, int(new[order[-1]]) + 1
+
+
+def _class_counts(own, other, members):
+    """The triples (class of `own`, class of `other`, count), sorted by the
+    second and then the first, if every member of each class of `own` lies
+    in the same number of entries of each class of `other`, else None.
+
+    Entry t has member members[t] and class other[t], and own[m] is member
+    m's class, classes numbered from 0.  The check is exact, in integer
+    arrays.
+    """
+    import numpy as np
+
+    pair, npairs = _classes(members, other)
+    per = np.bincount(pair, minlength=npairs)
+    first = np.empty(npairs, dtype=np.intp)
+    first[pair] = np.arange(len(pair))
+    mine, theirs = own[members[first]], other[first]
+    group, ngroups = _classes(theirs, mine)
+    rep = np.empty(ngroups, dtype=np.intp)
+    rep[group] = np.arange(npairs)
+    if (per[rep][group] != per).any() or (
+            np.bincount(group, minlength=ngroups) != np.bincount(own)[mine[rep]]).any():
+        return None
+    return list(zip(mine[rep].tolist(), theirs[rep].tolist(), per[rep].tolist()))
+
+
+def _equitable(problem: LPProblem, rows, cols):
+    """(row_class, col_class, entries) of the coarsest equitable
+    partition that refines the row colours `rows` and column colours
+    `cols` (lists of class numbers), or None if its columns are all
+    apart or the partition found is not equitable.
+
+    numpy refines in rounds: each row takes (its colour, the multiset of
+    its columns' colours), then each column (its colour, the multiset of
+    its rows' colours), until neither count of classes changes.  A
+    multiset is hashed as the 64-bit sum of per-colour weights, so
+    _class_counts then checks the partition exactly: every row of a class
+    P must have the same number A_PQ of columns in each class Q, and
+    every column of Q the same number of rows in each P.  entries are the
+    triples (P, Q, A_PQ) with A_PQ > 0, sorted by Q and then P.
+    """
+    import numpy as np
+
+    def hashed(colour, count, index, at, size, seed):
+        """Per entry of `at`, the sum of the weights of colour[index].  The
+        weight of colour t is splitmix64's mix of seed * 2^32 + t, a
+        bijection of 64-bit words (numpy.random would cost 6 MB)."""
+        w = np.arange(count, dtype=np.uint64) + np.uint64(seed << 32)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            w = (w ^ (w >> np.uint64(shift))) * np.uint64(factor)
+        w ^= w >> np.uint64(31)
+        h = np.zeros(size, dtype=np.uint64)
+        np.add.at(h, at, w[colour[index]])
+        return h
+
+    lengths = np.fromiter(map(len, problem.columns), dtype=np.intp, count=problem.ncols)
+    col_of = np.repeat(np.arange(problem.ncols), lengths)
+    row_of = np.fromiter((i for column in problem.columns for i in column),
+                         dtype=np.intp, count=problem.nonzeros())
+    nrow, ncol = max(rows, default=-1) + 1, max(cols) + 1
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    counts, seed = None, 0
+    while counts != (nrow, ncol):
+        counts, seed = (nrow, ncol), seed + 2
+        rows, nrow = _classes(rows, hashed(cols, ncol, col_of, row_of, problem.nrows, seed))
+        cols, ncol = _classes(cols, hashed(rows, nrow, row_of, col_of, problem.ncols, seed + 1))
+    if ncol == problem.ncols:
+        return None
+    entries = _class_counts(rows, cols[col_of], row_of)
+    if entries is None or _class_counts(cols, rows[row_of], col_of) is None:
+        return None
+    return rows.tolist(), cols.tolist(), entries
+
+
 def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
     """The infeasible answer with Farkas ray y, once check_certificate accepts it."""
     if not check_certificate(problem, y):
@@ -465,18 +654,24 @@ def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
     return LPSolution("infeasible", y=y)
 
 
-def _basis_factor(problem: LPProblem, highs):
+def _basis_factor(lp, highs):
     """(basic, columns, highs, bound) of the basis HiGHS has factored (it
     may have replaced dependent columns), or None if it has none: basic in
     HiGHS's order, j >= 0 column j and -1 - i row i, columns those of
     M = [A_B | I_R] in that order, and bound > |det M|, the product of
-    sqrt(|column|) over M's columns (Hadamard's bound) rounded up."""
+    the 2-norms of M's columns (Hadamard's bound) rounded up.  lp is the
+    LP HiGHS solved, an LPProblem or a _Quotient, whose columns list a
+    row once per unit of its coefficient."""
     status, basic = highs.getBasicVariables()
     if status != _core().HighsStatus.kOk:
         return None
     basic = basic.tolist()
-    columns = [problem.columns[j] if j >= 0 else (-1 - j,) for j in basic]
-    return basic, columns, highs, math.isqrt(math.prod(map(len, columns))) + 1
+    columns = [lp.columns[j] if j >= 0 else (-1 - j,) for j in basic]
+    if isinstance(lp, _Quotient):
+        squares = [lp.squares[j] if j >= 0 else 1 for j in basic]
+    else:
+        squares = map(len, columns)  # a 0/1 column's squared 2-norm
+    return basic, columns, highs, math.isqrt(math.prod(squares)) + 1
 
 
 def _refine(factor, rhs, transpose=False):
@@ -575,7 +770,7 @@ def _accept(problem: LPProblem, objective, xs, ys):
     return x, y, value
 
 
-def _certify(problem: LPProblem, objective, x_float, y_float, highs):
+def _certify(problem: LPProblem, objective, x_float, y_float, highs, quotient=None):
     """_accept's (x, y, value) near HiGHS's optimal vertex and its basis.
 
     x's candidates, in order: the vertex rounded to the multiples of 1/D,
@@ -590,24 +785,31 @@ def _certify(problem: LPProblem, objective, x_float, y_float, highs):
     M z = b with x = 0 off B and y from M^T y = (c_B, 0), share
     _basis_factor's M = [A_B | I_R] and the factor that the solver highs
     holds, read only once a rebuild is reached; it is never run again.
+
+    If HiGHS solved the quotient LP, its vectors are rounded and rebuilt
+    on the quotient's basis and then lifted; _accept checks the lifted
+    x and y on the problem itself.
     """
-    factor = cache(lambda: _basis_factor(problem, highs))
+    lp = quotient or problem
+    lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
+    factor = cache(lambda: _basis_factor(lp, highs))
 
     def xs():
         d_rhs = problem.scaled_rhs[1]
         if d_rhs <= 2**53:
-            yield [Fraction(round(v * d_rhs), d_rhs) if v else _ZERO for v in x_float]
-        yield [_rounded(v) for v in x_float]
-        if factor() and (z := _refine(factor(), problem.rhs)) is not None:
+            yield lift_x([Fraction(round(v * d_rhs), d_rhs) if v else _ZERO for v in x_float])
+        yield lift_x([_rounded(v) for v in x_float])
+        if factor() and (z := _refine(factor(), lp.rhs)) is not None:
             x = dict(zip(factor()[0], z))
-            yield [x.get(j, _ZERO) for j in range(problem.ncols)]
+            yield lift_x([x.get(j, _ZERO) for j in range(lp.ncols)])
 
     def ys():
-        yield [_rounded(v) for v in y_float]
+        yield lift_y([_rounded(v) for v in y_float])
         if factor():
-            c_basic = [objective[j] if j >= 0 else _ZERO for j in factor()[0]]
+            lp_objective = quotient.objective if quotient else objective
+            c_basic = [lp_objective[j] if j >= 0 else _ZERO for j in factor()[0]]
             if (y := _refine(factor(), c_basic, transpose=True)) is not None:
-                yield y
+                yield lift_y(y)
 
     return _accept(problem, objective, xs(), ys())
 
@@ -624,17 +826,25 @@ def _solve_tableau(problem: LPProblem, objective) -> LPSolution:
 def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
     """_highs's answer, certified in exact mode.
 
-    Exact mode returns _certify's optimum, or HiGHS's dual ray, scaled
-    to largest entry 1 and rounded, once _infeasible accepts it.  Float
-    mode returns HiGHS's numbers, with an entry of x in
-    [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance, as
-    0.0; its ray is the rounded one if check_certificate accepts it, else
-    the scaled ray in Fractions.  LPError if float mode's optimal x has
-    an entry below -TIGHT_TOLERANCE or an infeasible run has no ray
-    (CertificationError in exact mode).
+    A costed objective, with more than one nonzero entry, is solved on
+    the problem's _quotient when it has one, and every vector HiGHS
+    returns is lifted to the problem; zero and one-entry objectives keep
+    the problem itself.  Exact mode returns _certify's optimum, or
+    HiGHS's dual ray, scaled to largest entry 1 and rounded, once
+    _infeasible accepts it.  Float mode returns HiGHS's numbers, with an
+    entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility
+    tolerance, as 0.0; its ray is the rounded one if check_certificate
+    accepts it, else the scaled ray in Fractions.  LPError if float
+    mode's optimal x has an entry below -TIGHT_TOLERANCE or an infeasible
+    run has no ray (CertificationError in exact mode).
     """
+    quotient = None
+    if sum(map(bool, objective)) > 1:
+        quotient = _quotient(problem, objective, scaled(objective))
+    lp, lp_objective = (quotient, quotient.objective) if quotient else (problem, objective)
+    lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
     try:
-        x, y, value, highs = _highs(problem.highs_model, objective)
+        x, y, value, highs = _highs(lp.highs_model, lp_objective)
     except OverflowError as exc:
         raise LPError(f"an LP entry is too large for a float: {exc}") from exc
     if x is None:
@@ -643,17 +853,17 @@ def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
             raise error("HiGHS calls the LP infeasible but gives no dual ray")
         scale = max(map(abs, y)) or 1.0
         y = [v / scale for v in y]
-        ray = [_rounded(v) for v in y]
+        ray = lift_y([_rounded(v) for v in y])
         if exact:
             return _infeasible(problem, ray, "HiGHS's rounded dual ray")
         if not check_certificate(problem, ray):
-            ray = [Fraction(v) for v in y]
+            ray = lift_y([Fraction(v) for v in y])
         return LPSolution("infeasible", y=ray)
     if exact:
-        return LPSolution("optimal", *_certify(problem, objective, x, y, highs))
+        return LPSolution("optimal", *_certify(problem, objective, x, y, highs, quotient))
     if min(x, default=0.0) < -TIGHT_TOLERANCE:
         raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
-    return LPSolution("optimal", x=[max(v, 0.0) for v in x], y=list(y), value=value)
+    return LPSolution("optimal", x=lift_x([max(v, 0.0) for v in x]), y=lift_y(y), value=value)
 
 
 def check_size(nonzeros: int, arithmetic: str) -> None:

@@ -82,6 +82,27 @@ class TestUnreachable:
         g8 = cs.weighted_diagonal_growth(cs.diagnose_dual_growth(8))
         assert g8 > g6 > 0
 
+    def test_dual_growth_does_not_follow_presolve(self, monkeypatch):
+        # HiGHS solves the quotient LP, so the dual is constant on the
+        # classes of the equitable partition, and its weighted totals are
+        # the least growth over all optimal duals.  HiGHS's dual of the
+        # full LP gave 4.999 and 5.606, and 10.685 and 7.693 without
+        # presolve.
+        def totals():
+            return [cs.weighted_diagonal_growth(cs.diagnose_dual_growth(N)) for N in (8, 10)]
+
+        default = totals()
+        assert default == pytest.approx([3.571, 4.138], abs=5e-4)
+        core = lp_core._core()
+
+        class NoPresolve(core._Highs):
+            def run(self):
+                self.setOptionValue("presolve", "off")
+                return super().run()
+
+        monkeypatch.setattr(core, "_Highs", NoPresolve)
+        assert totals() == pytest.approx(default, rel=0, abs=1e-9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cs.build_unreachable(4)

@@ -313,13 +313,18 @@ class TestCertifier:
         # The y of its basis, (3, 6, -3, 0), has y.A_3 = 6 > 0: x is not optimal.
         with pytest.raises(lp_core.CertificationError, match="y fails"):
             lp_core._certify(p, self.COSTS, *self.wrong())
+        # solve hands HiGHS the problem itself only if its partition is
+        # discrete, as under the costs (0, 3, 4, 1).  There the y of the
+        # basis is (3, 7, -3, 0), with y.A_3 = 7 > 1.
+        costs = tuple(map(Fraction, [0, 3, 4, 1]))
+        assert lp_core._quotient(p, costs, scaled(costs)) is None
         x, y, basis = self.wrong()
         calls = []
         monkeypatch.setattr(
             lp_core, "_highs", lambda model, obj: calls.append(obj) or (x, y, 3.0, basis)
         )
         with pytest.raises(lp_core.CertificationError, match="y fails"):
-            solve(p, self.COSTS)
+            solve(p, costs)
         assert len(calls) == 1
 
     def test_rejects_infeasible_support(self):
@@ -801,27 +806,46 @@ class TestFarkas:
 
 
 class TestMethodRoute:
-    """_highs runs the interior-point method with crossover on an LP of more
-    than IPM_NONZEROS nonzeros with more than one nonzero objective entry,
-    and the simplex on every other LP and after an interior-point run
-    that ends without an optimum.  Only an objective with at most one
-    nonzero entry runs without presolve."""
+    """_highs runs the interior-point method with crossover on a model of
+    more than IPM_NONZEROS nonzeros with more than one nonzero objective
+    entry, and the simplex on every other model and after an
+    interior-point run that ends without an optimum.  The rule reads the
+    model HiGHS is given, the quotient of a costed LP that has one.  Only
+    an objective with at most one nonzero entry runs without presolve."""
 
     @staticmethod
     def xor_problem(n):
         inst = XorInstance(n)
         return LPProblem(*marginal_constraint_rows(inst.family())), list(inst.cost().values)
 
+    @staticmethod
+    def random_problem():
+        """The full-grid LP of the (3,2) projections of a random measure on
+        12^3, weights 1-999, and a random cost 0-20: 5,184 nonzeros, and
+        every first-pass key of its columns differs."""
+        rng = random.Random(3)
+        grid = ProductGrid([12] * 3)
+        raw = [rng.randint(1, 999) for _ in range(grid.ncells)]
+        mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+        fam = MarginalFamily(3, 2, [12] * 3, {a: project(mu, a) for a in all_index_sets(3, 2)})
+        return LPProblem(*marginal_constraint_rows(fam)), [rng.randint(0, 20) for _ in raw]
+
     IPM = [("solver", "ipm"), ("run_crossover", "on")]
 
     def test_method_follows_nonzeros_and_objective(self, monkeypatch):
+        # XorInstance(4)'s costed LP reaches HiGHS as its quotient, 2,176
+        # nonzeros, so the simplex runs it; the random LP keeps its model.
         runs = record_runs(monkeypatch)
+        big, big_cost = self.random_problem()
         problem, cost = self.xor_problem(4)
         small, small_cost = self.xor_problem(3)
-        assert problem.nonzeros() == 12_288 and small.nonzeros() == 1_536
+        assert big.nonzeros() == 5_184 and problem.nonzeros() == 12_288
+        assert small.nonzeros() == 1_536
+        assert lp_core._quotient(big, big_cost, scaled(big_cost)) is None
         one_cell = [0] * problem.ncols
         one_cell[5] = 1
-        for lp, objective, ipm in ((problem, cost, True), (problem, one_cell, False),
+        for lp, objective, ipm in ((big, big_cost, True), (problem, cost, False),
+                                   (problem, one_cell, False),
                                    (problem, [0] * problem.ncols, False),
                                    (small, small_cost, False)):
             runs.clear()
@@ -847,6 +871,7 @@ class TestMethodRoute:
 
     def test_presolve_off_for_zero_and_one_entry_objectives_only(self, monkeypatch):
         runs = record_runs(monkeypatch)
+        big, big_cost = self.random_problem()
         problem, cost = self.xor_problem(4)
         small, small_cost = self.xor_problem(3)
 
@@ -856,7 +881,7 @@ class TestMethodRoute:
             return objective
 
         for lp, objective, costed in (
-            (problem, cost, True), (small, small_cost, True),
+            (big, big_cost, True), (problem, cost, True), (small, small_cost, True),
             (problem, [0] * problem.ncols, False), (small, [0] * small.ncols, False),
             (problem, one_cell(problem, 5, 1), False), (small, one_cell(small, 7, -3), False),
         ):
@@ -865,7 +890,7 @@ class TestMethodRoute:
                 assert solve(lp, objective, arithmetic=mode).status == "optimal"
                 [(options, ipm_iterations)] = runs
                 assert (PRESOLVE_OFF not in options) == costed
-                assert (ipm_iterations > 0) == (costed and lp is problem)
+                assert (ipm_iterations > 0) == (costed and lp is big)
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         for lp in TestFarkas().one_run_problems():
             for mode in ("exact", "float"):
@@ -881,6 +906,161 @@ class TestMethodRoute:
         assert exact.value == Fraction(1395, 4) and exact.gap == 0
         approx = verify_gap(fam, cost, arithmetic="float")
         assert abs(approx.value - 1395 / 4) <= 1e-9
+
+
+class TestQuotient:
+    """A costed LP goes to HiGHS as the quotient of the coarsest equitable
+    partition of its rows and columns, and the lifted answer is checked
+    on the LP itself."""
+
+    @staticmethod
+    def handed(monkeypatch):
+        """The (rows, columns) of every model _highs is handed from now on."""
+        shapes, highs = [], lp_core._highs
+        monkeypatch.setattr(
+            lp_core, "_highs",
+            lambda model, obj: shapes.append((model.num_row_, model.num_col_)) or highs(model, obj))
+        return shapes
+
+    @pytest.mark.parametrize("n, shape", [(3, (36, 120)), (4, (136, 816))])
+    def test_xor_solved_on_its_quotient(self, monkeypatch, n, shape):
+        inst = XorInstance(n)
+        fam, cost = inst.family(), inst.cost()
+        shapes = self.handed(monkeypatch)
+        exact = verify_gap(fam, cost)
+        assert exact.value == inst.coupling_value() and exact.gap == 0
+        approx = verify_gap(fam, cost, "float")
+        assert abs(approx.value - inst.coupling_value()) <= 1e-9
+        assert shapes == [shape, shape]
+
+    def test_random_families_end_after_the_first_pass(self, monkeypatch):
+        # Projections of random measures (weights 0-9, about 30% of them 0)
+        # with costs 0-20, as perfbench's exact-transport draws them: the
+        # first pass finds every column apart, so nothing is refined.
+        def refuse(*args):
+            raise AssertionError("the partition was refined")
+
+        monkeypatch.setattr(lp_core, "_equitable", refuse)
+        refuse_tableau(monkeypatch)
+        shapes = self.handed(monkeypatch)
+        rng = random.Random(11)
+        for n, k, sizes in [(3, 2, (4, 4, 4)), (4, 2, (3, 3, 3, 3)), (4, 3, (3, 3, 3, 3))]:
+            grid = ProductGrid(sizes)
+            raw = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(grid.ncells)]
+            mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+            fam = MarginalFamily(n, k, sizes, {a: project(mu, a) for a in all_index_sets(n, k)})
+            cost = CostGrid(grid, [rng.randint(0, 20) for _ in raw])
+            shapes.clear()
+            assert verify_gap(fam, cost).gap == 0
+            assert shapes == [(fam._lp[1].nrows, fam._lp[1].ncols)]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_symmetric_infeasible_family_gets_a_lifted_ray(self, monkeypatch, mode):
+        # The two-point family with ratio 5/2 under the cost i + j + k:
+        # its 12 x 8 LP, 24 nonzeros, has a 3 x 4 quotient, and the
+        # quotient's ray, lifted, certifies the LP itself.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        refuse_tableau(monkeypatch)
+        fam = make_two_point_counterexample(Fraction(5, 2))
+        problem = LPProblem(*marginal_constraint_rows(fam))
+        cost = [sum(cell) for cell in fam.full_grid().cells()]
+        shapes = self.handed(monkeypatch)
+        sol = solve(problem, cost, mode)
+        assert sol.status == "infeasible" and check_certificate(problem, sol.y)
+        assert (problem.nrows, problem.ncols, shapes) == (12, 8, [(3, 4)])
+
+    def test_rebuilt_on_the_quotient_basis(self, monkeypatch):
+        # build_discontinuous(6) with both rounded candidates of x and y
+        # failing: x and y are rebuilt on the basis of the 51 x 105
+        # quotient, whose coefficients are integers, 21 of them 2.
+        fam, cost = build_discontinuous(6)[:2]
+        problem = LPProblem(*marginal_constraint_rows(fam))
+        quotient = lp_core._quotient(problem, cost.values, scaled(cost.values))
+        assert sorted(a for _, _, a in quotient.entries)[-22:] == [1] + [2] * 21
+        highs = lp_core._highs
+
+        def shifted(model, obj):
+            x, y, value, basis = highs(model, obj)
+            return [v + 0.25 if v > 1e-9 else v for v in x], y, value, basis
+
+        monkeypatch.setattr(lp_core, "_highs", shifted)
+        monkeypatch.setattr(lp_core, "_rounded", lambda v: Fraction(10**9))
+        rebuilt = record_rebuilds(monkeypatch)
+        report = verify_gap(fam, cost)
+        assert report.gap == 0 and report.value == Fraction(1, 6)
+        assert len(rebuilt) == 2 and None not in rebuilt
+
+    def test_hadamard_bound_takes_the_coefficients(self):
+        # Two copies of one column: the quotient is 2 X = 1, and its basis
+        # M = (2) has det 2.  Hadamard's bound is the 2-norm 2, rounded up
+        # past it to 3; the square root of the column's length would give
+        # sqrt(2), rounded up to 2, which is not above det M.
+        problem = LPProblem([[0], [0]], [1])
+        quotient = lp_core._quotient(problem, (1, 1), scaled([1, 1]))
+        assert quotient.columns == [[0, 0]] and quotient.objective == [2]
+        highs = lp_core._highs(quotient.highs_model, quotient.objective)[3]
+        assert lp_core._basis_factor(quotient, highs)[3] == 3
+
+    def test_class_counts_checked_exactly(self):
+        # The check that stands behind the hashed refinement.  Rows 0 and 1
+        # in one class, and columns 0 and 1 in one class, both in row 0:
+        # row 0 has two class-0 columns and row 1 none, or one if column 2
+        # lies in row 1.  With row 1 in columns 2 and 3, every row of the
+        # class has two.
+        import numpy as np
+
+        def counts(columns, row_class, col_class):
+            rows = np.array(row_class)
+            cols = np.array(col_class)
+            col_of = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
+            row_of = np.array([i for c in columns for i in c], dtype=np.intp)
+            return lp_core._class_counts(rows, cols[col_of], row_of)
+
+        assert counts([[0], [0]], [0, 0], [0, 0]) is None
+        assert counts([[0], [0], [1]], [0, 0], [0, 0, 0]) is None  # two and one
+        assert counts([[0], [0], [1], [1]], [0, 0], [0, 0, 0, 0]) == [(0, 0, 2)]
+        assert counts([[0], [0], [1], [1]], [0, 1], [0, 0, 1, 1]) == [(0, 0, 2), (1, 1, 2)]
+        assert counts([[0], [0], [1], [1]], [0, 1], [0, 1, 0, 1]) == [
+            (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_duplicated_columns_agree_with_the_tableau(self, data):
+        # Each column twice at the same cost, so a costed objective has a
+        # quotient; empty rows and columns, unbounded and infeasible LPs
+        # included.  The quotient route must give the tableau's status and
+        # value, or raise LPError where the tableau does.
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        frac = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        base = [[i for i in range(m) if data.draw(st.booleans())] for _ in range(n)]
+        costs = [data.draw(frac) for _ in range(n)]
+        if data.draw(st.booleans()):
+            x = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+                 for _ in range(n)]
+            rhs = [sum(xj for xj, column in zip(x, base) if i in column) for i in range(m)]
+        else:
+            rhs = [data.draw(frac) for _ in range(m)]
+        problem = LPProblem(base * 2, rhs)
+        objective = costs * 2
+        results = []
+        for threshold in (DEFAULT_THRESHOLD, 0):
+            with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", threshold):
+                try:
+                    results.append(solve(problem, objective))
+                except lp_core.CertificationError:
+                    raise
+                except lp_core.LPError:
+                    results.append(None)
+        oracle, lifted = results
+        if oracle is None:
+            assert lifted is None
+            return
+        assert (lifted.status, lifted.value) == (oracle.status, oracle.value)
+        if lifted.status == "infeasible":
+            assert check_certificate(problem, lifted.y)
+        if any(costs):
+            assert lp_core._quotient(problem, objective, scaled(objective)).ncols <= n
 
 
 def test_highs_binding_has_what_lp_core_uses(monkeypatch):
