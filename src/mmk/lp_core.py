@@ -21,15 +21,17 @@ its dual prices y and its basis.  A costed LP, with more than one
 nonzero objective entry, first gets the coarsest equitable partition
 of its rows and columns refined from b and c (colour refinement: Grohe,
 Kersting, Mladenov & Selman, ESA 2014; Bödi, Herr & Joswig, Math. Prog.
-2013).  If the partition is not discrete, HiGHS solves its quotient,
-one variable per column class, one row per row class, with integer
-coefficients (XorInstance(4): 136 x 816 against 768 x 4,096), and the
-quotient's vertex, duals or ray are lifted to the LP: x_j = X_Q(j) and
-y_i = w_P(i) / |P(i)|.  The lifted answer is checked on the LP itself
-like any other, so no claim rests on the theorem; a rejected quotient
-answer is not solved again on the full LP.  A first pass in plain
-Python ends the partition for most LPs without symmetry, and they go
-to HiGHS as they are.
+2013), in plain Python on exact keys: each class is refined by the
+multisets of its neighbours' classes themselves, so the partition found
+is equitable by construction.  If the partition is not discrete, HiGHS
+solves its quotient, one variable per column class, one row per row
+class, with integer coefficients (XorInstance(4): 136 x 816 against
+768 x 4,096), and the quotient's vertex, duals or ray are lifted to the
+LP: x_j = X_Q(j) and y_i = w_P(i) / |P(i)|.  The lifted answer is
+checked on the LP itself like any other, so no claim rests on the
+theorem; a rejected quotient answer is not solved again on the full
+LP.  The first keys of the columns all differ on most LPs without
+symmetry, and these go to HiGHS as they are.
 
 The method follows the model HiGHS is given: one with more than
 IPM_NONZEROS nonzeros and a costed objective runs the interior-point
@@ -58,7 +60,7 @@ residuals to rationals of any size that the basis admits.  Rounding and
 rebuilding both work on the short quotient vectors before the lift.
 scipy's HiGHS binding is loaded by itself (_core), without
 scipy.optimize or scipy.sparse, and numpy is imported only by the
-partition's refinement and the rebuild.
+rebuild.
 
 An optimum from either route is returned only if A x = b, x >= 0,
 y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
@@ -99,9 +101,9 @@ from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
 # Beyond this many nonzeros the caller must opt into float mode explicitly.
 # The count is the full LP's, also where HiGHS solves a quotient.  Below
-# it exact build_discontinuous(24), 41,472 nonzeros, takes 0.4-0.5 s on 2
-# cores through its 708 x 5,100 quotient: 0.15 s in HiGHS, 0.08 s to find
-# the partition and 0.05 s to rebuild x.  It took 3.4 s on the full LP.
+# it exact build_discontinuous(24), 41,472 nonzeros, takes 0.4-0.6 s on 2
+# cores through its 708 x 5,100 quotient: 0.15 s in HiGHS, 0.06 s to find
+# the partition and 0.06 s to rebuild x.  It took 3.4 s on the full LP.
 EXACT_NONZERO_CAP = 50_000
 
 # No LP in either mode may have more nonzeros than this.  The (3,2)
@@ -512,10 +514,8 @@ class _Quotient:
         self.objective = [cost[q] * col_sizes[q] for q in range(len(col_sizes))]
         self.ncols = len(col_sizes)
         self.columns = [[] for _ in range(self.ncols)]
-        self.squares = [0] * self.ncols  # columns[Q]'s squared 2-norm
         for p, q, a in entries:
             self.columns[q] += [p] * a
-            self.squares[q] += a * a
 
     @cached_property
     def highs_model(self):
@@ -533,118 +533,57 @@ class _Quotient:
         return [per_row[p] for p in self.row_class]
 
 
-def _colour_ids(keys) -> list:
-    """Each key's class number, numbered in order of first appearance."""
+def _colour_ids(keys) -> tuple[list, int]:
+    """Each key's class number, numbered in order of first appearance,
+    and the number of classes."""
     ids = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
+    return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
 
 
 def _quotient(problem: LPProblem, objective, scaled_c) -> _Quotient | None:
     """The quotient of the coarsest equitable partition refined from b
     and c = scaled_c, or None if its columns are all apart (the discrete
-    partition) or _equitable finds none.
+    partition).
 
-    A first pass in plain Python colours column j by (C_j, the sorted
-    B_i of its rows), with b = B / D and c = C / dc.  If these keys all
-    differ, which ends the work for most LPs, there is no quotient, and
-    numpy is not needed.  The key takes the sorted B_i: in the order of
-    the rows, a symmetry of the axes would part the columns it swaps.
+    Rows start from their B_i and columns from (C_j, the sorted B_i of
+    their rows), with b = B / D and c = C / dc.  If these column keys all
+    differ, which ends the work for most LPs, there is no quotient.  The
+    key takes the sorted B_i: in the order of the rows, a symmetry of the
+    axes would part the columns it swaps.  Otherwise half-steps
+    alternate, a row taking (its colour, the sorted colours of its
+    columns) and a column (its colour, the sorted colours of its rows),
+    until the first half-step that splits no class.  The keys are the
+    multisets themselves, so every row of a class P then has the same
+    number A_PQ of columns of each class Q, and every column of Q the
+    same number of rows of P; A_PQ is counted on one row of P.
     """
     B = problem.scaled_rhs[0]
     keys = [(c, *sorted(map(B.__getitem__, column)))
             for c, column in zip(scaled_c[0], problem.columns)]
     if len(set(keys)) == len(keys):
         return None
-    found = _equitable(problem, _colour_ids(B), _colour_ids(keys))
-    return found and _Quotient(problem, objective, *found)
-
-
-def _classes(old, h):
-    """Class numbers of the pairs (old[t], h[t]) of two integer arrays,
-    numbered in the pairs' lexicographic order, and their count."""
-    import numpy as np
-
-    if not len(old):
-        return old, 0
-    order = np.lexsort((h, old))
-    step = np.zeros(len(old), dtype=np.intp)
-    step[1:] = (np.diff(old[order]) != 0) | (np.diff(h[order]) != 0)
-    new = np.empty_like(step)
-    new[order] = np.cumsum(step)
-    return new, int(new[order[-1]]) + 1
-
-
-def _class_counts(own, other, members):
-    """The triples (class of `own`, class of `other`, count), sorted by the
-    second and then the first, if every member of each class of `own` lies
-    in the same number of entries of each class of `other`, else None.
-
-    Entry t has member members[t] and class other[t], and own[m] is member
-    m's class, classes numbered from 0.  The check is exact, in integer
-    arrays.
-    """
-    import numpy as np
-
-    pair, npairs = _classes(members, other)
-    per = np.bincount(pair, minlength=npairs)
-    first = np.empty(npairs, dtype=np.intp)
-    first[pair] = np.arange(len(pair))
-    mine, theirs = own[members[first]], other[first]
-    group, ngroups = _classes(theirs, mine)
-    rep = np.empty(ngroups, dtype=np.intp)
-    rep[group] = np.arange(npairs)
-    if (per[rep][group] != per).any() or (
-            np.bincount(group, minlength=ngroups) != np.bincount(own)[mine[rep]]).any():
+    row_columns = [[] for _ in B]
+    for j, column in enumerate(problem.columns):
+        for i in column:
+            row_columns[i].append(j)
+    members = (row_columns, problem.columns)
+    colours = [_colour_ids(B), _colour_ids(keys)]  # (class numbers, count) of rows, columns
+    side = 0
+    while True:
+        (own, count), other = colours[side], colours[1 - side][0].__getitem__
+        new = _colour_ids([(colour, *sorted(map(other, near)))
+                           for colour, near in zip(own, members[side])])
+        if new[1] == count:
+            break
+        colours[side], side = new, 1 - side
+    (rows, _), (cols, ncols) = colours
+    if ncols == len(cols):
         return None
-    return list(zip(mine[rep].tolist(), theirs[rep].tolist(), per[rep].tolist()))
-
-
-def _equitable(problem: LPProblem, rows, cols):
-    """(row_class, col_class, entries) of the coarsest equitable
-    partition that refines the row colours `rows` and column colours
-    `cols` (lists of class numbers), or None if its columns are all
-    apart or the partition found is not equitable.
-
-    numpy refines in rounds: each row takes (its colour, the multiset of
-    its columns' colours), then each column (its colour, the multiset of
-    its rows' colours), until neither count of classes changes.  A
-    multiset is hashed as the 64-bit sum of per-colour weights, so
-    _class_counts then checks the partition exactly: every row of a class
-    P must have the same number A_PQ of columns in each class Q, and
-    every column of Q the same number of rows in each P.  entries are the
-    triples (P, Q, A_PQ) with A_PQ > 0, sorted by Q and then P.
-    """
-    import numpy as np
-
-    def hashed(colour, count, index, at, size, seed):
-        """Per entry of `at`, the sum of the weights of colour[index].  The
-        weight of colour t is splitmix64's mix of seed * 2^32 + t, a
-        bijection of 64-bit words (numpy.random would cost 6 MB)."""
-        w = np.arange(count, dtype=np.uint64) + np.uint64(seed << 32)
-        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            w = (w ^ (w >> np.uint64(shift))) * np.uint64(factor)
-        w ^= w >> np.uint64(31)
-        h = np.zeros(size, dtype=np.uint64)
-        np.add.at(h, at, w[colour[index]])
-        return h
-
-    lengths = np.fromiter(map(len, problem.columns), dtype=np.intp, count=problem.ncols)
-    col_of = np.repeat(np.arange(problem.ncols), lengths)
-    row_of = np.fromiter((i for column in problem.columns for i in column),
-                         dtype=np.intp, count=problem.nonzeros())
-    nrow, ncol = max(rows, default=-1) + 1, max(cols) + 1
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    counts, seed = None, 0
-    while counts != (nrow, ncol):
-        counts, seed = (nrow, ncol), seed + 2
-        rows, nrow = _classes(rows, hashed(cols, ncol, col_of, row_of, problem.nrows, seed))
-        cols, ncol = _classes(cols, hashed(rows, nrow, row_of, col_of, problem.ncols, seed + 1))
-    if ncol == problem.ncols:
-        return None
-    entries = _class_counts(rows, cols[col_of], row_of)
-    if entries is None or _class_counts(cols, rows[row_of], col_of) is None:
-        return None
-    return rows.tolist(), cols.tolist(), entries
+    one_row = {p: i for i, p in enumerate(rows)}
+    entries = sorted(((p, q, a) for p, i in one_row.items()
+                      for q, a in Counter(map(cols.__getitem__, row_columns[i])).items()),
+                     key=lambda e: (e[1], e[0]))
+    return _Quotient(problem, objective, rows, cols, entries)
 
 
 def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
@@ -661,16 +600,14 @@ def _basis_factor(lp, highs):
     M = [A_B | I_R] in that order, and bound > |det M|, the product of
     the 2-norms of M's columns (Hadamard's bound) rounded up.  lp is the
     LP HiGHS solved, an LPProblem or a _Quotient, whose columns list a
-    row once per unit of its coefficient."""
+    row once per unit of its coefficient: a column's squared 2-norm is
+    the sum of the squared multiplicities of its rows."""
     status, basic = highs.getBasicVariables()
     if status != _core().HighsStatus.kOk:
         return None
     basic = basic.tolist()
     columns = [lp.columns[j] if j >= 0 else (-1 - j,) for j in basic]
-    if isinstance(lp, _Quotient):
-        squares = [lp.squares[j] if j >= 0 else 1 for j in basic]
-    else:
-        squares = map(len, columns)  # a 0/1 column's squared 2-norm
+    squares = (sum(a * a for a in Counter(column).values()) for column in columns)
     return basic, columns, highs, math.isqrt(math.prod(squares)) + 1
 
 

@@ -496,8 +496,8 @@ def is_consistent(fam: MarginalFamily) -> ConsistencyReport:
 def lower_marginal(fam: MarginalFamily, beta: IndexSet) -> DiscreteMeasure:
     """The common projection prj_beta(mu_alpha) over all alpha containing beta.
 
-    Well-defined only for consistent families; asserts the independence of
-    the chosen alpha.
+    Well-defined only for consistent families: DomainError if the hosts
+    project differently, if |beta| > k or if no marginal contains beta.
     """
     if len(beta) > fam.k:
         raise DomainError(f"|beta| = {len(beta)} exceeds k = {fam.k}")

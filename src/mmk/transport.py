@@ -1,10 +1,11 @@
 """Primal and dual (n,k)-transport problems as exact LPs.
 
-Solving is a single simplex run: the primal optimum is the vertex, the
-dual potentials are the projection-row prices.  On top of that the
-module provides the base-point decomposition of an (n,k)-function into
-per-alpha potentials with explicit norm control, and the bounded-dual
-extraction for (3,2) instances with product marginals.
+Solving is one lp_core.solve of the marginal LP, which may run HiGHS's
+interior-point method on the LP's quotient: the primal optimum is its
+vertex, the dual potentials are the projection-row prices.  On top of
+that the module provides the base-point decomposition of an
+(n,k)-function into per-alpha potentials with explicit norm control, and
+the bounded-dual extraction for (3,2) instances with product marginals.
 
 Potentials are a dict {IndexSet alpha: tuple of f_alpha's values on
 grid_alpha in ravel order}, the format of FeasibilityVerdict.potentials;

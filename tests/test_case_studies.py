@@ -103,6 +103,18 @@ class TestUnreachable:
         monkeypatch.setattr(core, "_Highs", NoPresolve)
         assert totals() == pytest.approx(default, rel=0, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=lp_core.CertificationError,
+                       reason="exact mode rejects every candidate x at N = 18")
+    def test_exact_min_mass_at_n18_matches_float(self):
+        # The smallest marginal weight at N = 18 is 1.0e-12, below
+        # TIGHT_TOLERANCE, and at the first A_1 point HiGHS's vertex, its
+        # rounding and the basis rebuild all fail A x = b, x >= 0.
+        fam, _, a0 = cs.build_unreachable(18)
+        cell = (1, 0, 0)
+        approx = cs.min_mass_at_cell(fam, cell, "float")
+        assert approx >= cs.unreachable_gamma_bound(1, a0)
+        assert abs(cs.min_mass_at_cell(fam, cell) - approx) <= 1e-9
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cs.build_unreachable(4)

@@ -457,6 +457,19 @@ def test_import_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    # Colour refinement is plain Python: XorInstance(3)'s costed LP gets
+    # its 36 x 120 quotient without numpy.
+    code = (
+        "import sys; from mmk import lp_core; from mmk.xor_model import XorInstance; "
+        "from mmk.feasibility import marginal_constraint_rows; from mmk.measures import scaled; "
+        "inst = XorInstance(3); c = inst.cost().values; "
+        "q = lp_core._quotient(lp_core.LPProblem(*marginal_constraint_rows(inst.family())), "
+        "c, scaled(c)); print(len(q.rhs), q.ncols, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "36 120 False"
 
 
 class TestSignedAndBounded:

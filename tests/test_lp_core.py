@@ -1,5 +1,6 @@
 """Exact and float LP solving: optima, duals, certificates, caps."""
 
+import collections
 import itertools
 import os
 import random
@@ -96,6 +97,29 @@ def record_rebuilds(monkeypatch):
         lp_core, "_refine", lambda *a, **kw: rebuilt.append(refine(*a, **kw)) or rebuilt[-1]
     )
     return rebuilt
+
+
+def assert_equitable(problem, objective, quotient):
+    """Brute force: every row of class P has the same b and exactly A_PQ
+    columns of class Q, as the quotient's entries say, and every column
+    of Q has the same c and the same number of rows of each class P."""
+    row_class, col_class = quotient.row_class, quotient.col_class
+    counts = {}
+    for p, q, a in quotient.entries:
+        counts.setdefault(p, {})[q] = a
+    row_columns = [[] for _ in range(problem.nrows)]
+    for j, column in enumerate(problem.columns):
+        for i in column:
+            row_columns[i].append(col_class[j])
+    b = {}
+    for i, p in enumerate(row_class):
+        assert b.setdefault(p, problem.rhs[i]) == problem.rhs[i]
+        assert collections.Counter(row_columns[i]) == counts.get(p, {})
+    c, per_column = {}, {}
+    for j, q in enumerate(col_class):
+        assert c.setdefault(q, objective[j]) == objective[j]
+        rows = collections.Counter(row_class[i] for i in problem.columns[j])
+        assert per_column.setdefault(q, rows) == rows
 
 
 def solver_with_basis(problem, basic_columns, basic_rows):
@@ -922,27 +946,37 @@ class TestQuotient:
             lambda model, obj: shapes.append((model.num_row_, model.num_col_)) or highs(model, obj))
         return shapes
 
+    @staticmethod
+    def quotients(monkeypatch):
+        """The (problem, objective, quotient) of every _quotient call from now on."""
+        calls, quotient = [], lp_core._quotient
+        monkeypatch.setattr(
+            lp_core, "_quotient",
+            lambda problem, obj, c: calls.append((problem, obj, quotient(problem, obj, c)))
+            or calls[-1][2])
+        return calls
+
     @pytest.mark.parametrize("n, shape", [(3, (36, 120)), (4, (136, 816))])
     def test_xor_solved_on_its_quotient(self, monkeypatch, n, shape):
         inst = XorInstance(n)
         fam, cost = inst.family(), inst.cost()
         shapes = self.handed(monkeypatch)
+        found = self.quotients(monkeypatch)
         exact = verify_gap(fam, cost)
         assert exact.value == inst.coupling_value() and exact.gap == 0
         approx = verify_gap(fam, cost, "float")
         assert abs(approx.value - inst.coupling_value()) <= 1e-9
         assert shapes == [shape, shape]
+        for problem, objective, quotient in found:
+            assert_equitable(problem, objective, quotient)
 
     def test_random_families_end_after_the_first_pass(self, monkeypatch):
         # Projections of random measures (weights 0-9, about 30% of them 0)
         # with costs 0-20, as perfbench's exact-transport draws them: the
-        # first pass finds every column apart, so nothing is refined.
-        def refuse(*args):
-            raise AssertionError("the partition was refined")
-
-        monkeypatch.setattr(lp_core, "_equitable", refuse)
+        # first pass finds every column apart, so there is no quotient.
         refuse_tableau(monkeypatch)
         shapes = self.handed(monkeypatch)
+        found = self.quotients(monkeypatch)
         rng = random.Random(11)
         for n, k, sizes in [(3, 2, (4, 4, 4)), (4, 2, (3, 3, 3, 3)), (4, 3, (3, 3, 3, 3))]:
             grid = ProductGrid(sizes)
@@ -951,7 +985,9 @@ class TestQuotient:
             fam = MarginalFamily(n, k, sizes, {a: project(mu, a) for a in all_index_sets(n, k)})
             cost = CostGrid(grid, [rng.randint(0, 20) for _ in raw])
             shapes.clear()
+            found.clear()
             assert verify_gap(fam, cost).gap == 0
+            assert [quotient for *_, quotient in found] == [None]
             assert shapes == [(fam._lp[1].nrows, fam._lp[1].ncols)]
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -977,6 +1013,7 @@ class TestQuotient:
         problem = LPProblem(*marginal_constraint_rows(fam))
         quotient = lp_core._quotient(problem, cost.values, scaled(cost.values))
         assert sorted(a for _, _, a in quotient.entries)[-22:] == [1] + [2] * 21
+        assert_equitable(problem, cost.values, quotient)
         highs = lp_core._highs
 
         def shifted(model, obj):
@@ -1000,28 +1037,6 @@ class TestQuotient:
         assert quotient.columns == [[0, 0]] and quotient.objective == [2]
         highs = lp_core._highs(quotient.highs_model, quotient.objective)[3]
         assert lp_core._basis_factor(quotient, highs)[3] == 3
-
-    def test_class_counts_checked_exactly(self):
-        # The check that stands behind the hashed refinement.  Rows 0 and 1
-        # in one class, and columns 0 and 1 in one class, both in row 0:
-        # row 0 has two class-0 columns and row 1 none, or one if column 2
-        # lies in row 1.  With row 1 in columns 2 and 3, every row of the
-        # class has two.
-        import numpy as np
-
-        def counts(columns, row_class, col_class):
-            rows = np.array(row_class)
-            cols = np.array(col_class)
-            col_of = np.repeat(np.arange(len(columns)), [len(c) for c in columns])
-            row_of = np.array([i for c in columns for i in c], dtype=np.intp)
-            return lp_core._class_counts(rows, cols[col_of], row_of)
-
-        assert counts([[0], [0]], [0, 0], [0, 0]) is None
-        assert counts([[0], [0], [1]], [0, 0], [0, 0, 0]) is None  # two and one
-        assert counts([[0], [0], [1], [1]], [0, 0], [0, 0, 0, 0]) == [(0, 0, 2)]
-        assert counts([[0], [0], [1], [1]], [0, 1], [0, 0, 1, 1]) == [(0, 0, 2), (1, 1, 2)]
-        assert counts([[0], [0], [1], [1]], [0, 1], [0, 1, 0, 1]) == [
-            (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -1060,7 +1075,9 @@ class TestQuotient:
         if lifted.status == "infeasible":
             assert check_certificate(problem, lifted.y)
         if any(costs):
-            assert lp_core._quotient(problem, objective, scaled(objective)).ncols <= n
+            quotient = lp_core._quotient(problem, objective, scaled(objective))
+            assert quotient.ncols <= n
+            assert_equitable(problem, objective, quotient)
 
 
 def test_highs_binding_has_what_lp_core_uses(monkeypatch):
