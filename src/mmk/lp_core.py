@@ -1,88 +1,85 @@
-"""Exact linear programming over 0/1 constraint matrices.
+"""Exact linear programming over nonnegative integer constraint matrices.
 
-Solves min c.x subject to A x = b, x >= 0, with A a 0/1 matrix and c
-and b rational: every LP this package builds fixes projections, so each
-column of A is the set of rows it lies in.  LPProblem holds A x = b
-alone and solve takes the objective, so one LPProblem serves every
-objective posed on it, and what derives from A and b (the HiGHS model,
-b over its common denominator) is made once, when first needed.  A
-maximum is the negated minimum of -c.x, which the callers pose.
+Solves min c.x subject to A x = b, x >= 0, with A a nonnegative integer
+matrix and c and b rational.  A column lists row i once per unit of
+A_ij: every LP this package builds fixes projections, so its columns
+are the sets of rows they lie in, and only a quotient (below) repeats a
+row.  LPProblem holds A x = b alone and solve takes the objective, so
+one LPProblem serves every objective posed on it, and what derives from
+A and b (the HiGHS model, b over its common denominator) is made once,
+when first needed.  A maximum is the negated minimum of -c.x, which the
+callers pose.
 
-Exact mode takes one route per LP, by size.  An LP of at most
-TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase primal simplex
-over exact rationals, also the test oracle: it pivots by Bland's rule
-(the first column with negative reduced cost, the lowest basic index
-among tied ratios), which never cycles, and yields Farkas rays.
+A costed LP, with more than one nonzero objective entry, is first
+reduced.  It gets the coarsest equitable partition of its rows and
+columns refined from b and c (colour refinement: Grohe, Kersting,
+Mladenov & Selman, ESA 2014; Bödi, Herr & Joswig, Math. Prog. 2013), in
+plain Python on exact keys: each class is refined by the multisets of
+its neighbours' classes themselves, so the partition found is equitable
+by construction.  If the partition is not discrete, the LP solved is
+its quotient, an LPProblem with one variable per column class and one
+row per row class (XorInstance(4): 136 x 816 against 768 x 4,096), and
+the quotient's vertex, duals or ray are lifted to the LP: x_j = X_Q(j)
+and y_i = w_P(i) / |P(i)|.  The first keys of the columns all differ on
+most LPs without symmetry, and these are solved as they are.
+
+Exact mode then takes one route per LP, by the size of the LP solved.
+One of at most TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase
+primal simplex over exact rationals, also the test oracle: it pivots by
+Bland's rule (the first column with negative reduced cost, the lowest
+basic index among tied ratios), which never cycles, and yields Farkas
+rays.  The tableau's time has no bound on a large LP, so it is no
+fallback.
 
 Every larger LP is certified from floating point.  HiGHS solves it on a
 model of A x = b cached for every objective posed on it, with
 feasibility tolerances TIGHT_TOLERANCE, and returns an optimal vertex,
-its dual prices y and its basis.  A costed LP, with more than one
-nonzero objective entry, first gets the coarsest equitable partition
-of its rows and columns refined from b and c (colour refinement: Grohe,
-Kersting, Mladenov & Selman, ESA 2014; Bödi, Herr & Joswig, Math. Prog.
-2013), in plain Python on exact keys: each class is refined by the
-multisets of its neighbours' classes themselves, so the partition found
-is equitable by construction.  If the partition is not discrete, HiGHS
-solves its quotient, one variable per column class, one row per row
-class, with integer coefficients (XorInstance(4): 136 x 816 against
-768 x 4,096), and the quotient's vertex, duals or ray are lifted to the
-LP: x_j = X_Q(j) and y_i = w_P(i) / |P(i)|.  The lifted answer is
-checked on the LP itself like any other, so no claim rests on the
-theorem; a rejected quotient answer is not solved again on the full
-LP.  The first keys of the columns all differ on most LPs without
-symmetry, and these go to HiGHS as they are.
-
-The method follows the model HiGHS is given: one with more than
-IPM_NONZEROS nonzeros and a costed objective runs the interior-point
-method with crossover, which ends on an optimal basis as the simplex
-does (Andersen & Ye, "Combining interior-point and pivoting algorithms
-for linear programming", Management Sci. 1996); every other model,
-zero and one-entry objectives included, runs the dual simplex.  An
-interior-point run that ends without an optimum is run again by the
-simplex on the same solver, so every Farkas ray comes from the simplex.
-An objective with at most one nonzero entry (kellerer_check's zero
-objective, the one-cell objectives of the mass extremes) runs without
-HiGHS's presolve, which costs a quarter of such a run and saves 2% of
-its simplex iterations.  A costed LP keeps presolve: an interior-point
-run without it leaves no simplex factor, and reading the basis
-(getBasicVariables) then crashes HiGHS 1.12.0.  The duals of a costed
-LP with a quotient are constant on the row classes whichever optimal
-basis HiGHS ends on, so diagnose_dual_growth's sums no longer follow
-presolve or the method.
+its dual prices y and its basis.  A model with more than IPM_NONZEROS
+nonzeros and a costed objective runs the interior-point method with
+crossover, which ends on an optimal basis as the simplex does (Andersen
+& Ye, "Combining interior-point and pivoting algorithms for linear
+programming", Management Sci. 1996); every other model runs the dual
+simplex.  An interior-point run that ends without an optimum is run
+again by the simplex on the same solver, so every Farkas ray comes from
+the simplex.  An objective with at most one nonzero entry
+(kellerer_check's zero objective, the one-cell objectives of the mass
+extremes) runs without HiGHS's presolve, which costs a quarter of such
+a run and saves 2% of its simplex iterations; a costed one keeps it
+(_highs says why).  The duals of a costed LP with a quotient are
+constant on the row classes whichever optimal basis HiGHS ends on, so
+diagnose_dual_growth's sums do not follow presolve or the method.
 
 x and y are rounded to nearby rationals, and a part that fails is
 rebuilt as the exact basic solution of that basis (Applegate, Cook,
 Dash & Espinoza, "Exact solutions to linear programming problems",
 Oper. Res. Lett. 2007): solves on HiGHS's own factor of the basis
-matrix, the quotient's if HiGHS solved it, refined with exact integer
-residuals to rationals of any size that the basis admits.  Rounding and
-rebuilding both work on the short quotient vectors before the lift.
-scipy's HiGHS binding is loaded by itself (_core), without
-scipy.optimize or scipy.sparse, and numpy is imported only by the
-rebuild.
+matrix, refined with exact integer residuals to rationals of any size
+that the basis admits.  Rounding and rebuilding both work on the short
+quotient vectors before the lift.  scipy's HiGHS binding is loaded by
+itself (_core), without scipy.optimize or scipy.sparse, and numpy is
+imported only by the rebuild.
 
-An optimum from either route is returned only if A x = b, x >= 0,
-y.A_j <= c_j for every column and c.x == b.y hold exactly, in Python
-integers over common denominators; HiGHS's floats, its basis and its
-factor only choose the candidates.  A rejected HiGHS vertex is not
-solved again.  An infeasible LPSolution holds its Farkas ray (y.A <= 0,
-y.b > 0) in y, where an optimum holds its dual prices.  When HiGHS
-reports the LP infeasible, the ray comes from the simplex run that
-found it: HiGHS's dual ray, scaled to largest entry 1 and rounded to
-nearby rationals, if check_certificate accepts it.  Otherwise CertificationError names the
-failed check: x, y, the gap or the ray.  The tableau's time has no
-bound on a large LP, so it is no fallback.
+An optimum from either route is returned only if its lift passes A x =
+b, x >= 0, y.A_j <= c_j for every column and c.x == b.y exactly on the
+LP itself, in Python integers over common denominators, so no claim
+rests on the quotient's theorem, and HiGHS's floats, its basis and its
+factor only choose the candidates.  A rejected answer is not solved
+again.  An infeasible LPSolution holds its Farkas ray (y.A <= 0, y.b >
+0) in y, where an optimum holds its dual prices: the tableau's phase-1
+ray, or HiGHS's dual ray from the simplex run that found the LP
+infeasible, scaled to largest entry 1 and rounded to nearby rationals,
+once check_certificate accepts its lift.  Otherwise CertificationError
+names the failed check: x, y, the gap or the ray.
 
-Float mode makes the same HiGHS runs and returns their lifted answer, with x's
-entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an LPError,
-and for infeasible problems the rounded ray if check_certificate
-accepts it, else the scaled dual ray, each entry the exact Fraction of
-its float.  solve itself answers a model without columns, which HiGHS
-rejects, the same way in both modes, its ray also checked.
-No LP this package builds is unbounded (its marginal rows and x >= 0
-bound x), so an unbounded LP raises LPError, as does any other HiGHS
-failure.
+Float mode makes the same HiGHS runs and returns their lifted answer,
+with x's entries in [-TIGHT_TOLERANCE, 0) set to 0 and any lower one an
+LPError, and for infeasible problems the rounded ray if
+check_certificate accepts it, else the scaled dual ray, each entry the
+exact Fraction of its float.  solve itself answers a model without
+columns, which HiGHS rejects, the same way in both modes, its ray also
+checked.  No LP this package builds is unbounded (its marginal rows and
+x >= 0 bound x), so an unbounded LP raises LPError, as does any other
+HiGHS failure.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ from typing import Sequence
 from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
 # Beyond this many nonzeros the caller must opt into float mode explicitly.
-# The count is the full LP's, also where HiGHS solves a quotient.  Below
+# The count is the full LP's, also where a quotient is solved.  Below
 # it exact build_discontinuous(24), 41,472 nonzeros, takes 0.4-0.6 s on 2
 # cores through its 708 x 5,100 quotient: 0.15 s in HiGHS, 0.06 s to find
 # the partition and 0.06 s to rebuild x.  It took 3.4 s on the full LP.
@@ -112,7 +109,9 @@ EXACT_NONZERO_CAP = 50_000
 FLOAT_NONZERO_CAP = 2_000_000
 
 # Exact LPs with at most this many nonzeros go to the tableau, and no
-# other exact LP does: on the test suite's LPs the tableau takes 0.1-4 ms,
+# other exact LP does.  The count is the LP solved, the quotient's if a
+# costed LP has one: build_nonstrong(10)'s support LP has 192 and its
+# quotient 46.  On the test suite's LPs the tableau takes 0.1-4 ms,
 # HiGHS plus certification 2-8 ms, and a first HiGHS run another ~0.1 s
 # (0.01 s to load the binding, the rest mostly numpy's import).  Above it
 # HiGHS won 76 of 78 LPs with 65-128 nonzeros and every larger one, and
@@ -178,23 +177,27 @@ class CertificationError(LPError):
 
 
 class LPProblem(Frozen):
-    """A x = b, x >= 0 with A a 0/1 matrix: columns[j] lists the rows
-    where column j has a 1.
+    """A x = b, x >= 0 with A a nonnegative integer matrix: columns[j]
+    lists row i A_ij times, so a 0/1 column lists the rows where it has
+    a 1.
 
-    Each row index must be an int (as_int) in 0..len(rhs) - 1 and occur
-    at most once in its column; anything else is a DomainError.  b is
-    rational.  The objective is solve's argument.
+    Each row index must be an int (as_int) in 0..len(rhs) - 1; anything
+    else is a DomainError.  b is rational.  The objective is solve's
+    argument.
     """
 
-    __slots__ = ("columns", "rhs", "_nonzeros", "__dict__")
+    __slots__ = ("columns", "rhs", "_nonzeros", "_repeats", "__dict__")
 
     def __init__(self, columns: Sequence[Sequence[int]], rhs: Sequence):
         b = tuple(as_fraction(v) for v in rhs)
         cols = tuple(tuple(map(as_int, column)) for column in columns)
+        nonzeros = 0
         for j, column in enumerate(cols):
-            if len(set(column)) != len(column) or not all(0 <= i < len(b) for i in column):
-                raise DomainError(f"column {j} must list distinct rows in 0..{len(b) - 1}")
-        self._freeze(columns=cols, rhs=b, _nonzeros=sum(map(len, cols)))
+            if not all(0 <= i < len(b) for i in column):
+                raise DomainError(f"column {j} must list rows in 0..{len(b) - 1}")
+            nonzeros += len(set(column))
+        self._freeze(columns=cols, rhs=b, _nonzeros=nonzeros,
+                     _repeats=nonzeros != sum(map(len, cols)))
 
     @property
     def ncols(self) -> int:
@@ -205,6 +208,7 @@ class LPProblem(Frozen):
         return len(self.rhs)
 
     def nonzeros(self) -> int:
+        """The number of nonzero entries of A, HiGHS's getNumNz."""
         return self._nonzeros
 
     @cached_property
@@ -214,30 +218,28 @@ class LPProblem(Frozen):
 
     @cached_property
     def highs_model(self):
-        """A x = b, x >= 0 as the HighsLp _highs runs (_highs_lp)."""
-        index = [i for column in self.columns for i in column]
-        return _highs_lp(map(len, self.columns), index, [1.0] * self._nonzeros, self.rhs)
+        """A x = b, x >= 0 as the HighsLp _highs runs, its objective zero:
+        A column-wise, one entry a for a row that a column lists a times.
 
-
-def _highs_lp(lengths, index, values, rhs):
-    """A x = b, x >= 0 as a HighsLp, its objective zero: A column-wise,
-    column j's lengths[j] entries next in index (rows) and values.
-
-    OverflowError if an entry of b is too large for a float.
-    """
-    b = [float(v) for v in rhs]
-    model = _core().HighsLp()
-    start = list(accumulate(lengths, initial=0))
-    model.num_col_ = model.a_matrix_.num_col_ = len(start) - 1
-    model.num_row_ = model.a_matrix_.num_row_ = len(b)
-    model.a_matrix_.format_ = _core().MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = values
-    model.col_cost_ = model.col_lower_ = [0.0] * model.num_col_
-    model.col_upper_ = [math.inf] * model.num_col_
-    model.row_lower_ = model.row_upper_ = b
-    return model
+        OverflowError if an entry of b is too large for a float.
+        """
+        columns = [Counter(column) for column in self.columns] if self._repeats else self.columns
+        index = [i for column in columns for i in column]  # a Counter lists each row once
+        values = ([float(a) for column in columns for a in column.values()] if self._repeats
+                  else [1.0] * self._nonzeros)
+        b = [float(v) for v in self.rhs]
+        model = _core().HighsLp()
+        start = list(accumulate(map(len, columns), initial=0))
+        model.num_col_ = model.a_matrix_.num_col_ = self.ncols
+        model.num_row_ = model.a_matrix_.num_row_ = len(b)
+        model.a_matrix_.format_ = _core().MatrixFormat.kColwise
+        model.a_matrix_.start_ = start
+        model.a_matrix_.index_ = index
+        model.a_matrix_.value_ = values
+        model.col_cost_ = model.col_lower_ = [0.0] * self.ncols
+        model.col_upper_ = [math.inf] * self.ncols
+        model.row_lower_ = model.row_upper_ = b
+        return model
 
 
 class LPSolution(Frozen):
@@ -326,7 +328,7 @@ class _ExactTableau:
             self.rows.append(row)
         for j, column in enumerate(problem.columns):
             for i in column:
-                self.rows[i][j] = Fraction(self.row_sign[i])
+                self.rows[i][j] += self.row_sign[i]
         self.basis = [self.n + i for i in range(self.m)]
         self.live = list(range(self.m))  # rows not dropped as dependent
         self.r = None  # reduced-cost row; r[-1] == -objective value
@@ -442,16 +444,16 @@ class _ExactTableau:
 def _highs(model, objective: Sequence):
     """HiGHS's min objective.x on the model of A x = b, x >= 0.
 
-    A fresh solver takes the cached model (the highs_model of an
-    LPProblem or a _Quotient) and then the objective's nonzero entries,
-    so the model keeps its zero objective.  The feasibility tolerances
-    are TIGHT_TOLERANCE.  An objective with at most one nonzero entry
-    runs without presolve.  A costed one, with more, keeps presolve:
-    without it an interior-point run leaves no factor, and
-    getBasicVariables then crashes HiGHS 1.12.0.  Above IPM_NONZEROS
-    nonzeros of the model a costed LP runs the interior-point method with
-    crossover; if that run ends without an optimum, the same solver runs
-    again with the simplex.  Every other LP has one simplex run.  Returns
+    A fresh solver takes the cached model (an LPProblem's highs_model)
+    and then the objective's nonzero entries, so the model keeps its zero
+    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  An
+    objective with at most one nonzero entry runs without presolve.  A
+    costed one, with more, keeps presolve: without it an interior-point
+    run leaves no factor, and getBasicVariables then crashes HiGHS
+    1.12.0.  Above IPM_NONZEROS nonzeros of the model a costed LP runs
+    the interior-point method with crossover; if that run ends without an
+    optimum, the same solver runs again with the simplex.  Every other LP
+    has one simplex run.  Returns
     (x, y, value, highs) of an optimal vertex with its duals and the
     solver itself, which holds the factor of its basis; for an infeasible
     LP (None, ray, None, None), ray the dual ray of the simplex run that
@@ -498,32 +500,20 @@ class _Quotient:
     row_class[i] is the class P of row i and col_class[j] the class Q of
     column j; every row of P has the same b_i and the same number A_PQ of
     class-Q columns, every column of Q the same c_j and the same number
-    of class-P rows.  Variable X_Q is the value of each column of Q, row
-    P reads sum_Q A_PQ X_Q = b_P, and X_Q costs c_Q |Q|.  columns[Q]
-    lists row P A_PQ times, so the rebuild's sums over a column take
-    the integer coefficients.  A quotient x lifts to x_j = X_Q(j), a
-    quotient dual price or ray w to y_i = w_P(i) / |P(i)|.
+    of class-P rows.  lp is the quotient as an LPProblem: variable X_Q is
+    the value of each column of Q, and row P reads sum_Q A_PQ X_Q = b_P,
+    columns[Q] listing P A_PQ times.  X_Q costs objective[Q] = c_Q |Q|.
+    A quotient x lifts to x_j = X_Q(j), a quotient dual price or ray w to
+    y_i = w_P(i) / |P(i)|.
     """
 
-    def __init__(self, problem: LPProblem, objective, row_class, col_class, entries):
-        self.row_class, self.col_class, self.entries = row_class, col_class, entries
+    def __init__(self, problem: LPProblem, objective, row_class, col_class, columns):
+        self.row_class, self.col_class = row_class, col_class
         row_sizes, col_sizes = Counter(row_class), Counter(col_class)
         rhs, cost = dict(zip(row_class, problem.rhs)), dict(zip(col_class, objective))
         self.row_sizes = [row_sizes[p] for p in range(len(row_sizes))]
-        self.rhs = [rhs[p] for p in range(len(row_sizes))]
         self.objective = [cost[q] * col_sizes[q] for q in range(len(col_sizes))]
-        self.ncols = len(col_sizes)
-        self.columns = [[] for _ in range(self.ncols)]
-        for p, q, a in entries:
-            self.columns[q] += [p] * a
-
-    @cached_property
-    def highs_model(self):
-        """The quotient as the HighsLp _highs runs (_highs_lp)."""
-        lengths = Counter(q for _, q, _ in self.entries)
-        return _highs_lp(
-            (lengths[q] for q in range(self.ncols)), [p for p, _, _ in self.entries],
-            [float(a) for _, _, a in self.entries], self.rhs)
+        self.lp = LPProblem(columns, [rhs[p] for p in range(len(row_sizes))])
 
     def lift_x(self, x) -> list:
         return [x[q] for q in self.col_class]
@@ -579,11 +569,11 @@ def _quotient(problem: LPProblem, objective, scaled_c) -> _Quotient | None:
     (rows, _), (cols, ncols) = colours
     if ncols == len(cols):
         return None
-    one_row = {p: i for i, p in enumerate(rows)}
-    entries = sorted(((p, q, a) for p, i in one_row.items()
-                      for q, a in Counter(map(cols.__getitem__, row_columns[i])).items()),
-                     key=lambda e: (e[1], e[0]))
-    return _Quotient(problem, objective, rows, cols, entries)
+    columns = [[] for _ in range(ncols)]
+    for p, i in {p: i for i, p in enumerate(rows)}.items():  # p ascending, as numbered
+        for j in row_columns[i]:
+            columns[cols[j]].append(p)
+    return _Quotient(problem, objective, rows, cols, columns)
 
 
 def _infeasible(problem: LPProblem, y, source: str) -> LPSolution:
@@ -599,9 +589,9 @@ def _basis_factor(lp, highs):
     HiGHS's order, j >= 0 column j and -1 - i row i, columns those of
     M = [A_B | I_R] in that order, and bound > |det M|, the product of
     the 2-norms of M's columns (Hadamard's bound) rounded up.  lp is the
-    LP HiGHS solved, an LPProblem or a _Quotient, whose columns list a
-    row once per unit of its coefficient: a column's squared 2-norm is
-    the sum of the squared multiplicities of its rows."""
+    LPProblem HiGHS solved, whose columns list a row once per unit of its
+    coefficient: a column's squared 2-norm is the sum of the squared
+    multiplicities of its rows."""
     status, basic = highs.getBasicVariables()
     if status != _core().HighsStatus.kOk:
         return None
@@ -727,7 +717,7 @@ def _certify(problem: LPProblem, objective, x_float, y_float, highs, quotient=No
     on the quotient's basis and then lifted; _accept checks the lifted
     x and y on the problem itself.
     """
-    lp = quotient or problem
+    lp = quotient.lp if quotient else problem
     lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
     factor = cache(lambda: _basis_factor(lp, highs))
 
@@ -749,58 +739,6 @@ def _certify(problem: LPProblem, objective, x_float, y_float, highs, quotient=No
                 yield lift_y(y)
 
     return _accept(problem, objective, xs(), ys())
-
-
-def _solve_tableau(problem: LPProblem, objective) -> LPSolution:
-    """The tableau's answer; its optimum passes _accept and its ray _infeasible."""
-    tab = _ExactTableau(problem, objective)
-    if not tab.phase1():
-        return _infeasible(problem, tab.farkas(), "phase 1")
-    tab.phase2()
-    return LPSolution("optimal", *_accept(problem, objective, [tab.primal()], [tab.duals()]))
-
-
-def _solve_highs(problem: LPProblem, objective, exact: bool) -> LPSolution:
-    """_highs's answer, certified in exact mode.
-
-    A costed objective, with more than one nonzero entry, is solved on
-    the problem's _quotient when it has one, and every vector HiGHS
-    returns is lifted to the problem; zero and one-entry objectives keep
-    the problem itself.  Exact mode returns _certify's optimum, or
-    HiGHS's dual ray, scaled to largest entry 1 and rounded, once
-    _infeasible accepts it.  Float mode returns HiGHS's numbers, with an
-    entry of x in [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility
-    tolerance, as 0.0; its ray is the rounded one if check_certificate
-    accepts it, else the scaled ray in Fractions.  LPError if float
-    mode's optimal x has an entry below -TIGHT_TOLERANCE or an infeasible
-    run has no ray (CertificationError in exact mode).
-    """
-    quotient = None
-    if sum(map(bool, objective)) > 1:
-        quotient = _quotient(problem, objective, scaled(objective))
-    lp, lp_objective = (quotient, quotient.objective) if quotient else (problem, objective)
-    lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
-    try:
-        x, y, value, highs = _highs(lp.highs_model, lp_objective)
-    except OverflowError as exc:
-        raise LPError(f"an LP entry is too large for a float: {exc}") from exc
-    if x is None:
-        if y is None:
-            error = CertificationError if exact else LPError
-            raise error("HiGHS calls the LP infeasible but gives no dual ray")
-        scale = max(map(abs, y)) or 1.0
-        y = [v / scale for v in y]
-        ray = lift_y([_rounded(v) for v in y])
-        if exact:
-            return _infeasible(problem, ray, "HiGHS's rounded dual ray")
-        if not check_certificate(problem, ray):
-            ray = lift_y([Fraction(v) for v in y])
-        return LPSolution("infeasible", y=ray)
-    if exact:
-        return LPSolution("optimal", *_certify(problem, objective, x, y, highs, quotient))
-    if min(x, default=0.0) < -TIGHT_TOLERANCE:
-        raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
-    return LPSolution("optimal", x=lift_x([max(v, 0.0) for v in x]), y=lift_y(y), value=value)
 
 
 def check_size(nonzeros: int, arithmetic: str) -> None:
@@ -827,15 +765,28 @@ def check_size(nonzeros: int, arithmetic: str) -> None:
 def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") -> LPSolution:
     """Min objective.x over the problem's A x = b, x >= 0; exact rational
     mode unless arithmetic='float'.  The objective has one rational entry
-    (as_fraction) per column, else DomainError.
+    (as_fraction) per column, else DomainError.  Both modes enforce
+    check_size's caps on the problem: coefficient growth makes huge exact
+    pivots impractical, and a huge float LP would use up memory.
 
     An LP without columns, which HiGHS rejects, is answered here: x = ()
     is its one point if b = 0 (optimal, y = 0, value 0), and else the ray
-    y_i = -1 where b_i < 0 and 1 elsewhere proves it infeasible.  The
-    tableau takes an exact LP of at most TABLEAU_ONLY_NONZEROS nonzeros;
-    HiGHS, by _highs's choice of method, takes every other.  Both modes
-    enforce check_size's caps: coefficient growth makes huge exact pivots
-    impractical, and a huge float LP would use up memory.
+    y_i = -1 where b_i < 0 and 1 elsewhere proves it infeasible.  A
+    costed objective, with more than one nonzero entry, is solved on the
+    problem's _quotient when it has one, and every other on the problem.
+    The LP solved goes to the tableau in exact mode if it has at most
+    TABLEAU_ONLY_NONZEROS nonzeros, and else to HiGHS, by _highs's choice
+    of method.  Every vector either returns is lifted to the problem.
+
+    Exact mode returns an optimum that _accept passes, the tableau's or
+    _certify's, or a ray that _infeasible accepts: the tableau's phase-1
+    ray, or HiGHS's dual ray scaled to largest entry 1 and rounded.
+    Float mode returns HiGHS's numbers, with an entry of x in
+    [-TIGHT_TOLERANCE, 0), within HiGHS's own feasibility tolerance, as
+    0.0; its ray is the rounded one if check_certificate accepts it, else
+    the scaled ray in Fractions.  LPError if float mode's optimal x has an
+    entry below -TIGHT_TOLERANCE or an infeasible run has no ray
+    (CertificationError in exact mode).
     """
     check_size(problem.nonzeros(), arithmetic)
     objective = tuple(as_fraction(v) for v in objective)
@@ -847,6 +798,36 @@ def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") ->
             return _infeasible(problem, ray, "the signs of b")
         return LPSolution("optimal", x=[], y=[_ZERO] * problem.nrows, value=_ZERO)
     exact = arithmetic == "exact"
-    if exact and problem.nonzeros() <= TABLEAU_ONLY_NONZEROS:
-        return _solve_tableau(problem, objective)
-    return _solve_highs(problem, objective, exact)
+    quotient = None
+    if sum(map(bool, objective)) > 1:
+        quotient = _quotient(problem, objective, scaled(objective))
+    lp, lp_objective = (quotient.lp, quotient.objective) if quotient else (problem, objective)
+    lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
+    if exact and lp.nonzeros() <= TABLEAU_ONLY_NONZEROS:
+        tab = _ExactTableau(lp, lp_objective)
+        if not tab.phase1():
+            return _infeasible(problem, lift_y(tab.farkas()), "phase 1")
+        tab.phase2()
+        xs, ys = [lift_x(tab.primal())], [lift_y(tab.duals())]
+        return LPSolution("optimal", *_accept(problem, objective, xs, ys))
+    try:
+        x, y, value, highs = _highs(lp.highs_model, lp_objective)
+    except OverflowError as exc:
+        raise LPError(f"an LP entry is too large for a float: {exc}") from exc
+    if x is None:
+        if y is None:
+            error = CertificationError if exact else LPError
+            raise error("HiGHS calls the LP infeasible but gives no dual ray")
+        scale = max(map(abs, y)) or 1.0
+        y = [v / scale for v in y]
+        ray = lift_y([_rounded(v) for v in y])
+        if exact:
+            return _infeasible(problem, ray, "HiGHS's rounded dual ray")
+        if not check_certificate(problem, ray):
+            ray = lift_y([Fraction(v) for v in y])
+        return LPSolution("infeasible", y=ray)
+    if exact:
+        return LPSolution("optimal", *_certify(problem, objective, x, y, highs, quotient))
+    if min(x, default=0.0) < -TIGHT_TOLERANCE:
+        raise LPError(f"HiGHS's optimal x has an entry {min(x)} < -{TIGHT_TOLERANCE}")
+    return LPSolution("optimal", x=lift_x([max(v, 0.0) for v in x]), y=lift_y(y), value=value)

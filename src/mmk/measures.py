@@ -111,12 +111,6 @@ class IndexSet(Frozen):
     def __lt__(self, other: "IndexSet") -> bool:
         return self.members < other.members
 
-    def __and__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.members) & set(other.members))
-
-    def __or__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.members) | set(other.members))
-
     def key(self) -> str:
         return ",".join(str(m) for m in self.members)
 

@@ -464,12 +464,27 @@ def test_import_loads_neither_numpy_nor_scipy():
         "from mmk.feasibility import marginal_constraint_rows; from mmk.measures import scaled; "
         "inst = XorInstance(3); c = inst.cost().values; "
         "q = lp_core._quotient(lp_core.LPProblem(*marginal_constraint_rows(inst.family())), "
-        "c, scaled(c)); print(len(q.rhs), q.ncols, 'numpy' in sys.modules)"
+        "c, scaled(c)); print(q.lp.nrows, q.lp.ncols, 'numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "36 120 False"
+    # nonstrong's support LP, 300 x 64 and costed, has a 20 x 28 quotient
+    # of 46 nonzeros, which the exact tableau solves: neither numpy nor
+    # the HiGHS binding is loaded.  lp_core loads the binding without
+    # registering it, so its loader's cache is read too.
+    code = (
+        "import contextlib, io, sys; from mmk import cli, lp_core\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['case', 'nonstrong', '--N', '10'])\n"
+        "print(status, lp_core._core.cache_info().currsize, sorted(m for m in "
+        "('numpy', 'scipy.optimize._highspy._core') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 0 []"
 
 
 class TestSignedAndBounded:

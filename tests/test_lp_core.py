@@ -100,20 +100,22 @@ def record_rebuilds(monkeypatch):
 
 
 def assert_equitable(problem, objective, quotient):
-    """Brute force: every row of class P has the same b and exactly A_PQ
-    columns of class Q, as the quotient's entries say, and every column
-    of Q has the same c and the same number of rows of each class P."""
+    """Brute force: every row of class P has the quotient's b_P and
+    exactly A_PQ columns of class Q, A_PQ the times the quotient's column
+    Q lists P, and every column of Q has the same c and the same number
+    of rows of each class P."""
     row_class, col_class = quotient.row_class, quotient.col_class
     counts = {}
-    for p, q, a in quotient.entries:
-        counts.setdefault(p, {})[q] = a
+    for q, column in enumerate(quotient.lp.columns):
+        for p, a in collections.Counter(column).items():
+            counts.setdefault(p, {})[q] = a
     row_columns = [[] for _ in range(problem.nrows)]
     for j, column in enumerate(problem.columns):
         for i in column:
             row_columns[i].append(col_class[j])
     b = {}
     for i, p in enumerate(row_class):
-        assert b.setdefault(p, problem.rhs[i]) == problem.rhs[i]
+        assert b.setdefault(p, problem.rhs[i]) == problem.rhs[i] == quotient.lp.rhs[p]
         assert collections.Counter(row_columns[i]) == counts.get(p, {})
     c, per_column = {}, {}
     for j, q in enumerate(col_class):
@@ -211,14 +213,25 @@ class TestExact:
         with pytest.raises(DomainError, match="expected an integer"):
             LPProblem([[value]], [1, 1, 1])
 
-    @pytest.mark.parametrize(
-        "column, words",
-        [([-1], "distinct rows in 0..1"), ([2], "distinct rows in 0..1"), ([0, 1, 0], "distinct")],
-        ids=["negative", "nrows", "repeated"],
-    )
-    def test_row_index_out_of_range_or_repeated_refused(self, column, words):
-        with pytest.raises(DomainError, match=words):
+    @pytest.mark.parametrize("column", [[-1], [2]], ids=["negative", "nrows"])
+    def test_row_index_out_of_range_or_repeated_refused(self, column):
+        # A row index outside 0..n-1 is refused; a repeated one is a
+        # coefficient (test_repeated_rows_are_coefficients).
+        with pytest.raises(DomainError, match=r"column 1 must list rows in 0\.\.1"):
             LPProblem([[0], column], [1, 1])
+
+    def test_repeated_rows_are_coefficients(self, monkeypatch):
+        # Column 0 lists row 0 twice: 2 x = 4, one nonzero entry 2, solved
+        # by the tableau, by HiGHS in exact mode and in float mode.
+        problem = LPProblem([[0, 0]], [4])
+        matrix = problem.highs_model.a_matrix_
+        assert (list(matrix.start_), list(matrix.index_), list(matrix.value_)) == (
+            [0, 1], [0], [2.0])
+        assert problem.nonzeros() == 1
+        assert solve(problem, [1]).x == [2]
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        for mode in ("exact", "float"):
+            assert solve(problem, [1], mode).x == [2]
 
     def test_one_problem_serves_two_objectives(self, monkeypatch):
         # Both solves run HiGHS on the one model the problem builds.
@@ -237,9 +250,10 @@ class TestExact:
         with pytest.raises(DomainError, match="1 objective entries for 2 columns"):
             solve(problem, [1])
 
-    # min x0 + x1 s.t. x0 = 1, x1 = 1: the optimum is x = y = (1, 1).  Each
-    # patch breaks one check of the tableau's answer; x = (2, 0) even keeps
-    # c.x == b.y.
+    # min x0 / 2 + 3 x1 / 2 s.t. x0 = 1, x1 = 1: the optimum is x = (1, 1),
+    # y = (1/2, 3/2), of value 2.  The costs differ, so the LP reaches the
+    # tableau whole, not as a quotient.  Each patch breaks one check of
+    # the tableau's answer.
     @pytest.mark.parametrize(
         "method, wrong, check",
         [
@@ -250,10 +264,11 @@ class TestExact:
     )
     def test_tableau_optimum_checked(self, monkeypatch, method, wrong, check):
         problem = LPProblem([[0], [1]], [1, 1])
-        assert solve(problem, [1, 1]).x == [1, 1]
+        costs = [Fraction(1, 2), Fraction(3, 2)]
+        assert solve(problem, costs).x == [1, 1]
         monkeypatch.setattr(lp_core._ExactTableau, method, lambda self: list(wrong))
         with pytest.raises(lp_core.CertificationError, match=check):
-            solve(problem, [1, 1])
+            solve(problem, costs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -933,7 +948,7 @@ class TestMethodRoute:
 
 
 class TestQuotient:
-    """A costed LP goes to HiGHS as the quotient of the coarsest equitable
+    """A costed LP is solved as the quotient of the coarsest equitable
     partition of its rows and columns, and the lifted answer is checked
     on the LP itself."""
 
@@ -994,16 +1009,23 @@ class TestQuotient:
     def test_symmetric_infeasible_family_gets_a_lifted_ray(self, monkeypatch, mode):
         # The two-point family with ratio 5/2 under the cost i + j + k:
         # its 12 x 8 LP, 24 nonzeros, has a 3 x 4 quotient, and the
-        # quotient's ray, lifted, certifies the LP itself.
-        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
-        refuse_tableau(monkeypatch)
+        # quotient's ray, lifted, certifies the LP itself.  HiGHS finds the
+        # ray at threshold 0; at the default threshold exact mode takes the
+        # tableau's phase-1 ray on the quotient, and float mode HiGHS's.
         fam = make_two_point_counterexample(Fraction(5, 2))
         problem = LPProblem(*marginal_constraint_rows(fam))
         cost = [sum(cell) for cell in fam.full_grid().cells()]
         shapes = self.handed(monkeypatch)
-        sol = solve(problem, cost, mode)
-        assert sol.status == "infeasible" and check_certificate(problem, sol.y)
-        assert (problem.nrows, problem.ncols, shapes) == (12, 8, [(3, 4)])
+        tableaus, tableau = [], lp_core._ExactTableau.__init__
+        monkeypatch.setattr(
+            lp_core._ExactTableau, "__init__",
+            lambda self, lp, obj: tableaus.append((lp.nrows, lp.ncols)) or tableau(self, lp, obj))
+        for threshold in (0, DEFAULT_THRESHOLD):
+            monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", threshold)
+            sol = solve(problem, cost, mode)
+            assert sol.status == "infeasible" and check_certificate(problem, sol.y)
+        assert (problem.nrows, problem.ncols, shapes + tableaus) == (12, 8, [(3, 4)] * 2)
+        assert len(tableaus) == (mode == "exact")
 
     def test_rebuilt_on_the_quotient_basis(self, monkeypatch):
         # build_discontinuous(6) with both rounded candidates of x and y
@@ -1012,7 +1034,9 @@ class TestQuotient:
         fam, cost = build_discontinuous(6)[:2]
         problem = LPProblem(*marginal_constraint_rows(fam))
         quotient = lp_core._quotient(problem, cost.values, scaled(cost.values))
-        assert sorted(a for _, _, a in quotient.entries)[-22:] == [1] + [2] * 21
+        coefficients = [a for column in quotient.lp.columns
+                        for a in collections.Counter(column).values()]
+        assert sorted(coefficients)[-22:] == [1] + [2] * 21
         assert_equitable(problem, cost.values, quotient)
         highs = lp_core._highs
 
@@ -1034,17 +1058,18 @@ class TestQuotient:
         # sqrt(2), rounded up to 2, which is not above det M.
         problem = LPProblem([[0], [0]], [1])
         quotient = lp_core._quotient(problem, (1, 1), scaled([1, 1]))
-        assert quotient.columns == [[0, 0]] and quotient.objective == [2]
-        highs = lp_core._highs(quotient.highs_model, quotient.objective)[3]
-        assert lp_core._basis_factor(quotient, highs)[3] == 3
+        assert quotient.lp.columns == ((0, 0),) and quotient.objective == [2]
+        highs = lp_core._highs(quotient.lp.highs_model, quotient.objective)[3]
+        assert lp_core._basis_factor(quotient.lp, highs)[3] == 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_duplicated_columns_agree_with_the_tableau(self, data):
         # Each column twice at the same cost, so a costed objective has a
         # quotient; empty rows and columns, unbounded and infeasible LPs
-        # included.  The quotient route must give the tableau's status and
-        # value, or raise LPError where the tableau does.
+        # included.  The quotient, on the tableau and on HiGHS, must give
+        # the status and value of the tableau on the full LP, or raise
+        # LPError where it does.
         n = data.draw(st.integers(1, 4))
         m = data.draw(st.integers(1, 3))
         frac = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -1059,24 +1084,27 @@ class TestQuotient:
         problem = LPProblem(base * 2, rhs)
         objective = costs * 2
         results = []
-        for threshold in (DEFAULT_THRESHOLD, 0):
-            with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", threshold):
+        for threshold, reduce in ((10**9, False), (DEFAULT_THRESHOLD, True), (0, True)):
+            with mock.patch.object(lp_core, "TABLEAU_ONLY_NONZEROS", threshold), \
+                    mock.patch.object(lp_core, "_quotient",
+                                      lp_core._quotient if reduce else lambda *args: None):
                 try:
                     results.append(solve(problem, objective))
                 except lp_core.CertificationError:
                     raise
                 except lp_core.LPError:
                     results.append(None)
-        oracle, lifted = results
+        oracle, *lifted = results
         if oracle is None:
-            assert lifted is None
+            assert lifted == [None, None]
             return
-        assert (lifted.status, lifted.value) == (oracle.status, oracle.value)
-        if lifted.status == "infeasible":
-            assert check_certificate(problem, lifted.y)
+        for sol in lifted:
+            assert (sol.status, sol.value) == (oracle.status, oracle.value)
+            if sol.status == "infeasible":
+                assert check_certificate(problem, sol.y)
         if any(costs):
             quotient = lp_core._quotient(problem, objective, scaled(objective))
-            assert quotient.ncols <= n
+            assert quotient.lp.ncols <= n
             assert_equitable(problem, objective, quotient)
 
 
@@ -1133,19 +1161,14 @@ def run_python(code):
 
 
 def test_highs_runs_import_neither_scipy_optimize_nor_scipy_sparse():
-    # lp_core loads the HiGHS binding by itself.  `mmk case nonstrong` runs
-    # one exact HiGHS LP of 192 nonzeros, and the 6x6 transport of
+    # lp_core loads the HiGHS binding by itself.  The 6x6 transport of
     # test_denominators_beyond_63_bits_certified reaches the rebuild in
     # exact mode and is solved in float mode too.
     code = """
-import contextlib, io, json, random, sys
+import random, sys
 from fractions import Fraction
-from mmk import cli, lp_core
+from mmk import lp_core
 
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert cli.main(["case", "nonstrong", "--N", "10"]) == 0
-assert len(json.loads(out.getvalue())["F_diagonal"]) == 10
 rng = random.Random(5)
 q = 3**41
 rows = [Fraction(rng.randint(1, q), q) for _ in range(5)]
