@@ -40,10 +40,10 @@ PI_SQUARED_HIGH = Fraction(98697, 10000)
 
 def _capped_grid(sizes) -> ProductGrid:
     """The grid of a case's (3,2) family, or SizeCapError if the family's
-    LP is over check_size's float cap: each case gets its grid here before
-    it builds anything grid-sized."""
+    LP is over check_size's cap: each case gets its grid here before it
+    builds anything grid-sized."""
     grid = ProductGrid(sizes)
-    lp_core.check_size(grid.ncells * 3, "float")
+    lp_core.check_size(grid.ncells * 3)
     return grid
 
 

@@ -313,26 +313,22 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     objective).  The LP is posed on columns = supported_columns(fam),
     column t being cell columns[t], even with none left (lp_core.solve
     answers that LP itself: infeasible, with y = 1 on every row as its
-    Farkas ray, since the weights are not all 0).  The cap of both
-    modes is checked on all cells before anything grid-sized exists, the
-    mode's own cap on the support before the LP's columns do; both run
-    on every call.
+    Farkas ray, since the weights are not all 0).
 
-    The first call that passes both caps keeps the family's A x = b as
+    The first call checks check_size's memory cap on all cells before
+    anything grid-sized exists, and then keeps the family's A x = b as
     (support, LPProblem) in its `_lp` slot, where verdict and lift read
     the support; a family is immutable, so it never goes stale.  Every
-    later call, whatever its objective or mode, only builds its objective vector.
+    later call, whatever its objective or mode, only builds its objective
+    vector.  lp_core.solve applies the exact-mode cap to the LP it solves.
     """
-    nalpha = len(fam.index_sets())
-    lp_core.check_size(fam.full_grid().ncells * nalpha, "float")
-    posed = fam._lp
-    columns = tuple(supported_columns(fam)) if posed is None else posed[0]
-    lp_core.check_size(len(columns) * nalpha, arithmetic)
-    if posed is None:
-        posed = columns, lp_core.LPProblem(*marginal_constraint_rows(fam, columns))
-        fam._freeze(_lp=posed)
+    if fam._lp is None:
+        lp_core.check_size(fam.full_grid().ncells * len(fam.index_sets()))
+        columns = tuple(supported_columns(fam))
+        fam._freeze(_lp=(columns, lp_core.LPProblem(*marginal_constraint_rows(fam, columns))))
+    columns, problem = fam._lp
     costs = [0] * len(columns) if objective is None else [objective[j] for j in columns]
-    return lp_core.solve(posed[1], costs, arithmetic)
+    return lp_core.solve(problem, costs, arithmetic)
 
 
 def lift(fam: MarginalFamily, prices, bound: Sequence, every_cell: bool) -> dict:
@@ -421,12 +417,12 @@ def _combine(fam: MarginalFamily, terms) -> SignedDiscreteMeasure:
     """sum of coef * product(factors) over the (coef, factors) terms, on
     fam's full grid: the one sum of every closed-form measure.
 
-    The float cap of check_size (cells times marginals) refuses the grid
-    before the first product exists.  Zero coefficients are skipped, and
+    check_size's cap (cells times marginals) refuses the grid before the
+    first product exists.  Zero coefficients are skipped, and
     a QuadExt weight with no irrational part comes back as a Fraction.
     """
     grid = fam.full_grid()
-    lp_core.check_size(grid.ncells * math.comb(fam.n, fam.k), "float")
+    lp_core.check_size(grid.ncells * math.comb(fam.n, fam.k))
     total = [Fraction(0)] * grid.ncells
     for coef, factors in terms:
         if coef != 0:
@@ -544,6 +540,9 @@ def uniting_by_density_2(
     u = sqrt(3 - 2/m') evaluated in the quadratic field Q(u).  Any
     negative weight raises DensityAssemblyError with diagnostics.  Weights
     with a nonzero irrational part stay QuadExt and have no JSON form.
+
+    Its LP has no float mode: check_size refuses it before anything is
+    built, and lp_core.solve's exact-mode cap reads its quotient, if any.
     """
     _require_32(fam)
     bounds = density_bounds(fam, refs)
@@ -552,14 +551,8 @@ def uniting_by_density_2(
     m = bounds.m
     grid = fam.full_grid()
     pairs = all_index_sets(3, 2)
-    nonzeros = 3 * grid.ncells + sum(len(fam[alpha].weights) for alpha in pairs)
-    try:  # the extraction LP below: 3 nonzeros per cell, 1 per slack column
-        lp_core.check_size(nonzeros, "exact")
-    except lp_core.SizeCapError:
-        raise lp_core.SizeCapError(
-            f"the extraction LP of uniting_by_density_2 has {nonzeros} nonzeros, "
-            f"over the exact-mode cap {lp_core.EXACT_NONZERO_CAP}; it has no float mode"
-        ) from None
+    # The extraction LP below: 3 nonzeros per cell, 1 per slack column.
+    lp_core.check_size(3 * grid.ncells + sum(len(fam[alpha].weights) for alpha in pairs))
 
     # (i) maximize xi(X), as min -xi(X), subject to prj_ij(xi) <= mu_ij - m nu_ij:
     # the marginal columns of every cell, then one slack column per row.

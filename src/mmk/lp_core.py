@@ -23,13 +23,16 @@ the quotient's vertex, duals or ray are lifted to the LP: x_j = X_Q(j)
 and y_i = w_P(i) / |P(i)|.  The first keys of the columns all differ on
 most LPs without symmetry, and these are solved as they are.
 
-Exact mode then takes one route per LP, by the size of the LP solved.
-One of at most TABLEAU_ONLY_NONZEROS nonzeros goes to a dense two-phase
-primal simplex over exact rationals, also the test oracle: it pivots by
-Bland's rule (the first column with negative reduced cost, the lowest
-basic index among tied ratios), which never cycles, and yields Farkas
-rays.  The tableau's time has no bound on a large LP, so it is no
-fallback.
+Both modes refuse a problem of more than FLOAT_NONZERO_CAP nonzeros
+(check_size, which callers run before they build one), and exact mode
+an LP solved, the quotient where there is one, of more than
+EXACT_NONZERO_CAP: a SizeCapError.  Exact mode then takes one route per
+LP, by the size of the LP solved.  One of at most TABLEAU_ONLY_NONZEROS nonzeros goes to a
+dense two-phase primal simplex over exact rationals, also the test
+oracle: it pivots by Bland's rule (the first column with negative
+reduced cost, the lowest basic index among tied ratios), which never
+cycles, and yields Farkas rays.  The tableau's time has no bound on a
+large LP, so it is no fallback.
 
 Every larger LP is certified from floating point.  HiGHS solves it on a
 model of A x = b cached for every objective posed on it, with
@@ -96,11 +99,13 @@ from typing import Sequence
 
 from .measures import DomainError, Frozen, as_fraction, as_int, scaled
 
-# Beyond this many nonzeros the caller must opt into float mode explicitly.
-# The count is the full LP's, also where a quotient is solved.  Below
-# it exact build_discontinuous(24), 41,472 nonzeros, takes 0.4-0.6 s on 2
-# cores through its 708 x 5,100 quotient: 0.15 s in HiGHS, 0.06 s to find
-# the partition and 0.06 s to rebuild x.  It took 3.4 s on the full LP.
+# Exact mode refuses an LP solved, a costed LP's quotient if it has one,
+# of more nonzeros.  Exact verify_gap on build_discontinuous(36), whose
+# quotient has 49,050, gives 1/6 in 2.7-3.8 s at 100 MB on 2 cores.  With
+# the cap lifted, LPs without a quotient take far longer.  On (3,2)
+# families on 30^3, 81,000 nonzeros, exact verify_gap on random marginals
+# with costs 0..9 took 35 s and 386 MB (1.4 s float), and exact
+# kellerer_check on uniform marginals 55 s.
 EXACT_NONZERO_CAP = 50_000
 
 # No LP in either mode may have more nonzeros than this.  The (3,2)
@@ -169,7 +174,7 @@ def _core():
 
 
 class SizeCapError(LPError):
-    """The LP has more nonzeros than check_size allows its mode."""
+    """The LP is over FLOAT_NONZERO_CAP, or in exact mode EXACT_NONZERO_CAP."""
 
 
 class CertificationError(LPError):
@@ -741,42 +746,33 @@ def _certify(problem: LPProblem, objective, x_float, y_float, highs, quotient=No
     return _accept(problem, objective, xs(), ys())
 
 
-def check_size(nonzeros: int, arithmetic: str) -> None:
-    """SizeCapError if an LP of this many nonzeros is over a cap.
-
-    FLOAT_NONZERO_CAP binds both modes, EXACT_NONZERO_CAP exact mode
-    too; DomainError for any other mode.  Callers that know the count
-    before they build the rows check first, so a refused LP allocates
-    nothing.
+def check_size(nonzeros: int) -> None:
+    """SizeCapError if an LP of this many nonzeros is over FLOAT_NONZERO_CAP,
+    the memory cap of both modes.  Callers that know the count before they
+    build the rows check first, so a refused LP allocates nothing; solve
+    checks every problem it is given.
     """
-    if arithmetic not in ("exact", "float"):
-        raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
     if nonzeros > FLOAT_NONZERO_CAP:
         raise SizeCapError(
             f"{nonzeros} nonzeros exceeds the cap {FLOAT_NONZERO_CAP} of both modes"
-        )
-    if arithmetic == "exact" and nonzeros > EXACT_NONZERO_CAP:
-        raise SizeCapError(
-            f"{nonzeros} nonzeros exceeds the exact-mode cap "
-            f"{EXACT_NONZERO_CAP}; pass arithmetic='float'"
         )
 
 
 def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") -> LPSolution:
     """Min objective.x over the problem's A x = b, x >= 0; exact rational
-    mode unless arithmetic='float'.  The objective has one rational entry
-    (as_fraction) per column, else DomainError.  Both modes enforce
-    check_size's caps on the problem: coefficient growth makes huge exact
-    pivots impractical, and a huge float LP would use up memory.
+    mode unless arithmetic='float' (any other mode: DomainError).  The
+    objective has one rational entry (as_fraction) per column, else
+    DomainError.  Both modes enforce check_size's cap on the problem.
 
     An LP without columns, which HiGHS rejects, is answered here: x = ()
     is its one point if b = 0 (optimal, y = 0, value 0), and else the ray
     y_i = -1 where b_i < 0 and 1 elsewhere proves it infeasible.  A
     costed objective, with more than one nonzero entry, is solved on the
     problem's _quotient when it has one, and every other on the problem.
-    The LP solved goes to the tableau in exact mode if it has at most
-    TABLEAU_ONLY_NONZEROS nonzeros, and else to HiGHS, by _highs's choice
-    of method.  Every vector either returns is lifted to the problem.
+    Exact mode refuses the LP solved over EXACT_NONZERO_CAP nonzeros and
+    sends it to the tableau at TABLEAU_ONLY_NONZEROS or fewer; every other
+    LP goes to HiGHS, by _highs's choice of method.  Every vector either
+    returns is lifted to the problem.
 
     Exact mode returns an optimum that _accept passes, the tableau's or
     _certify's, or a ray that _infeasible accepts: the tableau's phase-1
@@ -788,7 +784,9 @@ def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") ->
     entry below -TIGHT_TOLERANCE or an infeasible run has no ray
     (CertificationError in exact mode).
     """
-    check_size(problem.nonzeros(), arithmetic)
+    if arithmetic not in ("exact", "float"):
+        raise DomainError(f"unknown arithmetic mode {arithmetic!r}")
+    check_size(problem.nonzeros())
     objective = tuple(as_fraction(v) for v in objective)
     if len(objective) != problem.ncols:
         raise DomainError(f"{len(objective)} objective entries for {problem.ncols} columns")
@@ -803,6 +801,10 @@ def solve(problem: LPProblem, objective: Sequence, arithmetic: str = "exact") ->
         quotient = _quotient(problem, objective, scaled(objective))
     lp, lp_objective = (quotient.lp, quotient.objective) if quotient else (problem, objective)
     lift_x, lift_y = (quotient.lift_x, quotient.lift_y) if quotient else (list, list)
+    if exact and lp.nonzeros() > EXACT_NONZERO_CAP:
+        raise SizeCapError(
+            f"{lp.nonzeros()} nonzeros exceeds the exact-mode cap {EXACT_NONZERO_CAP}"
+        )
     if exact and lp.nonzeros() <= TABLEAU_ONLY_NONZEROS:
         tab = _ExactTableau(lp, lp_objective)
         if not tab.phase1():

@@ -755,8 +755,17 @@ class TestDensityConstructions:
         assert hits >= 4
 
     def test_density2_over_the_exact_cap_builds_nothing(self, monkeypatch):
-        # Uniform marginals on 40^3 meet M/m <= 2, and the extraction LP
-        # would have 3 * 64000 + 4800 = 196800 nonzeros.
+        def uniform_case(N):
+            marginals = {a: uniform([N, N], axes=tuple(a)) for a in all_index_sets(3, 2)}
+            refs = [uniform([N], axes=[a]) for a in (1, 2, 3)]
+            return MarginalFamily(3, 2, [N] * 3, marginals), refs
+
+        # Uniform marginals on 30^3 meet M/m <= 2, and their extraction LP
+        # of 3 * 27000 + 2700 = 83700 nonzeros has a small quotient.
+        assert fb.uniting_by_density_2(*uniform_case(30)).mass == 1
+
+        # On 120^3 it would have 3 * 1728000 + 43200 = 5227200 nonzeros:
+        # the memory cap refuses it before anything is built.
         built = []
 
         def spy(real):
@@ -764,13 +773,19 @@ class TestDensityConstructions:
 
         monkeypatch.setattr(fb, "marginal_constraint_rows", spy(fb.marginal_constraint_rows))
         monkeypatch.setattr(lp_core, "LPProblem", spy(lp_core.LPProblem))
-        fam = MarginalFamily(
-            3, 2, [40] * 3, {a: uniform([40, 40], axes=tuple(a)) for a in all_index_sets(3, 2)}
-        )
-        refs = [uniform([40], axes=[a]) for a in (1, 2, 3)]
-        with pytest.raises(lp_core.SizeCapError, match="196800 nonzeros.*no float mode"):
-            fb.uniting_by_density_2(fam, refs)
+        with pytest.raises(lp_core.SizeCapError, match="5227200 nonzeros exceeds the cap"):
+            fb.uniting_by_density_2(*uniform_case(120))
         assert not built
+
+        # A family without symmetry has no quotient, so the exact-mode cap
+        # reads its whole extraction LP: 3 * 27 + 27 = 108 nonzeros.
+        rng = random.Random(3)
+        raw = [Fraction(rng.randint(10, 14), 10) for _ in range(27)]
+        mu = DiscreteMeasure(ProductGrid([3, 3, 3]), [w / sum(raw) for w in raw])
+        fam = MarginalFamily(3, 2, [3, 3, 3], {a: project(mu, a) for a in all_index_sets(3, 2)})
+        monkeypatch.setattr(lp_core, "EXACT_NONZERO_CAP", 107)
+        with pytest.raises(lp_core.SizeCapError, match="108 nonzeros exceeds the exact-mode cap"):
+            fb.uniting_by_density_2(fam, self.refs3())
 
     def test_density2_ratio_too_big(self):
         fam = fb.make_two_point_counterexample(Fraction(5, 2))

@@ -192,15 +192,21 @@ class TestExact:
         assert sum(y * b for y, b in zip(sol.y, problem.rhs)) == 0
 
     def test_size_cap(self):
+        # The exact-mode cap counts the LP solved.  Costs 0..299 set all
+        # 300 columns apart, so the dense 300 x 300 LP has no quotient and
+        # its 90,000 nonzeros are refused; with all costs 1 it is solved
+        # through its 1 x 1 quotient.
         n = 300
         problem = LPProblem([range(n)] * n, [1] * n)
-        with pytest.raises(SizeCapError):
-            solve(problem, [1] * n)
+        with pytest.raises(SizeCapError, match="90000 nonzeros exceeds the exact-mode cap"):
+            solve(problem, range(n))
+        sol = solve(problem, [1] * n)
+        assert sol.status == "optimal" and sol.value == 1
 
     def test_float_size_cap(self, monkeypatch):
-        lp_core.check_size(lp_core.FLOAT_NONZERO_CAP, "float")
+        lp_core.check_size(lp_core.FLOAT_NONZERO_CAP)
         with pytest.raises(SizeCapError, match="of both modes"):
-            lp_core.check_size(lp_core.FLOAT_NONZERO_CAP + 1, "float")
+            lp_core.check_size(lp_core.FLOAT_NONZERO_CAP + 1)
         monkeypatch.setattr(lp_core, "FLOAT_NONZERO_CAP", 3)
         problem = LPProblem([[0]] * 4, [1])
         with pytest.raises(SizeCapError, match="4 nonzeros exceeds the cap 3"):

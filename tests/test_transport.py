@@ -458,27 +458,33 @@ def test_tampered_certificates_rejected_under_python_O():
     assert out.stdout.strip() == "rejected 5"
 
 
-def test_size_cap_checked_before_the_rows_exist(monkeypatch):
-    # 27,000 cells and C(3, 2) = 3 index sets: 81,000 nonzeros.
+def test_exact_cap_counts_the_lp_solved():
+    # 27,000 cells and C(3, 2) = 3 index sets: 81,000 nonzeros, over the
+    # exact-mode cap.  The cost 1 gives the uniform family's LP a 1 x 1
+    # quotient, which exact mode solves; the zero and one-cell objectives
+    # have none, so the cap still refuses the full LP.
     fam = MarginalFamily(
         3,
         2,
         [30] * 3,
         {a: uniform([30, 30], axes=a.members) for a in all_index_sets(3, 2)},
     )
-    cost = CostGrid(fam.full_grid(), [Fraction(1)] * 30**3)
+    report = verify_gap(fam, CostGrid(fam.full_grid(), [Fraction(1)] * 30**3))
+    assert (report.value, report.gap) == (1, 0)
+    for run in (fb.kellerer_check, lambda f: cs.min_mass_at_cell(f, (0, 0, 0))):
+        with pytest.raises(lp_core.SizeCapError, match="81000 nonzeros exceeds the exact"):
+            run(fam)
 
-    def no_rows(*args):
-        raise AssertionError("the constraint rows were built")
 
-    monkeypatch.setattr(fb, "marginal_constraint_rows", no_rows)
-    for run in (
-        lambda: verify_gap(fam, cost),
-        lambda: fb.kellerer_check(fam),
-        lambda: cs.min_mass_at_cell(fam, (0, 0, 0)),
-    ):
-        with pytest.raises(lp_core.SizeCapError, match="81000 nonzeros exceeds"):
-            run()
+def test_exact_cap_on_the_discontinuous_dual_example():
+    # build_discontinuous(30)'s LP has 81,000 nonzeros and its quotient
+    # 28,665, so exact mode certifies it; (42)'s quotient has 77,343.
+    fam, cost, _ = cs.build_discontinuous(30)
+    report = verify_gap(fam, cost)
+    assert (report.value, report.gap) == (Fraction(1, 6), 0)
+    fam, cost, _ = cs.build_discontinuous(42)
+    with pytest.raises(lp_core.SizeCapError, match="77343 nonzeros exceeds the exact-mode cap"):
+        verify_gap(fam, cost)
 
 
 class TestDecomposition:
