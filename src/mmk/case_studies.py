@@ -30,7 +30,7 @@ from .measures import (
 )
 from .transport import CostGrid, solve_dual
 from . import lp_core
-from .feasibility import _assert_uniting, marginal_lp
+from .feasibility import _assert_uniting, marginal_lp, unique_uniting
 
 # Certified rational bracket for pi^2; the upper bound is used wherever
 # a larger "pi^2" makes the derived inequalities conservative.
@@ -128,12 +128,16 @@ def unreachable_gamma_bound(m: int, alpha0: Fraction) -> Fraction:
 
 
 def _mass_extreme(fam: MarginalFamily, cell, sign: int, arithmetic: str):
-    """LP minimum of sign * pi(cell) over the uniting polytope: one
-    feasibility.marginal_lp with sign at the cell as objective.
-    DomainError if the family has no uniting measure."""
+    """LP minimum of sign * pi(cell) over the uniting polytope.  In exact
+    mode, sign * mu*(cell) if feasibility.unique_uniting certifies mu* the
+    one uniting measure; else one feasibility.marginal_lp with sign at the
+    cell as objective.  DomainError if the family has no uniting measure."""
     grid = fam.full_grid()
+    j = grid.ravel(cell)
+    if arithmetic == "exact" and (mu := unique_uniting(fam)) is not None:
+        return sign * mu.weights[j]
     objective = [Fraction(0)] * grid.ncells
-    objective[grid.ravel(cell)] = Fraction(sign)
+    objective[j] = Fraction(sign)
     sol = marginal_lp(fam, objective, arithmetic)
     if sol.status != "optimal":
         raise DomainError(f"family is {sol.status}")
@@ -197,10 +201,17 @@ def build_nonstrong(N: int):
 
 
 def verify_unique_uniting(fam: MarginalFamily, cells, arithmetic: str = "exact"):
-    """Check min pi(cell) == max pi(cell) over the uniting polytope for
-    the given cells; returns the common values (proves uniqueness when
-    the cells span the support and the polytope is a point), or None.
-    DomainError if the polytope is empty."""
+    """{cell: pi(cell)} for the given cells if every uniting measure pi
+    agrees there, else None; DomainError if the family has none.
+
+    In exact mode, if feasibility.unique_uniting certifies the polytope a
+    point mu*, the values are mu*'s and no LP is solved.  Otherwise a min
+    and a max LP per cell compare its extremes, and the first cell where
+    they differ gives None; values from this loop pin the cells given,
+    not the whole measure.
+    """
+    if arithmetic == "exact" and (mu := unique_uniting(fam)) is not None:
+        return {tuple(cell): mu.weight(cell) for cell in cells}
     out = {}
     for cell in cells:
         lo = min_mass_at_cell(fam, cell, arithmetic)

@@ -6,8 +6,9 @@ engine (a uniting measure, or potentials f_alpha with sum f_alpha >= 0
 pointwise and sum of integrals < 0, negated from the Farkas ray that
 lp_core.solve makes on the support and lift carries to the full grid,
 also for a family that charges no cell), the density-ratio sufficient
-conditions for (3,2) families, and the two standard counterexample
-builders (mod-k and the two-point anti-diagonal family).
+conditions for (3,2) families, a certificate that a family has exactly
+one uniting measure (unique_uniting), and the two standard
+counterexample builders (mod-k and the two-point anti-diagonal family).
 
 Every closed-form measure is a list of (coefficient, product factors)
 terms summed by _combine and checked by _assert_uniting.  The (3,2)
@@ -392,6 +393,77 @@ def kellerer_check(fam: MarginalFamily, arithmetic: str = "exact") -> Feasibilit
     """Decide Pi(mu_alpha) != {} exactly, with a checkable witness either way:
     the verdict of one zero-objective marginal_lp on the supported cells."""
     return verdict(fam, marginal_lp(fam, None, arithmetic), arithmetic)
+
+
+def _rank_mod_p(columns) -> int:
+    """The rank modulo the prime p = 2^61 - 1 of the 0/1 matrix whose
+    columns list the rows of their ones, by sparse elimination.  It is at
+    most the rank over Q, since a minor that is nonzero mod p is nonzero."""
+    p = (1 << 61) - 1
+    pivots = {}  # leading row -> a reduced column with that lowest row, its entry there 1
+    for column in columns:
+        v = dict.fromkeys(column, 1)
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(v[lead], -1, p)
+                pivots[lead] = {i: a * inverse % p for i, a in v.items()}
+                break
+            f = v[lead]
+            for i, a in pivot.items():
+                if s := (v.get(i, 0) - f * a) % p:
+                    v[i] = s
+                else:
+                    del v[i]
+    return len(pivots)
+
+
+def _unique_point(fam: MarginalFamily):
+    """unique_uniting's certificate: the full-grid x* or None."""
+    sol = marginal_lp(fam, None, "exact")
+    if sol.status != "optimal":
+        raise DomainError(f"family is {sol.status}")
+    columns, problem = fam._lp
+    support = [t for t, v in enumerate(sol.x) if v]
+    if _rank_mod_p(problem.columns[t] for t in support) < len(support):
+        return None
+    if len(support) < len(columns):
+        objective = [0] * fam.full_grid().ncells
+        for j, v in zip(columns, sol.x):
+            if not v:
+                objective[j] = -1
+        if marginal_lp(fam, objective, "exact").value != 0:
+            return None
+    return verdict(fam, sol, "exact").witness
+
+
+def unique_uniting(fam: MarginalFamily):
+    """The family's one uniting measure, on the full grid, if an exact
+    certificate proves the uniting polytope a point, else None; DomainError
+    if the family has no uniting measure.
+
+    The certificate is Mangasarian's ("Uniqueness of solution in linear
+    programming", Linear Algebra Appl. 1979).  x* is the exact optimum of
+    the zero-objective marginal_lp, kellerer_check's LP, and T the columns
+    where x* > 0.  The columns A_T are independent if their rank modulo
+    2^61 - 1 is |T|, so x* is the one uniting measure on T; and if T is not
+    every supported column, the exact marginal_lp with cost -1 on the
+    others has value 0, so no uniting measure charges them.  A smaller
+    rank proves nothing, a value below 0 shows a second uniting measure,
+    and a CertificationError from either LP leaves the question open: all
+    three give None.  SizeCapError propagates.
+
+    The answer is kept in the family's `_unique` slot by the first call;
+    an infeasible family keeps nothing and raises on every call.
+    """
+    if fam._unique is None:
+        try:
+            point = _unique_point(fam)
+        except lp_core.CertificationError:
+            point = None
+        fam._freeze(_unique=(point,))
+    return fam._unique[0]
 
 
 def density_bounds(fam: MarginalFamily, refs: Sequence[DiscreteMeasure]) -> DensityBounds:

@@ -9,8 +9,9 @@ threads: every value type of the package derives from Frozen, which sets
 the fields once in the constructor and refuses any later assignment.
 The fields set later are MarginalFamily's private `_lp`, where
 feasibility.marginal_lp keeps the family's (support, LPProblem) once
-built, and the LPProblem's cached b and HiGHS model; two threads that
-build one at once build the same value.
+built, and `_unique`, where feasibility.unique_uniting keeps its answer,
+and the LPProblem's cached b and HiGHS model; two threads that build one
+at once build the same value.
 """
 
 from __future__ import annotations
@@ -388,10 +389,12 @@ class MarginalFamily(Frozen):
     `marginals` is a read-only mapping.  The full grid and the index sets
     (a tuple) are the ones __init__ validated, kept for full_grid() and
     index_sets().  `_lp` is empty until feasibility.marginal_lp first
-    builds the family's (support, LPProblem) and keeps it there.
+    builds the family's (support, LPProblem) and keeps it there, and
+    `_unique` until feasibility.unique_uniting first answers, when it
+    keeps (the certified uniting measure or None,).
     """
 
-    __slots__ = ("n", "k", "sizes", "marginals", "_grid", "_index_sets", "_lp")
+    __slots__ = ("n", "k", "sizes", "marginals", "_grid", "_index_sets", "_lp", "_unique")
 
     def __init__(
         self,
@@ -418,7 +421,7 @@ class MarginalFamily(Frozen):
                 raise DomainError(f"marginal for {alpha} has mass {mu.mass}, not 1")
         self._freeze(
             n=n, k=k, sizes=sizes, marginals=MappingProxyType(dict(marginals)),
-            _grid=full, _index_sets=alphas, _lp=None,
+            _grid=full, _index_sets=alphas, _lp=None, _unique=None,
         )
 
     def full_grid(self) -> ProductGrid:

@@ -116,7 +116,7 @@ def test_criterion_05_nonuniform_2x2x2_unique():
     with criterion(5, "2x2x2 family has a unique uniting measure", 2):
         fam = cs.build_nonuniform_2x2x2()
         cells = list(fam.full_grid().cells())
-        values = cs.verify_unique_uniting(fam, cells)  # 8 min/max LP pairs
+        values = cs.verify_unique_uniting(fam, cells)  # unique_uniting: a point, a rank, an LP
         assert values is not None
         assert values[(0, 0, 0)] == values[(1, 1, 1)] == 0
         for cell, v in values.items():

@@ -20,6 +20,7 @@ from mmk.measures import (
     is_consistent,
     project,
     uniform,
+    uniform_family,
 )
 from mmk.transport import check_dual_feasible, solve_primal
 
@@ -166,6 +167,151 @@ def test_mass_extremes_raise_on_a_family_without_uniting_measure():
                     extreme(fam, cell, mode)
     with pytest.raises(DomainError, match="infeasible"):
         cs.verify_unique_uniting(fam, cells)
+
+
+def nonstrong_mass(N):
+    """{cell: mass} of build_nonstrong(N)'s one uniting measure: each
+    point of A_n and B_n, n < N, weighs 1/n^2 over the total."""
+    total = sum(Fraction(6, n * n) for n in range(1, N))
+    return {
+        tuple(c - 1 for c in pt): Fraction(1, n * n) / total
+        for n in range(1, N)
+        for pt in cs._a_points(n) + cs._b_points(n)
+    }
+
+
+def one_cell_extreme(fam, cell, sign):
+    """The oracle: sign * the exact min of sign * pi(cell), one one-cell
+    marginal_lp, whether or not the family is certified."""
+    objective = [0] * fam.full_grid().ncells
+    objective[fam.full_grid().ravel(cell)] = sign
+    return sign * fb.marginal_lp(fam, objective, "exact").value
+
+
+def refuse_lps(monkeypatch):
+    """From now on, any LP solve or marginal_lp call fails the test."""
+    def refuse(*args, **kw):
+        raise AssertionError("an LP was posed")
+
+    for module, name in ((lp_core, "solve"), (fb, "marginal_lp"), (cs, "marginal_lp")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def record_marginal_lps(monkeypatch):
+    """The list of (objective, value) of every marginal_lp call from now
+    on, either module's name for it."""
+    calls, marginal_lp = [], fb.marginal_lp
+
+    def recording(fam, objective, arithmetic):
+        sol = marginal_lp(fam, objective, arithmetic)
+        calls.append((objective, sol.value))
+        return sol
+
+    monkeypatch.setattr(fb, "marginal_lp", recording)
+    monkeypatch.setattr(cs, "marginal_lp", recording)
+    return calls
+
+
+class TestUniqueUniting:
+    """feasibility.unique_uniting: one feasible point, one rank modulo
+    2^61 - 1 and, if needed, one off-support LP certify the uniting
+    polytope a point, and the exact mass extremes read it."""
+
+    @pytest.mark.parametrize("N", [6, 8, 10, 14])
+    def test_nonstrong_extremes_read_the_certificate(self, N, monkeypatch):
+        fam, _ = cs.build_nonstrong(N)
+        mass = nonstrong_mass(N)
+        for cell, m in mass.items():
+            assert one_cell_extreme(fam, cell, 1) == one_cell_extreme(fam, cell, -1) == m
+        assert cs.min_mass_at_cell(fam, (0, 0, 1)) == mass[0, 0, 1]
+        refuse_lps(monkeypatch)
+        for cell in fam.full_grid().cells():
+            want = mass.get(cell, 0)
+            assert cs.min_mass_at_cell(fam, cell) == cs.max_mass_at_cell(fam, cell) == want
+        assert cs.verify_unique_uniting(fam, list(mass)) == mass
+
+    def test_nonuniform_222_certified_by_the_off_support_lp(self, monkeypatch):
+        fam = cs.build_nonuniform_2x2x2()
+        calls = record_marginal_lps(monkeypatch)
+        mu = fb.unique_uniting(fam)
+        diagonal = {(0, 0, 0), (1, 1, 1)}
+        grid = fam.full_grid()
+        assert len(fam._lp[0]) == 8
+        assert [c for c in grid.cells() if mu.weight(c)] == [c for c in grid.cells() if c not in diagonal]
+        assert all(mu.weight(c) == (0 if c in diagonal else Fraction(1, 6)) for c in grid.cells())
+        # T has 6 of the 8 supported cells: the off-support LP charges -1
+        # on the other two, and its value 0 completes the certificate.
+        (zero, _), (off_support, value) = calls
+        assert zero is None and value == 0
+        assert [grid.unravel(j) for j, c in enumerate(off_support) if c] == sorted(diagonal)
+        assert set(off_support) == {0, -1}
+
+    def test_uniform_32_not_certified(self, monkeypatch):
+        # Uniform pairwise marginals on 3^3: every cell's mass ranges over
+        # [0, 1/9], and a uniting measure puts 2/3 off the vertex's support.
+        fam = uniform_family([3, 3, 3], 2)
+        calls = record_marginal_lps(monkeypatch)
+        assert fb.unique_uniting(fam) is None
+        assert calls[1][1] == Fraction(-2, 3) and len(calls) == 2
+        cells = list(fam.full_grid().cells())
+        for cell in cells:
+            assert cs.min_mass_at_cell(fam, cell) == 0
+            assert cs.max_mass_at_cell(fam, cell) == Fraction(1, 9)
+        assert cs.verify_unique_uniting(fam, cells) is None
+        assert len(calls) == 2 + 2 * len(cells) + 2  # the loop stops at its first cell
+
+    def test_low_rank_falls_back_to_one_lp_per_cell(self, monkeypatch):
+        fam, _ = cs.build_nonstrong(6)
+        monkeypatch.setattr(fb, "_rank_mod_p", lambda columns: len(list(columns)) - 1)
+        calls = record_marginal_lps(monkeypatch)
+        assert fb.unique_uniting(fam) is None and len(calls) == 1
+        mass = nonstrong_mass(6)
+        for cell, m in mass.items():
+            assert cs.min_mass_at_cell(fam, cell) == cs.max_mass_at_cell(fam, cell) == m
+        assert len(calls) == 1 + 2 * len(mass)
+
+    def test_uncertified_point_falls_back_to_one_lp_per_cell(self, monkeypatch):
+        fam, _ = cs.build_nonstrong(6)
+        marginal_lp = fb.marginal_lp
+
+        def failing_zero_objective(fam, objective, arithmetic):
+            if objective is None:
+                raise lp_core.CertificationError("x fails A x = b, x >= 0")
+            return marginal_lp(fam, objective, arithmetic)
+
+        monkeypatch.setattr(fb, "marginal_lp", failing_zero_objective)
+        assert fb.unique_uniting(fam) is None
+        calls = record_marginal_lps(monkeypatch)
+        mass = nonstrong_mass(6)
+        for cell, m in mass.items():
+            assert cs.min_mass_at_cell(fam, cell) == cs.max_mass_at_cell(fam, cell) == m
+        assert len(calls) == 2 * len(mass)
+
+    def test_infeasible_family_raises_and_keeps_nothing(self):
+        fam = fb.make_two_point_counterexample(Fraction(5, 2))
+        for extreme in (cs.min_mass_at_cell, cs.max_mass_at_cell):
+            with pytest.raises(DomainError, match="family is infeasible"):
+                extreme(fam, (0, 0, 0))
+        with pytest.raises(DomainError, match="family is infeasible"):
+            fb.unique_uniting(fam)
+        assert fam._unique is None
+
+    def test_float_mode_builds_no_certificate(self):
+        fam, _ = cs.build_nonstrong(6)
+        mass = nonstrong_mass(6)
+        cell = next(iter(mass))
+        assert abs(cs.min_mass_at_cell(fam, cell, "float") - mass[cell]) < 1e-12
+        assert abs(cs.max_mass_at_cell(fam, cell, "float") - mass[cell]) < 1e-12
+        cs.verify_unique_uniting(fam, list(mass), "float")  # float min and max may differ
+        assert fam._unique is None
+
+    def test_rank_mod_p(self):
+        # {0,1}, {1,2}, {0,2} have determinant 2; adding {0,1,2} makes the
+        # four columns dependent, and so are the four edges of a 4-cycle.
+        assert fb._rank_mod_p([[0, 1], [1, 2], [0, 2]]) == 3
+        assert fb._rank_mod_p([[0, 1], [1, 2], [0, 2], [0, 1, 2]]) == 3
+        assert fb._rank_mod_p([[0, 1], [2, 3], [0, 2], [1, 3]]) == 3
+        assert fb._rank_mod_p([]) == 0
 
 
 class TestDiscontinuous:

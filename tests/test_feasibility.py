@@ -548,8 +548,12 @@ class TestMarginalLPPosedOnce:
         # The benchmark's tracer replaces these two with plain functions.
         nonstrong, _ = cs.build_nonstrong(6)
         random_fam = random_family(random.Random(9), 3, 2, [3, 3, 3])
-        cell = self.nonstrong_support(6)[0]
-        want_min = cs.min_mass_at_cell(cs.build_nonstrong(6)[0], cell)
+        # min_mass_at_cell's one-cell objective, posed directly: an exact
+        # mass extreme of this family reads unique_uniting's certificate,
+        # whose off-support LP builds a quotient LPProblem of its own.
+        objective = [0] * nonstrong.full_grid().ncells
+        objective[nonstrong.full_grid().ravel(self.nonstrong_support(6)[0])] = 1
+        want_min = fb.marginal_lp(cs.build_nonstrong(6)[0], objective, "exact").value
         want_witness = fb.kellerer_check(random_family(random.Random(9), 3, 2, [3, 3, 3])).witness
         calls = []
         rows, problem = fb.marginal_constraint_rows, lp_core.LPProblem
@@ -562,7 +566,7 @@ class TestMarginalLPPosedOnce:
             lp_core, "LPProblem", lambda *args, **kw: calls.append("LP") or problem(*args, **kw)
         )
         for _ in range(2):
-            assert cs.min_mass_at_cell(nonstrong, cell) == want_min
+            assert fb.marginal_lp(nonstrong, objective, "exact").value == want_min
             assert fb.kellerer_check(random_fam).witness == want_witness
         assert calls == ["rows", "LP", "rows", "LP"]
 

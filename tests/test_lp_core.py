@@ -19,14 +19,13 @@ from mmk.case_studies import (
     _b_points,
     build_discontinuous,
     build_nonstrong,
-    max_mass_at_cell,
-    min_mass_at_cell,
 )
 from mmk.feasibility import (
     kellerer_check,
     make_modk_counterexample,
     make_two_point_counterexample,
     marginal_constraint_rows,
+    marginal_lp,
 )
 from mmk.lp_core import LPProblem, SizeCapError, check_certificate, solve
 from mmk.measures import (
@@ -97,6 +96,15 @@ def record_rebuilds(monkeypatch):
         lp_core, "_refine", lambda *a, **kw: rebuilt.append(refine(*a, **kw)) or rebuilt[-1]
     )
     return rebuilt
+
+
+def one_cell_extreme(fam, cell, sign):
+    """sign * the exact min of sign * pi(cell) over fam's uniting measures:
+    the one-cell LP of the mass extremes, posed on fam's marginal LP even
+    where unique_uniting would answer without it."""
+    objective = [0] * fam.full_grid().ncells
+    objective[fam.full_grid().ravel(cell)] = sign
+    return sign * marginal_lp(fam, objective, "exact").value
 
 
 def assert_equitable(problem, objective, quotient):
@@ -446,7 +454,7 @@ class TestCertifier:
         # The denominator is above limit_denominator's 10^6, so the rounded
         # x fails A x = b; it divides b's common denominator 58668846, and
         # x rounded at that denominator passes, so nothing is rebuilt.
-        assert min_mass_at_cell(fam, (0, 0, 1)) == Fraction(1058400, 9778141)
+        assert one_cell_extreme(fam, (0, 0, 1), 1) == Fraction(1058400, 9778141)
         assert len(problems) == 1 and len(rebuilt) == 0
 
     def test_dual_check_is_exact(self):
@@ -606,10 +614,10 @@ class TestRebuild:
         for n in range(1, 8):
             for point in _a_points(n) + _b_points(n):
                 cell = tuple(c - 1 for c in point)
-                for extreme in (min_mass_at_cell, max_mass_at_cell):
+                for sign in (1, -1):
                     runs.clear()
                     rebuilt.clear()
-                    assert extreme(fam, cell) == Fraction(1, n * n) / total
+                    assert one_cell_extreme(fam, cell, sign) == Fraction(1, n * n) / total
                     assert [PRESOLVE_OFF in options for options, _ in runs] == [True]
                     assert any(z is not None for z in rebuilt)
 
