@@ -32,13 +32,14 @@ from .measures import (
     MarginalFamily,
     SignedDiscreteMeasure,
     all_index_sets,
-    cell_sums,
     family_from_rule,
     integral,
     is_consistent,
     lower_marginal,
     product,
     project,
+    scaled,
+    scaled_cell_sums,
 )
 
 
@@ -332,16 +333,25 @@ def marginal_lp(fam: MarginalFamily, objective, arithmetic: str):
     return lp_core.solve(problem, costs, arithmetic)
 
 
+def _largest(values):
+    """The first of `values` of largest absolute value, found in integers."""
+    ints, _ = scaled(values)
+    return values[max(range(len(ints)), key=lambda i: abs(ints[i]))]
+
+
 def lift(fam: MarginalFamily, prices, bound: Sequence, every_cell: bool) -> dict:
     """Prices {alpha: tuple} of a marginal_lp, lifted from the support to
     the full grid, where they must sum to at most bound[j] on every
     dropped cell j (the cost for transport duals, 0 for a Farkas ray).
 
-    One grid sum, none if no cell was dropped and not every_cell.  If a
-    dropped cell is above its bound, every price on a zero-weight marginal
-    cell is lowered to at most -s, s = sum over alpha of max|price_alpha|
-    + max|bound| + 1, and summed again: b.y stays, and every dropped cell
-    meets such a price, so its sum falls to at most -max|bound| - 1.
+    One grid sum, none if no cell was dropped and not every_cell, taken
+    by scaled_cell_sums and compared in integers with scaled(bound), so
+    no Fraction is built per cell.  If a dropped cell is above its bound,
+    every price on a zero-weight marginal cell is lowered to at most -s,
+    s = sum over alpha of max|price_alpha| + max|bound| + 1, and summed
+    again: b.y stays, and every dropped cell meets such a price, so its
+    sum falls to at most -max|bound| - 1.  Each max is the entry itself,
+    found by its integer, so s has the prices' own type.
     lp_core.CertificationError if a dropped cell, or with every_cell any
     cell, is still above its bound.
     """
@@ -350,16 +360,17 @@ def lift(fam: MarginalFamily, prices, bound: Sequence, every_cell: bool) -> dict
     dropped = [j for j in range(grid.ncells) if j not in kept]
     if not dropped and not every_cell:
         return prices
-    totals = cell_sums(grid, prices)
-    if any(totals[j] > bound[j] for j in dropped):
+    B, e = scaled(bound)
+    totals, d = scaled_cell_sums(grid, prices)
+    if any(totals[j] * e > B[j] * d for j in dropped):
         alphas = fam.index_sets()
-        s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
+        s = sum(abs(_largest(prices[a])) for a in alphas) + abs(_largest(bound)) + 1
         prices = {
             a: tuple(v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights))
             for a in alphas
         }
-        totals = cell_sums(grid, prices)
-    if any(totals[j] > bound[j] for j in (range(grid.ncells) if every_cell else dropped)):
+        totals, d = scaled_cell_sums(grid, prices)
+    if any(totals[j] * e > B[j] * d for j in (range(grid.ncells) if every_cell else dropped)):
         raise lp_core.CertificationError("lifted prices exceed the bound on a cell")
     return prices
 

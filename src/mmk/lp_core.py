@@ -44,13 +44,15 @@ crossover, which ends on an optimal basis as the simplex does (Andersen
 programming", Management Sci. 1996); every other model runs the dual
 simplex.  An interior-point run that ends without an optimum is run
 again by the simplex on the same solver, so every Farkas ray comes from
-the simplex.  An objective with at most one nonzero entry
-(kellerer_check's zero objective, the one-cell objectives of the mass
-extremes) runs without HiGHS's presolve, which costs a quarter of such
-a run and saves 2% of its simplex iterations; a costed one keeps it
-(_highs says why).  The duals of a costed LP with a quotient are
-constant on the row classes whichever optimal basis HiGHS ends on, so
-diagnose_dual_growth's sums do not follow presolve or the method.
+the simplex.  Every dual-simplex run is without HiGHS's presolve, which
+on LPs this small costs more than the iterations it saves (the LPs of
+20 random (4,3) families on 3^4, 108 rows and 75-81 columns: a median
+1.3-1.9 ms a run with presolve, 24 simplex iterations, and 0.7-1.0 ms
+without, 67 iterations); an interior-point run keeps it (_highs says
+why), and so does the simplex run after it.  The duals of a costed LP
+with a quotient are constant on the row classes whichever optimal basis
+HiGHS ends on, so diagnose_dual_growth's sums do not follow presolve or
+the method.
 
 x and y are rounded to nearby rationals, and a part that fails is
 rebuilt as the exact basic solution of that basis (Applegate, Cook,
@@ -145,7 +147,10 @@ TIGHT_TOLERANCE = 1e-10
 # one-entry objective loses at every size: float min_mass_at_cell on
 # build_unreachable(12), 5,184 nonzeros, went from 22 to 43-69 ms, and on
 # (18) from 81-92 to 181-217 ms.  The quotient of build_discontinuous(24),
-# 14,892 nonzeros, still runs the interior-point method.
+# 14,892 nonzeros, still runs the interior-point method.  With the simplex
+# run without presolve, the interior point still wins on the random LP on
+# 12^3 (71-75 against 79-85 ms) and on that quotient (410-418 against
+# 568-602 ms).
 IPM_NONZEROS = 4096
 
 _ZERO = Fraction(0)  # the one Fraction for every exact 0 of a candidate
@@ -451,20 +456,24 @@ def _highs(model, objective: Sequence):
 
     A fresh solver takes the cached model (an LPProblem's highs_model)
     and then the objective's nonzero entries, so the model keeps its zero
-    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  An
-    objective with at most one nonzero entry runs without presolve.  A
-    costed one, with more, keeps presolve: without it an interior-point
-    run leaves no factor, and getBasicVariables then crashes HiGHS
-    1.12.0.  Above IPM_NONZEROS nonzeros of the model a costed LP runs
-    the interior-point method with crossover; if that run ends without an
-    optimum, the same solver runs again with the simplex.  Every other LP
-    has one simplex run.  Returns
-    (x, y, value, highs) of an optimal vertex with its duals and the
-    solver itself, which holds the factor of its basis; for an infeasible
-    LP (None, ray, None, None), ray the dual ray of the simplex run that
-    found it (None if HiGHS has none).  LPError on any other status, such
-    as an unbounded LP; OverflowError if an entry is too large for a
-    float.
+    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Above
+    IPM_NONZEROS nonzeros of the model a costed LP, with more than one
+    nonzero objective entry, runs the interior-point method with
+    crossover and presolve: without presolve an interior-point run leaves
+    no factor, and getBasicVariables then crashes HiGHS 1.12.0.  If that
+    run ends without an optimum, the same solver, options kept, runs
+    again with the simplex.  Every other LP has one dual-simplex run
+    without presolve, which on these LPs costs more time than it saves in
+    iterations: build_discontinuous(12)'s quotient, 1,998 nonzeros, took
+    13.3-16.7 ms a run with presolve and 9.8-10.2 ms without, and
+    XorInstance(4)'s, 2,176, 19.3-20.2 and 14.5-18.6 ms (2 cores).
+
+    Returns (x, y, value, highs) of an optimal vertex with its duals and
+    the solver itself, which holds the factor of its basis; for an
+    infeasible LP (None, ray, None, None), ray the dual ray of the simplex
+    run that found it (None if HiGHS has none).  LPError on any other
+    status, such as an unbounded LP; OverflowError if an entry is too
+    large for a float.
     """
     core = _core()
     highs = core._Highs()
@@ -476,11 +485,11 @@ def _highs(model, objective: Sequence):
     highs.changeColsCost(len(costs), list(costs), list(costs.values()))
     costed = len(costs) > 1
     ipm = costed and highs.getNumNz() > IPM_NONZEROS
-    if not costed:
-        highs.setOptionValue("presolve", "off")
     if ipm:
         highs.setOptionValue("solver", "ipm")
         highs.setOptionValue("run_crossover", "on")
+    else:
+        highs.setOptionValue("presolve", "off")
     highs.run()
     status = highs.getModelStatus()
     if ipm and status != core.HighsModelStatus.kOptimal:

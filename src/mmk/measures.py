@@ -362,9 +362,12 @@ def scaled(values) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
-def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list[Fraction]:
-    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order:
-    exact Fractions, summed in integers over one common denominator."""
+def scaled_cell_sums(
+    grid: ProductGrid, functions: Mapping[IndexSet, Sequence]
+) -> tuple[list[int], int]:
+    """Integers t and one denominator d, t[j] / d == sum_alpha f_alpha(x_alpha)
+    at cell j of `grid`, in ravel order: every value read once by scaled,
+    and summed in integers."""
     blocks = list(functions.values())
     flat, d = scaled([v for values in blocks for v in values])
     ends = itertools.accumulate(map(len, blocks))
@@ -372,6 +375,13 @@ def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list
     for alpha, end, values in zip(functions, ends, blocks):
         block = flat[end - len(values):end]
         totals = [s + block[i] for s, i in zip(totals, grid.projection_index(alpha))]
+    return totals, d
+
+
+def cell_sums(grid: ProductGrid, functions: Mapping[IndexSet, Sequence]) -> list[Fraction]:
+    """sum_alpha f_alpha(x_alpha) at every cell of `grid`, in ravel order:
+    the exact Fractions of scaled_cell_sums."""
+    totals, d = scaled_cell_sums(grid, functions)
     return [Fraction(t, d) for t in totals]
 
 

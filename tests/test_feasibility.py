@@ -27,6 +27,7 @@ from mmk.measures import (
     measure_to_json,
     product,
     project,
+    scaled,
     uniform,
 )
 from test_measures import fraction_cell_sums
@@ -389,9 +390,9 @@ class TestKellererCheck:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("n, k", [(5, 3), (7, 2)])
     def test_modk_verdict_as_with_per_cell_fraction_sums(self, monkeypatch, n, k, mode):
-        # cell_sums adds exact potentials as integers over one denominator;
-        # with the per-cell Fraction sum in its place the verdict is the
-        # same, and on both runs lift lowers a price.
+        # lift adds exact potentials as integers over one denominator; with
+        # the per-cell Fraction sum in its place the verdict is the same,
+        # and on both runs lift lowers a price.
         lowered = []
         real_lift = fb.lift
 
@@ -402,7 +403,7 @@ class TestKellererCheck:
 
         monkeypatch.setattr(fb, "lift", spy)
         fast = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
-        monkeypatch.setattr(fb, "cell_sums", fraction_cell_sums)
+        monkeypatch.setattr(fb, "scaled_cell_sums", lambda g, f: scaled(fraction_cell_sums(g, f)))
         slow = fb.kellerer_check(fb.make_modk_counterexample(n, k), arithmetic=mode)
         assert not fast.feasible and not slow.feasible and lowered == [True, True]
         assert fast.potentials == slow.potentials
@@ -423,16 +424,17 @@ class TestKellererCheck:
         ],
     )
     def test_grid_sums_per_kellerer_check(self, monkeypatch, mode, family, calls):
-        # A ray that lift lowers is summed twice: to find a dropped cell
-        # above 0, and to check the lowered one (exact: on every cell).  The
-        # two-point family drops no cell, so only exact mode sums it.
+        # A ray that lift lowers is summed twice, each time in one pass of
+        # scaled_cell_sums: to find a dropped cell above 0, and to check the
+        # lowered one (exact: on every cell).  The two-point family drops no
+        # cell, so only exact mode sums it.
         fam = {
             "modk53": lambda: fb.make_modk_counterexample(5, 3),
             "padded": padded_two_point,
             "two_point": lambda: fb.make_two_point_counterexample(Fraction(5, 2)),
         }[family]()
-        counted, real_cell_sums = [], fb.cell_sums
-        monkeypatch.setattr(fb, "cell_sums", lambda *a: counted.append(1) or real_cell_sums(*a))
+        counted, real_sums = [], fb.scaled_cell_sums
+        monkeypatch.setattr(fb, "scaled_cell_sums", lambda *a: counted.append(1) or real_sums(*a))
         assert not fb.kellerer_check(fam, mode).feasible
         assert len(counted) == calls
 
@@ -459,6 +461,86 @@ class TestKellererCheck:
         assert verdict.witness.weight((0, 0, 0)) == 0
         assert verdict.witness.weight((1, 1, 1)) == 0
         assert verdict.witness.weight((0, 1, 1)) == Fraction(1, 6)
+
+
+def reference_lift(fam, prices, bound, every_cell):
+    """lift on per-cell Fraction sums: each sum compared with its bound as
+    Fractions, s from the maxima of the absolute values themselves."""
+    grid = fam.full_grid()
+    kept = set(fam._lp[0])
+    dropped = [j for j in range(grid.ncells) if j not in kept]
+    if not dropped and not every_cell:
+        return prices
+    totals = fraction_cell_sums(grid, prices)
+    if any(totals[j] > bound[j] for j in dropped):
+        alphas = fam.index_sets()
+        s = sum(max(abs(v) for v in prices[a]) for a in alphas) + max(map(abs, bound)) + 1
+        prices = {
+            a: tuple(v if w != 0 else min(v, -s) for v, w in zip(prices[a], fam[a].weights))
+            for a in alphas
+        }
+        totals = fraction_cell_sums(grid, prices)
+    if any(totals[j] > bound[j] for j in (range(grid.ncells) if every_cell else dropped)):
+        raise lp_core.CertificationError("lifted prices exceed the bound on a cell")
+    return prices
+
+
+class TestLiftInIntegers:
+    """lift decides each sum of prices against its bound in integers and
+    returns what the per-cell Fraction reference returns, or raises the
+    same CertificationError, on families with zero marginal weights."""
+
+    @staticmethod
+    def families():
+        rng = random.Random(5)
+        fams = [padded_two_point(), fb.make_modk_counterexample(4, 2),
+                fb.make_modk_counterexample(4, 3), fb.make_modk_counterexample(5, 3)]
+        for n, k, sizes in [(3, 2, [3, 3, 3]), (4, 3, [2, 2, 2, 2]), (3, 1, [3, 2, 2])]:
+            fam = sparse_family(rng, n, k, sizes)
+            while all(w != 0 for a in fam.index_sets() for w in fam[a].weights):
+                fam = sparse_family(rng, n, k, sizes)
+            fams.append(fam)
+        for fam in fams:
+            fb.marginal_lp(fam, None, "exact")
+            assert len(fam._lp[0]) < fam.full_grid().ncells
+        return fams
+
+    @staticmethod
+    def draw(rng, size, kind):
+        """size Fractions in [-60, 60], or floats or ints in [-5, 5]; all
+        of them <= 0 a third of the time."""
+        value = {
+            "fraction": lambda: Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
+            "float": lambda: rng.uniform(-5, 5),
+            "int": lambda: rng.randint(-5, 5),
+        }[kind]
+        values = [value() for _ in range(size)]
+        return tuple(-abs(v) for v in values) if rng.random() < 1 / 3 else tuple(values)
+
+    @pytest.mark.parametrize("kind", ["fraction", "float", "int"])
+    def test_lift_matches_the_fraction_reference(self, kind):
+        rng = random.Random(kind)
+        outcomes = set()
+        for fam in self.families():
+            ncells = fam.full_grid().ncells
+            for trial in range(40):
+                prices = {a: self.draw(rng, len(fam[a].weights), kind) for a in fam.index_sets()}
+                bound = ([0] * ncells if trial % 2 else
+                         [Fraction(rng.randint(0, 20), rng.randint(1, 3)) for _ in range(ncells)])
+                for every_cell in (False, True):
+                    try:
+                        want = reference_lift(fam, prices, bound, every_cell)
+                    except lp_core.CertificationError as err:
+                        with pytest.raises(lp_core.CertificationError, match=str(err)):
+                            fb.lift(fam, prices, bound, every_cell)
+                        outcomes.add("raised")
+                        continue
+                    got = fb.lift(fam, prices, bound, every_cell)
+                    assert got == want
+                    assert [type(v) for a in got for v in got[a]] == [
+                        type(v) for a in want for v in want[a]]
+                    outcomes.add("lowered" if want is not prices else "kept")
+        assert outcomes == {"raised", "lowered", "kept"}
 
 
 class TestProjectionRows:

@@ -863,8 +863,9 @@ class TestMethodRoute:
     more than IPM_NONZEROS nonzeros with more than one nonzero objective
     entry, and the simplex on every other model and after an
     interior-point run that ends without an optimum.  The rule reads the
-    model HiGHS is given, the quotient of a costed LP that has one.  Only
-    an objective with at most one nonzero entry runs without presolve."""
+    model HiGHS is given, the quotient of a costed LP that has one.  Every
+    simplex run is without presolve; an interior-point run keeps it, and
+    so does the simplex run after it on the same solver."""
 
     @staticmethod
     def xor_problem(n):
@@ -922,7 +923,9 @@ class TestMethodRoute:
             assert first[-2:] == self.IPM and second == first + [("solver", "simplex")]
             assert ipm_iterations == 0 and PRESOLVE_OFF not in second
 
-    def test_presolve_off_for_zero_and_one_entry_objectives_only(self, monkeypatch):
+    def test_presolve_off_on_every_simplex_run(self, monkeypatch):
+        # Only the random LP's costed objective, 5,184 nonzeros, runs the
+        # interior-point method, and only that run keeps presolve.
         runs = record_runs(monkeypatch)
         big, big_cost = self.random_problem()
         problem, cost = self.xor_problem(4)
@@ -933,8 +936,8 @@ class TestMethodRoute:
             objective[j] = value
             return objective
 
-        for lp, objective, costed in (
-            (big, big_cost, True), (problem, cost, True), (small, small_cost, True),
+        for lp, objective, ipm in (
+            (big, big_cost, True), (problem, cost, False), (small, small_cost, False),
             (problem, [0] * problem.ncols, False), (small, [0] * small.ncols, False),
             (problem, one_cell(problem, 5, 1), False), (small, one_cell(small, 7, -3), False),
         ):
@@ -942,8 +945,8 @@ class TestMethodRoute:
                 runs.clear()
                 assert solve(lp, objective, arithmetic=mode).status == "optimal"
                 [(options, ipm_iterations)] = runs
-                assert (PRESOLVE_OFF not in options) == costed
-                assert (ipm_iterations > 0) == (costed and lp is big)
+                assert (PRESOLVE_OFF in options) == (ipm_iterations == 0)
+                assert (ipm_iterations > 0) == ipm
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         for lp in TestFarkas().one_run_problems():
             for mode in ("exact", "float"):

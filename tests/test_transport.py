@@ -487,6 +487,48 @@ def test_exact_cap_on_the_discontinuous_dual_example():
         verify_gap(fam, cost)
 
 
+def test_values_do_not_follow_presolve(monkeypatch):
+    # Every simplex run is without presolve.  With presolve forced on for
+    # every HiGHS run, exact verify_gap gives the same values with gap 0,
+    # and float verify_gap values within 1e-9: on 10 families of each of
+    # exact-transport's random shapes (about 30% of the measure's cells
+    # empty, cost 0-20) and on the symmetric instances HiGHS solves as
+    # quotients.
+    rng = random.Random(37)
+    cases = []
+    for n, k, sizes in [(3, 2, [4] * 3), (4, 2, [3] * 4), (4, 3, [3] * 4)]:
+        grid = ProductGrid(sizes)
+        for _ in range(10):
+            raw = [0 if rng.random() < 0.3 else rng.randint(1, 9) for _ in range(grid.ncells)]
+            raw[rng.randrange(grid.ncells)] = 1
+            mu = DiscreteMeasure(grid, [Fraction(w, sum(raw)) for w in raw])
+            fam = MarginalFamily(n, k, sizes, {a: project(mu, a) for a in all_index_sets(n, k)})
+            cases.append((fam, random_cost(rng, grid, 0, 20)))
+    cases += [(XorInstance(m).family(), XorInstance(m).cost()) for m in (3, 4)]
+    cases.append(cs.build_discontinuous(12)[:2])
+
+    def values():
+        out = []
+        for fam, cost in cases:
+            exact = verify_gap(fam, cost)
+            assert exact.gap == 0
+            out.append((exact.value, verify_gap(fam, cost, arithmetic="float").value))
+        return out
+
+    default = values()
+    assert default[-1][0] == Fraction(1, 6)
+    core = lp_core._core()
+
+    class Presolve(core._Highs):
+        def run(self):
+            self.setOptionValue("presolve", "on")
+            return super().run()
+
+    monkeypatch.setattr(core, "_Highs", Presolve)
+    for (exact, approx), (exact_on, approx_on) in zip(default, values(), strict=True):
+        assert exact_on == exact and abs(approx_on - approx) <= 1e-9
+
+
 class TestDecomposition:
     def test_decomp_lambda_32_golden(self):
         assert tuple(decomp_lambda(3, 2)) == (
