@@ -61,8 +61,10 @@ Oper. Res. Lett. 2007): solves on HiGHS's own factor of the basis
 matrix, refined with exact integer residuals to rationals of any size
 that the basis admits.  Rounding and rebuilding both work on the short
 quotient vectors before the lift.  scipy's HiGHS binding is loaded by
-itself (_core), without scipy.optimize or scipy.sparse, and numpy is
-imported only by the rebuild.
+itself (_core), without scipy.optimize or scipy.sparse.  The model and
+the objective reach it as lists and scalars, so numpy is imported only
+where the binding returns arrays: the rebuild's basis and solves, and
+HiGHS's dual ray.
 
 An optimum from either route is returned only if its lift passes A x =
 b, x >= 0, y.A_j <= c_j for every column and c.x == b.y exactly on the
@@ -119,10 +121,12 @@ FLOAT_NONZERO_CAP = 2_000_000
 # other exact LP does.  The count is the LP solved, the quotient's if a
 # costed LP has one: build_nonstrong(10)'s support LP has 192 and its
 # quotient 46.  On the test suite's LPs the tableau takes 0.1-4 ms,
-# HiGHS plus certification 2-8 ms, and a first HiGHS run another ~0.1 s
-# (0.01 s to load the binding, the rest mostly numpy's import).  Above it
-# HiGHS won 76 of 78 LPs with 65-128 nonzeros and every larger one, and
-# the tableau's time grows without bound (over 600 s at 17,496).
+# HiGHS plus certification 2-8 ms, and a first HiGHS run another ~0.01 s,
+# nearly all of it loading the binding (medians of 15 fresh processes on
+# 2 cores: 9.7 ms to load it, then 1.4 ms for a first 4 x 4 LP and 0.6
+# ms for a second).  Above it HiGHS won 76 of 78 LPs with 65-128 nonzeros
+# and every larger one, and the tableau's time grows without bound (over
+# 600 s at 17,496).
 TABLEAU_ONLY_NONZEROS = 64
 
 # Primal and dual feasibility tolerance of every HiGHS run (HiGHS's
@@ -178,6 +182,22 @@ def _core():
     return module
 
 
+@cache
+def _zero_columns(n: int):
+    """A solver that holds n columns 0 <= x_j < inf of cost 0 and no rows,
+    one per width n.  Its getLp() is a new HighsLp whose col_cost_,
+    col_lower_ and col_upper_ have length n: col_cost_ is the one field
+    of the model that the binding sets only from a numpy array, so the
+    model is built on this copy without numpy.  It is kept, about 80 KB a
+    width, since a new solver and its n addVar calls would cost every
+    LPProblem about 58 us plus 1.2 us a column (2 cores)."""
+    highs = _core()._Highs()
+    highs.setOptionValue("output_flag", False)
+    for _ in range(n):
+        highs.addVar(0.0, math.inf)
+    return highs
+
+
 class SizeCapError(LPError):
     """The LP is over FLOAT_NONZERO_CAP, or in exact mode EXACT_NONZERO_CAP."""
 
@@ -229,7 +249,8 @@ class LPProblem(Frozen):
     @cached_property
     def highs_model(self):
         """A x = b, x >= 0 as the HighsLp _highs runs, its objective zero:
-        A column-wise, one entry a for a row that a column lists a times.
+        A column-wise, one entry a for a row that a column lists a times,
+        set on a copy of the _zero_columns of the LP's width.
 
         OverflowError if an entry of b is too large for a float.
         """
@@ -238,16 +259,12 @@ class LPProblem(Frozen):
         values = ([float(a) for column in columns for a in column.values()] if self._repeats
                   else [1.0] * self._nonzeros)
         b = [float(v) for v in self.rhs]
-        model = _core().HighsLp()
-        start = list(accumulate(map(len, columns), initial=0))
-        model.num_col_ = model.a_matrix_.num_col_ = self.ncols
+        model = _zero_columns(self.ncols).getLp()
         model.num_row_ = model.a_matrix_.num_row_ = len(b)
         model.a_matrix_.format_ = _core().MatrixFormat.kColwise
-        model.a_matrix_.start_ = start
+        model.a_matrix_.start_ = list(accumulate(map(len, columns), initial=0))
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = values
-        model.col_cost_ = model.col_lower_ = [0.0] * self.ncols
-        model.col_upper_ = [math.inf] * self.ncols
         model.row_lower_ = model.row_upper_ = b
         return model
 
@@ -455,18 +472,19 @@ def _highs(model, objective: Sequence):
     """HiGHS's min objective.x on the model of A x = b, x >= 0.
 
     A fresh solver takes the cached model (an LPProblem's highs_model)
-    and then the objective's nonzero entries, so the model keeps its zero
-    objective.  The feasibility tolerances are TIGHT_TOLERANCE.  Above
-    IPM_NONZEROS nonzeros of the model a costed LP, with more than one
-    nonzero objective entry, runs the interior-point method with
-    crossover and presolve: without presolve an interior-point run leaves
-    no factor, and getBasicVariables then crashes HiGHS 1.12.0.  If that
-    run ends without an optimum, the same solver, options kept, runs
-    again with the simplex.  Every other LP has one dual-simplex run
-    without presolve, which on these LPs costs more time than it saves in
-    iterations: build_discontinuous(12)'s quotient, 1,998 nonzeros, took
-    13.3-16.7 ms a run with presolve and 9.8-10.2 ms without, and
-    XorInstance(4)'s, 2,176, 19.3-20.2 and 14.5-18.6 ms (2 cores).
+    and then the objective's nonzero entries, one changeColCost each, so
+    the model keeps its zero objective.  The feasibility tolerances are
+    TIGHT_TOLERANCE.  Above IPM_NONZEROS nonzeros of the model a costed
+    LP, with more than one nonzero objective entry, runs the
+    interior-point method with crossover and presolve: without presolve
+    an interior-point run leaves no factor, and getBasicVariables then
+    crashes HiGHS 1.12.0.  If that run ends without an optimum, the same
+    solver, options kept, runs again with the simplex.  Every other LP
+    has one dual-simplex run without presolve, which on these LPs costs
+    more time than it saves in iterations: build_discontinuous(12)'s
+    quotient, 1,998 nonzeros, took 13.3-16.7 ms a run with presolve and
+    9.8-10.2 ms without, and XorInstance(4)'s, 2,176, 19.3-20.2 and
+    14.5-18.6 ms (2 cores).
 
     Returns (x, y, value, highs) of an optimal vertex with its duals and
     the solver itself, which holds the factor of its basis; for an
@@ -482,7 +500,8 @@ def _highs(model, objective: Sequence):
     highs.setOptionValue("dual_feasibility_tolerance", TIGHT_TOLERANCE)
     highs.passModel(model)
     costs = {j: float(v) for j, v in enumerate(objective) if v}
-    highs.changeColsCost(len(costs), list(costs), list(costs.values()))
+    for j, v in costs.items():
+        highs.changeColCost(j, v)
     costed = len(costs) > 1
     ipm = costed and highs.getNumNz() > IPM_NONZEROS
     if ipm:

@@ -23,6 +23,8 @@ from mmk.measures import (
     SignedDiscreteMeasure,
     all_index_sets,
     cell_sums,
+    family_from_rule,
+    integral,
     measure_to_json,
     project,
     uniform,
@@ -50,18 +52,18 @@ def write_problem(path, fam, cost_values=None, refs=None):
     return str(path)
 
 
-def projected_family(seed=0):
+def projected_family(seed=0, sizes=(2, 2, 2)):
     import random
 
     from mmk.measures import MarginalFamily
 
     rng = random.Random(seed)
-    grid = ProductGrid([2, 2, 2])
-    raw = [Fraction(rng.randint(1, 9)) for _ in range(8)]
+    grid = ProductGrid(sizes)
+    raw = [Fraction(rng.randint(1, 9)) for _ in range(grid.ncells)]
     total = sum(raw)
     mu = DiscreteMeasure(grid, [w / total for w in raw])
     return MarginalFamily(
-        3, 2, [2, 2, 2], {a: project(mu, a) for a in all_index_sets(3, 2)}
+        3, 2, sizes, {a: project(mu, a) for a in all_index_sets(3, 2)}
     )
 
 
@@ -485,6 +487,60 @@ def test_import_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 0 []"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_highs_route_loads_no_numpy(tmp_path, mode, command):
+    """A feasible 4x4x4 problem, 192 nonzeros on every cell, goes to
+    HiGHS: the binding is loaded, but numpy is not, since the model and
+    the objective are set from lists and the rounded answer passes."""
+    import random
+
+    rng = random.Random(4)
+    fam = projected_family(4, (4, 4, 4))
+    path = write_problem(tmp_path / "p.json", fam, [rng.randint(0, 20) for _ in range(64)])
+    code = (
+        "import contextlib, io, json, sys; from mmk import cli, lp_core\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    status = cli.main(['--arithmetic', '{mode}', '{command}', {path!r}])\n"
+        "print(json.dumps([status, lp_core._core.cache_info().currsize, "
+        "'numpy' in sys.modules, json.loads(out.getvalue())]))"
+    )
+    src = os.path.dirname(os.path.dirname(mmk.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    status, loaded, numpy, report = json.loads(out.stdout)
+    assert (status, loaded, numpy) == (0, 1, False)
+    if command == "check":
+        assert report["feasible"] is True
+    else:
+        assert abs(Fraction(report["gap"])) <= (0 if mode == "exact" else 1e-12)
+
+
+def test_highs_farkas_ray_certifies(monkeypatch):
+    """The (4,2) family on {0,1}^4 whose every marginal is the ratio-3
+    two-point one is infeasible, as its (3,2) part is.  Its LP, 96
+    nonzeros, goes to HiGHS, and exact kellerer_check takes the Farkas
+    ray from HiGHS's dual ray, which the binding returns as a numpy
+    array: the verdict is a certificate, sums >= 0 on every cell and a
+    negative integral."""
+    rays = []
+    highs = lp_core._highs
+
+    def recorded(model, objective):
+        rays.append(answer := highs(model, objective))
+        return answer
+
+    monkeypatch.setattr(lp_core, "_highs", recorded)
+    fam = family_from_rule([2] * 4, 2, lambda c: Fraction(3 if c[0] != c[1] else 1, 8))
+    verdict = fb.kellerer_check(fam)
+    assert [(x, ray is not None) for x, ray, _, _ in rays] == [(None, True)]
+    assert not verdict.feasible
+    assert min(cell_sums(fam.full_grid(), verdict.potentials)) >= 0
+    assert integral(fam, verdict.potentials) < 0
 
 
 class TestSignedAndBounded:

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -248,11 +249,13 @@ class TestExact:
             assert solve(problem, [1], mode).x == [2]
 
     def test_one_problem_serves_two_objectives(self, monkeypatch):
-        # Both solves run HiGHS on the one model the problem builds.
+        # Both solves run HiGHS on the one model the problem builds, a
+        # copy of the zero-cost columns of its width.
         monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
         built, models = [], []
+        zero_columns = lp_core._zero_columns
         monkeypatch.setattr(
-            _core, "HighsLp", lambda real=_core.HighsLp: built.append(1) or real()
+            lp_core, "_zero_columns", lambda n: built.append(n) or zero_columns(n)
         )
         highs = lp_core._highs
         monkeypatch.setattr(
@@ -260,9 +263,52 @@ class TestExact:
         )
         problem = LPProblem([[0], [0]], [3])
         assert solve(problem, [-2, -1]).value == -6 and solve(problem, [1, 2]).value == 3
-        assert len(built) == 1 and models == [problem.highs_model] * 2
+        assert built == [2] and models == [problem.highs_model] * 2
         with pytest.raises(DomainError, match="1 objective entries for 2 columns"):
             solve(problem, [1])
+
+    def test_models_of_one_width_are_apart(self, monkeypatch):
+        # Every model copies the zero-cost columns of its width.  Models
+        # of widths 3 and 5 are built in alternation, each LP solved on
+        # HiGHS with a costed objective before the next model of its
+        # width is built: each keeps its width, a zero objective and its
+        # own matrix, gives the tableau's value, and a change to one
+        # model reaches no other.
+        monkeypatch.setattr(lp_core, "TABLEAU_ONLY_NONZEROS", 0)
+        solved = []
+        highs = lp_core._highs
+        monkeypatch.setattr(
+            lp_core, "_highs", lambda model, obj: solved.append(model) or highs(model, obj)
+        )
+        rng = random.Random(3)
+        problems = []
+        for n in (3, 5, 3, 5, 3, 5):
+            columns = [[i for i in range(3) if rng.random() < 0.6] or [j % 3] for j in range(n)]
+            x = [rng.randint(1, 4) for _ in range(n)]
+            rhs = [sum(xj for xj, column in zip(x, columns) if i in column) for i in range(3)]
+            cost = [Fraction(10 * j + rng.randint(1, 9), 3) for j in range(n)]  # no quotient
+            problem = LPProblem(columns, rhs)
+            tableau = lp_core._ExactTableau(problem, cost)
+            assert tableau.phase1()
+            tableau.phase2()
+            value = sum(c * xj for c, xj in zip(cost, tableau.primal()))
+            assert solve(problem, cost).value == value
+            assert solve(problem, cost, "float").value == pytest.approx(value)
+            assert solved[-2:] == [problem.highs_model] * 2
+            problems.append(problem)
+        problems[0].highs_model.col_upper_ = [1.0] * 3
+        problems[1].highs_model.row_lower_ = [0.0] * 3
+        for problem in problems:
+            model = problem.highs_model
+            n = problem.ncols
+            assert model.num_col_ == model.a_matrix_.num_col_ == n
+            assert list(model.col_cost_) == list(model.col_lower_) == [0.0] * n
+            assert list(model.a_matrix_.index_) == [i for c in problem.columns for i in c]
+            if problem is not problems[0]:
+                assert list(model.col_upper_) == [math.inf] * n
+            if problem is not problems[1]:
+                assert list(model.row_lower_) == [float(b) for b in problem.rhs]
+        assert list(LPProblem([[0]] * 3, [1]).highs_model.col_upper_) == [math.inf] * 3
 
     # min x0 / 2 + 3 x1 / 2 s.t. x0 = 1, x1 = 1: the optimum is x = (1, 1),
     # y = (1/2, 3/2), of value 2.  The costs differ, so the LP reaches the
@@ -1133,7 +1179,7 @@ def test_highs_binding_has_what_lp_core_uses(monkeypatch):
     # variables and basis solves of the rebuild included, and an
     # interior-point run with crossover leaves a basis to read.
     for method in (
-        "setOptionValue", "passModel", "changeColsCost", "getNumNz", "run",
+        "setOptionValue", "addVar", "getLp", "passModel", "changeColCost", "getNumNz", "run",
         "getModelStatus", "getSolution", "getInfo", "getDualRay", "getBasicVariables",
         "getBasisSolve", "getBasisTransposeSolve",
     ):
